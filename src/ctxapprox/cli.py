@@ -400,8 +400,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="recorded only; evaluation is deterministic")
     parser.add_argument("--seed", type=int, default=None,
                         help="overrides the config seed")
     args = parser.parse_args(argv)

@@ -25,7 +25,8 @@ from itertools import product as iter_product
 import numpy as np
 
 from ._linalg import inf_operator_norm, solve_refined
-from .errors import BudgetError, DimensionError, PositionScanExhausted
+from .errors import (BudgetError, DimensionError, EpsilonRangeError,
+                     PositionScanExhausted)
 from .fnn import EXP, RELU, Activation, FitResult, FnnParams, fit_fnn, fnn_forward_batch
 from .grids import Grid
 from .kronecker import SQRT2, TokenDecomposition, coefficient_decompose
@@ -33,6 +34,12 @@ from .transformer import TransformerParams
 from .vocab_pe import PeScheme, Vocabulary, pe_block
 
 _TOKEN_SAFETY = 1.25
+
+
+def _require_positive_finite(name: str, value: float):
+    """NaN passes a plain ``<= 0`` check and would stall the scan, so test finiteness too."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 # --------------------------------------------------------------------------
@@ -48,8 +55,8 @@ class StageBudgets:
     tokens: float
 
     def __post_init__(self):
-        if min(self.fit, self.perturb, self.tokens) <= 0:
-            raise ValueError("budgets must be positive")
+        for name in ("fit", "perturb", "tokens"):
+            _require_positive_finite(f"budget {name}", getattr(self, name))
 
     @property
     def total(self) -> float:
@@ -67,6 +74,10 @@ class StageBudgets:
 class Caps:
     j_cap: int = 60_000_000
     q_cap: int = 1_000_000
+
+    def __post_init__(self):
+        if self.j_cap < 1:
+            raise ValueError(f"j_cap must be >= 1, got {self.j_cap}")
 
 
 @dataclass
@@ -224,13 +235,16 @@ class ConstructionReport:
 # position scanning
 
 
-class _NeighborOffsets(dict):
-    def __missing__(self, d):
-        self[d] = np.array(list(iter_product((0.0, -1.0, 1.0), repeat=d)))
-        return self[d]
+def _sup_dist(a: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """Sup-norm distance from each row of an (N, d) array to ``point``.
 
-
-_NEIGHBOR_OFFSETS = _NeighborOffsets()
+    A running maximum over the d columns: numpy's row reduction and row-wise
+    broadcasting are both slow for a handful of columns.
+    """
+    out = np.abs(a[:, 0] - point[0])
+    for k in range(1, a.shape[1]):
+        np.maximum(out, np.abs(a[:, k] - point[k]), out=out)
+    return out
 
 
 @dataclass
@@ -259,6 +273,8 @@ def _scan_engine(targets: list[ScanTarget], vocab: Vocabulary, scheme: PeScheme,
     cmap = tp.C.T @ tp.B                       # row(v, j) = cmap @ (v + P_j)
     rows = np.array([t.row for t in targets])  # (T, d)
     tols = np.array([t.tol for t in targets])
+    if not np.all(np.isfinite(tols) & (tols > 0)):
+        raise ValueError("scan tolerances must be positive and finite")
     demand = np.array([t.demand for t in targets], dtype=np.int64)
     collected: list[list[ScanHit]] = [[] for _ in targets]
     best_dist = np.full(len(targets), np.inf)
@@ -283,32 +299,26 @@ def _scan_engine(targets: list[ScanTarget], vocab: Vocabulary, scheme: PeScheme,
             base = pe @ cmap.T                                # (count, d)
             open_idx = np.nonzero(demand > 0)[0]
             for ti in open_idx:
-                cand = u_targets[ti] - pe                     # wanted vocab value
-                nearest = np.rint((cand - lo) / h)
-                # tiny offsets are unreachable (encodings never vanish), so
-                # the adjacent cells must be tried as well
-                for off in _NEIGHBOR_OFFSETS[d]:
-                    cells = nearest + off
-                    inside = np.all((cells >= 0) & (cells <= per_dim - 1), axis=1)
-                    if not np.any(inside):
-                        continue
-                    v = lo + cells * h
-                    dist = np.max(np.abs(v @ cmap.T + base - rows[ti]), axis=1)
-                    dist[~inside] = np.inf
-                    best_dist[ti] = min(best_dist[ti], float(np.min(dist)))
-                    sel = np.nonzero(dist < tols[ti])[0]
-                    if sel.size:
-                        flat = np.ravel_multi_index(
-                            cells[sel].astype(np.int64).T, (per_dim,) * d)
-                        hits_j.append(sel + j)
-                        hits_v.append(flat)
-                        hits_t.append(np.full(sel.size, ti, dtype=np.int64))
+                # a hit lies within 0.45 h of the wanted vocab value in every
+                # coordinate, so only the nearest cell can hit; clipping keeps
+                # best_dist finite when the wanted value is off the grid
+                cells = np.clip(np.rint((u_targets[ti] - pe - lo) / h), 0, per_dim - 1)
+                v = lo + cells * h
+                dist = _sup_dist(v @ cmap.T + base, rows[ti])
+                best_dist[ti] = min(best_dist[ti], float(np.min(dist)))
+                sel = np.nonzero(dist < tols[ti])[0]
+                if sel.size:
+                    flat = np.ravel_multi_index(
+                        cells[sel].astype(np.int64).T, (per_dim,) * d)
+                    hits_j.append(sel + j)
+                    hits_v.append(flat)
+                    hits_t.append(np.full(sel.size, ti, dtype=np.int64))
         else:
             open_idx = np.nonzero(demand > 0)[0]
             for vi, v in enumerate(vocab.v_x):
                 rv = (v + pe) @ cmap.T                        # (count, d)
                 for ti in open_idx:
-                    dist = np.max(np.abs(rv - rows[ti]), axis=1)
+                    dist = _sup_dist(rv, rows[ti])
                     best_dist[ti] = min(best_dist[ti], float(np.min(dist)))
                     sel = np.nonzero(dist < tols[ti])[0]
                     if sel.size:
@@ -347,8 +357,6 @@ def scan_valid_position(target_row, vocab: Vocabulary, scheme: PeScheme,
     scan order is strictly increasing j with vocabulary entries tried in index
     order at each position.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     row = np.atleast_1d(np.asarray(target_row, dtype=float))
     hits = _scan_engine([ScanTarget(row, float(tol), 1)], vocab, scheme, tp,
                         start_j, j_cap)
@@ -383,8 +391,8 @@ def _activation_lipschitz(activation: Activation, z_lo: float, z_hi: float) -> f
     if activation.kind == "relu":
         return 1.0
     if activation.kind == "exp":
-        # beyond the float range the derived tolerance is zero anyway; the
-        # scan then fails with covering evidence instead of overflowing here
+        # beyond the float range the derived scan tolerance underflows and
+        # the construction reports that instead of overflowing here
         return math.exp(min(z_hi, 700.0))
     z = np.linspace(z_lo, z_hi, 4097)
     dz = np.diff(activation(z)) / np.diff(z)
@@ -546,8 +554,13 @@ def _construct(target, grid: Grid, vocab: Vocabulary, scheme: PeScheme,
         z_vals = np.array([x_tilde @ p.target_row for p in plans])
         lip = _activation_lipschitz(
             activation, float(np.min(z_vals)) - 0.5, float(np.max(z_vals)) + 0.5)
+        tol = tokens_inner / (_TOKEN_SAFETY * m_hat * lip * weight_mass)
+        if not (math.isfinite(tol) and tol > 0):
+            raise EpsilonRangeError(
+                f"scan tolerance {tol!r} is not a positive finite float "
+                f"(activation slope bound {lip:.3e})")
         for p in plans:
-            p.tol = tokens_inner / (_TOKEN_SAFETY * m_hat * lip * weight_mass)
+            p.tol = tol
             p.token_error_bound = ((SQRT2 * p.witness.count_sqrt2
                                     + p.witness.count_unit)
                                    * lip * p.tol * m_hat)
@@ -623,8 +636,7 @@ def construct_context(target, grid: Grid, vocab: Vocabulary, scheme: PeScheme,
     """
     if tp.d_y != 1:
         raise DimensionError("construct_context is scalar; use construct_context_multi_output")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _require_positive_finite("epsilon", epsilon)
     return _construct(target, grid, vocab, scheme, tp, epsilon,
                       activation=activation, budgets=budgets, seed=seed,
                       fit=fit, fnn_list=[fnn] if fnn is not None else None,
@@ -649,8 +661,7 @@ def construct_context_multi_output(target, grid: Grid, vocab: Vocabulary,
     """
     if tp.d_y < 2:
         raise DimensionError("multi-output construction needs d_y >= 2")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _require_positive_finite("epsilon", epsilon)
     return _construct(target, grid, vocab, scheme, tp, epsilon,
                       activation=activation, budgets=budgets, seed=seed,
                       fit=fit, fnn_list=fnn, caps=caps,
@@ -676,6 +687,7 @@ def construct_relu_rescaled(target, grid: Grid, vocab: Vocabulary,
         raise DimensionError("rescaled construction is scalar")
     if lambda_policy not in ("max_row", "pow2", "int"):
         raise ValueError("lambda_policy must be max_row | pow2 | int")
+    _require_positive_finite("epsilon", epsilon)
     return _construct(target, grid, vocab, scheme, tp, epsilon,
                       activation=RELU, budgets=budgets, seed=seed, fit=fit,
                       fnn_list=[fnn] if fnn is not None else None, caps=caps,

@@ -8,6 +8,7 @@ so encodings are bit-reproducible across runs and platforms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -201,17 +202,54 @@ def _morton_split(t: np.ndarray, d: int) -> np.ndarray:
 _CW_SHELL_EXPONENTS = np.array([0, -1, 1, -2], dtype=np.int64)
 
 
-def _cw_block(scheme: PeScheme, j_start: int, count: int) -> np.ndarray:
-    d = scheme.d_x
-    scale = float(scheme.params.get("scale", 1.0))
-    t = np.arange(j_start - 1, j_start - 1 + count, dtype=np.int64)
-    streams = _morton_split(t, d)
+def _cw_coords(streams: np.ndarray, scale: float) -> np.ndarray:
+    """Coordinate of each stream value (elementwise, any shape)."""
     signs = np.where(streams & 1 == 1, -1.0, 1.0)
     exponent = _CW_SHELL_EXPONENTS[(streams >> 1) & 3]
     idx = 3 * (streams >> 3) + 1          # odd/odd coprime Calkin-Wilf entries
-    num = _fusc_array(idx)
-    den = _fusc_array(idx + 1)
-    return (signs * (num / den) * np.exp2(exponent.astype(float)) * scale).T
+    num, den = _fusc_array(np.stack((idx, idx + 1)))
+    return signs * (num / den) * np.exp2(exponent.astype(float)) * scale
+
+
+def _cw_chunk_bits(d: int) -> int:
+    """Width L of the aligned index chunks _cw_block decodes separably (d | L)."""
+    return d * max(1, 12 // d)
+
+
+@functools.lru_cache(maxsize=16)
+def _cw_low_split(d: int) -> np.ndarray:
+    """Read-only Morton split of the offsets 0..2^L-1 inside one chunk; (d, 2^L)."""
+    low = _morton_split(np.arange(1 << _cw_chunk_bits(d), dtype=np.int64), d)
+    low.setflags(write=False)
+    return low
+
+
+def _cw_block(scheme: PeScheme, j_start: int, count: int) -> np.ndarray:
+    """Calkin-Wilf encodings of j_start..j_start+count-1, one chunk at a time.
+
+    Index bits at and above L only reach stream bits at and above L/d, so in
+    an aligned 2^L chunk every stream is (chunk part) | (offset part) with the
+    offset part below 2^(L/d).  Each coordinate is computed once per (chunk,
+    dimension, offset part) by ``_cw_coords`` and gathered through the cached
+    offset split; every element goes through the same float operations on the
+    same integers as a per-position decode, so the result is bit-identical.
+    """
+    d = scheme.d_x
+    scale = float(scheme.params.get("scale", 1.0))
+    bits = _cw_chunk_bits(d)
+    t0 = j_start - 1
+    c0 = t0 >> bits
+    c1 = (t0 + count - 1) >> bits
+    # chunk c starts at index c << L, whose streams are those of c shifted by L/d
+    high = _morton_split(np.arange(c0, c1 + 1, dtype=np.int64), d) << (bits // d)
+    offsets = np.arange(1 << (bits // d), dtype=np.int64)
+    coords = _cw_coords(high[:, :, None] | offsets, scale)    # (d, chunks, 2^(L/d))
+    low = _cw_low_split(d)
+    first = t0 - (c0 << bits)
+    out = np.empty((d, count))
+    for k in range(d):
+        out[k] = coords[k][:, low[k]].ravel()[first:first + count]
+    return out.T
 
 
 class _DyadicLevels:

@@ -110,6 +110,28 @@ class TestConstructCommand:
         assert err["error"]["exit_code"] == 3
         assert err["error"]["unmet"][0]["best_distance"] > 0
 
+    @pytest.mark.parametrize("field,value,named", [
+        ("epsilon", float("nan"), "epsilon"), ("epsilon", float("inf"), "epsilon"),
+        ("epsilon", -0.3, "epsilon"), ("caps.j_cap", 0, "j_cap"),
+        ("caps.j_cap", -5, "j_cap"),
+        ("budgets", {"fit": float("nan"), "perturb": 0.05, "tokens": 0.2}, "budget fit")])
+    @pytest.mark.parametrize("construction", ["dense", "relu_rescaled"])
+    def test_bad_numeric_field_exit_2(self, tmp_path, field, value, named, construction):
+        # a small j_cap keeps a regression from scanning for minutes
+        cfg = json.loads(json.dumps(CONSTRUCT_SMALL))
+        cfg["caps"]["j_cap"] = 200
+        cfg["construction"] = construction
+        node = cfg
+        *parents, leaf = field.split(".")
+        for part in parents:
+            node = node[part]
+        node[leaf] = value
+        code, out = run(tmp_path, "bad_numeric", cfg, "construct")
+        assert code == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"]["exit_code"] == 2
+        assert named in err["error"]["message"]
+
     def test_multi_output_construct(self, tmp_path):
         cfg = json.loads(json.dumps(CONSTRUCT_SMALL))
         cfg["target"] = {"exprs": ["sin(2*pi*x)", "cos(2*pi*x)"]}

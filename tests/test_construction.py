@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import ctxapprox as ca
-from ctxapprox.construction import Caps, FitOptions, StageBudgets
+from ctxapprox.construction import (Caps, FitOptions, ScanTarget, StageBudgets,
+                                   _scan_engine)
 from ctxapprox.kronecker import SQRT2
 
 
@@ -64,6 +65,64 @@ class TestScanValidPosition:
         fast = ca.scan_valid_position(target, grid_vocab, scheme, tp, tol=0.01)
         slow = ca.scan_valid_position(target, plain_vocab, scheme, tp, tol=0.01)
         assert (fast.position, fast.vocab_index) == (slow.position, slow.vocab_index)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_rejects_non_positive_or_non_finite_tol(self, tol):
+        tp = ca.identity_sparse_params(2, 1)
+        vocab = ca.Vocabulary.x_grid((-2.0, -2.0), (2.0, 2.0), 5, 1)
+        with pytest.raises(ValueError, match="positive and finite"):
+            ca.scan_valid_position([0.1, -0.4], vocab, ca.calkin_wilf_lattice(2),
+                                   tp, tol=tol, j_cap=500)
+
+
+def _fast_path_tol(tp, vocab, frac):
+    """A tolerance at ``frac`` of the largest one the grid fast path accepts."""
+    lo, hi, per_dim = vocab.x_grid_spec
+    h = np.min((np.array(hi) - np.array(lo)) / (per_dim - 1))
+    inv_norm = np.max(np.sum(np.abs(np.linalg.inv(tp.C.T @ tp.B)), axis=1))
+    return frac * 0.45 * h / inv_norm
+
+
+class TestScanFastPath:
+    """The nearest-cell grid path against the exhaustive path as reference."""
+
+    @pytest.mark.parametrize("seed,d,per_dim,frac", [
+        (1, 2, 9, 0.9), (2, 2, 9, 0.5), (3, 2, 9, 1.0), (4, 2, 9, 0.2),
+        (5, 3, 5, 0.9)])
+    def test_same_hits_as_exhaustive_path(self, seed, d, per_dim, frac):
+        tp = ca.random_sparse_params(seed, d, 1)
+        grid_vocab = ca.Vocabulary.x_grid((-1.0,) * d, (1.0,) * d, per_dim, 1)
+        plain_vocab = ca.Vocabulary(grid_vocab.v_x, grid_vocab.v_y)
+        scheme = ca.calkin_wilf_lattice(d)
+        cmap = tp.C.T @ tp.B
+        tol = _fast_path_tol(tp, grid_vocab, frac)
+        rng = np.random.default_rng(seed)
+        # several open targets with demand > 1 exercise the FCFS tie-break
+        targets = [ScanTarget(cmap @ rng.uniform(-1.2, 1.2, d), tol, demand)
+                   for demand in (4, 2, 3)]
+        fast = _scan_engine(targets, grid_vocab, scheme, tp, 1, 1 << 16)
+        slow = _scan_engine(targets, plain_vocab, scheme, tp, 1, 1 << 16)
+        assert fast == slow
+        assert [len(hits) for hits in fast] == [4, 2, 3]
+
+    def test_off_grid_target_reports_nearest_cell_distance(self):
+        # the wanted token lies far outside the grid: no hit, and the
+        # reported best distance is that of the nearest (clipped) cell
+        tp = ca.identity_sparse_params(2, 1)
+        grid_vocab = ca.Vocabulary.x_grid((-1.0, -1.0), (1.0, 1.0), 9, 1)
+        plain_vocab = ca.Vocabulary(grid_vocab.v_x, grid_vocab.v_y)
+        scheme = ca.calkin_wilf_lattice(2)
+        unmet = []
+        for vocab in (grid_vocab, plain_vocab):
+            with pytest.raises(ca.PositionScanExhausted) as exc:
+                ca.scan_valid_position([500.0, -500.0], vocab, scheme, tp,
+                                       tol=0.01, j_cap=500)
+            unmet.append(exc.value.unmet[0])
+        fast, slow = unmet
+        assert fast["remaining"] == 1
+        assert fast["tol"] < fast["best_distance"] < np.inf
+        # identity maps: the nearest cell is the nearest vocabulary entry
+        assert fast["best_distance"] == slow["best_distance"]
 
 
 class TestConstructContext:
@@ -256,6 +315,38 @@ class TestConstructContext:
         with pytest.raises(ca.DimensionError):
             ca.construct_context(lambda pts: np.zeros(pts.shape[0]), grid,
                                  vocab, scheme, tp, 0.1)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -0.2, float("nan"), float("inf")])
+    def test_rejects_bad_epsilon(self, epsilon):
+        tp, vocab, scheme, grid = make_setting()
+        target = lambda pts: np.sin(2 * np.pi * pts[:, 0])
+        for build in (ca.construct_context, ca.construct_relu_rescaled):
+            with pytest.raises(ValueError, match="epsilon"):
+                build(target, grid, vocab, scheme, tp, epsilon)
+        tp2, vocab2, _, _ = make_setting(d_y=2)
+        with pytest.raises(ValueError, match="epsilon"):
+            ca.construct_context_multi_output(
+                lambda pts: np.zeros((pts.shape[0], 2)), grid, vocab2, scheme,
+                tp2, epsilon)
+
+    @pytest.mark.parametrize("j_cap", [0, -5])
+    def test_rejects_non_positive_j_cap(self, j_cap):
+        with pytest.raises(ValueError, match="j_cap"):
+            Caps(j_cap=j_cap)
+
+    def test_underflowing_scan_tolerance_is_numeric_error(self):
+        # a token budget too small for a float tolerance must not reach the scan
+        tp = ca.identity_sparse_params(2, 1)
+        vocab = ca.Vocabulary.x_grid((-2.0, -2.0), (2.0, 2.0), 5, 1)
+        scheme = ca.calkin_wilf_lattice(2)
+        grid = ca.Grid((0.0,), (1.0,), (101,))
+        r = vocab.v_x[12] + ca.pe_value(scheme, 1)
+        fnn = ca.FnnParams([[SQRT2]], [[r[0]]], [r[1]], ca.RELU)
+        target = lambda pts: ca.fnn_forward_batch(fnn, pts)[:, 0]
+        with pytest.raises(ca.EpsilonRangeError):
+            ca.construct_context(target, grid, vocab, scheme, tp, 0.1, fnn=fnn,
+                                 budgets=StageBudgets(0.05, 0.04, 5e-324),
+                                 coefficient_mode="kronecker")
 
     def test_nonzero_F_rejected(self):
         base = ca.random_sparse_params(1, 2, 1)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ctxapprox as ca
-from ctxapprox.vocab_pe import SQRT2, pe_block
+from ctxapprox.vocab_pe import SQRT2, _fusc_array, _morton_split, pe_block
 
 
 def cw_iteration_oracle(n):
@@ -45,6 +45,54 @@ class TestCalkinWilf:
         # what makes the odd/odd shell encoding injective
         for n in range(1, 2000):
             assert (ca.fusc(n) % 2 == 0) == (n % 3 == 0)
+
+
+def cw_block_reference(d, j_start, count, scale):
+    """Calkin-Wilf encodings decoded position by position, (count, d)."""
+    t = np.arange(j_start - 1, j_start - 1 + count, dtype=np.int64)
+    streams = _morton_split(t, d)
+    signs = np.where(streams & 1 == 1, -1.0, 1.0)
+    exponent = np.array([0, -1, 1, -2])[(streams >> 1) & 3]
+    idx = 3 * (streams >> 3) + 1
+    num = _fusc_array(idx)
+    den = _fusc_array(idx + 1)
+    return (signs * (num / den) * np.exp2(exponent.astype(float)) * scale).T
+
+
+def morton_join(streams):
+    """Interleave per-dimension stream values into one index (inverse split)."""
+    d = len(streams)
+    t = 0
+    for bit in range(64):
+        t |= ((streams[bit % d] >> (bit // d)) & 1) << bit
+    return t
+
+
+class TestCalkinWilfBlock:
+    """Separable block generation against the per-position decode."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("j_start,count", [
+        (1, 1), (1, 10_000), (4096, 3), (4095, 8200), (12_345, 1),
+        (2**20 - 7, 70_000), (2**34 - 5000, 9000), (2**34 + 1, 1)])
+    def test_bit_identical_to_per_position_decode(self, d, j_start, count):
+        scheme = ca.calkin_wilf_lattice(d, scale=0.75)
+        got = pe_block(scheme, j_start, count)
+        want = cw_block_reference(d, j_start, count, scale=0.75)
+        assert got.shape == (count, d)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("streams", [(0,), (9,), (10,), (8 * 77 + 6,),
+                                         (3, 8 * 1000 + 5), (13, 2, 8 * 4321 + 1)])
+    def test_pinned_coordinates(self, streams):
+        # stream u: sign bit, shell e = (0, -1, 1, -2)[bits 1-2], cw(3 (u >> 3) + 1)
+        d = len(streams)
+        value = ca.pe_value(ca.calkin_wilf_lattice(d), morton_join(streams) + 1)
+        for u, got in zip(streams, value):
+            num, den = ca.calkin_wilf_rational(3 * (u >> 3) + 1)
+            sign = -1.0 if u & 1 else 1.0
+            shell = (0, -1, 1, -2)[(u >> 1) & 3]
+            assert got == sign * (num / den) * 2.0**shell
 
 
 class TestPeValue:
