@@ -18,7 +18,8 @@ from .embedding import (EmbeddingResult, embed_fnn, embed_softmax_fnn,
                         exp_to_softmax_fnn, extract_fnn, readout_batch)
 from .errors import (BudgetError, ConfigError, CtxApproxError, DimensionError,
                      EmptyGridError, EpsilonRangeError, IllConditionedError,
-                     KroneckerCapExceeded, PositionScanExhausted)
+                     KroneckerCapExceeded, NonFiniteTargetError,
+                     PositionScanExhausted)
 from .expressions import parse_target
 from .fnn import (EXP, RELU, SOFTMAX, Activation, FitResult, FnnParams,
                   custom_activation, fit_fnn, fnn_forward, fnn_forward_batch,

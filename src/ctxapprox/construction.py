@@ -26,7 +26,7 @@ import numpy as np
 
 from ._linalg import inf_operator_norm, solve_refined
 from .errors import (BudgetError, DimensionError, EpsilonRangeError,
-                     PositionScanExhausted)
+                     NonFiniteTargetError, PositionScanExhausted)
 from .fnn import EXP, RELU, Activation, FitResult, FnnParams, fit_fnn, fnn_forward_batch
 from .grids import Grid
 from .kronecker import SQRT2, TokenDecomposition, coefficient_decompose
@@ -78,6 +78,8 @@ class Caps:
     def __post_init__(self):
         if self.j_cap < 1:
             raise ValueError(f"j_cap must be >= 1, got {self.j_cap}")
+        if self.q_cap < 1:
+            raise ValueError(f"q_cap must be >= 1, got {self.q_cap}")
 
 
 @dataclass
@@ -386,6 +388,13 @@ def _as_matrix_target(target, d_y: int):
     return f
 
 
+def _require_finite_target(values: np.ndarray, points: np.ndarray, grid_name: str):
+    """A non-finite target value is a numerical failure, not a bad fit input."""
+    bad = ~np.all(np.isfinite(values), axis=1)
+    if np.any(bad):
+        raise NonFiniteTargetError(grid_name, points[bad])
+
+
 def _activation_lipschitz(activation: Activation, z_lo: float, z_hi: float) -> float:
     """Bound on the activation slope over [z_lo, z_hi] (with headroom)."""
     if activation.kind == "relu":
@@ -463,6 +472,8 @@ def _construct(target, grid: Grid, vocab: Vocabulary, scheme: PeScheme,
     f = _as_matrix_target(target, d_y)
     f_vals = f(pts)
     f_audit = f(audit_pts)
+    _require_finite_target(f_vals, pts, "fit")
+    _require_finite_target(f_audit, audit_pts, "audit")
     u_norm = inf_operator_norm(tp.U)
     g_vals = solve_refined(tp.U, f_vals.T, "U").T   # token-sum target
 

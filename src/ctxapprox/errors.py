@@ -29,6 +29,17 @@ class EpsilonRangeError(CtxApproxError):
     """Requested accuracy is not representable in floating-point range."""
 
 
+class NonFiniteTargetError(CtxApproxError):
+    """The target is not finite at some grid points."""
+
+    def __init__(self, grid_name: str, points):
+        self.grid_name = grid_name
+        self.count = len(points)
+        self.first = [list(map(float, p)) for p in points[:3]]
+        super().__init__(f"target is not finite at {self.count} {grid_name} grid "
+                         f"point(s), first: {', '.join(map(str, self.first))}")
+
+
 class KroneckerCapExceeded(CtxApproxError):
     """No integer witness found below the q cap."""
 

@@ -12,14 +12,16 @@ import math
 from dataclasses import dataclass
 
 import mpmath
-import numpy as np
 
 from .errors import KroneckerCapExceeded
 
 SQRT2 = math.sqrt(2.0)
 
 _MP_DPS = 60
-_BLOCK = 1 << 16
+# Fixed-point fraction bits beyond those of q_cap: the slack then widens the
+# candidate window by at most 2^-62 of a turn, which holds q_cap * 2^-62
+# extra q <= q_cap on average, so the mpmath check rarely rejects a candidate.
+_GUARD_BITS = 64
 
 
 def pell_denominators(limit: int) -> list[int]:
@@ -60,47 +62,112 @@ class KroneckerWitness:
                 "achieved_error": self.achieved_error}
 
 
-def _scan_errors(beta: float, q_lo: int, q_hi: int) -> np.ndarray:
-    """|beta - q*sqrt2 + round(q*sqrt2 - beta)| for q in [q_lo, q_hi)."""
-    q = np.arange(q_lo, q_hi, dtype=np.int64)
-    if q_hi > 1 << 22:
-        r = q.astype(np.longdouble) * np.sqrt(np.longdouble(2)) - np.longdouble(beta)
+def _check_inputs(beta: float, epsilon: float, q_cap: int):
+    """NaN passes plain ``<=`` comparisons, so test finiteness explicitly."""
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta!r}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    if q_cap < 1:
+        raise ValueError(f"q_cap must be >= 1, got {q_cap!r}")
+
+
+def _first_hit(a: int, m: int, lo: int, hi: int) -> int | None:
+    """Smallest x >= 0 with lo <= a*x mod m <= hi (0 <= lo <= hi < m), or None.
+
+    Euclid-like descent: when [lo, hi] holds no multiple of a, a*x - m*y lies
+    in it exactly when (m mod a)*y mod a lies in [-hi mod a, -lo mod a], the
+    same problem one Euclid step smaller; the smallest such y gives the
+    smallest x = ceil((lo + m*y) / a).  The descent takes O(log m) steps.
+    """
+    frames = []
+    while lo > 0:
+        a %= m
+        if a == 0:
+            return None
+        x = -(-lo // a)
+        if a * x <= hi:
+            break
+        frames.append((a, m, lo))
+        a, m, lo, hi = m % a, a, -hi % a, -lo % a
     else:
-        r = q * SQRT2 - beta
-    frac = r - np.rint(r)
-    return np.abs(frac).astype(float)
+        x = 0
+    for a, m, lo in reversed(frames):
+        x = -(-(lo + m * x) // a)
+    return x
+
+
+def _next_candidate(a: int, m: int, center: int, half: int, after: int) -> int | None:
+    """Smallest q > after with a*q mod m within ``half`` of ``center`` on Z_m."""
+    lo = (center - half - (after + 1) * a) % m
+    if lo + 2 * half >= m:
+        # the shifted window wraps past 0 (or covers Z_m), so q = after + 1 is in it
+        return after + 1
+    x = _first_hit(a, m, lo, lo + 2 * half)
+    return None if x is None else after + 1 + x
+
+
+def _candidates(a: int, m: int, center: int, half: int, q_cap: int):
+    """The q <= q_cap with a*q mod m within ``half`` of ``center``, in increasing order."""
+    q = _next_candidate(a, m, center, half, 0)
+    while q is not None and q <= q_cap:
+        yield q
+        q = _next_candidate(a, m, center, half, q)
+
+
+def _fixed_point(beta: float, q_cap: int) -> tuple[int, int, int, int]:
+    """(M, A, B, slack): the fixed-point circle, sqrt2 and beta on it, and twice
+    the largest fixed-point error of q*A - B for q <= q_cap."""
+    m = 1 << (int(q_cap).bit_length() + _GUARD_BITS)
+    a = math.isqrt(2 * m * m)
+    num, den = float(beta).as_integer_ratio()
+    center = (2 * num * m + den) // (2 * den) % m      # round(beta*M), exactly
+    return m, a, center, 2 * (q_cap + 1)
 
 
 def kronecker_search(beta: float, epsilon: float, q_cap: int = 10**7) -> KroneckerWitness:
     """Smallest q <= q_cap admitting an l with |beta - q*sqrt2 + l| < epsilon.
 
-    Pell denominators are probed first to bound the search (|q*sqrt2 - l| is
-    minimized along continued-fraction convergents), then the linear scan up
-    to that bound guarantees minimality.  Existence for some cap follows from
-    the scalar Kronecker approximation theorem (sqrt2 irrational).
+    In fixed point with M = 2^bits, A = floor(sqrt2*M) and B = round(beta*M),
+    q*sqrt2 - beta differs from (q*A - B)/M by less than (q_cap + 1)/M, so
+    every witness q has q*A mod M within epsilon*M + q_cap + 1 of B.  The
+    candidates are the q with q*A mod M within epsilon*M + 2*(q_cap + 1) of
+    B (twice the slack needed); they are walked in increasing order with
+    exact integer first-hit solves, and the first one whose mpmath error is
+    below epsilon is returned.  Existence for some cap follows from the
+    scalar Kronecker approximation theorem (sqrt2 irrational).
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    q_hi = q_cap + 1
-    for p in pell_denominators(q_cap):
-        _, err = _verified_error(beta, p)
+    _check_inputs(beta, epsilon, q_cap)
+    m, a, center, slack = _fixed_point(beta, q_cap)
+    num, den = float(epsilon).as_integer_ratio()
+    half = -(-num * m // den) + slack                   # ceil(epsilon*M) + slack
+    for q in _candidates(a, m, center, half, q_cap):
+        l, err = _verified_error(beta, q)
         if err < epsilon:
-            q_hi = min(q_hi, p + 1)
-            break
-
-    best_q, best_err = 0, math.inf
-    for lo in range(1, q_hi, _BLOCK):
-        hi = min(lo + _BLOCK, q_hi)
-        errs = _scan_errors(beta, lo, hi)
-        for idx in np.nonzero(errs < epsilon)[0]:
-            q = lo + int(idx)
-            l, err = _verified_error(beta, q)
-            if err < epsilon:
-                return KroneckerWitness(float(beta), q, l, err)
-        blk_best = int(np.argmin(errs))
-        if errs[blk_best] < best_err:
-            best_q, best_err = lo + blk_best, float(errs[blk_best])
+            return KroneckerWitness(float(beta), q, l, err)
+    best_q, best_err = _closest_up_to(beta, q_cap)
     raise KroneckerCapExceeded(float(beta), float(epsilon), q_cap, best_q, best_err)
+
+
+def _closest_up_to(beta: float, q_cap: int) -> tuple[int, float]:
+    """(q, mpmath error) of the first q <= q_cap that reaches the least error.
+
+    Bisection on the window's half-width finds the least fixed-point distance
+    d over q <= q_cap; every q of least true error lies within d + slack, and
+    the mpmath check decides among those few candidates.
+    """
+    m, a, center, slack = _fixed_point(beta, q_cap)
+    lo, hi = 0, m // 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        q = _next_candidate(a, m, center, mid, 0)
+        if q is not None and q <= q_cap:
+            hi = mid
+        else:
+            lo = mid + 1
+    best_err, best_q = min((_verified_error(beta, q)[1], q)
+                           for q in _candidates(a, m, center, lo + slack, q_cap))
+    return best_q, best_err
 
 
 @dataclass(frozen=True)
@@ -144,12 +211,11 @@ class TokenDecomposition:
 def coefficient_decompose(a: float, epsilon: float, q_cap: int = 10**7) -> TokenDecomposition:
     """Cheapest-q token decomposition of a real coefficient.
 
-    Scans q = 0, 1, 2, ... and returns the first q whose integer remainder
-    satisfies |a - (q*sqrt2 + sign*l)| < epsilon.  q = 0 covers (near-)integer
+    Returns the smallest q >= 0 whose integer remainder satisfies
+    |a - (q*sqrt2 + sign*l)| < epsilon.  q = 0 covers (near-)integer
     coefficients, which need no sqrt2 tokens at all.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _check_inputs(a, epsilon, q_cap)
     with mpmath.workdps(_MP_DPS):
         r0 = mpmath.mpf(a)
         l0 = int(mpmath.nint(r0))
@@ -157,10 +223,7 @@ def coefficient_decompose(a: float, epsilon: float, q_cap: int = 10**7) -> Token
     if err0 < epsilon:
         sign = 1 if l0 >= 0 else -1
         return TokenDecomposition(float(a), 0, abs(l0), sign, err0)
-    try:
-        wit = kronecker_search(a, epsilon, q_cap)
-    except KroneckerCapExceeded:
-        raise
+    wit = kronecker_search(a, epsilon, q_cap)
     # the witness gives a ~= q*sqrt2 - l, i.e. sign = -sign(l) in q*sqrt2 + s*l
     sign = 1 if wit.l <= 0 else -1
     return TokenDecomposition(float(a), wit.q, abs(wit.l), sign, wit.achieved_error)

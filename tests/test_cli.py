@@ -114,7 +114,8 @@ class TestConstructCommand:
         ("epsilon", float("nan"), "epsilon"), ("epsilon", float("inf"), "epsilon"),
         ("epsilon", -0.3, "epsilon"), ("caps.j_cap", 0, "j_cap"),
         ("caps.j_cap", -5, "j_cap"),
-        ("budgets", {"fit": float("nan"), "perturb": 0.05, "tokens": 0.2}, "budget fit")])
+        ("budgets", {"fit": float("nan"), "perturb": 0.05, "tokens": 0.2}, "budget fit"),
+        ("caps.q_cap", 0, "q_cap")])
     @pytest.mark.parametrize("construction", ["dense", "relu_rescaled"])
     def test_bad_numeric_field_exit_2(self, tmp_path, field, value, named, construction):
         # a small j_cap keeps a regression from scanning for minutes
@@ -212,6 +213,32 @@ class TestAuditCommands:
         assert lines[0].startswith("# ctxapprox")
         assert lines[1] == "beta,q,l,achieved_error"
         assert len(lines) == 5
+
+    @pytest.mark.parametrize("field,value,named", [
+        ("q_cap", 0, "q_cap"), ("epsilon", float("nan"), "epsilon"),
+        ("betas", [1.0, float("inf")], "beta")])
+    def test_kronecker_bad_input_exit_2(self, tmp_path, field, value, named):
+        cfg = {"betas": [0.0, 1.5], "epsilon": 0.01, field: value}
+        code, out = run(tmp_path, "kron_bad", cfg, "kronecker")
+        assert code == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"]["exit_code"] == 2
+        assert named in err["error"]["message"]
+
+    def test_non_finite_target_exit_4(self, tmp_path):
+        # 1/x is infinite at the grid point x = 0: a numerical failure,
+        # reported before the fit; a small j_cap bounds a regression
+        path = Path(__file__).resolve().parent.parent / "configs" / "construct_sin_acceptance.json"
+        cfg = json.loads(path.read_text())
+        cfg["target"] = {"exprs": ["1/x"]}
+        cfg["caps"]["j_cap"] = 200
+        with np.errstate(divide="ignore"):
+            code, out = run(tmp_path, "inv", cfg, "construct")
+        assert code == 4
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"]["exit_code"] == 4
+        assert "not finite" in err["error"]["message"]
+        assert "[0.0]" in err["error"]["message"]
 
     def test_numerical_failure_exit_4(self, tmp_path):
         # a singular B block fails the conditioning check

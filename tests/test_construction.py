@@ -334,6 +334,11 @@ class TestConstructContext:
         with pytest.raises(ValueError, match="j_cap"):
             Caps(j_cap=j_cap)
 
+    @pytest.mark.parametrize("q_cap", [0, -5])
+    def test_rejects_non_positive_q_cap(self, q_cap):
+        with pytest.raises(ValueError, match="q_cap"):
+            Caps(q_cap=q_cap)
+
     def test_underflowing_scan_tolerance_is_numeric_error(self):
         # a token budget too small for a float tolerance must not reach the scan
         tp = ca.identity_sparse_params(2, 1)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctxapprox as ca
-from ctxapprox.kronecker import SQRT2
+from ctxapprox.kronecker import SQRT2, _first_hit
 
 
 def brute_force_smallest_q(beta, epsilon, q_max):
@@ -20,6 +20,36 @@ def brute_force_smallest_q(beta, epsilon, q_max):
             if err < epsilon:
                 return q, int(mpmath.nint(r)), float(err)
     return None
+
+
+def brute_force_closest(beta, q_max):
+    """Independent oracle: (first q <= q_max of least error, that error)."""
+    with mpmath.workdps(50):
+        rt2 = mpmath.sqrt(2)
+        errs = []
+        for q in range(1, q_max + 1):
+            r = q * rt2 - mpmath.mpf(beta)
+            errs.append(abs(r - mpmath.nint(r)))
+        best = min(range(q_max), key=errs.__getitem__)
+        return best + 1, float(errs[best])
+
+
+class TestFirstHit:
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 300), data=st.data())
+    def test_matches_brute_force(self, m, data):
+        a = data.draw(st.integers(0, 3 * m))
+        lo = data.draw(st.integers(0, m - 1))
+        hi = data.draw(st.integers(lo, m - 1))
+        hits = [x for x in range(m) if lo <= a * x % m <= hi]
+        assert _first_hit(a, m, lo, hi) == (hits[0] if hits else None)
+
+    def test_descent_depth_of_a_wide_modulus(self):
+        # sqrt2's partial quotients are all 2, the slowest Euclid descent
+        m = 1 << 400
+        a = math.isqrt(2 * m * m)
+        x = _first_hit(a, m, m // 3, m // 3 + 5)
+        assert m // 3 <= a * x % m <= m // 3 + 5
 
 
 class TestKroneckerSearch:
@@ -70,13 +100,68 @@ class TestKroneckerSearch:
             ca.kronecker_search(1.0, 0.0)
 
     def test_tight_epsilon_extended_precision_path(self):
-        # q beyond 2^22 loses digits in plain double evaluation; the scan
-        # switches to 80-bit arithmetic and the witness still verifies
+        # q beyond 2^22 loses digits in plain double evaluation; the integer
+        # fixed-point search does not, and the witness still verifies
         w = ca.kronecker_search(0.0, 1e-8, q_cap=10**8)
         assert w.q == 38613965  # Pell denominator; smaller q all miss 1e-8
         with mpmath.workdps(60):
             err = abs(mpmath.mpf(0) - w.q * mpmath.sqrt(2) + w.l)
         assert float(err) < 1e-8
+
+    def test_witness_within_float_rounding_of_epsilon(self):
+        # error 9.9985e-8 in 60 digits, but float64 evaluation of
+        # q*sqrt2 - beta gives 1.0058e-7: a float prefilter misses this q
+        beta, eps = 7.809544193956217, 1e-7
+        w = ca.kronecker_search(beta, eps, q_cap=10**8)
+        assert (w.q, w.l) == (3_517_050, 4_973_852)
+        with mpmath.workdps(60):
+            err = abs(mpmath.mpf(beta) - w.q * mpmath.sqrt(2) + w.l)
+        assert float(err) < eps
+        # no smaller q: an 80-bit scan errs by under 1e-12 at these q, and
+        # every q it puts within 1e-12 of epsilon is decided in 60 digits
+        assert np.finfo(np.longdouble).eps < 1e-18
+        rt2 = np.sqrt(np.longdouble(2))
+        near = []
+        for lo in range(1, w.q, 1 << 20):
+            q = np.arange(lo, min(lo + (1 << 20), w.q), dtype=np.int64)
+            r = q.astype(np.longdouble) * rt2 - np.longdouble(beta)
+            frac = np.abs(r - np.rint(r))
+            near.extend(int(v) for v in q[frac < eps + 1e-12])
+        with mpmath.workdps(60):
+            for q in near:
+                r = q * mpmath.sqrt(2) - mpmath.mpf(beta)
+                assert abs(r - mpmath.nint(r)) >= eps
+
+    @settings(max_examples=30, deadline=None)
+    @given(beta=st.floats(-20, 20), eps=st.sampled_from([1e-2, 1e-3]))
+    def test_equals_brute_force(self, beta, eps):
+        w = ca.kronecker_search(beta, eps)
+        assert (w.q, w.l, w.achieved_error) == brute_force_smallest_q(beta, eps, w.q)
+
+    @pytest.mark.parametrize("beta", [3.0 - 2e-4, -5.0 + 1e-4, 1e-5, -1e-5, 12.0])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3])
+    def test_window_wrapping_past_an_integer(self, beta, eps):
+        # beta within epsilon of an integer puts the window across 0 mod 1
+        w = ca.kronecker_search(beta, eps)
+        assert (w.q, w.l, w.achieved_error) == brute_force_smallest_q(beta, eps, w.q)
+
+    @pytest.mark.parametrize("beta", [0.5, -3.7, 0.123456, 9.99])
+    @pytest.mark.parametrize("q_cap", [1, 20, 50, 500])
+    def test_cap_exhaustion_reports_closest_q(self, beta, q_cap):
+        with pytest.raises(ca.KroneckerCapExceeded) as exc:
+            ca.kronecker_search(beta, 1e-9, q_cap=q_cap)
+        best_q, best_err = brute_force_closest(beta, q_cap)
+        assert exc.value.best_q == best_q
+        assert exc.value.best_error == pytest.approx(best_err, rel=1e-12)
+
+    @pytest.mark.parametrize("beta,eps,q_cap,named", [
+        (1.0, 1e-3, 0, "q_cap"), (1.0, 1e-3, -4, "q_cap"),
+        (1.0, float("nan"), 100, "epsilon"), (1.0, float("inf"), 100, "epsilon"),
+        (float("nan"), 1e-3, 100, "beta"), (float("-inf"), 1e-3, 100, "beta")])
+    def test_rejects_bad_inputs(self, beta, eps, q_cap, named):
+        for search in (ca.kronecker_search, ca.coefficient_decompose):
+            with pytest.raises(ValueError, match=named):
+                search(beta, eps, q_cap)
 
     def test_pell_denominators(self):
         assert ca.pell_denominators(500) == [1, 2, 5, 12, 29, 70, 169, 408]
