@@ -13,9 +13,9 @@ from .construction import (Caps, ConstructionReport, FitOptions, StageBudgets,
                            build_exp_fd_network, construct_context,
                            construct_context_multi_output,
                            construct_relu_rescaled, fit_polynomial,
-                           scan_valid_position)
+                           prefix_errors, scan_valid_position)
 from .embedding import (EmbeddingResult, embed_fnn, embed_softmax_fnn,
-                        exp_to_softmax_fnn, extract_fnn, readout_batch)
+                        exp_to_softmax_fnn, extract_fnn)
 from .errors import (BudgetError, ConfigError, CtxApproxError, DimensionError,
                      EmptyGridError, EpsilonRangeError, IllConditionedError,
                      KroneckerCapExceeded, NonFiniteTargetError,
@@ -28,11 +28,12 @@ from .grids import Grid
 from .kronecker import (KroneckerWitness, TokenDecomposition,
                         coefficient_decompose, kronecker_search,
                         pell_denominators)
-from .nonuap import (ExpSum, FiniteFamilySpec, NonUapAuditRecord, count_zeros,
-                     hard_target, nonuap_audit, regroup_terms)
+from .nonuap import (ExpSum, FiniteFamilySpec, NonUapAuditRecord,
+                     Prop1FuzzRecord, count_zeros, hard_target, nonuap_audit,
+                     prop1_fuzz, regroup_terms)
 from .transformer import (GeneralBlocks, InputAssembly, TransformerParams,
                           assemble, attention_forward, identity_sparse_params,
-                          random_sparse_params, simplified_readout,
+                          random_sparse_params, readout_batch,
                           softmax_columns, transformer_readout)
 from .vocab_pe import (Box, DensityProfile, PeScheme, SToken, Vocabulary,
                        calkin_wilf_lattice, calkin_wilf_rational,

@@ -21,18 +21,18 @@ import numpy as np
 from . import __version__
 from .construction import (Caps, FitOptions, StageBudgets, construct_context,
                            construct_context_multi_output,
-                           construct_relu_rescaled)
-from .embedding import embed_fnn, embed_softmax_fnn, readout_batch
+                           construct_relu_rescaled, prefix_errors)
+from .embedding import embed_fnn, embed_softmax_fnn
 from .errors import (BudgetError, ConfigError, CtxApproxError,
                      EpsilonRangeError, IllConditionedError,
                      KroneckerCapExceeded, PositionScanExhausted)
 from .expressions import parse_target
-from .fnn import Activation, FnnParams, fnn_forward_batch
+from .fnn import SOFTMAX, Activation, FnnParams, fnn_forward_batch
 from .grids import Grid
 from .kronecker import kronecker_search
-from .nonuap import ExpSum, FiniteFamilySpec, count_zeros, nonuap_audit
+from .nonuap import FiniteFamilySpec, nonuap_audit, prop1_fuzz
 from .transformer import (TransformerParams, identity_sparse_params,
-                          random_sparse_params)
+                          random_sparse_params, readout_batch)
 from .vocab_pe import (Box, PeScheme, Vocabulary, calkin_wilf_lattice,
                        density_audit, dyadic_lattice, irrational_rotation)
 
@@ -188,7 +188,6 @@ def cmd_embed(cfg: dict, out: Path, seed_override: int | None) -> int:
     elif mode == "softmax":
         epsilon = float(_require(cfg, "epsilon", (int, float)))
         result = embed_softmax_fnn(tp, fnn, grid, epsilon)
-        from .fnn import SOFTMAX
         activation = SOFTMAX
     else:
         raise ConfigError("mode", "must be 'elementwise' or 'softmax'")
@@ -270,20 +269,11 @@ def cmd_construct(cfg: dict, out: Path, seed_override: int | None) -> int:
         report.write_tokens_csv(fh)
 
     # prefix error curve: sup error using the first t assigned tokens
-    from .construction import _token_rows, _token_sum
     pts = grid.points()
-    x_t = np.hstack([pts, np.ones((pts.shape[0], 1))])
-    f_vals = target(pts)
-    cmap = tp.C.T @ tp.B
-    tokens = sorted(report.tokens, key=lambda t: t.position)
-    rows = _token_rows(tokens, report.vocab, report.scheme, cmap)
     with (out / "error_vs_n.csv").open("w", newline="") as fh:
         fh.write(_csv_header(cfg))
         fh.write("n,tokens_used,sup_error\n")
-        for t in range(len(tokens) + 1):
-            vals = _token_sum(rows[:t], tokens[:t], x_t, activation, tp.d_y)
-            err = float(np.max(np.abs((tp.U @ vals.T).T - f_vals)))
-            n_here = tokens[t - 1].position if t else 0
+        for n_here, t, err in prefix_errors(report, tp, activation, pts, target(pts)):
             fh.write(f"{n_here},{t},{_fmt(err)}\n")
     return EXIT_OK
 
@@ -334,56 +324,29 @@ def cmd_audit(cfg: dict, out: Path, seed_override: int | None) -> int:
     kind = _require(cfg, "kind", str)
     seed = seed_override if seed_override is not None else int(cfg.get("seed", 0))
     if kind == "prop1_fuzz":
-        count = _require(cfg, "count", int)
-        k_lo, k_hi = cfg.get("k_range", [1, 6])
-        sep = float(cfg.get("exponent_separation", 0.1))
-        coeff = float(cfg.get("coeff_range", 5.0))
-        interval = tuple(cfg.get("interval", [-8.0, 8.0]))
-        grid_points = int(cfg.get("grid_points", 2001))
-        rng = np.random.default_rng(seed)
-        rows = []
-        violations = 0
-        for trial in range(count):
-            k = int(rng.integers(k_lo, k_hi + 1))
-            while True:
-                b = np.sort(rng.uniform(-3.0, 3.0, k))
-                if k == 1 or np.min(np.diff(b)) >= sep:
-                    break
-            while True:
-                a = rng.uniform(-coeff, coeff, k)
-                if np.any(a != 0.0):
-                    break
-            zeros = count_zeros(ExpSum(a, b), interval, grid_points)
-            if zeros > k - 1:
-                violations += 1
-            rows.append((trial, k, zeros))
-        doc = _meta(cfg, "audit")
-        doc["kind"] = kind
-        doc["violations"] = violations
-        doc["count"] = count
-        _write_json(out / "audit.json", doc)
-        with (out / "audit.csv").open("w", newline="") as fh:
-            fh.write(_csv_header(cfg))
-            fh.write("trial,k,sign_changes\n")
-            for t, k, z in rows:
-                fh.write(f"{t},{k},{z}\n")
-        return EXIT_OK
-    if kind == "nonuap":
+        record = prop1_fuzz(_require(cfg, "count", int), seed,
+                            k_range=tuple(cfg.get("k_range", [1, 6])),
+                            exponent_separation=float(cfg.get("exponent_separation", 0.1)),
+                            coeff_range=float(cfg.get("coeff_range", 5.0)),
+                            interval=tuple(cfg.get("interval", [-8.0, 8.0])),
+                            grid_points=int(cfg.get("grid_points", 2001)))
+    elif kind == "nonuap":
         fam = _require(cfg, "family", dict)
         family = FiniteFamilySpec(np.array(_require(fam, "a_set", list), dtype=float),
                                   np.array(_require(fam, "w_set", list), dtype=float),
                                   np.array(_require(fam, "b_set", list), dtype=float))
         record = nonuap_audit(family, _require(cfg, "max_context", int),
                               _require(cfg, "trials", int), seed)
-        doc = _meta(cfg, "audit")
-        doc["kind"] = kind
-        doc.update(record.to_json_dict())
-        _write_json(out / "audit.json", doc)
-        with (out / "audit.csv").open("w", newline="") as fh:
-            fh.write(_csv_header(cfg))
-            record.write_csv(fh)
-        return EXIT_OK
-    raise ConfigError("kind", "must be 'prop1_fuzz' or 'nonuap'")
+    else:
+        raise ConfigError("kind", "must be 'prop1_fuzz' or 'nonuap'")
+    doc = _meta(cfg, "audit")
+    doc["kind"] = kind
+    doc.update(record.to_json_dict())
+    _write_json(out / "audit.json", doc)
+    with (out / "audit.csv").open("w", newline="") as fh:
+        fh.write(_csv_header(cfg))
+        record.write_csv(fh)
+    return EXIT_OK
 
 
 _COMMANDS = {

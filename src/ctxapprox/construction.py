@@ -28,7 +28,7 @@ from ._linalg import inf_operator_norm, solve_refined
 from .errors import (BudgetError, DimensionError, EpsilonRangeError,
                      NonFiniteTargetError, PositionScanExhausted)
 from .fnn import EXP, RELU, Activation, FitResult, FnnParams, fit_fnn, fnn_forward_batch
-from .grids import Grid
+from .grids import Grid, as_points
 from .kronecker import SQRT2, TokenDecomposition, coefficient_decompose
 from .transformer import TransformerParams
 from .vocab_pe import PeScheme, Vocabulary, pe_block
@@ -417,15 +417,24 @@ def _token_rows(tokens, vocab, scheme, cmap) -> np.ndarray:
     return rows
 
 
-def _token_sum(token_rows, tokens, x_tilde, activation, d_y) -> np.ndarray:
-    """sum_j y_j sigma(row_j . x~) per component; (N, d_y)."""
+def _token_prefix_sums(token_rows, tokens, x_tilde, activation, d_y):
+    """Yields sum_{j<=t} y_j sigma(row_j . x~) per component, (N, d_y), for t = 0..T.
+
+    One array is updated in place and yielded after each token.
+    """
     out = np.zeros((x_tilde.shape[0], d_y))
+    yield out
     if not tokens:
-        return out
-    scores = x_tilde @ token_rows.T                     # (N, T)
-    act = activation(scores)
+        return
+    act = activation(x_tilde @ token_rows.T)            # (N, T)
     for idx, t in enumerate(tokens):
         out[:, t.component] += t.y_value * act[:, idx]
+        yield out
+
+
+def _token_sum(token_rows, tokens, x_tilde, activation, d_y) -> np.ndarray:
+    """sum_j y_j sigma(row_j . x~) per component; (N, d_y)."""
+    *_, out = _token_prefix_sums(token_rows, tokens, x_tilde, activation, d_y)
     return out
 
 
@@ -628,6 +637,23 @@ def _construct(target, grid: Grid, vocab: Vocabulary, scheme: PeScheme,
         lambda_=lam if mode == "rescaled" else None,
         vocab=vocab, scheme=scheme,
         fit_sup_error=max(fr.sup_error for fr in fits) if fits else 0.0)
+
+
+def prefix_errors(report: ConstructionReport, tp: TransformerParams,
+                  activation: Activation, points, f_vals) -> list[tuple[int, int, float]]:
+    """Sup error at the points using only the first t tokens, for t = 0..T.
+
+    Rows are (n, t, error), where n is the position of the t-th token (0 for
+    t = 0) and error is max |U sum_{j<=t} y_j sigma(row_j . x~) - f|.
+    """
+    pts = as_points(points, tp.d_x - 1)
+    x_t = np.hstack([pts, np.ones((pts.shape[0], 1))])
+    tokens = sorted(report.tokens, key=lambda t: t.position)
+    rows = _token_rows(tokens, report.vocab, report.scheme, tp.C.T @ tp.B)
+    sums = _token_prefix_sums(rows, tokens, x_t, activation, tp.d_y)
+    return [(tokens[t - 1].position if t else 0, t,
+             float(np.max(np.abs((tp.U @ vals.T).T - f_vals))))
+            for t, vals in enumerate(sums)]
 
 
 def construct_context(target, grid: Grid, vocab: Vocabulary, scheme: PeScheme,

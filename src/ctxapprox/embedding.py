@@ -19,7 +19,7 @@ from ._linalg import solve_refined
 from .errors import DimensionError, EpsilonRangeError
 from .fnn import SOFTMAX, Activation, FnnParams, fnn_forward_batch
 from .grids import Grid, as_points
-from .transformer import TransformerParams, softmax_columns
+from .transformer import TransformerParams, readout_batch
 
 _LOG_SAFETY = math.log(10.0)
 _MAX_EXP_ARG = 700.0  # exp overflows float64 slightly above this
@@ -68,24 +68,11 @@ class EmbeddingResult:
         }
 
 
-def readout_batch(tp: TransformerParams, result: EmbeddingResult, points,
-                  activation: Activation) -> np.ndarray:
-    """Sparse-mode readouts at a batch of raw queries; returns (N, d_y).
-
-    Vectorized form of simplified_readout over the query batch (the per-query
-    assembly route is kept as the reference path in tests).
-    """
-    pts = as_points(points, tp.d_x - 1)
-    x_t = np.hstack([pts, np.ones((pts.shape[0], 1))])   # (N, d_x)
-    bc = tp.B.T @ tp.C
-    scores = result.X.T @ bc @ x_t.T                     # (n, N)
-    values = tp.F @ result.X + tp.U @ result.Y           # (d_y, n)
-    if activation.kind == "softmax":
-        self_scores = np.einsum("ni,ij,nj->n", x_t, bc, x_t)
-        stacked = np.vstack([scores, self_scores[None, :]])
-        weights = softmax_columns(stacked)
-        return (values @ weights[:-1]).T
-    return (values @ activation(scores)).T
+def _solve_context(tp: TransformerParams, rows: np.ndarray, A: np.ndarray):
+    """(X, Y) with X^T B^T C = rows and F X + U Y = A."""
+    X = solve_refined(tp.C.T @ tp.B, rows.T, "C^T B")    # (d_x, k)
+    Y = solve_refined(tp.U, A - tp.F @ X, "U")           # (d_y, k)
+    return X, Y
 
 
 def embed_fnn(tp: TransformerParams, fnn: FnnParams) -> EmbeddingResult:
@@ -104,9 +91,7 @@ def embed_fnn(tp: TransformerParams, fnn: FnnParams) -> EmbeddingResult:
             f"fnn input dimension {fnn.d_in} != d_x - 1 = {tp.d_x - 1}")
     if fnn.d_y != tp.d_y:
         raise DimensionError(f"fnn output dimension {fnn.d_y} != d_y = {tp.d_y}")
-    wb = np.hstack([fnn.W, fnn.b[:, None]])              # (k, d_x)
-    X = solve_refined(tp.C.T @ tp.B, wb.T, "C^T B")      # (d_x, k)
-    Y = solve_refined(tp.U, fnn.A - tp.F @ X, "U")       # (d_y, k)
+    X, Y = _solve_context(tp, np.hstack([fnn.W, fnn.b[:, None]]), fnn.A)
     return EmbeddingResult(X, Y, None, 0.0)
 
 
@@ -146,6 +131,21 @@ def exp_to_softmax_fnn(src: FnnParams, domain_grid, epsilon: float) -> FnnParams
     return FnnParams(A, W, b, SOFTMAX)
 
 
+def _shift_terms(tp: TransformerParams, net: FnnParams, pts: np.ndarray):
+    """Terms of the shift inequality at the points.
+
+    Returns t(x) = x~^T B^T C x~, max||net||, the net's neuron
+    pre-activations z and the log of its softmax normalizer sum_i e^{z_i}.
+    """
+    x_t = np.hstack([pts, np.ones((pts.shape[0], 1))])
+    t_vals = np.einsum("ni,ij,nj->n", x_t, tp.B.T @ tp.C, x_t)
+    net_max = float(np.max(np.abs(fnn_forward_batch(net, pts))))
+    z = pts @ net.W.T + net.b
+    zmax = np.max(z, axis=1)
+    log_den = zmax + np.log(np.sum(np.exp(z - zmax[:, None]), axis=1))
+    return t_vals, net_max, z, log_den
+
+
 def _softmax_shift(tp: TransformerParams, net: FnnParams, pts: np.ndarray,
                    epsilon: float) -> float:
     """Smallest shift satisfying the normalizer inequality, plus ln 10 margin.
@@ -154,13 +154,7 @@ def _softmax_shift(tp: TransformerParams, net: FnnParams, pts: np.ndarray,
     when the net's own normalizer can drop below 1 (no zero neuron), s is
     raised further by -log(min normalizer) so the certified bound survives.
     """
-    x_t = np.hstack([pts, np.ones((pts.shape[0], 1))])
-    bc = tp.B.T @ tp.C
-    t_vals = np.einsum("ni,ij,nj->n", x_t, bc, x_t)
-    net_max = float(np.max(np.abs(fnn_forward_batch(net, pts))))
-    z = pts @ net.W.T + net.b
-    zmax = np.max(z, axis=1)
-    log_den = zmax + np.log(np.sum(np.exp(z - zmax[:, None]), axis=1))
+    t_vals, net_max, _, log_den = _shift_terms(tp, net, pts)
     s = (float(np.max(t_vals))
          - (math.log(epsilon) - math.log(2.0 * (1.0 + net_max)))
          - min(0.0, float(np.min(log_den)))
@@ -173,9 +167,7 @@ def _softmax_shift(tp: TransformerParams, net: FnnParams, pts: np.ndarray,
 def _embed_softmax_net(tp: TransformerParams, net: FnnParams,
                        s: float) -> EmbeddingResult:
     """Context realizing a softmax net: X^T B^T C = [W  b + s 1], U Y = A."""
-    rows = np.hstack([net.W, (net.b + s)[:, None]])      # (k, d_x)
-    X = solve_refined(tp.C.T @ tp.B, rows.T, "C^T B")
-    Y = solve_refined(tp.U, net.A - tp.F @ X, "U")
+    X, Y = _solve_context(tp, np.hstack([net.W, (net.b + s)[:, None]]), net.A)
     return EmbeddingResult(X, Y, s, 0.0)
 
 
@@ -219,12 +211,7 @@ def embed_softmax_fnn(tp: TransformerParams, fnn: FnnParams, domain_grid,
 
     # Closed-form chain: max||net|| * max e^{t(x) - s}, corrected by the net's
     # minimum normalizer when it can drop below 1 (never for lifted nets).
-    x_t = np.hstack([audit_pts, np.ones((audit_pts.shape[0], 1))])
-    t_vals = np.einsum("ni,ij,nj->n", x_t, tp.B.T @ tp.C, x_t)
-    net_max = float(np.max(np.abs(fnn_forward_batch(net, audit_pts))))
-    z = audit_pts @ net.W.T + net.b
-    zmax = np.max(z, axis=1)
-    log_den = zmax + np.log(np.sum(np.exp(z - zmax[:, None]), axis=1))
+    t_vals, net_max, z, log_den = _shift_terms(tp, net, audit_pts)
     den_floor = min(1.0, float(np.exp(np.min(log_den))))
     bound = net_max * float(np.max(np.exp(t_vals - s))) / den_floor
     if fnn.activation.kind == "exp":

@@ -39,13 +39,6 @@ class Grid:
     def dim(self) -> int:
         return len(self.lo)
 
-    @property
-    def n_points(self) -> int:
-        n = 1
-        for c in self.counts:
-            n *= c
-        return n
-
     def axes(self) -> list[np.ndarray]:
         return [
             np.linspace(l, h, c) if c > 1 else np.array([0.5 * (l + h)])

@@ -2,8 +2,9 @@
 approximating a real target modulo integers.
 
 Every returned witness is re-verified in extended precision (mpmath, 60
-digits) with an evaluation order independent of the search path, since
-cancellation in q*sqrt(2) - l destroys double precision once q is large.
+digits after the point) with an evaluation order independent of the search
+path, since cancellation in q*sqrt(2) - l destroys double precision once q
+is large.
 """
 
 from __future__ import annotations
@@ -35,8 +36,12 @@ def pell_denominators(limit: int) -> list[int]:
 
 
 def _verified_error(beta: float, q: int) -> tuple[int, float]:
-    """(l, |beta - q*sqrt2 + l|) in extended precision."""
-    with mpmath.workdps(_MP_DPS):
+    """(l, |beta - q*sqrt2 + l|) in extended precision.
+
+    The working precision keeps _MP_DPS digits after the point: it adds the
+    integer digits of |beta| + 2q, which bound those of every term.
+    """
+    with mpmath.workdps(_MP_DPS + len(str(int(abs(beta)) + 2 * q))):
         r = mpmath.mpf(q) * mpmath.sqrt(2) - mpmath.mpf(beta)
         l = int(mpmath.nint(r))
         # independent order: accumulate the large terms first

@@ -73,6 +73,54 @@ def count_zeros(es: ExpSum, interval: tuple[float, float], grid_points: int) -> 
     return int(np.sum(signs[1:] * signs[:-1] < 0))
 
 
+@dataclass(frozen=True)
+class Prop1FuzzRecord:
+    """Sign changes of random exponential sums against the k - 1 zero bound."""
+
+    ks: np.ndarray
+    sign_changes: np.ndarray
+
+    @property
+    def violations(self) -> int:
+        return int(np.sum(self.sign_changes > self.ks - 1))
+
+    def to_json_dict(self) -> dict:
+        return {"violations": self.violations, "count": len(self.ks)}
+
+    def write_csv(self, fh):
+        fh.write("trial,k,sign_changes\n")
+        for t, (k, z) in enumerate(zip(self.ks, self.sign_changes)):
+            fh.write(f"{t},{int(k)},{int(z)}\n")
+
+
+def prop1_fuzz(count: int, seed: int, *, k_range=(1, 6),
+               exponent_separation: float = 0.1, coeff_range: float = 5.0,
+               interval=(-8.0, 8.0), grid_points: int = 2001) -> Prop1FuzzRecord:
+    """Count sign changes of ``count`` random exponential sums (Proposition 1).
+
+    Each trial draws k in ``k_range``, sorted exponents in [-3, 3] at least
+    ``exponent_separation`` apart, and coefficients in +-``coeff_range``, not
+    all zero.  A sum with more than k - 1 sign changes is a violation.
+    """
+    k_lo, k_hi = k_range
+    rng = np.random.default_rng(seed)
+    ks = np.empty(count, dtype=np.int64)
+    changes = np.empty(count, dtype=np.int64)
+    for trial in range(count):
+        k = int(rng.integers(k_lo, k_hi + 1))
+        while True:
+            b = np.sort(rng.uniform(-3.0, 3.0, k))
+            if k == 1 or np.min(np.diff(b)) >= exponent_separation:
+                break
+        while True:
+            a = rng.uniform(-coeff_range, coeff_range, k)
+            if np.any(a != 0.0):
+                break
+        ks[trial] = k
+        changes[trial] = count_zeros(ExpSum(a, b), interval, grid_points)
+    return Prop1FuzzRecord(ks, changes)
+
+
 def hard_target(N: int):
     """cos((N+1) pi x) on [0, 1] and its alternation points i/(N+1).
 

@@ -5,7 +5,8 @@ the readout is the y-block of the final (query) column of ``Z + Attn(Z)``.
 Under the sparse partition (Q = [[B,0],[0,0]], K = [[C,0],[0,0]],
 V = [[D,E],[F,U]]) the readout collapses to ``(F X + U Y) sigma(X^T B^T C x~)``
 for element-wise activations; a general Q^T K block decomposition
-(O11, O12, O21, O22) is supported as an alternate score path.
+(O11, O12, O21, O22) adds ``Y^T O21 x~`` to the scores.  ``readout_batch`` is
+the one readout kernel; ``attention_forward`` is the full-matrix reference.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from ._linalg import check_condition
 from .errors import DimensionError
 from .fnn import Activation
+from .grids import as_points
 
 
 @dataclass(frozen=True)
@@ -263,55 +265,32 @@ def attention_forward(tp: TransformerParams, Z: np.ndarray,
     return tp.V @ zm @ sig
 
 
-def transformer_readout(tp: TransformerParams, asm: InputAssembly,
-                        activation: Activation, *, debug_full: bool = False) -> np.ndarray:
-    """y-block of column n+1 of Z + Attn(Z).
+def readout_batch(tp: TransformerParams, ctx, points,
+                  activation: Activation) -> np.ndarray:
+    """y-block of the query column of Z + Attn(Z) at a batch of raw queries; (N, d_y).
 
-    The default path evaluates only the final column's attention scores (all
-    the readout needs); ``debug_full`` forces the full score-matrix route for
-    cross-checking.
+    ``ctx`` is anything with context matrices ``.X`` (d_x, n) and ``.Y`` (d_y,
+    n).  Softmax stacks the query self-score under the context scores: its
+    weight is masked out of the sum but kept in the normalizer.
     """
-    if asm.d_x != tp.d_x or asm.d_y != tp.d_y:
-        raise DimensionError("assembly dimensions disagree with parameters")
-    if debug_full:
-        Z = asm.Z()
-        out = Z + attention_forward(tp, Z, activation)
-        return out[tp.d_x:, asm.n]
-    x_t = asm.x_tilde
-    if tp.general is None:
-        bc = tp.B.T @ tp.C
-        ctx_scores = asm.X.T @ (bc @ x_t)         # (n,)
-        query_score = float(x_t @ bc @ x_t)
-    else:
-        g = tp.general
-        ctx_scores = asm.X.T @ (g.O11 @ x_t) + asm.Y.T @ (g.O21 @ x_t)
-        query_score = float(x_t @ g.O11 @ x_t)
-    values = tp.F @ asm.X + tp.U @ asm.Y          # (d_y, n)
-    if activation.kind == "softmax":
-        weights = softmax_columns(np.concatenate([ctx_scores, [query_score]])[:, None])[:, 0]
-        return values @ weights[:-1]
-    return values @ activation(ctx_scores)
-
-
-def simplified_readout(tp: TransformerParams, asm: InputAssembly,
-                       activation: Activation) -> np.ndarray:
-    """Collapsed sparse-mode readout.
-
-    Element-wise: ``(F X + U Y) sigma(X^T B^T C x~)``.  Softmax: same values
-    against the softmax of the context scores stacked with the query
-    self-score, whose weight is masked out of the sum but kept in the
-    normalizer.
-    """
+    pts = as_points(points, tp.d_x - 1)
+    x_t = np.hstack([pts, np.ones((pts.shape[0], 1))])   # (N, d_x)
+    qk = tp.B.T @ tp.C if tp.general is None else tp.general.O11
+    scores = ctx.X.T @ qk @ x_t.T                        # (n, N)
     if tp.general is not None:
-        raise ValueError("general blocks present; use transformer_readout")
+        scores = scores + ctx.Y.T @ tp.general.O21 @ x_t.T
+    values = tp.F @ ctx.X + tp.U @ ctx.Y                 # (d_y, n)
+    if activation.kind == "softmax":
+        self_scores = np.einsum("ni,ij,nj->n", x_t, qk, x_t)
+        stacked = np.vstack([scores, self_scores[None, :]])
+        weights = softmax_columns(stacked)
+        return (values @ weights[:-1]).T
+    return (values @ activation(scores)).T
+
+
+def transformer_readout(tp: TransformerParams, asm: InputAssembly,
+                        activation: Activation) -> np.ndarray:
+    """y-block of column n+1 of Z + Attn(Z) for one assembled input."""
     if asm.d_x != tp.d_x or asm.d_y != tp.d_y:
         raise DimensionError("assembly dimensions disagree with parameters")
-    x_t = asm.x_tilde
-    bc = tp.B.T @ tp.C
-    scores = asm.X.T @ (bc @ x_t)
-    values = tp.F @ asm.X + tp.U @ asm.Y
-    if activation.kind == "softmax":
-        stacked = np.concatenate([scores, [float(x_t @ bc @ x_t)]])
-        weights = softmax_columns(stacked[:, None])[:, 0]
-        return values @ weights[:-1]
-    return values @ activation(scores)
+    return readout_batch(tp, asm, asm.query[None, :], activation)[0]

@@ -87,10 +87,6 @@ class Box:
     def dim(self) -> int:
         return len(self.lo)
 
-    def contains(self, other: "Box") -> bool:
-        return all(sl <= ol and oh <= sh for sl, ol, oh, sh
-                   in zip(self.lo, other.lo, other.hi, self.hi))
-
     def to_json_dict(self) -> dict:
         return {"lo": list(self.lo), "hi": list(self.hi)}
 
@@ -125,10 +121,6 @@ class PeScheme:
     @property
     def d_x(self) -> int:
         return self.region.dim
-
-    @property
-    def dense_in_all(self) -> bool:
-        return self.kind == "calkin_wilf_lattice"
 
     def to_json_dict(self) -> dict:
         if self.kind == "custom":
@@ -253,7 +245,7 @@ def _cw_block(scheme: PeScheme, j_start: int, count: int) -> np.ndarray:
 
 
 class _DyadicLevels:
-    """Materialized dyadic levels with cumulative sizes, cached per scheme."""
+    """Materialized dyadic levels with cumulative sizes, cached per region."""
 
     def __init__(self, box: Box):
         self.box = box
@@ -296,7 +288,10 @@ class _DyadicLevels:
         return out
 
 
-_DYADIC_CACHE: dict[tuple, _DyadicLevels] = {}
+@functools.lru_cache(maxsize=8)
+def _dyadic_levels(lo: tuple, hi: tuple) -> _DyadicLevels:
+    """The levels of one region, shared by every dyadic scheme over it."""
+    return _DyadicLevels(Box(lo, hi))
 
 
 def pe_block(scheme: PeScheme, j_start: int, count: int) -> np.ndarray:
@@ -306,9 +301,7 @@ def pe_block(scheme: PeScheme, j_start: int, count: int) -> np.ndarray:
     if scheme.kind == "calkin_wilf_lattice":
         return _cw_block(scheme, j_start, count)
     if scheme.kind == "dyadic_lattice":
-        key = (scheme.region.lo, scheme.region.hi)
-        levels = _DYADIC_CACHE.setdefault(key, _DyadicLevels(scheme.region))
-        return levels.block(j_start, count)
+        return _dyadic_levels(scheme.region.lo, scheme.region.hi).block(j_start, count)
     if scheme.kind == "irrational_rotation":
         primes = scheme.params["primes"]
         gamma = np.sqrt(np.array(primes, dtype=float))
@@ -390,11 +383,6 @@ class Vocabulary:
         """Bit-exact index of a y token, or None."""
         vec = np.asarray(vec, dtype=float)
         hits = np.where(np.all(self.v_y == vec, axis=1))[0]
-        return int(hits[0]) if hits.size else None
-
-    def x_index_of(self, vec) -> int | None:
-        vec = np.asarray(vec, dtype=float)
-        hits = np.where(np.all(self.v_x == vec, axis=1))[0]
         return int(hits[0]) if hits.size else None
 
     @staticmethod

@@ -151,20 +151,7 @@ def test_criterion_05_multi_output():
 
 def test_criterion_06_proposition1_fuzz():
     t0 = time.time()
-    rng = np.random.default_rng(606)
-    violations = 0
-    for _ in range(1000):
-        k = int(rng.integers(1, 7))
-        while True:
-            b = np.sort(rng.uniform(-3, 3, k))
-            if k == 1 or np.min(np.diff(b)) >= 0.1:
-                break
-        while True:
-            a = rng.uniform(-5, 5, k)
-            if np.any(a != 0.0):
-                break
-        if ca.count_zeros(ca.ExpSum(a, b), (-8.0, 8.0), 1501) > k - 1:
-            violations += 1
+    violations = ca.prop1_fuzz(1000, 606, grid_points=1501).violations
     elapsed = time.time() - t0
     report(6, "exponential-sum zero-count fuzz",
            violations == 0 and elapsed < 10.0,

@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import ctxapprox as ca
 from ctxapprox.construction import (Caps, FitOptions, ScanTarget, StageBudgets,
-                                   _scan_engine)
+                                   _scan_engine, _token_rows)
 from ctxapprox.kronecker import SQRT2
 
 
@@ -183,6 +185,35 @@ class TestConstructContext:
         b = ca.construct_context(target, grid, vocab, scheme, tp, 0.3, **kw)
         assert a.to_json_dict() == b.to_json_dict()
 
+    @pytest.mark.parametrize("d_y", [1, 2])
+    def test_prefix_errors_match_per_prefix_recomputation(self, d_y):
+        tp, vocab, scheme, grid = make_setting(d_y=d_y)
+        target = lambda pts: np.column_stack(
+            [np.sin(2 * np.pi * pts[:, 0]), np.cos(np.pi * pts[:, 0])][:d_y])
+        rep = ca.construct_context_multi_output if d_y > 1 else ca.construct_context
+        rep = rep(target, grid, vocab, scheme, tp, 0.5, seed=3,
+                  fit=FitOptions(k=12, refine_steps=300), caps=Caps(j_cap=40_000_000))
+        pts = grid.points()
+        f_vals = target(pts)
+        rows = ca.prefix_errors(rep, tp, ca.RELU, pts, f_vals)
+        # the sum rebuilt from scratch for every prefix
+        x_t = np.hstack([pts, np.ones((pts.shape[0], 1))])
+        tokens = sorted(rep.tokens, key=lambda t: t.position)
+        trows = _token_rows(tokens, rep.vocab, rep.scheme, tp.C.T @ tp.B)
+        expected = []
+        for t in range(len(tokens) + 1):
+            vals = np.zeros((pts.shape[0], d_y))
+            if t:
+                act = np.maximum(x_t @ trows[:t].T, 0.0)
+                for idx, tok in enumerate(tokens[:t]):
+                    vals[:, tok.component] += tok.y_value * act[:, idx]
+            expected.append((tokens[t - 1].position if t else 0, t,
+                             float(np.max(np.abs((tp.U @ vals.T).T - f_vals)))))
+        assert len(tokens) >= 2
+        assert rows == expected
+        assert rows[-1][2] == rep.measured["base_grid_total"]
+        assert rows[-1][0] == rep.n
+
     def test_budget_error_reports_stage(self):
         tp, vocab, scheme, grid = make_setting()
         target = lambda pts: np.sin(2 * np.pi * pts[:, 0])
@@ -230,20 +261,17 @@ class TestConstructContext:
         assert rep.n <= 200_000
         X, Y = rep.dense_context()
         X_pe = X + ca.pe_block(rep.scheme, 1, rep.n).T
-        pts = grid.points()
-        f_vals = target(pts)
-        worst = 0.0
-        for i in range(0, pts.shape[0], 10):
-            asm = ca.assemble(X_pe, Y, pts[i])
-            out = ca.simplified_readout(tp, asm, ca.RELU)
-            worst = max(worst, abs(out[0] - f_vals[i]))
+        pts = grid.points()[::10]
+        out = ca.readout_batch(tp, SimpleNamespace(X=X_pe, Y=Y), pts, ca.RELU)
+        worst = float(np.max(np.abs(out[:, 0] - target(pts))))
         assert worst < 0.25
-        # and the full attention path agrees on a few points
-        for i in (0, 50, 100):
+        # a subset of the audit grid: its sup cannot exceed the token-space one
+        assert worst <= rep.measured["base_grid_total"] + 1e-10
+        # and the single-query readout agrees on a few points
+        for i in (0, 5, 10):
             asm = ca.assemble(X_pe, Y, pts[i])
             a = ca.transformer_readout(tp, asm, ca.RELU)
-            b = ca.simplified_readout(tp, asm, ca.RELU)
-            assert np.max(np.abs(a - b)) < 1e-10
+            assert np.max(np.abs(a - out[i])) < 1e-10
 
     def test_exp_activation_exact_hit(self):
         # element-wise activations other than relu go through the literal

@@ -108,6 +108,16 @@ class TestKroneckerSearch:
             err = abs(mpmath.mpf(0) - w.q * mpmath.sqrt(2) + w.l)
         assert float(err) < 1e-8
 
+    @pytest.mark.parametrize("beta", [1e20, 1e50, 1e70])
+    def test_large_integer_beta_keeps_fractional_digits(self, beta):
+        # floats this large are integers, so beta acts as 0 modulo 1; the
+        # check must keep digits after the point at any magnitude of beta
+        base = ca.kronecker_search(0.0, 1e-3)
+        w = ca.kronecker_search(beta, 1e-3)
+        assert base.q == w.q == 408
+        assert abs(w.achieved_error - base.achieved_error) <= 1e-15
+        assert w.l == base.l - int(beta)
+
     def test_witness_within_float_rounding_of_epsilon(self):
         # error 9.9985e-8 in 60 digits, but float64 evaluation of
         # q*sqrt2 - beta gives 1.0058e-7: a float prefilter misses this q

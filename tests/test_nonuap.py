@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,19 +54,37 @@ class TestCountZeros:
 
     def test_fuzz_respects_zero_bound(self):
         # 1000 random sums with k in [1, 6]: sign changes <= k - 1, always
-        rng = np.random.default_rng(123)
-        for _ in range(1000):
-            k = int(rng.integers(1, 7))
+        rec = ca.prop1_fuzz(1000, 123, grid_points=1501)
+        assert rec.violations == 0
+        assert np.all(rec.sign_changes <= rec.ks - 1)
+        assert set(rec.ks.tolist()) == {1, 2, 3, 4, 5, 6}
+
+
+class TestProp1Fuzz:
+    def test_trials_match_direct_draws(self):
+        # the record holds the sign changes of the sums drawn from the seed
+        rec = ca.prop1_fuzz(20, 9, k_range=(2, 3), exponent_separation=0.2,
+                            coeff_range=2.0, interval=(-4.0, 4.0), grid_points=501)
+        rng = np.random.default_rng(9)
+        for k_rec, z_rec in zip(rec.ks, rec.sign_changes):
+            k = int(rng.integers(2, 4))
             while True:
-                b = np.sort(rng.uniform(-3, 3, k))
-                if k == 1 or np.min(np.diff(b)) >= 0.1:
+                b = np.sort(rng.uniform(-3.0, 3.0, k))
+                if np.min(np.diff(b)) >= 0.2:
                     break
             while True:
-                a = rng.uniform(-5, 5, k)
+                a = rng.uniform(-2.0, 2.0, k)
                 if np.any(a != 0.0):
                     break
-            es = ca.ExpSum(a, b)
-            assert ca.count_zeros(es, (-8.0, 8.0), 1501) <= k - 1
+            assert k_rec == k
+            assert z_rec == ca.count_zeros(ca.ExpSum(a, b), (-4.0, 4.0), 501)
+
+    def test_record_json_and_csv(self):
+        rec = ca.Prop1FuzzRecord(np.array([1, 2, 3]), np.array([0, 2, 1]))
+        assert rec.to_json_dict() == {"violations": 1, "count": 3}
+        buf = io.StringIO()
+        rec.write_csv(buf)
+        assert buf.getvalue() == "trial,k,sign_changes\n0,1,0\n1,2,2\n2,3,1\n"
 
 
 class TestHardTarget:

@@ -12,6 +12,38 @@ def random_assembly(rng, d_x, d_y, n):
                        rng.standard_normal(d_x - 1))
 
 
+def full_readout(tp, asm, activation):
+    """Reference: y-block of the query column of Z + attention_forward(Z)."""
+    Z = asm.Z()
+    return (Z + ca.attention_forward(tp, Z, activation))[tp.d_x:, asm.n]
+
+
+def collapsed_readout(tp, asm, activation):
+    """The simplified sparse-mode formula (F X + U Y) sigma(X^T B^T C x~).
+
+    Softmax normalizes the context scores together with the query
+    self-score, whose term is left out of the sum.
+    """
+    x_t = asm.x_tilde
+    bc = tp.B.T @ tp.C
+    scores = asm.X.T @ (bc @ x_t)
+    values = tp.F @ asm.X + tp.U @ asm.Y
+    if activation.kind == "softmax":
+        e = np.exp(np.append(scores, x_t @ bc @ x_t))
+        return values @ (e[:-1] / np.sum(e))
+    return values @ activation(scores)
+
+
+def general_params(rng, d_x, d_y):
+    """General blocks with nonzero F and O21 (B = C = I are ignored on the score path)."""
+    general = ca.GeneralBlocks(*(rng.standard_normal(s) for s in
+                                 ((d_x, d_x), (d_x, d_y), (d_y, d_x), (d_y, d_y))))
+    return ca.TransformerParams(np.eye(d_x), np.eye(d_x), rng.standard_normal((d_x, d_x)),
+                                rng.standard_normal((d_x, d_y)),
+                                rng.standard_normal((d_y, d_x)), np.eye(d_y) * 1.3,
+                                general)
+
+
 class TestAttentionForward:
     def test_output_linear_in_value_matrix(self, rng):
         # attention equals V @ (Z M sigma(scores)), so V = 0 yields the zero
@@ -69,7 +101,7 @@ class TestReadout:
             tp = ca.random_sparse_params(seed, 3, 2)
             asm = random_assembly(r, 3, 2, 5)
             a = ca.transformer_readout(tp, asm, activation)
-            b = ca.simplified_readout(tp, asm, activation)
+            b = collapsed_readout(tp, asm, activation)
             assert np.max(np.abs(a - b)) <= 1e-12
 
     @pytest.mark.parametrize("activation", [ca.RELU, ca.EXP, ca.SOFTMAX])
@@ -77,8 +109,23 @@ class TestReadout:
         tp = ca.random_sparse_params(11, 4, 3)
         asm = random_assembly(rng, 4, 3, 6)
         fast = ca.transformer_readout(tp, asm, activation)
-        full = ca.transformer_readout(tp, asm, activation, debug_full=True)
-        assert np.max(np.abs(fast - full)) <= 1e-12
+        assert np.max(np.abs(fast - full_readout(tp, asm, activation))) <= 1e-12
+        # the same kernel over a batch, also under general blocks with nonzero
+        # F and O21; rounding grows with the readout, so the bound is relative
+        # above magnitude 1
+        for tp in (tp, general_params(rng, 4, 3)):
+            queries = rng.standard_normal((25, 3))
+            got = ca.readout_batch(tp, asm, queries, activation)
+            assert got.shape == (25, 3)
+            for q, row in zip(queries, got):
+                ref = full_readout(tp, ca.assemble(asm.X, asm.Y, q), activation)
+                assert np.max(np.abs(row - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+    def test_batch_rejects_wrong_query_dimension(self, rng):
+        tp = ca.random_sparse_params(3, 3, 1)
+        ctx = random_assembly(rng, 3, 1, 4)
+        with pytest.raises(ca.DimensionError):
+            ca.readout_batch(tp, ctx, np.zeros((5, 3)), ca.RELU)
 
     def test_general_blocks_matching_sparse_pattern(self, rng):
         tp = ca.random_sparse_params(5, 3, 2)
@@ -89,7 +136,7 @@ class TestReadout:
         asm = random_assembly(rng, 3, 2, 5)
         for act in (ca.RELU, ca.EXP, ca.SOFTMAX):
             a = ca.transformer_readout(tpg, asm, act)
-            b = ca.simplified_readout(tp, asm, act)
+            b = ca.transformer_readout(tp, asm, act)
             assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_general_path_with_nonzero_F_and_O21(self, rng):
@@ -109,8 +156,7 @@ class TestReadout:
         expected = (F @ asm.X + tp.U @ asm.Y) @ np.exp(scores)
         assert np.max(np.abs(got - expected)) <= 1e-10
         # cross-check against the direct full-matrix evaluation
-        full = ca.transformer_readout(tp, asm, ca.EXP, debug_full=True)
-        assert np.max(np.abs(got - full)) <= 1e-10
+        assert np.max(np.abs(got - full_readout(tp, asm, ca.EXP))) <= 1e-10
 
     def test_permutation_invariance(self, rng):
         tp = ca.random_sparse_params(8, 3, 2)
@@ -130,8 +176,8 @@ class TestReadout:
                                    rng.standard_normal((3, 2)), tp.F, tp.U)
         asm = random_assembly(rng, 3, 2, 5)
         for act in (ca.RELU, ca.EXP, ca.SOFTMAX):
-            a = ca.transformer_readout(tp, asm, act, debug_full=True)
-            b = ca.transformer_readout(alt, asm, act, debug_full=True)
+            a = full_readout(tp, asm, act)
+            b = full_readout(alt, asm, act)
             assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_query_y_slot_structurally_zero(self, rng):
@@ -150,7 +196,7 @@ class TestReadout:
         X = np.hstack([fnn.W, fnn.b[:, None]]).T
         for q in rng.uniform(-1, 1, (20, d_x - 1)):
             asm = ca.assemble(X, fnn.A, q)
-            out = ca.simplified_readout(tp, asm, ca.RELU)
+            out = ca.transformer_readout(tp, asm, ca.RELU)
             np.testing.assert_allclose(out, ca.fnn_forward(fnn, q), atol=1e-13)
 
     def test_softmax_readout_n1_scalars_hand_expansion(self):
@@ -162,20 +208,17 @@ class TestReadout:
         s1 = x_ctx * b * c
         t = b * c
         expected = u * y_ctx * np.exp(s1) / (np.exp(s1) + np.exp(t))
-        got = ca.simplified_readout(tp, asm, ca.SOFTMAX)
+        got = ca.transformer_readout(tp, asm, ca.SOFTMAX)
         assert got[0] == pytest.approx(expected, rel=1e-13)
 
 
 class TestParams:
-    def test_simplified_rejects_general_blocks(self, rng):
+    def test_embed_rejects_general_blocks(self, rng):
         general = ca.GeneralBlocks(np.eye(3), np.zeros((3, 2)),
                                    np.zeros((2, 3)), np.zeros((2, 2)))
         base = ca.random_sparse_params(6, 3, 2)
         tpg = ca.TransformerParams(base.B, base.C, base.D, base.E, base.F,
                                    base.U, general)
-        asm = random_assembly(rng, 3, 2, 4)
-        with pytest.raises(ValueError):
-            ca.simplified_readout(tpg, asm, ca.RELU)
         with pytest.raises(ValueError):
             ca.embed_fnn(tpg, random_fnn(rng, 4, 2, 2, ca.RELU))
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import ctxapprox as ca
-from ctxapprox.vocab_pe import SQRT2, _fusc_array, _morton_split, pe_block
+from ctxapprox.vocab_pe import (SQRT2, _dyadic_levels, _fusc_array, _morton_split,
+                               pe_block)
 
 
 def cw_iteration_oracle(n):
@@ -109,6 +110,23 @@ class TestPeValue:
         vals = sorted(pe_block(scheme, 1, 2**m - 1)[:, 0])
         expected = [k * 2.0**(1 - m) - 1.0 for k in range(1, 2**m)]
         np.testing.assert_allclose(vals, expected, atol=0)
+
+    def test_dyadic_cache_is_bounded_and_reused(self):
+        _dyadic_levels.cache_clear()
+        bound = _dyadic_levels.cache_info().maxsize
+        for i in range(bound + 5):
+            scheme = ca.dyadic_lattice(ca.Box((-1.0 - i,), (1.0,)))
+            pe_block(scheme, 1, 7)
+            assert _dyadic_levels.cache_info().currsize <= bound
+        region = ca.Box((-3.0, 0.0), (3.0, 1.0))
+        first = pe_block(ca.dyadic_lattice(region), 1, 40)
+        levels = _dyadic_levels(region.lo, region.hi)
+        built = list(levels.levels)
+        again = pe_block(ca.dyadic_lattice(region), 1, 40)
+        assert np.array_equal(first, again)
+        assert _dyadic_levels(region.lo, region.hi) is levels
+        assert all(a is b for a, b in zip(levels.levels, built))
+        assert len(levels.levels) == len(built)
 
     def test_irrational_rotation_distinct(self):
         scheme = ca.irrational_rotation(ca.Box((0.0,), (1.0,)), primes=(2,))
