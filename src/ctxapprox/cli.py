@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -73,6 +74,23 @@ def _meta(cfg: dict, command: str) -> dict:
 
 def _csv_header(cfg: dict) -> str:
     return f"# ctxapprox {__version__} config_sha256={_config_hash(cfg)}\n"
+
+
+def _load_options(cfg: dict, field: str, cls):
+    """``cls`` built from the object ``cfg[field]``: each key must name a field,
+    its value is converted to the field's annotated type, absent fields keep
+    their defaults."""
+    types = get_type_hints(cls)
+    values = {}
+    for key, value in _require(cfg, field, dict).items():
+        if key not in types:
+            raise ConfigError(f"{field}.{key}", f"unknown key; {field} takes {', '.join(types)}")
+        try:
+            values[key] = types[key](value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"{field}.{key}",
+                              f"expected {types[key].__name__}, got {value!r}") from None
+    return cls(**values)
 
 
 def _load_grid(cfg: dict, field: str) -> Grid:
@@ -227,35 +245,24 @@ def _construct_report(cfg: dict, seed_override: int | None):
         def target(points):
             return np.column_stack([c(points) for c in compiled])
 
-    budgets = None
-    if "budgets" in cfg:
-        b = cfg["budgets"]
-        budgets = StageBudgets(float(b["fit"]), float(b["perturb"]), float(b["tokens"]))
-    fit_cfg = cfg.get("fit", {})
-    fit = FitOptions(k=int(fit_cfg.get("k", 16)),
-                     refine_steps=int(fit_cfg.get("refine_steps", 600)),
-                     feature_scale=float(fit_cfg.get("feature_scale", 3.0)),
-                     ridge=float(fit_cfg.get("ridge", 0.0)))
-    caps_cfg = cfg.get("caps", {})
-    caps = Caps(j_cap=int(caps_cfg.get("j_cap", 60_000_000)),
-                q_cap=int(caps_cfg.get("q_cap", 1_000_000)))
+    # absent objects take the library's defaults
+    kwargs = {name: _load_options(cfg, name, cls) for name, cls in
+              (("budgets", StageBudgets), ("fit", FitOptions), ("caps", Caps)) if name in cfg}
+    kwargs["seed"] = seed
     activation = Activation(cfg.get("activation", "relu"))
-    mode = cfg.get("construction", "dense")
-    if mode == "relu_rescaled":
-        report = construct_relu_rescaled(
-            target, grid, vocab, scheme, tp, epsilon, seed=seed, fit=fit,
-            caps=caps, budgets=budgets,
-            lambda_policy=cfg.get("lambda_policy", "max_row"))
-    elif tp.d_y == 1:
-        report = construct_context(target, grid, vocab, scheme, tp, epsilon,
-                                   activation=activation, seed=seed, fit=fit,
-                                   caps=caps, budgets=budgets,
-                                   coefficient_mode=cfg.get("coefficient_mode", "auto"))
+    construction = cfg.get("construction", "dense")
+    if construction == "relu_rescaled":
+        if activation.kind != "relu":
+            raise ConfigError("activation", "the relu_rescaled construction is relu only")
+        build = construct_relu_rescaled
+        kwargs["lambda_policy"] = cfg.get("lambda_policy", "max_row")
+    elif construction == "dense":
+        build = construct_context if tp.d_y == 1 else construct_context_multi_output
+        kwargs.update(activation=activation,
+                      coefficient_mode=cfg.get("coefficient_mode", "auto"))
     else:
-        report = construct_context_multi_output(
-            target, grid, vocab, scheme, tp, epsilon, activation=activation,
-            seed=seed, fit=fit, caps=caps, budgets=budgets,
-            coefficient_mode=cfg.get("coefficient_mode", "auto"))
+        raise ConfigError("construction", "must be 'dense' or 'relu_rescaled'")
+    report = build(target, grid, vocab, scheme, tp, epsilon, **kwargs)
     return report, tp, grid, target, activation
 
 

@@ -28,7 +28,7 @@ from ._linalg import inf_operator_norm, solve_refined
 from .errors import (BudgetError, DimensionError, EpsilonRangeError,
                      NonFiniteTargetError, PositionScanExhausted)
 from .fnn import EXP, RELU, Activation, FitResult, FnnParams, fit_fnn, fnn_forward_batch
-from .grids import Grid, as_points
+from .grids import Grid, as_points, lifted
 from .kronecker import SQRT2, TokenDecomposition, coefficient_decompose
 from .transformer import TransformerParams
 from .vocab_pe import PeScheme, Vocabulary, pe_block
@@ -376,23 +376,35 @@ class FitOptions:
     feature_scale: float = 3.0
     ridge: float = 0.0
 
-
-def _as_matrix_target(target, d_y: int):
-    def f(points):
-        vals = np.asarray(target(points), dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        if vals.shape[1] != d_y:
-            raise DimensionError(f"target returns {vals.shape[1]} components, expected {d_y}")
-        return vals
-    return f
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.refine_steps < 0:
+            raise ValueError(f"refine_steps must be >= 0, got {self.refine_steps}")
+        _require_positive_finite("feature_scale", self.feature_scale)
+        if not (math.isfinite(self.ridge) and self.ridge >= 0):
+            raise ValueError(f"ridge must be finite and >= 0, got {self.ridge!r}")
 
 
-def _require_finite_target(values: np.ndarray, points: np.ndarray, grid_name: str):
-    """A non-finite target value is a numerical failure, not a bad fit input."""
-    bad = ~np.all(np.isfinite(values), axis=1)
+# rescaled relu route: lambda from the largest |entry| m of the rows [W | b]
+_LAMBDA_POLICIES = {
+    "max_row": lambda m: max(1.0, m),
+    "pow2": lambda m: float(2 ** max(0, math.ceil(math.log2(max(m, 1.0))))),
+    "int": lambda m: float(max(1, math.ceil(m))),
+}
+
+
+def _target_values(target, points: np.ndarray, d_y: int, grid_name: str) -> np.ndarray:
+    """The target at the points, (N, d_y); a non-finite value is a numerical failure."""
+    vals = np.asarray(target(points), dtype=float)
+    if vals.ndim == 1:
+        vals = vals[:, None]
+    if vals.shape[1] != d_y:
+        raise DimensionError(f"target returns {vals.shape[1]} components, expected {d_y}")
+    bad = ~np.all(np.isfinite(vals), axis=1)
     if np.any(bad):
         raise NonFiniteTargetError(grid_name, points[bad])
+    return vals
 
 
 def _activation_lipschitz(activation: Activation, z_lo: float, z_hi: float) -> float:
@@ -438,204 +450,200 @@ def _token_sum(token_rows, tokens, x_tilde, activation, d_y) -> np.ndarray:
     return out
 
 
-def _plans_eval(plans, x_tilde, activation, d_y) -> np.ndarray:
-    """Perturbed network sum_p coeff_p sigma(row_p . x~) per component."""
-    out = np.zeros((x_tilde.shape[0], d_y))
-    for p in plans:
-        out[:, p.component] += p.coefficient * activation(x_tilde @ p.target_row)
-    return out
+def _readout_error(U: np.ndarray, vals: np.ndarray, f_vals: np.ndarray) -> float:
+    """max |U vals - f| over the points; ``vals`` and ``f_vals`` are (N, d_y)."""
+    return float(np.max(np.abs((U @ vals.T).T - f_vals)))
+
+
+def _fit_stage(tp, pts, f_vals, fnn_list, fit, activation, seed):
+    """Stage 1: one fitted (or given) network per output; returns the fits,
+    their outputs on the grid (N, d_y) and the fit error."""
+    g_vals = solve_refined(tp.U, f_vals.T, "U").T   # token-sum target
+    fits: list[FitResult] = []
+    for comp in range(tp.d_y):
+        params = fnn_list[comp] if fnn_list is not None else None
+        if params is None:
+            fits.append(fit_fnn((pts, g_vals[:, comp]), fit.k, activation, seed + comp,
+                                ridge=fit.ridge, refine_steps=fit.refine_steps,
+                                feature_scale=fit.feature_scale))
+            continue
+        if params.d_in != pts.shape[1] or params.d_y != 1:
+            raise DimensionError("override network has wrong dimensions")
+        err = float(np.max(np.abs(fnn_forward_batch(params, pts)[:, 0] - g_vals[:, comp])))
+        fits.append(FitResult(params, err, 0.0, False))
+    fnn_eval = np.column_stack([fnn_forward_batch(fr.params, pts)[:, 0] for fr in fits])
+    return fits, fnn_eval, _readout_error(tp.U, fnn_eval, f_vals)
+
+
+def _lambda(nets, policy: str) -> float:
+    """Rescaling factor of the relu route for the rows ``[W | b]`` of ``nets``."""
+    return _LAMBDA_POLICIES[policy](max(float(np.max(np.abs(rows))) for rows, _ in nets))
+
+
+def _witness_stage(tp, nets, cmap, x_extent, x_tilde, activation, perturb_inner,
+                   use_homog, q_cap, fnn_eval):
+    """Stage 2: plans with integer witnesses for the neurons of ``nets``, (rows
+    [W | b], coefficients) per output; ``use_homog`` (relu) splits a neuron into
+    exact unit-coefficient copies with token-space rows inside the vocabulary's
+    reach.  Returns the plans, the perturbed network on the grid and its error."""
+    cmap_inv_norm = inf_operator_norm(np.linalg.inv(cmap))
+    plans: list[NeuronPlan] = []
+    perturbed = np.zeros((x_tilde.shape[0], tp.d_y))
+    for comp, (rows, coeffs) in enumerate(nets):
+        k = len(coeffs)
+        for row_i, a_i in zip(rows, coeffs):
+            a_i = float(a_i)
+            m1_i = float(np.max(np.abs(activation(x_tilde @ row_i))))
+            if abs(a_i) * max(m1_i, 1e-300) <= 0.001 * perturb_inner / max(k, 1):
+                continue  # negligible neuron, absorbed by the perturb budget
+            if use_homog:
+                token_norm = cmap_inv_norm * float(np.max(np.abs(abs(a_i) * row_i)))
+                copies = max(1, math.ceil(token_norm / max(x_extent, 1e-12)))
+                sign = 1 if a_i >= 0 else -1
+                wit = TokenDecomposition(float(sign), 0, 1, sign, 0.0)
+                new = [NeuronPlan(len(plans) + c, comp, (abs(a_i) / copies) * row_i, wit)
+                       for c in range(copies)]
+            else:
+                wit = coefficient_decompose(a_i, perturb_inner / (k * max(m1_i, 1e-12)),
+                                            q_cap)
+                new = [NeuronPlan(len(plans), comp, row_i.copy(), wit)]
+            for p in new:
+                perturbed[:, comp] += p.coefficient * activation(x_tilde @ p.target_row)
+            plans.extend(new)
+    return plans, perturbed, float(np.max(np.abs(tp.U @ (perturbed - fnn_eval).T)))
+
+
+def _token_stage(plans, tp, vocab, scheme, cmap, x_tilde, m_hat, activation,
+                 tokens_inner, j_cap, perturbed):
+    """Stage 3: scan with one tolerance that splits the token budget over the
+    plans' token weights, then put sqrt2 on a plan's first q positions and its
+    unit sign on the rest.  Returns the tokens in position order, their mapped
+    rows, their sum on the grid and its error."""
+    collected = []
+    if plans:
+        weights = [SQRT2 * p.witness.count_sqrt2 + p.witness.count_unit for p in plans]
+        z_vals = np.array([x_tilde @ p.target_row for p in plans])
+        lip = _activation_lipschitz(
+            activation, float(np.min(z_vals)) - 0.5, float(np.max(z_vals)) + 0.5)
+        tol = tokens_inner / (_TOKEN_SAFETY * m_hat * lip * sum(weights))
+        if not (math.isfinite(tol) and tol > 0):
+            raise EpsilonRangeError(f"scan tolerance {tol!r} is not a positive finite "
+                                    f"float (activation slope bound {lip:.3e})")
+        for p, w in zip(plans, weights):
+            p.tol = tol
+            p.token_error_bound = w * lip * tol * m_hat
+        collected = _scan_engine([ScanTarget(p.target_row, tol, p.demand) for p in plans],
+                                 vocab, scheme, tp, 1, j_cap)
+
+    tokens: list[TokenAssignment] = []
+    for p, hits in zip(plans, collected):
+        hits = sorted(hits, key=lambda h: h.position)
+        q = p.witness.count_sqrt2
+        unit = ("plus_unit" if p.witness.unit_sign > 0 else "minus_unit",
+                float(p.witness.unit_sign))
+        for rank, h in enumerate(hits):
+            role, y = ("sqrt2", SQRT2) if rank < q else unit
+            (p.positions_sqrt2 if rank < q else p.positions_unit).append(h.position)
+            y_vec = np.zeros(tp.d_y)
+            y_vec[p.component] = y
+            if vocab.y_index_of(y_vec) is None:   # bit-exact membership in V_y
+                raise ValueError(f"y token {y_vec} not in V_y")
+            tokens.append(TokenAssignment(h.position, h.vocab_index, role,
+                                          p.index, p.component, y))
+    tokens.sort(key=lambda t: t.position)
+    trows = _token_rows(tokens, vocab, scheme, cmap)
+    token_vals = _token_sum(trows, tokens, x_tilde, activation, tp.d_y)
+    tokens_measured = float(np.max(np.abs(tp.U @ (token_vals - perturbed).T)))
+    return tokens, trows, token_vals, tokens_measured
+
+
+def _audit_stage(tokens, trows, token_vals, tp, activation, f_vals, x_tilde_audit, f_audit):
+    """Stage 4: the finished context's readout error on the grid and the refined grid."""
+    audit_vals = _token_sum(trows, tokens, x_tilde_audit, activation, tp.d_y)
+    return (_readout_error(tp.U, token_vals, f_vals),
+            _readout_error(tp.U, audit_vals, f_audit))
 
 
 def _construct(target, grid: Grid, vocab: Vocabulary, scheme: PeScheme,
                tp: TransformerParams, epsilon: float, *,
                activation: Activation, budgets: StageBudgets | None, seed: int,
                fit: FitOptions | None, fnn_list, caps: Caps | None,
-               coefficient_mode: str, mode: str,
-               lambda_policy: str | None) -> ConstructionReport:
+               coefficient_mode: str,
+               lambda_policy: str | None = None) -> ConstructionReport:
+    """Stages fit -> witnesses -> scan and assign -> audit, each checked
+    against its budget before the next starts.  A ``lambda_policy`` selects
+    the rescaled relu route: rows [W | b] / lambda, coefficients A * lambda."""
+    _require_positive_finite("epsilon", epsilon)
+    if coefficient_mode not in ("auto", "homogeneous", "kronecker"):
+        raise ValueError("coefficient_mode must be auto | homogeneous | kronecker, "
+                         f"got {coefficient_mode!r}")
+    if lambda_policy not in (None, *_LAMBDA_POLICIES):
+        raise ValueError(f"lambda_policy must be max_row | pow2 | int, got {lambda_policy!r}")
     if not tp.is_sparse_mode or np.any(tp.F != 0.0):
         raise ValueError("construction requires strict sparse mode (general "
                          "blocks absent and F = 0); nulled positions cannot "
                          "cancel F-terms")
     if not activation.is_elementwise:
         raise ValueError("softmax-activation construction is out of scope")
+    use_homog = (coefficient_mode == "homogeneous"
+                 or (coefficient_mode == "auto" and activation.kind == "relu"))
+    if use_homog and activation.kind != "relu":
+        raise ValueError("homogeneous coefficient mode needs relu")
     if vocab.d_x != tp.d_x or scheme.d_x != tp.d_x or vocab.d_y != tp.d_y:
         raise DimensionError("vocabulary/scheme dimensions disagree with parameters")
     if grid.dim != tp.d_x - 1:
         raise DimensionError(f"grid dimension {grid.dim} != d_x - 1 = {tp.d_x - 1}")
-    d_y = tp.d_y
     budgets = budgets or StageBudgets.thirds(epsilon)
     if budgets.total > epsilon * (1 + 1e-12):
         raise ValueError("stage budgets exceed epsilon")
     caps = caps or Caps()
-    fit = fit or FitOptions()
-
-    if fnn_list is not None and len(fnn_list) != d_y:
+    if fnn_list is not None and len(fnn_list) != tp.d_y:
         raise DimensionError(f"need one override network per output, got "
-                             f"{len(fnn_list)} for d_y = {d_y}")
+                             f"{len(fnn_list)} for d_y = {tp.d_y}")
+
     pts = grid.points()
     audit_pts = grid.refined(10).points()
-    x_tilde = np.hstack([pts, np.ones((pts.shape[0], 1))])
-    x_tilde_audit = np.hstack([audit_pts, np.ones((audit_pts.shape[0], 1))])
-    m_hat = grid.max_x_tilde_l1()
+    f_vals = _target_values(target, pts, tp.d_y, "fit")
+    f_audit = _target_values(target, audit_pts, tp.d_y, "audit")
+    x_tilde = lifted(pts)
+    u_scale = inf_operator_norm(tp.U) * math.sqrt(tp.d_y)
+    cmap = tp.C.T @ tp.B                       # row(v, j) = cmap @ (v + P_j)
 
-    f = _as_matrix_target(target, d_y)
-    f_vals = f(pts)
-    f_audit = f(audit_pts)
-    _require_finite_target(f_vals, pts, "fit")
-    _require_finite_target(f_audit, audit_pts, "audit")
-    u_norm = inf_operator_norm(tp.U)
-    g_vals = solve_refined(tp.U, f_vals.T, "U").T   # token-sum target
-
-    # stage 1: fit (or adopt) one network per output component
-    fits: list[FitResult] = []
-    for comp in range(d_y):
-        if fnn_list is not None and fnn_list[comp] is not None:
-            params = fnn_list[comp]
-            if params.d_in != grid.dim or params.d_y != 1:
-                raise DimensionError("override network has wrong dimensions")
-            err = float(np.max(np.abs(
-                fnn_forward_batch(params, pts)[:, 0] - g_vals[:, comp])))
-            fits.append(FitResult(params, err, 0.0, False))
-        else:
-            fits.append(fit_fnn((pts, g_vals[:, comp]), fit.k, activation,
-                                seed + comp, ridge=fit.ridge,
-                                refine_steps=fit.refine_steps,
-                                feature_scale=fit.feature_scale))
-    fnn_eval = np.column_stack([
-        fnn_forward_batch(fr.params, pts)[:, 0] for fr in fits])
-    fit_measured = float(np.max(np.abs((tp.U @ fnn_eval.T).T - f_vals)))
+    fits, fnn_eval, fit_measured = _fit_stage(tp, pts, f_vals, fnn_list,
+                                              fit or FitOptions(), activation, seed)
     if fit_measured >= budgets.fit:
         raise BudgetError("fit", fit_measured, budgets.fit)
 
-    # stage 2: integer coefficient witnesses (exact unit split for relu)
-    comp_scale = math.sqrt(d_y)
-    perturb_inner = budgets.perturb / (u_norm * comp_scale)
-    use_homog = (coefficient_mode == "homogeneous"
-                 or (coefficient_mode == "auto" and activation.kind == "relu"
-                     and mode == "dense"))
-    if use_homog and activation.kind != "relu":
-        raise ValueError("homogeneous coefficient mode needs relu")
-
-    lam = 1.0
-    if mode == "rescaled":
-        max_row = max(float(np.max(np.abs(
-            np.hstack([fr.params.W, fr.params.b[:, None]])))) for fr in fits)
-        if lambda_policy == "pow2":
-            lam = float(2 ** max(0, math.ceil(math.log2(max(max_row, 1.0)))))
-        elif lambda_policy == "int":
-            lam = float(max(1, math.ceil(max_row)))
-        else:  # max_row
-            lam = max(1.0, max_row)
-
-    plans: list[NeuronPlan] = []
-    idx = 0
-    r_extent = vocab.x_extent
-    cmap_inv_norm = inf_operator_norm(np.linalg.inv(tp.C.T @ tp.B))
-    for comp, fr in enumerate(fits):
-        params = fr.params
-        rows = np.hstack([params.W, params.b[:, None]])   # (k, d_x)
-        coeffs = params.A[0]
-        k = params.k
-        for i in range(k):
-            a_i = float(coeffs[i])
-            row_i = rows[i]
-            if mode == "rescaled":
-                row_i = row_i / lam
-                a_i = a_i * lam
-            m1_i = float(np.max(np.abs(activation(x_tilde @ row_i))))
-            if abs(a_i) * max(m1_i, 1e-300) <= 0.001 * perturb_inner / max(k, 1):
-                continue  # negligible neuron, absorbed by the perturb budget
-            if use_homog:
-                # split into unit-coefficient copies with rows inside the
-                # vocabulary's reach (token space)
-                token_norm = cmap_inv_norm * float(np.max(np.abs(abs(a_i) * row_i)))
-                copies = max(1, math.ceil(token_norm / max(r_extent, 1e-12)))
-                sign = 1 if a_i >= 0 else -1
-                wit = TokenDecomposition(float(sign), 0, 1, sign, 0.0)
-                for _ in range(copies):
-                    plans.append(NeuronPlan(idx, comp, (abs(a_i) / copies) * row_i, wit))
-                    idx += 1
-            else:
-                delta_i = perturb_inner / (k * max(m1_i, 1e-12))
-                wit = coefficient_decompose(a_i, delta_i, caps.q_cap)
-                plans.append(NeuronPlan(idx, comp, row_i.copy(), wit))
-                idx += 1
-
-    perturbed = _plans_eval(plans, x_tilde, activation, d_y)
-    perturb_measured = float(np.max(np.abs(tp.U @ (perturbed - fnn_eval).T)))
+    nets = [(np.hstack([fr.params.W, fr.params.b[:, None]]), fr.params.A[0])
+            for fr in fits]
+    lam = None if lambda_policy is None else _lambda(nets, lambda_policy)
+    if lam is not None:
+        nets = [(rows / lam, coeffs * lam) for rows, coeffs in nets]
+    plans, perturbed, perturb_measured = _witness_stage(
+        tp, nets, cmap, vocab.x_extent, x_tilde, activation, budgets.perturb / u_scale,
+        use_homog, caps.q_cap, fnn_eval)
     if perturb_measured >= budgets.perturb:
         raise BudgetError("perturb", perturb_measured, budgets.perturb)
 
-    # stage 3: per-plan tolerances and the position scan
-    tokens_inner = budgets.tokens / (u_norm * comp_scale)
-    weight_mass = sum(SQRT2 * p.witness.count_sqrt2 + p.witness.count_unit
-                      for p in plans)
-    if plans:
-        z_vals = np.array([x_tilde @ p.target_row for p in plans])
-        lip = _activation_lipschitz(
-            activation, float(np.min(z_vals)) - 0.5, float(np.max(z_vals)) + 0.5)
-        tol = tokens_inner / (_TOKEN_SAFETY * m_hat * lip * weight_mass)
-        if not (math.isfinite(tol) and tol > 0):
-            raise EpsilonRangeError(
-                f"scan tolerance {tol!r} is not a positive finite float "
-                f"(activation slope bound {lip:.3e})")
-        for p in plans:
-            p.tol = tol
-            p.token_error_bound = ((SQRT2 * p.witness.count_sqrt2
-                                    + p.witness.count_unit)
-                                   * lip * p.tol * m_hat)
-        scan_targets = [ScanTarget(p.target_row, p.tol, p.demand) for p in plans]
-        collected = _scan_engine(scan_targets, vocab, scheme, tp, 1, caps.j_cap)
-    else:
-        collected = []
-
-    tokens: list[TokenAssignment] = []
-    for p, hits in zip(plans, collected):
-        hits = sorted(hits, key=lambda h: h.position)
-        q = p.witness.count_sqrt2
-        for h in hits[:q]:
-            p.positions_sqrt2.append(h.position)
-            tokens.append(TokenAssignment(h.position, h.vocab_index, "sqrt2",
-                                          p.index, p.component, SQRT2))
-        for h in hits[q:]:
-            p.positions_unit.append(h.position)
-            role = "plus_unit" if p.witness.unit_sign > 0 else "minus_unit"
-            tokens.append(TokenAssignment(h.position, h.vocab_index, role,
-                                          p.index, p.component,
-                                          float(p.witness.unit_sign)))
-    tokens.sort(key=lambda t: t.position)
-
-    # token legality (bit-exact vocabulary membership of y values)
-    for t in tokens:
-        y_vec = np.zeros(d_y)
-        y_vec[t.component] = t.y_value
-        if vocab.y_index_of(y_vec) is None:
-            raise ValueError(f"y token {y_vec} not in V_y")
-
-    cmap = tp.C.T @ tp.B
-    trows = _token_rows(tokens, vocab, scheme, cmap)
-    token_vals = _token_sum(trows, tokens, x_tilde, activation, d_y)
-    tokens_measured = float(np.max(np.abs(tp.U @ (token_vals - perturbed).T))) \
-        if plans else 0.0
+    tokens, trows, token_vals, tokens_measured = _token_stage(
+        plans, tp, vocab, scheme, cmap, x_tilde, grid.max_x_tilde_l1(), activation,
+        budgets.tokens / u_scale, caps.j_cap, perturbed)
     if tokens_measured >= budgets.tokens:
         raise BudgetError("tokens", tokens_measured, budgets.tokens)
 
-    # final audit on the refined grid
-    audit_vals = _token_sum(trows, tokens, x_tilde_audit, activation, d_y)
-    achieved = float(np.max(np.abs((tp.U @ audit_vals.T).T - f_audit)))
+    base_total, achieved = _audit_stage(tokens, trows, token_vals, tp, activation,
+                                        f_vals, lifted(audit_pts), f_audit)
     if achieved >= epsilon:
         raise BudgetError("total", achieved, epsilon)
 
-    n = max((t.position for t in tokens), default=0)
     measured = {"fit": fit_measured, "perturb": perturb_measured,
-                "tokens": tokens_measured,
-                "base_grid_total": float(np.max(np.abs((tp.U @ token_vals.T).T - f_vals)))}
+                "tokens": tokens_measured, "base_grid_total": base_total}
     return ConstructionReport(
-        mode=mode, epsilon=epsilon, budgets=budgets, measured=measured,
-        achieved_sup_error=achieved, n=n, seed=seed, tokens=tuple(tokens),
-        per_neuron=tuple(plans), d_x=tp.d_x, d_y=d_y, scale=1.0,
-        lambda_=lam if mode == "rescaled" else None,
-        vocab=vocab, scheme=scheme,
+        mode="dense" if lam is None else "rescaled", epsilon=epsilon,
+        budgets=budgets, measured=measured, achieved_sup_error=achieved,
+        n=max((t.position for t in tokens), default=0), seed=seed,
+        tokens=tuple(tokens), per_neuron=tuple(plans), d_x=tp.d_x, d_y=tp.d_y,
+        scale=1.0, lambda_=lam, vocab=vocab, scheme=scheme,
         fit_sup_error=max(fr.sup_error for fr in fits) if fits else 0.0)
 
 
@@ -646,13 +654,11 @@ def prefix_errors(report: ConstructionReport, tp: TransformerParams,
     Rows are (n, t, error), where n is the position of the t-th token (0 for
     t = 0) and error is max |U sum_{j<=t} y_j sigma(row_j . x~) - f|.
     """
-    pts = as_points(points, tp.d_x - 1)
-    x_t = np.hstack([pts, np.ones((pts.shape[0], 1))])
+    x_t = lifted(as_points(points, tp.d_x - 1))
     tokens = sorted(report.tokens, key=lambda t: t.position)
     rows = _token_rows(tokens, report.vocab, report.scheme, tp.C.T @ tp.B)
     sums = _token_prefix_sums(rows, tokens, x_t, activation, tp.d_y)
-    return [(tokens[t - 1].position if t else 0, t,
-             float(np.max(np.abs((tp.U @ vals.T).T - f_vals))))
+    return [(tokens[t - 1].position if t else 0, t, _readout_error(tp.U, vals, f_vals))
             for t, vals in enumerate(sums)]
 
 
@@ -668,17 +674,16 @@ def construct_context(target, grid: Grid, vocab: Vocabulary, scheme: PeScheme,
     ``target`` is a callable on (N, d_x - 1) query batches; ``grid`` is the
     audit grid standing in for the compact domain.  ``fnn`` optionally replaces
     the stage-1 fit (its sup error on the grid is still measured against the
-    fit budget).  Raises on budget violations, Kronecker cap exhaustion, and
-    position-scan exhaustion.
+    fit budget).  ``coefficient_mode`` is auto (homogeneous for relu) |
+    homogeneous | kronecker.  Raises on budget violations, Kronecker cap
+    exhaustion, and position-scan exhaustion.
     """
     if tp.d_y != 1:
         raise DimensionError("construct_context is scalar; use construct_context_multi_output")
-    _require_positive_finite("epsilon", epsilon)
     return _construct(target, grid, vocab, scheme, tp, epsilon,
                       activation=activation, budgets=budgets, seed=seed,
                       fit=fit, fnn_list=[fnn] if fnn is not None else None,
-                      caps=caps, coefficient_mode=coefficient_mode,
-                      mode="dense", lambda_policy=None)
+                      caps=caps, coefficient_mode=coefficient_mode)
 
 
 def construct_context_multi_output(target, grid: Grid, vocab: Vocabulary,
@@ -698,12 +703,10 @@ def construct_context_multi_output(target, grid: Grid, vocab: Vocabulary,
     """
     if tp.d_y < 2:
         raise DimensionError("multi-output construction needs d_y >= 2")
-    _require_positive_finite("epsilon", epsilon)
     return _construct(target, grid, vocab, scheme, tp, epsilon,
                       activation=activation, budgets=budgets, seed=seed,
                       fit=fit, fnn_list=fnn, caps=caps,
-                      coefficient_mode=coefficient_mode,
-                      mode="dense", lambda_policy=None)
+                      coefficient_mode=coefficient_mode)
 
 
 def construct_relu_rescaled(target, grid: Grid, vocab: Vocabulary,
@@ -715,21 +718,17 @@ def construct_relu_rescaled(target, grid: Grid, vocab: Vocabulary,
                             caps: Caps | None = None) -> ConstructionReport:
     """Relu construction with weight rows rescaled into [-1, 1]^{d_x}.
 
-    The fitted rows are divided by lambda (chosen by policy from the max row
-    norm) and the coefficient targets become lambda * a_i, decomposed with
-    integer witnesses; the positive-homogeneity identity makes the rescaled
-    algebra exact.  Reports lambda.
+    The fitted rows are divided by lambda (chosen by policy max_row | pow2 |
+    int from the max row entry) and the coefficient targets become
+    lambda * a_i, decomposed with integer witnesses; the positive-homogeneity
+    identity makes the rescaled algebra exact.  Reports lambda.
     """
     if tp.d_y != 1:
         raise DimensionError("rescaled construction is scalar")
-    if lambda_policy not in ("max_row", "pow2", "int"):
-        raise ValueError("lambda_policy must be max_row | pow2 | int")
-    _require_positive_finite("epsilon", epsilon)
     return _construct(target, grid, vocab, scheme, tp, epsilon,
                       activation=RELU, budgets=budgets, seed=seed, fit=fit,
                       fnn_list=[fnn] if fnn is not None else None, caps=caps,
-                      coefficient_mode="kronecker", mode="rescaled",
-                      lambda_policy=lambda_policy)
+                      coefficient_mode="kronecker", lambda_policy=lambda_policy)
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 from ._linalg import solve_refined
 from .errors import DimensionError, EpsilonRangeError
 from .fnn import SOFTMAX, Activation, FnnParams, fnn_forward_batch
-from .grids import Grid, as_points
+from .grids import Grid, as_points, lifted
 from .transformer import TransformerParams, readout_batch
 
 _LOG_SAFETY = math.log(10.0)
@@ -137,7 +137,7 @@ def _shift_terms(tp: TransformerParams, net: FnnParams, pts: np.ndarray):
     Returns t(x) = x~^T B^T C x~, max||net||, the net's neuron
     pre-activations z and the log of its softmax normalizer sum_i e^{z_i}.
     """
-    x_t = np.hstack([pts, np.ones((pts.shape[0], 1))])
+    x_t = lifted(pts)
     t_vals = np.einsum("ni,ij,nj->n", x_t, tp.B.T @ tp.C, x_t)
     net_max = float(np.max(np.abs(fnn_forward_batch(net, pts))))
     z = pts @ net.W.T + net.b

@@ -75,3 +75,8 @@ def as_points(grid_or_points, dim: int | None = None) -> np.ndarray:
     if dim is not None and pts.shape[1] != dim:
         raise DimensionError(f"points have dimension {pts.shape[1]}, expected {dim}")
     return pts
+
+
+def lifted(pts: np.ndarray) -> np.ndarray:
+    """The lifted queries x~ = (x, 1) of an (N, d) point array; (N, d + 1)."""
+    return np.hstack([pts, np.ones((pts.shape[0], 1))])

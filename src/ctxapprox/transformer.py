@@ -18,7 +18,7 @@ import numpy as np
 from ._linalg import check_condition
 from .errors import DimensionError
 from .fnn import Activation
-from .grids import as_points
+from .grids import as_points, lifted
 
 
 @dataclass(frozen=True)
@@ -274,7 +274,7 @@ def readout_batch(tp: TransformerParams, ctx, points,
     weight is masked out of the sum but kept in the normalizer.
     """
     pts = as_points(points, tp.d_x - 1)
-    x_t = np.hstack([pts, np.ones((pts.shape[0], 1))])   # (N, d_x)
+    x_t = lifted(pts)                                    # (N, d_x)
     qk = tp.B.T @ tp.C if tp.general is None else tp.general.O11
     scores = ctx.X.T @ qk @ x_t.T                        # (n, N)
     if tp.general is not None:

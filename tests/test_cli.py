@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 
 from ctxapprox.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(tmp_path, name, config, command, seed=None):
@@ -115,7 +118,9 @@ class TestConstructCommand:
         ("epsilon", -0.3, "epsilon"), ("caps.j_cap", 0, "j_cap"),
         ("caps.j_cap", -5, "j_cap"),
         ("budgets", {"fit": float("nan"), "perturb": 0.05, "tokens": 0.2}, "budget fit"),
-        ("caps.q_cap", 0, "q_cap")])
+        ("caps.q_cap", 0, "q_cap"), ("caps.j_cap", float("inf"), "j_cap"),
+        ("fit.k", -3, "k must be"), ("fit.refine_steps", -5, "refine_steps"),
+        ("fit.feature_scale", float("nan"), "feature_scale"), ("fit.ridge", -1, "ridge")])
     @pytest.mark.parametrize("construction", ["dense", "relu_rescaled"])
     def test_bad_numeric_field_exit_2(self, tmp_path, field, value, named, construction):
         # a small j_cap keeps a regression from scanning for minutes
@@ -132,6 +137,60 @@ class TestConstructCommand:
         err = json.loads((out / "error.json").read_text())
         assert err["error"]["exit_code"] == 2
         assert named in err["error"]["message"]
+
+    @pytest.mark.parametrize("field,value,construction", [
+        ("construction", "relu-rescaled", "dense"),
+        ("coefficient_mode", "homogenous", "dense"),
+        ("lambda_policy", "pow-2", "relu_rescaled"),
+        ("activation", "exp", "relu_rescaled")])
+    def test_bad_choice_exit_2(self, tmp_path, field, value, construction):
+        # a small j_cap keeps a choice that silently runs another route short
+        cfg = json.loads(json.dumps(CONSTRUCT_SMALL))
+        cfg["caps"]["j_cap"] = 200
+        cfg["construction"] = construction
+        cfg[field] = value
+        code, out = run(tmp_path, "bad_choice", cfg, "construct")
+        assert code == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"]["exit_code"] == 2
+        assert field in err["error"]["message"]
+
+    @pytest.mark.parametrize("field,key", [
+        ("fit", "refine_step"), ("caps", "jcap"), ("budgets", "token")])
+    def test_unknown_option_key_exit_2(self, tmp_path, field, key):
+        # a misspelled key used to be ignored, running with the default
+        cfg = json.loads(json.dumps(CONSTRUCT_SMALL))
+        cfg["budgets"] = {"fit": 0.1, "perturb": 0.05, "tokens": 0.15}
+        cfg[field][key] = 1
+        code, out = run(tmp_path, "bad_key", cfg, "construct")
+        assert code == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"]["field"] == f"{field}.{key}"
+
+    def test_benchmark_spans_nest_inside_construct(self, tmp_path):
+        # the benchmark's layer breakdown hooks these names from outside
+        from ctxapprox import cli, construction, embedding, kronecker, vocab_pe
+        spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        tracer = spans.Tracer("construct")
+        modules = {"cli": cli, "construction": construction, "embedding": embedding,
+                   "kronecker": kronecker, "vocab_pe": vocab_pe}
+        with tracer.installed(modules):
+            code, _ = run(tmp_path, "traced", CONSTRUCT_SMALL, "construct")
+        assert code == 0
+        by_id = {s["id"]: s for s in tracer.spans}
+
+        def inside_construct(s):
+            while s["parent"] is not None:
+                s = by_id[s["parent"]]
+                if s["name"] == "construction.construct":
+                    return True
+            return False
+
+        assert [s["name"] for s in tracer.spans].count("construction.construct") == 1
+        nested = {s["name"] for s in tracer.spans if inside_construct(s)}
+        assert {"fnn.fit_fnn", "vocab_pe.pe_block"} <= nested
 
     def test_multi_output_construct(self, tmp_path):
         cfg = json.loads(json.dumps(CONSTRUCT_SMALL))

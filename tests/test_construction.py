@@ -367,6 +367,25 @@ class TestConstructContext:
         with pytest.raises(ValueError, match="q_cap"):
             Caps(q_cap=q_cap)
 
+    @pytest.mark.parametrize("field,value", [
+        ("k", 0), ("k", -3), ("refine_steps", -5), ("feature_scale", float("nan")),
+        ("feature_scale", 0.0), ("feature_scale", float("inf")), ("ridge", -1.0),
+        ("ridge", float("nan"))])
+    def test_fit_options_reject_bad_values(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            FitOptions(**{field: value})
+
+    def test_rejects_unknown_choice_strings(self):
+        # a misspelled coefficient mode used to take the Kronecker route
+        tp, vocab, scheme, grid = make_setting()
+        target = lambda pts: np.sin(2 * np.pi * pts[:, 0])
+        with pytest.raises(ValueError, match="coefficient_mode"):
+            ca.construct_context(target, grid, vocab, scheme, tp, 0.2,
+                                 coefficient_mode="homogenous")
+        with pytest.raises(ValueError, match="lambda_policy"):
+            ca.construct_relu_rescaled(target, grid, vocab, scheme, tp, 0.2,
+                                       lambda_policy="pow-2")
+
     def test_underflowing_scan_tolerance_is_numeric_error(self):
         # a token budget too small for a float tolerance must not reach the scan
         tp = ca.identity_sparse_params(2, 1)
@@ -475,6 +494,28 @@ class TestReluRescaled:
         for p in rep.per_neuron:
             assert len(p.positions_sqrt2) == p.witness.count_sqrt2
             assert len(p.positions_unit) == p.witness.count_unit
+
+    @pytest.mark.parametrize("policy", ["max_row", "pow2", "int"])
+    def test_equals_kronecker_route_on_prescaled_network(self, policy):
+        # the rescaled route is the Kronecker route on (A lambda, W / lambda, b / lambda)
+        tp = ca.identity_sparse_params(2, 1)
+        vocab = ca.Vocabulary.x_grid((-1.5, -1.5), (1.5, 1.5), 25, 1)
+        scheme = ca.calkin_wilf_lattice(2)
+        grid = ca.Grid((0.0,), (1.0,), (201,))
+        fnn = ca.FnnParams([[0.5, 0.25]], [[3.3], [-2.0]], [-1.0, 1.0], ca.RELU)
+        target = lambda pts: ca.fnn_forward_batch(fnn, pts)[:, 0]
+        caps = Caps(j_cap=1_000_000)
+        rep = ca.construct_relu_rescaled(target, grid, vocab, scheme, tp, 0.3, fnn=fnn,
+                                         lambda_policy=policy, caps=caps)
+        lam = rep.lambda_
+        assert lam == {"max_row": 3.3, "pow2": 4.0, "int": 4.0}[policy]
+        scaled = ca.FnnParams(fnn.A * lam, fnn.W / lam, fnn.b / lam, ca.RELU)
+        ref = ca.construct_context(target, grid, vocab, scheme, tp, 0.3, fnn=scaled,
+                                   coefficient_mode="kronecker", caps=caps)
+        assert (rep.mode, ref.mode, ref.lambda_) == ("rescaled", "dense", None)
+        assert rep.tokens and rep.tokens == ref.tokens
+        assert ([p.to_json_dict() for p in rep.per_neuron]
+                == [p.to_json_dict() for p in ref.per_neuron])
 
     def test_homogeneity_identity_exact(self, rng):
         p = ca.FnnParams([[1.3, -0.4]], rng.uniform(-2, 2, (2, 1)),
