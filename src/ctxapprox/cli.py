@@ -58,6 +58,26 @@ def _require(cfg: dict, field: str, kind=None):
     return cur
 
 
+def _whole(value, field: str) -> int:
+    """``value`` as an int when it is a whole number; a bare ``int()`` would
+    raise ``OverflowError`` on Infinity and truncate 2.5."""
+    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole:
+        raise ConfigError(field, f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _int_field(cfg: dict, field: str, default: int | None = None) -> int:
+    """The whole number at the dotted ``field``, or ``default`` when given and absent."""
+    try:
+        value = _require(cfg, field)
+    except ConfigError:
+        if default is None:
+            raise
+        return default
+    return _whole(value, field)
+
+
 def _config_hash(cfg: dict) -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
@@ -85,6 +105,9 @@ def _load_options(cfg: dict, field: str, cls):
     for key, value in _require(cfg, field, dict).items():
         if key not in types:
             raise ConfigError(f"{field}.{key}", f"unknown key; {field} takes {', '.join(types)}")
+        if types[key] is int:
+            values[key] = _whole(value, f"{field}.{key}")
+            continue
         try:
             values[key] = types[key](value)
         except (TypeError, ValueError, OverflowError):
@@ -235,7 +258,7 @@ def _construct_report(cfg: dict, seed_override: int | None):
     vocab = _load_vocab(cfg)
     scheme = _load_scheme(cfg)
     epsilon = float(_require(cfg, "epsilon", (int, float)))
-    seed = seed_override if seed_override is not None else int(cfg.get("seed", 0))
+    seed = seed_override if seed_override is not None else _int_field(cfg, "seed", 0)
     tgt_cfg = _require(cfg, "target", dict)
     if "samples_file" in tgt_cfg:
         target = _samples_target(tgt_cfg["samples_file"], grid.dim, tp.d_y)
@@ -292,7 +315,7 @@ def cmd_density(cfg: dict, out: Path, seed_override: int | None) -> int:
                  tuple(_require(cfg, "region.hi", list)))
     n_max = _require(cfg, "n_max", int)
     profile = density_audit(vocab, scheme, region, n_max,
-                            probe_per_dim=int(cfg.get("probe_per_dim", 64)))
+                            probe_per_dim=_int_field(cfg, "probe_per_dim", 64))
     doc = _meta(cfg, "density")
     doc["final_covering_radius"] = float(profile.radii[-1])
     doc["n_max"] = n_max
@@ -305,15 +328,15 @@ def cmd_density(cfg: dict, out: Path, seed_override: int | None) -> int:
 
 def cmd_kronecker(cfg: dict, out: Path, seed_override: int | None) -> int:
     epsilon = float(_require(cfg, "epsilon", (int, float)))
-    q_cap = int(cfg.get("q_cap", 10**7))
+    q_cap = _int_field(cfg, "q_cap", 10**7)
     if "betas" in cfg:
         betas = [float(b) for b in _require(cfg, "betas", list)]
     else:
         r = _require(cfg, "random", dict)
-        seed = seed_override if seed_override is not None else _require(r, "seed", int)
+        seed = seed_override if seed_override is not None else _int_field(cfg, "random.seed")
         rng = np.random.default_rng(seed)
         betas = rng.uniform(float(r.get("lo", -10)), float(r.get("hi", 10)),
-                            _require(r, "count", int)).tolist()
+                            _int_field(cfg, "random.count")).tolist()
     wits = [kronecker_search(b, epsilon, q_cap) for b in betas]
     doc = _meta(cfg, "kronecker")
     doc["witnesses"] = [w.to_json_dict() for w in wits]
@@ -329,14 +352,14 @@ def cmd_kronecker(cfg: dict, out: Path, seed_override: int | None) -> int:
 
 def cmd_audit(cfg: dict, out: Path, seed_override: int | None) -> int:
     kind = _require(cfg, "kind", str)
-    seed = seed_override if seed_override is not None else int(cfg.get("seed", 0))
+    seed = seed_override if seed_override is not None else _int_field(cfg, "seed", 0)
     if kind == "prop1_fuzz":
-        record = prop1_fuzz(_require(cfg, "count", int), seed,
+        record = prop1_fuzz(_int_field(cfg, "count"), seed,
                             k_range=tuple(cfg.get("k_range", [1, 6])),
                             exponent_separation=float(cfg.get("exponent_separation", 0.1)),
                             coeff_range=float(cfg.get("coeff_range", 5.0)),
                             interval=tuple(cfg.get("interval", [-8.0, 8.0])),
-                            grid_points=int(cfg.get("grid_points", 2001)))
+                            grid_points=_int_field(cfg, "grid_points", 2001))
     elif kind == "nonuap":
         fam = _require(cfg, "family", dict)
         family = FiniteFamilySpec(np.array(_require(fam, "a_set", list), dtype=float),

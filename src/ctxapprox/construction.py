@@ -31,15 +31,26 @@ from .fnn import EXP, RELU, Activation, FitResult, FnnParams, fit_fnn, fnn_forwa
 from .grids import Grid, as_points, lifted
 from .kronecker import SQRT2, TokenDecomposition, coefficient_decompose
 from .transformer import TransformerParams
-from .vocab_pe import PeScheme, Vocabulary, pe_block
+from .vocab_pe import (PeScheme, Vocabulary, _cw_stream_coords, _morton_levels,
+                       _morton_offset, _morton_stream_bounds, _morton_split, pe_block)
 
 _TOKEN_SAFETY = 1.25
+
+_J_CAP_MAX = 1 << 62   # position indices, Morton streams and pe_block work in int64
+_CHUNK = 1 << 16       # stream values or candidate tuples handled at a time
 
 
 def _require_positive_finite(name: str, value: float):
     """NaN passes a plain ``<= 0`` check and would stall the scan, so test finiteness too."""
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _require_j_cap(j_cap: int):
+    if j_cap < 1:
+        raise ValueError(f"j_cap must be >= 1, got {j_cap}")
+    if j_cap > _J_CAP_MAX:
+        raise ValueError(f"j_cap must be <= 2^62, got {j_cap}")
 
 
 # --------------------------------------------------------------------------
@@ -76,8 +87,7 @@ class Caps:
     q_cap: int = 1_000_000
 
     def __post_init__(self):
-        if self.j_cap < 1:
-            raise ValueError(f"j_cap must be >= 1, got {self.j_cap}")
+        _require_j_cap(self.j_cap)
         if self.q_cap < 1:
             raise ValueError(f"q_cap must be >= 1, got {self.q_cap}")
 
@@ -237,15 +247,32 @@ class ConstructionReport:
 # position scanning
 
 
-def _sup_dist(a: np.ndarray, point: np.ndarray) -> np.ndarray:
-    """Sup-norm distance from each row of an (N, d) array to ``point``.
+def _sup_dist(cols, point: np.ndarray) -> np.ndarray:
+    """Sup-norm distance from N points, given as d columns, to ``point``.
 
     A running maximum over the d columns: numpy's row reduction and row-wise
     broadcasting are both slow for a handful of columns.
     """
-    out = np.abs(a[:, 0] - point[0])
-    for k in range(1, a.shape[1]):
-        np.maximum(out, np.abs(a[:, k] - point[k]), out=out)
+    out = np.abs(cols[0] - point[0])
+    for k in range(1, len(cols)):
+        np.maximum(out, np.abs(cols[k] - point[k]), out=out)
+    return out
+
+
+def _mapped(cmap: np.ndarray, z) -> list:
+    """Columns of the rows cmap @ z_n of N points given as d columns z.
+
+    Each entry is d multiply-adds in a fixed order, so a point's row has the
+    same bits however many points are mapped together.  A BLAS product may
+    sum in a shape-dependent order, and both grid paths must decide a
+    position alike.
+    """
+    out = []
+    for c in cmap:
+        acc = c[0] * z[0]
+        for k in range(1, len(z)):
+            acc = acc + c[k] * z[k]
+        out.append(acc)
     return out
 
 
@@ -262,92 +289,284 @@ class ScanHit:
     vocab_index: int
 
 
+class _CellGrid:
+    """Nearest-cell data of a grid vocabulary for a set of scan targets."""
+
+    def __init__(self, lo, h, per_dim, cmap, inv, rows):
+        self.lo, self.h, self.per_dim = lo, h, per_dim
+        self.u = solve_refined(cmap, rows.T, "C^T B").T           # token-space targets
+        self.inv_rows = np.sum(np.abs(inv), axis=1)
+        # A hit has |cmap (z - u)| <= tol + the rounding of its row (at most
+        # ulps |cmap| (|u| + 2 |inv| tol)) + the residual of u, and the
+        # computed inverse is off by at most ulps * cond, relatively.
+        ulps = 4 * (cmap.shape[0] + 2) * np.finfo(float).eps
+        norm = inf_operator_norm(cmap)
+        residual = [float(np.max(_sup_dist(_mapped(cmap, u[:, None]), r)))
+                    for u, r in zip(self.u, rows)]
+        self._slack = residual + ulps * (norm * np.max(np.abs(self.u), axis=1)
+                                         + np.max(np.abs(rows), axis=1))
+        self._cond_ulps = ulps * norm * float(np.max(self.inv_rows))
+
+    @classmethod
+    def build(cls, vocab: Vocabulary, cmap: np.ndarray, rows: np.ndarray,
+              tols: np.ndarray) -> "_CellGrid | None":
+        """The grid data when the vocabulary is a grid and every tolerance puts
+        a hit within 0.45 h of the wanted token in every coordinate, so that
+        only the nearest cell can hit; None otherwise."""
+        if vocab.x_grid_spec is None:
+            return None
+        lo, hi, per_dim = vocab.x_grid_spec
+        lo = np.array(lo, dtype=float)
+        h = (np.array(hi, dtype=float) - lo) / max(per_dim - 1, 1)
+        inv = np.linalg.inv(cmap)
+        if per_dim < 2 or not np.all(tols * inf_operator_norm(inv) <= 0.45 * np.min(h)):
+            return None
+        return cls(lo, h, int(per_dim), cmap, inv, rows)
+
+    def nearest(self, ti: int, k: int, coords: np.ndarray):
+        """Clipped nearest cell along dimension k at PE coordinates ``coords``,
+        and z = its value + the coordinate; the one formula both grid paths use."""
+        cell = np.clip(np.rint((self.u[ti, k] - coords - self.lo[k]) / self.h[k]),
+                       0, self.per_dim - 1)
+        return cell, (self.lo[k] + cell * self.h[k]) + coords
+
+    def half_widths(self, ti: int, tol: float) -> np.ndarray:
+        """Per-dimension bound on |z_k - u_k| for every z whose computed row
+        lies within ``tol`` of the target row: the box (C^T B)^-1 [-tol, tol]^d,
+        widened by the rounding of the row, of u and of the inverse."""
+        c = self._cond_ulps
+        return (tol * (1 + 2 * c) + self._slack[ti]) * self.inv_rows * (1 + c)
+
+
+class _Scan:
+    """One FCFS scan: its targets, remaining demand, hits and best distances."""
+
+    def __init__(self, targets: list[ScanTarget], vocab: Vocabulary, tp: TransformerParams):
+        self.vocab = vocab
+        self.cmap = tp.C.T @ tp.B                      # row(v, j) = cmap @ (v + P_j)
+        self.rows = np.array([t.row for t in targets])  # (T, d)
+        self.tols = np.array([t.tol for t in targets])
+        if not np.all(np.isfinite(self.tols) & (self.tols > 0)):
+            raise ValueError("scan tolerances must be positive and finite")
+        self.demand = np.array([t.demand for t in targets], dtype=np.int64)
+        self.collected: list[list[ScanHit]] = [[] for _ in targets]
+        self.best = np.full(len(targets), np.inf)
+        self.grid = _CellGrid.build(vocab, self.cmap, self.rows, self.tols)
+
+    @property
+    def d(self) -> int:
+        return self.rows.shape[1]
+
+    def dist(self, ti: int, z) -> np.ndarray:
+        """Sup distance from the rows of the points z (d columns) to target ti's row."""
+        return _sup_dist(_mapped(self.cmap, z), self.rows[ti])
+
+    def check(self, ti: int, dist: np.ndarray) -> np.ndarray:
+        """Indices of the hits among the distances to target ti; records the least."""
+        self.best[ti] = min(self.best[ti], float(np.min(dist)))
+        return np.nonzero(dist < self.tols[ti])[0]
+
+    def vocab_index(self, cells) -> np.ndarray:
+        return np.ravel_multi_index([c.astype(np.int64) for c in cells],
+                                    (self.grid.per_dim,) * len(cells))
+
+    def assign(self, hits: list):
+        """Gives out the hits, (positions, vocab indices, target) triples, in
+        (position, vocab index, target) order; a position holds one token and
+        a target takes no more than its demand."""
+        if not hits:
+            return
+        hj = np.concatenate([h[0] for h in hits])
+        hv = np.concatenate([h[1] for h in hits])
+        ht = np.concatenate([np.full(len(h[0]), h[2], dtype=np.int64) for h in hits])
+        used_pos = set()
+        for idx in np.lexsort((ht, hv, hj)):
+            ti = int(ht[idx])
+            pos = int(hj[idx])
+            if self.demand[ti] <= 0 or pos in used_pos:
+                continue
+            used_pos.add(pos)
+            self.demand[ti] -= 1
+            self.collected[ti].append(ScanHit(pos, int(hv[idx])))
+
+    def result(self, j_cap: int) -> list[list[ScanHit]]:
+        if np.any(self.demand > 0):
+            unmet = [{"target_index": i, "remaining": int(self.demand[i]),
+                      "best_distance": float(self.best[i]), "tol": float(self.tols[i])}
+                     for i in range(len(self.demand)) if self.demand[i] > 0]
+            raise PositionScanExhausted(j_cap, unmet)
+        return self.collected
+
+
+def _block_scan(scan: _Scan, scheme: PeScheme, start_j: int, j_cap: int,
+                block: int = 1 << 15) -> list[list[ScanHit]]:
+    """Walk over every position from start_j, one block of encodings at a time.
+
+    The path for every case the candidate path does not take, and the
+    reference it is tested against.  Under the fast-path condition only the
+    nearest cell is checked; a vocabulary that is not a grid tries every entry.
+    """
+    j = start_j
+    while j <= j_cap and np.any(scan.demand > 0):
+        count = min(block, j_cap - j + 1)
+        pe = pe_block(scheme, j, count)                       # (count, d)
+        hits = []
+        open_idx = np.nonzero(scan.demand > 0)[0]
+        if scan.grid is not None:
+            for ti in open_idx:
+                cells, z = zip(*(scan.grid.nearest(ti, k, pe[:, k]) for k in range(scan.d)))
+                sel = scan.check(ti, scan.dist(ti, z))
+                hits.append((sel + j, scan.vocab_index([c[sel] for c in cells]), ti))
+        else:
+            for vi, v in enumerate(scan.vocab.v_x):
+                rv = _mapped(scan.cmap, (v + pe).T)
+                for ti in open_idx:
+                    sel = scan.check(ti, _sup_dist(rv, scan.rows[ti]))
+                    hits.append((sel + j, np.full(sel.size, vi, dtype=np.int64), ti))
+        scan.assign(hits)
+        j += count
+    return scan.result(j_cap)
+
+
+class _Streams:
+    """Per dimension, the stream values of one target whose nearest cell lies
+    in a box around its token-space target and that an index up to t_last can
+    hold: Morton offset, cell and z of each."""
+
+    def __init__(self, scan: _Scan, ti: int, t_last: int):
+        self.scan, self.ti = scan, ti
+        self.bounds = _morton_stream_bounds(t_last, scan.d)
+        self.kept = [(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
+                     for _ in range(scan.d)]
+
+    def extend(self, s: np.ndarray, coords: np.ndarray, widths: np.ndarray):
+        """Adds the values ``s`` (coordinates ``coords``) that lie in the box of
+        half-widths ``widths`` and drops the kept values that no longer do."""
+        grid, d = self.scan.grid, self.scan.d
+        for k in range(d):
+            u = grid.u[self.ti, k]
+            cell, z = grid.nearest(self.ti, k, coords)
+            sel = (np.abs(z - u) <= widths[k]) & (s < self.bounds[k])
+            new = (_morton_offset(s[sel], d, k), cell[sel], z[sel])
+            still = np.abs(self.kept[k][2] - u) <= widths[k]
+            self.kept[k] = tuple(np.concatenate((old[still], add))
+                                 for old, add in zip(self.kept[k], new))
+
+    def candidates(self, t_lo: int, t_hi: int):
+        """Yields (t, cells, z) for the tuples of kept values whose index t lies
+        in [t_lo, t_hi), at most _CHUNK tuples at a time."""
+        sizes = [len(kept[0]) for kept in self.kept]
+        total = math.prod(sizes)
+        for first in range(0, total, _CHUNK):
+            idx = np.unravel_index(np.arange(first, min(first + _CHUNK, total)), sizes)
+            t = sum(kept[0][i] for kept, i in zip(self.kept, idx))
+            sel = np.nonzero((t >= t_lo) & (t < t_hi))[0]
+            if sel.size:
+                pick = [i[sel] for i in idx]
+                yield (t[sel], [kept[1][i] for kept, i in zip(self.kept, pick)],
+                       [kept[2][i] for kept, i in zip(self.kept, pick)])
+
+
+def _walk_levels(scheme: PeScheme, d: int, start_j: int, j_cap: int, extend, visit):
+    """Calls ``visit(t_lo, t_hi)`` for the Morton levels of positions [start_j,
+    j_cap] in order, with t = j - 1; before a level is visited,
+    ``extend(s, coords)`` sees the stream values that the level adds, in
+    chunks.  The walk stops when ``visit`` returns False."""
+    seen = 0
+    for level, t_lo, t_hi in _morton_levels(start_j - 1, j_cap - 1, d):
+        for s_lo in range(seen, 1 << level, _CHUNK):
+            s = np.arange(s_lo, min(1 << level, s_lo + _CHUNK), dtype=np.int64)
+            extend(s, _cw_stream_coords(scheme, s))
+        seen = 1 << level
+        if not visit(t_lo, t_hi):
+            return
+
+
+def _candidate_scan(scan: _Scan, scheme: PeScheme, start_j: int,
+                    j_cap: int) -> list[list[ScanHit]]:
+    """Grid fast path for the Calkin-Wilf lattice, from candidates per dimension.
+
+    Coordinate k of P(j) depends only on stream k of j - 1 and the nearest
+    cell is taken per coordinate, so a hit needs each stream's z_k inside the
+    target's box.  Per level, the streams that pass are combined into
+    candidate positions, each re-checked exactly with the block path's
+    formula, and the hits are given out in position order; the walk stops at
+    the first level that meets every demand.  For targets left unmet, a second
+    walk finds the least nearest-cell distance over [start_j, j_cap].
+    """
+    grid = scan.grid
+    streams = {ti: _Streams(scan, ti, j_cap - 1) for ti in np.nonzero(scan.demand > 0)[0]}
+
+    def extend_hits(s, coords):
+        for ti in np.nonzero(scan.demand > 0)[0]:
+            streams[ti].extend(s, coords, grid.half_widths(ti, scan.tols[ti]))
+
+    def visit_hits(t_lo, t_hi):
+        open_idx = np.nonzero(scan.demand > 0)[0]
+        # the other targets take at most quota - demand of one target's hits,
+        # so its first quota hits in position order are all it can use
+        quota = int(np.sum(scan.demand[open_idx]))
+        hits = []
+        for ti in open_idx:
+            pos, vix = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+            for t, cells, z in streams[ti].candidates(t_lo, t_hi):
+                sel = scan.check(ti, scan.dist(ti, z))
+                pos = np.concatenate((pos, t[sel] + 1))
+                vix = np.concatenate((vix, scan.vocab_index([c[sel] for c in cells])))
+                if pos.size > quota:
+                    first = np.argsort(pos)[:quota]
+                    pos, vix = pos[first], vix[first]
+            hits.append((pos, vix, ti))
+        scan.assign(hits)
+        return bool(np.any(scan.demand > 0))
+
+    _walk_levels(scheme, scan.d, start_j, j_cap, extend_hits, visit_hits)
+
+    unmet = np.nonzero(scan.demand > 0)[0]
+    if unmet.size and start_j <= j_cap:
+        # each box is widened to a distance reached at some j in range, so the
+        # minimiser stays inside it while each level shrinks it
+        first = _cw_stream_coords(scheme, _morton_split(np.array([start_j - 1]), scan.d))
+        for ti in unmet:
+            if not np.isfinite(scan.best[ti]):
+                scan.check(ti, scan.dist(ti, [grid.nearest(ti, k, first[k])[1]
+                                              for k in range(scan.d)]))
+        streams = {ti: _Streams(scan, ti, j_cap - 1) for ti in unmet}
+
+        def extend_best(s, coords):
+            for ti in unmet:
+                streams[ti].extend(s, coords, grid.half_widths(ti, scan.best[ti]))
+
+        def visit_best(t_lo, t_hi):
+            for ti in unmet:
+                for _, _, z in streams[ti].candidates(t_lo, t_hi):
+                    scan.check(ti, scan.dist(ti, z))
+            return True
+
+        _walk_levels(scheme, scan.d, start_j, j_cap, extend_best, visit_best)
+    return scan.result(j_cap)
+
+
 def _scan_engine(targets: list[ScanTarget], vocab: Vocabulary, scheme: PeScheme,
-                 tp: TransformerParams, start_j: int, j_cap: int,
-                 block: int = 1 << 15) -> list[list[ScanHit]]:
+                 tp: TransformerParams, start_j: int, j_cap: int) -> list[list[ScanHit]]:
     """FCFS multi-target scan over strictly increasing position index.
 
     At each position every vocabulary entry is tried in index order and the
     hit with the lowest (vocab index, target index) wins; a position holds at
-    most one token.  Deterministic.
+    most one token.  Deterministic.  A Calkin-Wilf scheme on a grid
+    vocabulary under the fast-path condition takes the candidate path, and
+    everything else walks every position; both give the same hits and, on
+    exhaustion, the same best distances.
     """
-    d = tp.d_x
-    cmap = tp.C.T @ tp.B                       # row(v, j) = cmap @ (v + P_j)
-    rows = np.array([t.row for t in targets])  # (T, d)
-    tols = np.array([t.tol for t in targets])
-    if not np.all(np.isfinite(tols) & (tols > 0)):
-        raise ValueError("scan tolerances must be positive and finite")
-    demand = np.array([t.demand for t in targets], dtype=np.int64)
-    collected: list[list[ScanHit]] = [[] for _ in targets]
-    best_dist = np.full(len(targets), np.inf)
-
-    grid_spec = vocab.x_grid_spec
-    fast = False
-    if grid_spec is not None:
-        lo = np.array(grid_spec[0], dtype=float)
-        hi = np.array(grid_spec[1], dtype=float)
-        per_dim = int(grid_spec[2])
-        h = (hi - lo) / max(per_dim - 1, 1)
-        inv_norm = inf_operator_norm(np.linalg.inv(cmap))
-        fast = per_dim > 1 and bool(np.all(tols * inv_norm <= 0.45 * np.min(h)))
-        if fast:
-            u_targets = solve_refined(cmap, rows.T, "C^T B").T  # token-space targets
-    j = start_j
-    while j <= j_cap and np.any(demand > 0):
-        count = min(block, j_cap - j + 1)
-        pe = pe_block(scheme, j, count)                       # (count, d)
-        hits_j, hits_v, hits_t, hits_d = [], [], [], []
-        if fast:
-            base = pe @ cmap.T                                # (count, d)
-            open_idx = np.nonzero(demand > 0)[0]
-            for ti in open_idx:
-                # a hit lies within 0.45 h of the wanted vocab value in every
-                # coordinate, so only the nearest cell can hit; clipping keeps
-                # best_dist finite when the wanted value is off the grid
-                cells = np.clip(np.rint((u_targets[ti] - pe - lo) / h), 0, per_dim - 1)
-                v = lo + cells * h
-                dist = _sup_dist(v @ cmap.T + base, rows[ti])
-                best_dist[ti] = min(best_dist[ti], float(np.min(dist)))
-                sel = np.nonzero(dist < tols[ti])[0]
-                if sel.size:
-                    flat = np.ravel_multi_index(
-                        cells[sel].astype(np.int64).T, (per_dim,) * d)
-                    hits_j.append(sel + j)
-                    hits_v.append(flat)
-                    hits_t.append(np.full(sel.size, ti, dtype=np.int64))
-        else:
-            open_idx = np.nonzero(demand > 0)[0]
-            for vi, v in enumerate(vocab.v_x):
-                rv = (v + pe) @ cmap.T                        # (count, d)
-                for ti in open_idx:
-                    dist = _sup_dist(rv, rows[ti])
-                    best_dist[ti] = min(best_dist[ti], float(np.min(dist)))
-                    sel = np.nonzero(dist < tols[ti])[0]
-                    if sel.size:
-                        hits_j.append(sel + j)
-                        hits_v.append(np.full(sel.size, vi, dtype=np.int64))
-                        hits_t.append(np.full(sel.size, ti, dtype=np.int64))
-        if hits_j:
-            hj = np.concatenate(hits_j)
-            hv = np.concatenate(hits_v)
-            ht = np.concatenate(hits_t)
-            order = np.lexsort((ht, hv, hj))
-            used_pos = set()
-            for idx in order:
-                ti = int(ht[idx])
-                pos = int(hj[idx])
-                if demand[ti] <= 0 or pos in used_pos:
-                    continue
-                used_pos.add(pos)
-                demand[ti] -= 1
-                collected[ti].append(ScanHit(pos, int(hv[idx])))
-        j += count
-    if np.any(demand > 0):
-        unmet = [{"target_index": i, "remaining": int(demand[i]),
-                  "best_distance": float(best_dist[i]), "tol": float(tols[i])}
-                 for i in range(len(targets)) if demand[i] > 0]
-        raise PositionScanExhausted(j_cap, unmet)
-    return collected
+    if start_j < 1:
+        raise ValueError(f"start_j must be >= 1, got {start_j}")
+    _require_j_cap(j_cap)
+    if not targets:
+        return []
+    scan = _Scan(targets, vocab, tp)
+    if scan.grid is not None and scheme.kind == "calkin_wilf_lattice":
+        return _candidate_scan(scan, scheme, start_j, j_cap)
+    return _block_scan(scan, scheme, start_j, j_cap)
 
 
 def scan_valid_position(target_row, vocab: Vocabulary, scheme: PeScheme,

@@ -191,6 +191,39 @@ def _morton_split(t: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
+def _morton_offset(s: np.ndarray, d: int, k: int) -> np.ndarray:
+    """The index bits that value s of stream k (of d) contributes: bit i of s
+    becomes index bit i*d + k.  An index is the sum of its streams' offsets."""
+    s = np.asarray(s, dtype=np.int64)
+    out = np.zeros_like(s)
+    nbits = int(s.max()).bit_length() if s.size else 0
+    for bit in range(nbits):
+        out |= ((s >> bit) & 1) << (bit * d + k)
+    return out
+
+
+def _morton_stream_bounds(t_last: int, d: int) -> list[int]:
+    """Per stream, 2^n for the n index bits below bit_length(t_last) it owns: every
+    index <= t_last has stream values below these, and every value below them
+    has an offset below 2^bit_length(t_last), so offsets stay in int64."""
+    b = int(t_last).bit_length()
+    return [1 << max(0, -(-(b - k) // d)) for k in range(d)]
+
+
+def _morton_levels(t_first: int, t_last: int, d: int):
+    """Yields (L, t_lo, t_hi) for the levels that meet the indices [t_first, t_last].
+
+    Level L holds the indices below 2^(d L) that no earlier level holds; an
+    index is below 2^(d L) exactly when its d streams are all below 2^L.  So
+    level order is index order, and [t_lo, t_hi) is the level's part of the
+    range.
+    """
+    first, last = (-(-int(t).bit_length() // d) for t in (t_first, t_last))
+    for level in range(first, last + 1):
+        t_lo = max(t_first, 1 << (d * (level - 1)) if level else 0)
+        yield level, t_lo, min(t_last + 1, 1 << (d * level))
+
+
 _CW_SHELL_EXPONENTS = np.array([0, -1, 1, -2], dtype=np.int64)
 
 
@@ -201,6 +234,17 @@ def _cw_coords(streams: np.ndarray, scale: float) -> np.ndarray:
     idx = 3 * (streams >> 3) + 1          # odd/odd coprime Calkin-Wilf entries
     num, den = _fusc_array(np.stack((idx, idx + 1)))
     return signs * (num / den) * np.exp2(exponent.astype(float)) * scale
+
+
+def _cw_stream_coords(scheme: PeScheme, streams: np.ndarray) -> np.ndarray:
+    """Coordinate of each stream value under a Calkin-Wilf scheme.
+
+    Every dimension decodes its stream the same way, so coordinate k of
+    P(j) is this value at stream k of ``_morton_split(j - 1)``, bit for bit
+    equal to ``pe_block``.
+    """
+    return _cw_coords(np.asarray(streams, dtype=np.int64),
+                      float(scheme.params.get("scale", 1.0)))
 
 
 def _cw_chunk_bits(d: int) -> int:
@@ -227,7 +271,6 @@ def _cw_block(scheme: PeScheme, j_start: int, count: int) -> np.ndarray:
     same integers as a per-position decode, so the result is bit-identical.
     """
     d = scheme.d_x
-    scale = float(scheme.params.get("scale", 1.0))
     bits = _cw_chunk_bits(d)
     t0 = j_start - 1
     c0 = t0 >> bits
@@ -235,7 +278,7 @@ def _cw_block(scheme: PeScheme, j_start: int, count: int) -> np.ndarray:
     # chunk c starts at index c << L, whose streams are those of c shifted by L/d
     high = _morton_split(np.arange(c0, c1 + 1, dtype=np.int64), d) << (bits // d)
     offsets = np.arange(1 << (bits // d), dtype=np.int64)
-    coords = _cw_coords(high[:, :, None] | offsets, scale)    # (d, chunks, 2^(L/d))
+    coords = _cw_stream_coords(scheme, high[:, :, None] | offsets)  # (d, chunks, 2^(L/d))
     low = _cw_low_split(d)
     first = t0 - (c0 << bits)
     out = np.empty((d, count))

@@ -120,7 +120,9 @@ class TestConstructCommand:
         ("budgets", {"fit": float("nan"), "perturb": 0.05, "tokens": 0.2}, "budget fit"),
         ("caps.q_cap", 0, "q_cap"), ("caps.j_cap", float("inf"), "j_cap"),
         ("fit.k", -3, "k must be"), ("fit.refine_steps", -5, "refine_steps"),
-        ("fit.feature_scale", float("nan"), "feature_scale"), ("fit.ridge", -1, "ridge")])
+        ("fit.feature_scale", float("nan"), "feature_scale"), ("fit.ridge", -1, "ridge"),
+        ("seed", float("inf"), "seed"), ("seed", 2.5, "seed"), ("caps.j_cap", 1e30, "j_cap"),
+        ("caps.j_cap", 200.7, "j_cap"), ("fit.k", 14.9, "fit.k")])
     @pytest.mark.parametrize("construction", ["dense", "relu_rescaled"])
     def test_bad_numeric_field_exit_2(self, tmp_path, field, value, named, construction):
         # a small j_cap keeps a regression from scanning for minutes
@@ -283,6 +285,57 @@ class TestAuditCommands:
         err = json.loads((out / "error.json").read_text())
         assert err["error"]["exit_code"] == 2
         assert named in err["error"]["message"]
+
+    @pytest.mark.parametrize("command,config,field,value", [
+        ("kronecker", {"betas": [0.0, 1.5], "epsilon": 0.01}, "q_cap", float("inf")),
+        ("kronecker", {"betas": [0.0, 1.5], "epsilon": 0.01}, "q_cap", 2.5),
+        ("kronecker", {"random": {"seed": 1, "count": 3}, "epsilon": 0.01},
+         "random.seed", float("inf")),
+        ("kronecker", {"random": {"seed": 1, "count": 3}, "epsilon": 0.01},
+         "random.count", float("nan")),
+        ("density", {"vocab": {"v_x": [[0.0]], "v_y": [[0.0]]},
+                     "scheme": {"kind": "dyadic_lattice", "region": {"lo": [-1.0], "hi": [1.0]}},
+                     "region": {"lo": [-1.0], "hi": [1.0]}, "n_max": 7},
+         "probe_per_dim", float("inf")),
+        ("audit", {"kind": "prop1_fuzz", "count": 5}, "count", float("inf")),
+        ("audit", {"kind": "prop1_fuzz", "count": 5}, "grid_points", float("-inf")),
+        ("audit", {"kind": "prop1_fuzz", "count": 5}, "seed", "3")])
+    def test_bad_integer_field_exit_2(self, tmp_path, command, config, field, value):
+        # Infinity used to escape int() as an OverflowError traceback (exit 1)
+        cfg = json.loads(json.dumps(config))
+        node = cfg
+        *parents, leaf = field.split(".")
+        for part in parents:
+            node = node[part]
+        node[leaf] = value
+        code, out = run(tmp_path, "bad_int", cfg, command)
+        assert code == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"]["field"] == field
+        assert "expected an integer" in err["error"]["message"]
+
+    def test_exp_activation_exhausts_without_walking_every_position(self, tmp_path,
+                                                                   monkeypatch):
+        # the exp route's scan tolerance (1.5e-9) is far below every reachable
+        # distance; the scan used to decode all 8e7 positions before exit 3
+        from ctxapprox import construction
+        decoded = []
+
+        def counting_pe_block(scheme, j_start, count):
+            decoded.append(count)
+            return pe_block(scheme, j_start, count)
+
+        pe_block = construction.pe_block
+        monkeypatch.setattr(construction, "pe_block", counting_pe_block)
+        cfg = json.loads((ROOT / "configs" / "construct_sin_acceptance.json").read_text())
+        cfg["activation"] = "exp"
+        code, out = run(tmp_path, "exp", cfg, "construct")
+        assert code == 3
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["j_cap"] == 80_000_000 and err["unmet"]
+        for unmet in err["unmet"]:
+            assert unmet["tol"] < unmet["best_distance"] < float("inf")
+        assert sum(decoded) <= 10**4
 
     def test_non_finite_target_exit_4(self, tmp_path):
         # 1/x is infinite at the grid point x = 0: a numerical failure,

@@ -2,10 +2,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ctxapprox as ca
-from ctxapprox.construction import (Caps, FitOptions, ScanTarget, StageBudgets,
-                                   _scan_engine, _token_rows)
+from ctxapprox import construction
+from ctxapprox.construction import (Caps, FitOptions, ScanTarget, StageBudgets, _block_scan,
+                                   _candidate_scan, _Scan, _scan_engine, _token_rows)
 from ctxapprox.kronecker import SQRT2
 
 
@@ -125,6 +128,73 @@ class TestScanFastPath:
         assert fast["tol"] < fast["best_distance"] < np.inf
         # identity maps: the nearest cell is the nearest vocabulary entry
         assert fast["best_distance"] == slow["best_distance"]
+
+
+def _both_paths(targets, vocab, scheme, tp, start_j, j_cap):
+    """(hits, unmet evidence or None) of the candidate path and of the block scan."""
+    out = []
+    for path in (_candidate_scan, _block_scan):
+        scan = _Scan(targets, vocab, tp)
+        try:
+            path(scan, scheme, start_j, j_cap)
+            out.append((scan.collected, None))
+        except ca.PositionScanExhausted as exc:
+            out.append((scan.collected, exc.unmet))
+    return out
+
+
+class TestCandidatePath:
+    """The Calkin-Wilf candidate path against the block scan as reference."""
+
+    @settings(max_examples=24, deadline=None)
+    @given(seed=st.integers(0, 10_000), frac=st.floats(0.002, 0.99), d=st.sampled_from([2, 3]),
+           start_j=st.sampled_from([1, 2, 37, 1000]))
+    def test_same_hits_as_block_scan(self, seed, frac, d, start_j):
+        tp = ca.random_sparse_params(seed, d, 1)
+        vocab = ca.Vocabulary.x_grid((-1.0,) * d, (1.0,) * d, 9, 1)
+        scheme = ca.calkin_wilf_lattice(d)
+        cmap = tp.C.T @ tp.B
+        tol = _fast_path_tol(tp, vocab, frac)
+        rng = np.random.default_rng(seed)
+        # several targets with demand > 1 exercise the FCFS tie-break; the
+        # last one wants a token off the grid
+        targets = [ScanTarget(cmap @ rng.uniform(-1.2, 1.2, d), tol, demand)
+                   for demand in (3, 2, 4)]
+        targets.append(ScanTarget(cmap @ np.r_[40.0, rng.uniform(-1, 1, d - 1)], tol, 1))
+        candidate, block = _both_paths(targets, vocab, scheme, tp, start_j, 1 << 15)
+        assert candidate == block
+        assert [u["target_index"] for u in candidate[1]][-1] == 3
+
+    @pytest.mark.parametrize("seed,d,start_j,j_cap", [
+        (11, 2, 1, 3000), (12, 2, 40, 20_000), (13, 3, 1, 5000), (14, 3, 9, 40_000)])
+    def test_exhaustion_reports_block_scan_best_distance(self, seed, d, start_j, j_cap):
+        # a tolerance far below every reachable distance: no hit, and each
+        # best distance is the least nearest-cell distance up to j_cap
+        tp = ca.random_sparse_params(seed, d, 1)
+        cmap = tp.C.T @ tp.B
+        assert not np.allclose(cmap, np.eye(d))
+        vocab = ca.Vocabulary.x_grid((-1.0,) * d, (1.0,) * d, 9, 1)
+        rng = np.random.default_rng(seed)
+        targets = [ScanTarget(cmap @ rng.uniform(-1.2, 1.2, d), 1e-12, 2) for _ in range(3)]
+        candidate, block = _both_paths(targets, vocab, ca.calkin_wilf_lattice(d), tp,
+                                       start_j, j_cap)
+        assert candidate == block
+        hits, unmet = candidate
+        assert hits == [[], [], []] and [u["target_index"] for u in unmet] == [0, 1, 2]
+        assert all(1e-12 < u["best_distance"] < np.inf for u in unmet)
+
+    def test_scan_engine_takes_candidate_path_for_calkin_wilf_grid(self, monkeypatch):
+        tp = ca.random_sparse_params(3, 2, 1)
+        vocab = ca.Vocabulary.x_grid((-1.0, -1.0), (1.0, 1.0), 9, 1)
+        target = ScanTarget(tp.C.T @ tp.B @ np.array([0.3, -0.2]),
+                            _fast_path_tol(tp, vocab, 0.5), 2)
+        want = _block_scan(_Scan([target], vocab, tp), ca.calkin_wilf_lattice(2), 1, 1 << 16)
+
+        def no_block(*args, **kwargs):
+            raise AssertionError("block scan used")
+
+        monkeypatch.setattr(construction, "_block_scan", no_block)
+        assert _scan_engine([target], vocab, ca.calkin_wilf_lattice(2), tp, 1, 1 << 16) == want
 
 
 class TestConstructContext:
@@ -360,6 +430,12 @@ class TestConstructContext:
     @pytest.mark.parametrize("j_cap", [0, -5])
     def test_rejects_non_positive_j_cap(self, j_cap):
         with pytest.raises(ValueError, match="j_cap"):
+            Caps(j_cap=j_cap)
+
+    @pytest.mark.parametrize("j_cap", [2**62 + 1, 10**30])
+    def test_rejects_j_cap_beyond_int64_indices(self, j_cap):
+        Caps(j_cap=2**62)
+        with pytest.raises(ValueError, match="j_cap must be <= 2\\^62"):
             Caps(j_cap=j_cap)
 
     @pytest.mark.parametrize("q_cap", [0, -5])

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import ctxapprox as ca
-from ctxapprox.vocab_pe import (SQRT2, _dyadic_levels, _fusc_array, _morton_split,
-                               pe_block)
+from ctxapprox.vocab_pe import (SQRT2, _cw_stream_coords, _dyadic_levels, _fusc_array,
+                               _morton_levels, _morton_offset, _morton_split,
+                               _morton_stream_bounds, pe_block)
 
 
 def cw_iteration_oracle(n):
@@ -94,6 +95,55 @@ class TestCalkinWilfBlock:
             sign = -1.0 if u & 1 else 1.0
             shell = (0, -1, 1, -2)[(u >> 1) & 3]
             assert got == sign * (num / den) * 2.0**shell
+
+
+class TestStreamFormat:
+    """The per-stream coordinate and the stream -> position interleave."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_interleave_round_trips_split(self, d):
+        rng = np.random.default_rng(d)
+        t = np.concatenate((np.arange(5000), rng.integers(0, 2**62, 5000)))
+        streams = _morton_split(t, d)
+        joined = sum(_morton_offset(s, d, k) for k, s in enumerate(streams))
+        assert np.array_equal(joined, t)
+        assert all(morton_join(tuple(int(s) for s in streams[:, i])) == t[i]
+                   for i in range(0, 10_000, 997))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("t_first,t_last", [(0, 0), (0, 5000), (37, 37), (999, 2**40),
+                                                (2**62 - 9, 2**62 - 1)])
+    def test_levels_partition_the_range_in_order(self, d, t_first, t_last):
+        levels = list(_morton_levels(t_first, t_last, d))
+        assert levels[0][1] == t_first and levels[-1][2] == t_last + 1
+        assert all(a[2] == b[1] and a[0] < b[0] for a, b in zip(levels, levels[1:]))
+        for level, t_lo, t_hi in levels:
+            # a level's indices are those whose streams all lie below 2^L,
+            # and not all below 2^(L - 1)
+            for t in {t_lo, t_hi - 1, (t_lo + t_hi) // 2}:
+                streams = _morton_split(np.array([t]), d)
+                assert np.all(streams < 2**level)
+                assert level == 0 or np.any(streams >= 2 ** (level - 1))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 7])
+    @pytest.mark.parametrize("t_last", [0, 1, 1000, 2**40, 2**62 - 1])
+    def test_stream_bounds_hold_every_index_and_fit_int64(self, d, t_last):
+        bounds = _morton_stream_bounds(t_last, d)
+        rng = np.random.default_rng(d)
+        t = np.concatenate(([0, t_last], rng.integers(0, t_last + 1, 200)))
+        assert np.all(_morton_split(t, d) < np.array(bounds)[:, None])
+        # the largest value each stream may take lands below 2^bit_length(t_last)
+        tops = [_morton_offset(np.array([b - 1]), d, k)[0] for k, b in enumerate(bounds)]
+        assert 0 <= sum(int(x) for x in tops) < 2 ** max(t_last.bit_length(), 1)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_stream_coords_through_interleave_equal_pe_block(self, d):
+        scheme = ca.calkin_wilf_lattice(d, scale=0.75)
+        rng = np.random.default_rng(40 + d)
+        js = np.concatenate(([1, 2, 2**40 - 1, 2**40], rng.integers(1, 2**40, 300)))
+        coords = _cw_stream_coords(scheme, _morton_split(js - 1, d))     # (d, N)
+        for i, j in enumerate(js):
+            assert coords[:, i].tobytes() == pe_block(scheme, int(j), 1)[0].tobytes()
 
 
 class TestPeValue:
