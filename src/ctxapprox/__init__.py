@@ -10,16 +10,14 @@ positional encoding cannot.
 __version__ = "0.1.0"
 
 from .construction import (Caps, ConstructionReport, FitOptions, StageBudgets,
-                           build_exp_fd_network, construct_context,
-                           construct_context_multi_output,
-                           construct_relu_rescaled, fit_polynomial,
-                           prefix_errors, scan_valid_position)
+                           construct_context, prefix_errors)
 from .embedding import (EmbeddingResult, embed_fnn, embed_softmax_fnn,
                         exp_to_softmax_fnn, extract_fnn)
 from .errors import (BudgetError, ConfigError, CtxApproxError, DimensionError,
                      EmptyGridError, EpsilonRangeError, IllConditionedError,
                      KroneckerCapExceeded, NonFiniteTargetError,
                      PositionScanExhausted)
+from .exp_fd import build_exp_fd_network, fit_polynomial
 from .expressions import parse_target
 from .fnn import (EXP, RELU, SOFTMAX, Activation, FitResult, FnnParams,
                   custom_activation, fit_fnn, fnn_forward, fnn_forward_batch,
@@ -35,10 +33,10 @@ from .transformer import (GeneralBlocks, InputAssembly, TransformerParams,
                           assemble, attention_forward, identity_sparse_params,
                           random_sparse_params, readout_batch,
                           softmax_columns, transformer_readout)
-from .vocab_pe import (Box, DensityProfile, PeScheme, SToken, Vocabulary,
+from .vocab_pe import (Box, DensityProfile, PeScheme, Vocabulary,
                        calkin_wilf_lattice, calkin_wilf_rational,
                        custom_scheme, density_audit, dyadic_lattice, fusc,
-                       irrational_rotation, pe_block, pe_value, pe_y_value,
+                       irrational_rotation, pe_block, pe_value,
                        standard_y_tokens)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

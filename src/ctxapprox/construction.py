@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product as iter_product
 
 import numpy as np
 
 from ._linalg import inf_operator_norm, solve_refined
 from .errors import (BudgetError, DimensionError, EpsilonRangeError,
                      NonFiniteTargetError, PositionScanExhausted)
-from .fnn import EXP, RELU, Activation, FitResult, FnnParams, fit_fnn, fnn_forward_batch
+from .fnn import RELU, Activation, FitResult, fit_fnn, fnn_forward_batch
 from .grids import Grid, as_points, lifted
 from .kronecker import SQRT2, TokenDecomposition, coefficient_decompose
 from .transformer import TransformerParams
@@ -569,21 +568,6 @@ def _scan_engine(targets: list[ScanTarget], vocab: Vocabulary, scheme: PeScheme,
     return _block_scan(scan, scheme, start_j, j_cap)
 
 
-def scan_valid_position(target_row, vocab: Vocabulary, scheme: PeScheme,
-                        tp: TransformerParams, tol: float, start_j: int = 1,
-                        j_cap: int = 1_000_000) -> ScanHit:
-    """First position j >= start_j where some x token maps within tol of the row.
-
-    Positions skipped on the way are nulled by the calling construction; the
-    scan order is strictly increasing j with vocabulary entries tried in index
-    order at each position.
-    """
-    row = np.atleast_1d(np.asarray(target_row, dtype=float))
-    hits = _scan_engine([ScanTarget(row, float(tol), 1)], vocab, scheme, tp,
-                        start_j, j_cap)
-    return hits[0][0]
-
-
 # --------------------------------------------------------------------------
 # construction
 
@@ -674,13 +658,13 @@ def _readout_error(U: np.ndarray, vals: np.ndarray, f_vals: np.ndarray) -> float
     return float(np.max(np.abs((U @ vals.T).T - f_vals)))
 
 
-def _fit_stage(tp, pts, f_vals, fnn_list, fit, activation, seed):
+def _fit_stage(tp, pts, f_vals, fnn, fit, activation, seed):
     """Stage 1: one fitted (or given) network per output; returns the fits,
     their outputs on the grid (N, d_y) and the fit error."""
     g_vals = solve_refined(tp.U, f_vals.T, "U").T   # token-sum target
     fits: list[FitResult] = []
     for comp in range(tp.d_y):
-        params = fnn_list[comp] if fnn_list is not None else None
+        params = fnn[comp] if fnn is not None else None
         if params is None:
             fits.append(fit_fnn((pts, g_vals[:, comp]), fit.k, activation, seed + comp,
                                 ridge=fit.ridge, refine_steps=fit.refine_steps,
@@ -783,29 +767,51 @@ def _audit_stage(tokens, trows, token_vals, tp, activation, f_vals, x_tilde_audi
             _readout_error(tp.U, audit_vals, f_audit))
 
 
-def _construct(target, grid: Grid, vocab: Vocabulary, scheme: PeScheme,
-               tp: TransformerParams, epsilon: float, *,
-               activation: Activation, budgets: StageBudgets | None, seed: int,
-               fit: FitOptions | None, fnn_list, caps: Caps | None,
-               coefficient_mode: str,
-               lambda_policy: str | None = None) -> ConstructionReport:
-    """Stages fit -> witnesses -> scan and assign -> audit, each checked
-    against its budget before the next starts.  A ``lambda_policy`` selects
-    the rescaled relu route: rows [W | b] / lambda, coefficients A * lambda."""
+def construct_context(target, grid: Grid, vocab: Vocabulary, scheme: PeScheme,
+                      tp: TransformerParams, epsilon: float, *,
+                      activation: Activation = RELU,
+                      budgets: StageBudgets | None = None, seed: int = 0,
+                      fit: FitOptions | None = None, fnn: list | None = None,
+                      caps: Caps | None = None, coefficient_mode: str = "auto",
+                      lambda_policy: str | None = None) -> ConstructionReport:
+    """Build a context whose readout approximates ``target`` within epsilon.
+
+    ``target`` is a callable on (N, d_x - 1) query batches returning (N,) or
+    (N, d_y) values; ``grid`` is the audit grid standing in for the compact
+    domain.  Stages fit -> witnesses -> scan and assign -> audit run in
+    turn, each checked against its budget before the next starts.  Each
+    output component gets its own plans; one shared scan keeps the position
+    sets disjoint, and every y token carries its value in one component.
+
+    ``fnn`` optionally replaces the stage-1 fit with one network per output
+    (its sup error on the grid is still measured against the fit budget).
+    ``coefficient_mode`` is auto (homogeneous for relu) | homogeneous |
+    kronecker.  A ``lambda_policy`` (max_row | pow2 | int) selects the
+    rescaled relu route: rows [W | b] / lambda and coefficients A * lambda,
+    with lambda from the largest row entry, decomposed by integer witnesses.
+    Raises on budget violations, Kronecker cap exhaustion, and position-scan
+    exhaustion.
+    """
     _require_positive_finite("epsilon", epsilon)
     if coefficient_mode not in ("auto", "homogeneous", "kronecker"):
         raise ValueError("coefficient_mode must be auto | homogeneous | kronecker, "
                          f"got {coefficient_mode!r}")
     if lambda_policy not in (None, *_LAMBDA_POLICIES):
         raise ValueError(f"lambda_policy must be max_row | pow2 | int, got {lambda_policy!r}")
+    if lambda_policy is not None and (activation.kind != "relu"
+                                      or coefficient_mode == "homogeneous"):
+        raise ValueError("lambda_policy selects the rescaled relu route, which needs "
+                         f"relu and integer witnesses; got activation {activation.kind!r}, "
+                         f"coefficient_mode {coefficient_mode!r}")
     if not tp.is_sparse_mode or np.any(tp.F != 0.0):
         raise ValueError("construction requires strict sparse mode (general "
                          "blocks absent and F = 0); nulled positions cannot "
                          "cancel F-terms")
     if not activation.is_elementwise:
         raise ValueError("softmax-activation construction is out of scope")
-    use_homog = (coefficient_mode == "homogeneous"
-                 or (coefficient_mode == "auto" and activation.kind == "relu"))
+    use_homog = lambda_policy is None and (
+        coefficient_mode == "homogeneous"
+        or (coefficient_mode == "auto" and activation.kind == "relu"))
     if use_homog and activation.kind != "relu":
         raise ValueError("homogeneous coefficient mode needs relu")
     if vocab.d_x != tp.d_x or scheme.d_x != tp.d_x or vocab.d_y != tp.d_y:
@@ -816,9 +822,9 @@ def _construct(target, grid: Grid, vocab: Vocabulary, scheme: PeScheme,
     if budgets.total > epsilon * (1 + 1e-12):
         raise ValueError("stage budgets exceed epsilon")
     caps = caps or Caps()
-    if fnn_list is not None and len(fnn_list) != tp.d_y:
+    if fnn is not None and len(fnn) != tp.d_y:
         raise DimensionError(f"need one override network per output, got "
-                             f"{len(fnn_list)} for d_y = {tp.d_y}")
+                             f"{len(fnn)} for d_y = {tp.d_y}")
 
     pts = grid.points()
     audit_pts = grid.refined(10).points()
@@ -828,7 +834,7 @@ def _construct(target, grid: Grid, vocab: Vocabulary, scheme: PeScheme,
     u_scale = inf_operator_norm(tp.U) * math.sqrt(tp.d_y)
     cmap = tp.C.T @ tp.B                       # row(v, j) = cmap @ (v + P_j)
 
-    fits, fnn_eval, fit_measured = _fit_stage(tp, pts, f_vals, fnn_list,
+    fits, fnn_eval, fit_measured = _fit_stage(tp, pts, f_vals, fnn,
                                               fit or FitOptions(), activation, seed)
     if fit_measured >= budgets.fit:
         raise BudgetError("fit", fit_measured, budgets.fit)
@@ -879,191 +885,3 @@ def prefix_errors(report: ConstructionReport, tp: TransformerParams,
     sums = _token_prefix_sums(rows, tokens, x_t, activation, tp.d_y)
     return [(tokens[t - 1].position if t else 0, t, _readout_error(tp.U, vals, f_vals))
             for t, vals in enumerate(sums)]
-
-
-def construct_context(target, grid: Grid, vocab: Vocabulary, scheme: PeScheme,
-                      tp: TransformerParams, epsilon: float, *,
-                      activation: Activation = RELU,
-                      budgets: StageBudgets | None = None, seed: int = 0,
-                      fit: FitOptions | None = None, fnn: FnnParams | None = None,
-                      caps: Caps | None = None,
-                      coefficient_mode: str = "auto") -> ConstructionReport:
-    """Build a context whose readout approximates a scalar target within epsilon.
-
-    ``target`` is a callable on (N, d_x - 1) query batches; ``grid`` is the
-    audit grid standing in for the compact domain.  ``fnn`` optionally replaces
-    the stage-1 fit (its sup error on the grid is still measured against the
-    fit budget).  ``coefficient_mode`` is auto (homogeneous for relu) |
-    homogeneous | kronecker.  Raises on budget violations, Kronecker cap
-    exhaustion, and position-scan exhaustion.
-    """
-    if tp.d_y != 1:
-        raise DimensionError("construct_context is scalar; use construct_context_multi_output")
-    return _construct(target, grid, vocab, scheme, tp, epsilon,
-                      activation=activation, budgets=budgets, seed=seed,
-                      fit=fit, fnn_list=[fnn] if fnn is not None else None,
-                      caps=caps, coefficient_mode=coefficient_mode)
-
-
-def construct_context_multi_output(target, grid: Grid, vocab: Vocabulary,
-                                   scheme: PeScheme, tp: TransformerParams,
-                                   epsilon: float, *,
-                                   activation: Activation = RELU,
-                                   budgets: StageBudgets | None = None,
-                                   seed: int = 0, fit: FitOptions | None = None,
-                                   fnn: list | None = None,
-                                   caps: Caps | None = None,
-                                   coefficient_mode: str = "auto") -> ConstructionReport:
-    """Component-wise construction for d_y >= 2 with disjoint position sets.
-
-    Each component gets budget epsilon/sqrt(d_y); every y token carries its
-    value in exactly one output coordinate, and index sets are disjoint across
-    components because positions are consumed by a single shared scan.
-    """
-    if tp.d_y < 2:
-        raise DimensionError("multi-output construction needs d_y >= 2")
-    return _construct(target, grid, vocab, scheme, tp, epsilon,
-                      activation=activation, budgets=budgets, seed=seed,
-                      fit=fit, fnn_list=fnn, caps=caps,
-                      coefficient_mode=coefficient_mode)
-
-
-def construct_relu_rescaled(target, grid: Grid, vocab: Vocabulary,
-                            scheme: PeScheme, tp: TransformerParams,
-                            epsilon: float, *, lambda_policy: str = "max_row",
-                            budgets: StageBudgets | None = None, seed: int = 0,
-                            fit: FitOptions | None = None,
-                            fnn: FnnParams | None = None,
-                            caps: Caps | None = None) -> ConstructionReport:
-    """Relu construction with weight rows rescaled into [-1, 1]^{d_x}.
-
-    The fitted rows are divided by lambda (chosen by policy max_row | pow2 |
-    int from the max row entry) and the coefficient targets become
-    lambda * a_i, decomposed with integer witnesses; the positive-homogeneity
-    identity makes the rescaled algebra exact.  Reports lambda.
-    """
-    if tp.d_y != 1:
-        raise DimensionError("rescaled construction is scalar")
-    return _construct(target, grid, vocab, scheme, tp, epsilon,
-                      activation=RELU, budgets=budgets, seed=seed, fit=fit,
-                      fnn_list=[fnn] if fnn is not None else None, caps=caps,
-                      coefficient_mode="kronecker", lambda_policy=lambda_policy)
-
-
-# --------------------------------------------------------------------------
-# exponential finite-difference networks (dense-in-a-ball route)
-
-
-def build_exp_fd_network(poly_coeffs: dict, w_star, delta: float,
-                         lam: float) -> FnnParams:
-    """Exp network with zero biases approximating P(x) e^{w*.x}.
-
-    Each monomial coefficient c_alpha contributes the forward-difference
-    stencil sum_{beta <= alpha} (-1)^{|alpha - beta|} C(alpha, beta)
-    h(w* + lam beta) / lam^{|alpha|}; rows coincide across stencils and are
-    merged, so all weight rows lie in the ball B(w*, |alpha|_max * lam) inside
-    B(w*, delta).  The grid error against P(x) e^{w*.x} is O(lam).
-    """
-    w_star = np.atleast_1d(np.asarray(w_star, dtype=float))
-    d = w_star.shape[0]
-    if not poly_coeffs:
-        raise ValueError("empty polynomial")
-    alphas = [tuple(int(t) for t in a) for a in poly_coeffs]
-    if any(len(a) != d or min(a) < 0 for a in alphas):
-        raise DimensionError("multi-indices must be non-negative and match w_star")
-    alpha_max = max(sum(a) for a in alphas)
-    if lam <= 0 or lam * max(alpha_max, 1) >= delta:
-        raise ValueError(f"need 0 < lam < delta/|alpha|_max = {delta / max(alpha_max, 1):g}")
-
-    weights: dict[tuple, float] = {}
-    for alpha, c in poly_coeffs.items():
-        alpha = tuple(int(t) for t in alpha)
-        order = sum(alpha)
-        for beta in iter_product(*(range(t + 1) for t in alpha)):
-            w = float(c) * lam ** (-order)
-            for at, bt in zip(alpha, beta):
-                w *= (-1.0) ** (at - bt) * math.comb(at, bt)
-            weights[beta] = weights.get(beta, 0.0) + w
-
-    betas = sorted(weights)
-    W = np.array([w_star + lam * np.array(b, dtype=float) for b in betas])
-    if float(np.max(np.abs(W - w_star))) >= delta:
-        raise ValueError("stencil rows left the ball B(w_star, delta)")
-    A = np.array([[weights[b] for b in betas]])
-    return FnnParams(A, W, np.zeros(len(betas)), EXP)
-
-
-@dataclass(frozen=True)
-class PolyFit:
-    coeffs: dict
-    residual: float
-    degree: int
-
-    def __call__(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros(pts.shape[0])
-        for alpha, c in self.coeffs.items():
-            term = np.full(pts.shape[0], c)
-            for t, power in enumerate(alpha):
-                if power:
-                    term = term * pts[:, t] ** power
-            out += term
-        return out
-
-
-def _leg2mono(degree: int) -> np.ndarray:
-    """Columns: monomial coefficients of Legendre P_0..P_degree."""
-    m = np.zeros((degree + 1, degree + 1))
-    for p in range(degree + 1):
-        c = np.polynomial.legendre.leg2poly(np.eye(degree + 1)[p])
-        m[:c.size, p] = c
-    return m
-
-
-def _affine_subst(degree: int, center: float, half: float) -> np.ndarray:
-    """Matrix taking z-monomials to x-monomials under z = (x - center)/half."""
-    s = np.zeros((degree + 1, degree + 1))
-    for p in range(degree + 1):
-        for mth in range(p + 1):
-            s[mth, p] = math.comb(p, mth) * (-center) ** (p - mth) / half ** p
-    return s
-
-
-def fit_polynomial(points, damped_values, degree: int) -> PolyFit:
-    """Least-squares total-degree polynomial fit of samples of f(x) e^{-w*.x}.
-
-    The design matrix uses a tensor-Legendre basis on the affinely normalized
-    box (well conditioned); the returned coefficients are raw monomials in the
-    original coordinates.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    vals = np.asarray(damped_values, dtype=float).ravel()
-    if pts.shape[0] != vals.shape[0]:
-        raise DimensionError("points and values disagree in length")
-    d = pts.shape[1]
-    alphas = [a for a in iter_product(*([range(degree + 1)] * d)) if sum(a) <= degree]
-    if pts.shape[0] < len(alphas):
-        raise ValueError(f"need at least {len(alphas)} samples for degree {degree}")
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    center = (lo + hi) / 2.0
-    half = np.maximum((hi - lo) / 2.0, 1e-12)
-    z = (pts - center) / half
-
-    legs = [np.polynomial.legendre.legvander(z[:, t], degree) for t in range(d)]
-    design = np.column_stack([
-        np.prod([legs[t][:, a[t]] for t in range(d)], axis=0) for a in alphas])
-    c_leg, *_ = np.linalg.lstsq(design, vals, rcond=None)
-
-    tensor = np.zeros((degree + 1,) * d)
-    for a, c in zip(alphas, c_leg):
-        tensor[a] = c
-    for t in range(d):
-        # convert axis t: Legendre -> z-monomials, then z -> x monomials
-        mono = _affine_subst(degree, center[t], half[t]) @ _leg2mono(degree)
-        tensor = np.moveaxis(np.tensordot(mono, tensor, axes=(1, t)), 0, t)
-
-    coeffs = {a: float(tensor[a])
-              for a in iter_product(*([range(degree + 1)] * d)) if tensor[a] != 0.0}
-    fitted = PolyFit(coeffs, 0.0, degree)
-    residual = float(np.max(np.abs(fitted(pts) - vals)))
-    return PolyFit(coeffs, residual, degree)

@@ -27,6 +27,8 @@ class Grid:
         counts = tuple(int(c) for c in np.atleast_1d(self.counts))
         if not (len(lo) == len(hi) == len(counts)):
             raise DimensionError("lo, hi and counts must have equal length")
+        if not np.all(np.isfinite(lo + hi)):
+            raise ValueError(f"grid bounds must be finite, got lo={lo}, hi={hi}")
         if any(c < 1 for c in counts):
             raise EmptyGridError("counts must all be >= 1")
         if any(h < l for l, h in zip(lo, hi)):

@@ -150,6 +150,8 @@ class FiniteFamilySpec:
             arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
             if arr.size == 0:
                 raise ValueError(f"{name} must be non-empty")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

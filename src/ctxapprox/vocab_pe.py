@@ -78,6 +78,8 @@ class Box:
     def __post_init__(self):
         lo = tuple(float(v) for v in np.atleast_1d(self.lo))
         hi = tuple(float(v) for v in np.atleast_1d(self.hi))
+        if not all(math.isfinite(v) for v in lo + hi):
+            raise ValueError(f"box bounds must be finite, got lo={lo}, hi={hi}")
         if len(lo) != len(hi) or any(h <= l for l, h in zip(lo, hi)):
             raise DimensionError("box needs hi > lo componentwise")
         object.__setattr__(self, "lo", lo)
@@ -98,14 +100,13 @@ class PeScheme:
     ``kind`` is one of calkin_wilf_lattice / dyadic_lattice /
     irrational_rotation / custom.  ``region`` is the box the scheme is dense
     in; for the Calkin-Wilf lattice the image is dense in all of R^{d_x} and
-    ``region`` records the unit cell of interest.  P_y is identically zero
-    (``p_y_zero`` must stay True).
+    ``region`` records the unit cell of interest.  P_y is identically zero:
+    a scheme encodes only the x part of a position.
     """
 
     kind: str
     region: Box
     params: dict = field(default_factory=dict)
-    p_y_zero: bool = True
     generator: Callable[[int, int], np.ndarray] | None = field(default=None, compare=False)
 
     _KINDS = ("calkin_wilf_lattice", "dyadic_lattice", "irrational_rotation", "custom")
@@ -113,8 +114,6 @@ class PeScheme:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
-        if not self.p_y_zero:
-            raise ValueError("P_y = 0 is required (p_y_zero must be True)")
         if self.kind == "custom" and self.generator is None:
             raise ValueError("custom scheme needs a generator(j_start, count) -> array")
 
@@ -361,13 +360,6 @@ def pe_value(scheme: PeScheme, j: int) -> np.ndarray:
     return pe_block(scheme, j, 1)[0]
 
 
-def pe_y_value(scheme: PeScheme, j: int, d_y: int) -> np.ndarray:
-    """P_y(j), identically zero by hypothesis."""
-    if j < 1:
-        raise ValueError("index must be >= 1")
-    return np.zeros(d_y)
-
-
 # --------------------------------------------------------------------------
 # vocabulary
 
@@ -440,20 +432,6 @@ class Vocabulary:
                 "x_grid_spec": list(self.x_grid_spec) if self.x_grid_spec else None}
 
 
-@dataclass(frozen=True)
-class SToken:
-    """Element of S = V_x + P_x: vocabulary entry i placed at position j."""
-
-    vocab_index: int
-    position: int
-    value: np.ndarray
-
-    @staticmethod
-    def make(vocab: Vocabulary, scheme: PeScheme, i: int, j: int) -> "SToken":
-        value = vocab.v_x[i] + pe_value(scheme, j)
-        return SToken(i, j, value)
-
-
 # --------------------------------------------------------------------------
 # density audit
 
@@ -475,6 +453,8 @@ def density_audit(vocab: Vocabulary, scheme: PeScheme, region: Box,
                   n_max: int, probe_per_dim: int = 64,
                   block: int = 4096) -> DensityProfile:
     """Covering radius r(n) (sup-norm) for n = 1..n_max; non-increasing in n."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     if vocab.v_x.shape[0] == 0:
         raise EmptyGridError("empty vocabulary")
     if region.dim != scheme.d_x:

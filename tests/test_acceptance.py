@@ -132,7 +132,7 @@ def test_criterion_05_multi_output():
         return np.column_stack([np.sin(2 * np.pi * pts[:, 0]),
                                 np.cos(2 * np.pi * pts[:, 0])])
 
-    rep = ca.construct_context_multi_output(
+    rep = ca.construct_context(
         target, grid, vocab, scheme, tp, 0.3, seed=9,
         budgets=ca.StageBudgets(0.08, 0.02, 0.20),
         fit=FitOptions(k=14, refine_steps=300), caps=Caps(j_cap=80_000_000))

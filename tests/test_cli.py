@@ -144,7 +144,10 @@ class TestConstructCommand:
         ("construction", "relu-rescaled", "dense"),
         ("coefficient_mode", "homogenous", "dense"),
         ("lambda_policy", "pow-2", "relu_rescaled"),
-        ("activation", "exp", "relu_rescaled")])
+        ("activation", "exp", "relu_rescaled"),
+        ("lambda_polcy", "pow2", "relu_rescaled"),
+        ("lambda_policy", "pow2", "dense"),
+        ("coefficient_mode", "kronecker", "relu_rescaled")])
     def test_bad_choice_exit_2(self, tmp_path, field, value, construction):
         # a small j_cap keeps a choice that silently runs another route short
         cfg = json.loads(json.dumps(CONSTRUCT_SMALL))
@@ -313,6 +316,33 @@ class TestAuditCommands:
         err = json.loads((out / "error.json").read_text())
         assert err["error"]["field"] == field
         assert "expected an integer" in err["error"]["message"]
+
+    @pytest.mark.parametrize("command,config,field,value,named", [
+        ("construct", CONSTRUCT_SMALL, "scheme.scale", float("nan"), "box bounds must be finite"),
+        ("construct", CONSTRUCT_SMALL, "grid.hi", [float("inf")], "grid bounds must be finite"),
+        ("density", {"vocab": {"v_x": [[0.0]], "v_y": [[0.0]]},
+                     "scheme": {"kind": "dyadic_lattice", "region": {"lo": [-1.0], "hi": [1.0]}},
+                     "region": {"lo": [-1.0], "hi": [1.0]}, "n_max": 7},
+         "n_max", 0, "n_max must be >= 1"),
+        ("audit", {"kind": "nonuap", "max_context": 20, "trials": 50, "seed": 1,
+                   "family": {"a_set": [1.0], "w_set": [0.5], "b_set": [0.0]}},
+         "family.a_set", [1.0, float("nan")], "a_set must be finite")])
+    def test_out_of_range_input_exit_2(self, tmp_path, command, config, field, value, named):
+        # these used to scan to exit 3, fail as "not finite" (exit 4), crash
+        # with an IndexError traceback, or report a NaN error floor
+        cfg = json.loads(json.dumps(config))
+        if command == "construct":
+            cfg["caps"]["j_cap"] = 200
+        node = cfg
+        *parents, leaf = field.split(".")
+        for part in parents:
+            node = node[part]
+        node[leaf] = value
+        code, out = run(tmp_path, "out_of_range", cfg, command)
+        assert code == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"]["exit_code"] == 2
+        assert named in err["error"]["message"]
 
     def test_exp_activation_exhausts_without_walking_every_position(self, tmp_path,
                                                                    monkeypatch):

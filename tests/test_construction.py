@@ -21,13 +21,19 @@ def make_setting(d_y=1, vocab_extent=10.0, per_dim=81, seed=101):
     return tp, vocab, scheme, grid
 
 
-class TestScanValidPosition:
+def first_hit(row, vocab, scheme, tp, tol, start_j=1, j_cap=1_000_000):
+    """The first (position, vocabulary entry) whose mapped row lies within tol of ``row``."""
+    target = ScanTarget(np.atleast_1d(np.asarray(row, dtype=float)), tol, 1)
+    return _scan_engine([target], vocab, scheme, tp, start_j, j_cap)[0][0]
+
+
+class TestSingleTargetScan:
     def test_exact_hit_at_start(self):
         tp = ca.identity_sparse_params(2, 1)
         vocab = ca.Vocabulary.x_grid((-2.0, -2.0), (2.0, 2.0), 5, 1)
         scheme = ca.calkin_wilf_lattice(2)
         target = vocab.v_x[7] + ca.pe_value(scheme, 1)
-        hit = ca.scan_valid_position(target, vocab, scheme, tp, tol=1e-9)
+        hit = first_hit(target, vocab, scheme, tp, tol=1e-9)
         assert hit.position == 1 and hit.vocab_index == 7
 
     def test_dyadic_brute_force_oracle(self):
@@ -36,7 +42,7 @@ class TestScanValidPosition:
         vocab = ca.Vocabulary([[0.0]], [[0.0]])
         scheme = ca.dyadic_lattice(ca.Box((-1.0,), (1.0,)))
         tol = 2.0**-6
-        hit = ca.scan_valid_position([0.3], vocab, scheme, tp, tol=tol)
+        hit = first_hit([0.3], vocab, scheme, tp, tol=tol)
         vals = ca.pe_block(scheme, 1, hit.position)[:, 0]
         assert abs(vals[-1] - 0.3) < tol
         assert np.all(np.abs(vals[:-1] - 0.3) >= tol)
@@ -46,8 +52,7 @@ class TestScanValidPosition:
         vocab = ca.Vocabulary.x_grid((-2.0, -2.0), (2.0, 2.0), 5, 1)
         scheme = ca.calkin_wilf_lattice(2)
         for start in (1, 9, 137):
-            hit = ca.scan_valid_position([0.1, -0.4], vocab, scheme, tp,
-                                         tol=100.0, start_j=start)
+            hit = first_hit([0.1, -0.4], vocab, scheme, tp, tol=100.0, start_j=start)
             assert hit.position == start
 
     def test_exhaustion_carries_evidence(self):
@@ -55,8 +60,7 @@ class TestScanValidPosition:
         vocab = ca.Vocabulary([[0.0, 0.0]], [[0.0]])
         scheme = ca.calkin_wilf_lattice(2)
         with pytest.raises(ca.PositionScanExhausted) as exc:
-            ca.scan_valid_position([0.317, 0.811], vocab, scheme, tp,
-                                   tol=1e-9, j_cap=500)
+            first_hit([0.317, 0.811], vocab, scheme, tp, tol=1e-9, j_cap=500)
         info = exc.value.unmet[0]
         assert info["remaining"] == 1 and info["best_distance"] > 1e-9
 
@@ -67,8 +71,8 @@ class TestScanValidPosition:
         plain_vocab = ca.Vocabulary(grid_vocab.v_x, grid_vocab.v_y)
         scheme = ca.calkin_wilf_lattice(2)
         target = [0.37, -0.62]
-        fast = ca.scan_valid_position(target, grid_vocab, scheme, tp, tol=0.01)
-        slow = ca.scan_valid_position(target, plain_vocab, scheme, tp, tol=0.01)
+        fast = first_hit(target, grid_vocab, scheme, tp, tol=0.01)
+        slow = first_hit(target, plain_vocab, scheme, tp, tol=0.01)
         assert (fast.position, fast.vocab_index) == (slow.position, slow.vocab_index)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan"), float("inf")])
@@ -76,8 +80,7 @@ class TestScanValidPosition:
         tp = ca.identity_sparse_params(2, 1)
         vocab = ca.Vocabulary.x_grid((-2.0, -2.0), (2.0, 2.0), 5, 1)
         with pytest.raises(ValueError, match="positive and finite"):
-            ca.scan_valid_position([0.1, -0.4], vocab, ca.calkin_wilf_lattice(2),
-                                   tp, tol=tol, j_cap=500)
+            first_hit([0.1, -0.4], vocab, ca.calkin_wilf_lattice(2), tp, tol=tol, j_cap=500)
 
 
 def _fast_path_tol(tp, vocab, frac):
@@ -120,8 +123,7 @@ class TestScanFastPath:
         unmet = []
         for vocab in (grid_vocab, plain_vocab):
             with pytest.raises(ca.PositionScanExhausted) as exc:
-                ca.scan_valid_position([500.0, -500.0], vocab, scheme, tp,
-                                       tol=0.01, j_cap=500)
+                first_hit([500.0, -500.0], vocab, scheme, tp, tol=0.01, j_cap=500)
             unmet.append(exc.value.unmet[0])
         fast, slow = unmet
         assert fast["remaining"] == 1
@@ -218,7 +220,7 @@ class TestConstructContext:
             return SQRT2 * np.maximum(x_t @ r, 0.0)
 
         rep = ca.construct_context(target, grid, vocab, scheme, tp, 0.1,
-                                   fnn=fnn, coefficient_mode="kronecker")
+                                   fnn=[fnn], coefficient_mode="kronecker")
         assert rep.n == 1 and len(rep.tokens) == 1
         assert rep.tokens[0].role == "sqrt2"
         assert rep.tokens[0].y_value == SQRT2
@@ -260,9 +262,9 @@ class TestConstructContext:
         tp, vocab, scheme, grid = make_setting(d_y=d_y)
         target = lambda pts: np.column_stack(
             [np.sin(2 * np.pi * pts[:, 0]), np.cos(np.pi * pts[:, 0])][:d_y])
-        rep = ca.construct_context_multi_output if d_y > 1 else ca.construct_context
-        rep = rep(target, grid, vocab, scheme, tp, 0.5, seed=3,
-                  fit=FitOptions(k=12, refine_steps=300), caps=Caps(j_cap=40_000_000))
+        rep = ca.construct_context(target, grid, vocab, scheme, tp, 0.5, seed=3,
+                                   fit=FitOptions(k=12, refine_steps=300),
+                                   caps=Caps(j_cap=40_000_000))
         pts = grid.points()
         f_vals = target(pts)
         rows = ca.prefix_errors(rep, tp, ca.RELU, pts, f_vals)
@@ -325,8 +327,8 @@ class TestConstructContext:
             return ca.fnn_forward_batch(fnn, pts)[:, 0] * tp.U[0, 0]
 
         rep = ca.construct_context(target, grid, vocab, scheme, tp, 0.25,
-                                   fnn=ca.FnnParams(fnn.A / tp.U[0, 0], fnn.W,
-                                                    fnn.b, ca.RELU),
+                                   fnn=[ca.FnnParams(fnn.A / tp.U[0, 0], fnn.W,
+                                                     fnn.b, ca.RELU)],
                                    seed=2, caps=Caps(j_cap=500_000))
         assert rep.n <= 200_000
         X, Y = rep.dense_context()
@@ -358,7 +360,7 @@ class TestConstructContext:
             return SQRT2 * np.exp(x_t @ r)
 
         rep = ca.construct_context(target, grid, vocab, scheme, tp, 0.1,
-                                   fnn=fnn, activation=ca.EXP)
+                                   fnn=[fnn], activation=ca.EXP)
         assert rep.mode == "dense" and rep.n == 1
         assert rep.tokens[0].y_value == SQRT2
         assert rep.achieved_sup_error <= 1e-12
@@ -378,7 +380,7 @@ class TestConstructContext:
             return ca.fnn_forward_batch(fnn, pts)[:, 0]
 
         rep = ca.construct_context(target, grid, vocab, scheme, tp, 0.2,
-                                   fnn=fnn, activation=ca.EXP, seed=1,
+                                   fnn=[fnn], activation=ca.EXP, seed=1,
                                    caps=Caps(j_cap=3_000_000))
         assert rep.achieved_sup_error < 0.2
         assert rep.measured["tokens"] <= rep.budgets.tokens
@@ -404,13 +406,13 @@ class TestConstructContext:
             return SQRT2 * np.maximum(x_t @ r, 0.0)
 
         rep = ca.construct_context(target, grid, vocab, scheme, tp, 0.1,
-                                   fnn=fnn, coefficient_mode="kronecker")
+                                   fnn=[fnn], coefficient_mode="kronecker")
         assert rep.achieved_sup_error <= 1e-12
         assert rep.tokens[0].position <= 2
 
-    def test_scalar_op_rejects_multi_output(self):
+    def test_target_components_must_match_d_y(self):
         tp, vocab, scheme, grid = make_setting(d_y=2)
-        with pytest.raises(ca.DimensionError):
+        with pytest.raises(ca.DimensionError, match="1 components, expected 2"):
             ca.construct_context(lambda pts: np.zeros(pts.shape[0]), grid,
                                  vocab, scheme, tp, 0.1)
 
@@ -418,14 +420,14 @@ class TestConstructContext:
     def test_rejects_bad_epsilon(self, epsilon):
         tp, vocab, scheme, grid = make_setting()
         target = lambda pts: np.sin(2 * np.pi * pts[:, 0])
-        for build in (ca.construct_context, ca.construct_relu_rescaled):
+        for policy in (None, "max_row"):
             with pytest.raises(ValueError, match="epsilon"):
-                build(target, grid, vocab, scheme, tp, epsilon)
+                ca.construct_context(target, grid, vocab, scheme, tp, epsilon,
+                                     lambda_policy=policy)
         tp2, vocab2, _, _ = make_setting(d_y=2)
         with pytest.raises(ValueError, match="epsilon"):
-            ca.construct_context_multi_output(
-                lambda pts: np.zeros((pts.shape[0], 2)), grid, vocab2, scheme,
-                tp2, epsilon)
+            ca.construct_context(lambda pts: np.zeros((pts.shape[0], 2)), grid, vocab2,
+                                 scheme, tp2, epsilon)
 
     @pytest.mark.parametrize("j_cap", [0, -5])
     def test_rejects_non_positive_j_cap(self, j_cap):
@@ -459,8 +461,8 @@ class TestConstructContext:
             ca.construct_context(target, grid, vocab, scheme, tp, 0.2,
                                  coefficient_mode="homogenous")
         with pytest.raises(ValueError, match="lambda_policy"):
-            ca.construct_relu_rescaled(target, grid, vocab, scheme, tp, 0.2,
-                                       lambda_policy="pow-2")
+            ca.construct_context(target, grid, vocab, scheme, tp, 0.2,
+                                 lambda_policy="pow-2")
 
     def test_underflowing_scan_tolerance_is_numeric_error(self):
         # a token budget too small for a float tolerance must not reach the scan
@@ -472,7 +474,7 @@ class TestConstructContext:
         fnn = ca.FnnParams([[SQRT2]], [[r[0]]], [r[1]], ca.RELU)
         target = lambda pts: ca.fnn_forward_batch(fnn, pts)[:, 0]
         with pytest.raises(ca.EpsilonRangeError):
-            ca.construct_context(target, grid, vocab, scheme, tp, 0.1, fnn=fnn,
+            ca.construct_context(target, grid, vocab, scheme, tp, 0.1, fnn=[fnn],
                                  budgets=StageBudgets(0.05, 0.04, 5e-324),
                                  coefficient_mode="kronecker")
 
@@ -496,7 +498,7 @@ class TestMultiOutput:
         tp = ca.identity_sparse_params(2, 2)
         target = lambda pts: np.column_stack(
             [np.sin(2 * np.pi * pts[:, 0]), np.zeros(pts.shape[0])])
-        rep = ca.construct_context_multi_output(
+        rep = ca.construct_context(
             target, grid, vocab, scheme, tp, 0.4, seed=3,
             fit=FitOptions(k=10, refine_steps=150), caps=Caps(j_cap=40_000_000))
         assert all(t.component == 0 for t in rep.tokens)
@@ -506,7 +508,7 @@ class TestMultiOutput:
         tp, vocab, scheme, grid = make_setting(d_y=2)
         target = lambda pts: np.column_stack(
             [np.sin(2 * np.pi * pts[:, 0]), np.sin(2 * np.pi * pts[:, 0])])
-        rep = ca.construct_context_multi_output(
+        rep = ca.construct_context(
             target, grid, vocab, scheme, tp, 0.5, seed=3,
             fit=FitOptions(k=10, refine_steps=150), caps=Caps(j_cap=40_000_000))
         assert rep.index_sets_disjoint()
@@ -519,13 +521,6 @@ class TestMultiOutput:
         _, Y = rep.dense_context(limit=80_000_000)
         assert np.max(np.count_nonzero(Y, axis=0)) <= 1
 
-    def test_requires_d_y_at_least_two(self):
-        tp, vocab, scheme, grid = make_setting(d_y=1)
-        with pytest.raises(ca.DimensionError):
-            ca.construct_context_multi_output(
-                lambda pts: np.zeros((pts.shape[0], 1)), grid, vocab, scheme,
-                tp, 0.1)
-
 
 class TestReluRescaled:
     def test_rows_in_cube_reduces_to_lambda_one(self):
@@ -535,8 +530,8 @@ class TestReluRescaled:
         grid = ca.Grid((0.0,), (1.0,), (201,))
         fnn = ca.FnnParams([[1.0]], [[0.8]], [-0.3], ca.RELU)
         target = lambda pts: ca.fnn_forward_batch(fnn, pts)[:, 0]
-        rep = ca.construct_relu_rescaled(target, grid, vocab, scheme, tp, 0.3,
-                                         fnn=fnn, caps=Caps(j_cap=20_000_000))
+        rep = ca.construct_context(target, grid, vocab, scheme, tp, 0.3, fnn=[fnn],
+                                   lambda_policy="max_row", caps=Caps(j_cap=20_000_000))
         assert rep.lambda_ == 1.0
 
     def test_max_norm_four_rows_lambda_four(self):
@@ -546,8 +541,8 @@ class TestReluRescaled:
         grid = ca.Grid((0.0,), (1.0,), (201,))
         fnn = ca.FnnParams([[0.5, 0.25]], [[4.0], [-2.0]], [-1.0, 1.0], ca.RELU)
         target = lambda pts: ca.fnn_forward_batch(fnn, pts)[:, 0]
-        rep = ca.construct_relu_rescaled(target, grid, vocab, scheme, tp, 0.3,
-                                         fnn=fnn, caps=Caps(j_cap=40_000_000))
+        rep = ca.construct_context(target, grid, vocab, scheme, tp, 0.3, fnn=[fnn],
+                                   lambda_policy="max_row", caps=Caps(j_cap=40_000_000))
         assert rep.lambda_ == 4.0
         # homogeneity identity: scaled plans reproduce the unscaled algebra
         assert rep.measured["perturb"] <= rep.budgets.perturb
@@ -560,10 +555,10 @@ class TestReluRescaled:
         scheme = ca.calkin_wilf_lattice(2)
         grid = ca.Grid((0.0,), (1.0,), (501,))
         target = lambda pts: np.sin(2 * np.pi * pts[:, 0])
-        rep = ca.construct_relu_rescaled(target, grid, vocab, scheme, tp, 1.0,
-                                         seed=3, lambda_policy="max_row",
-                                         fit=FitOptions(k=6, refine_steps=400),
-                                         caps=Caps(j_cap=80_000_000))
+        rep = ca.construct_context(target, grid, vocab, scheme, tp, 1.0,
+                                   seed=3, lambda_policy="max_row",
+                                   fit=FitOptions(k=6, refine_steps=400),
+                                   caps=Caps(j_cap=80_000_000))
         assert rep.achieved_sup_error < 1.0
         assert rep.lambda_ >= 1.0
         assert rep.max_q_plus_l >= 2  # honest integer witnesses
@@ -581,17 +576,44 @@ class TestReluRescaled:
         fnn = ca.FnnParams([[0.5, 0.25]], [[3.3], [-2.0]], [-1.0, 1.0], ca.RELU)
         target = lambda pts: ca.fnn_forward_batch(fnn, pts)[:, 0]
         caps = Caps(j_cap=1_000_000)
-        rep = ca.construct_relu_rescaled(target, grid, vocab, scheme, tp, 0.3, fnn=fnn,
-                                         lambda_policy=policy, caps=caps)
+        rep = ca.construct_context(target, grid, vocab, scheme, tp, 0.3, fnn=[fnn],
+                                   lambda_policy=policy, caps=caps)
         lam = rep.lambda_
         assert lam == {"max_row": 3.3, "pow2": 4.0, "int": 4.0}[policy]
         scaled = ca.FnnParams(fnn.A * lam, fnn.W / lam, fnn.b / lam, ca.RELU)
-        ref = ca.construct_context(target, grid, vocab, scheme, tp, 0.3, fnn=scaled,
+        ref = ca.construct_context(target, grid, vocab, scheme, tp, 0.3, fnn=[scaled],
                                    coefficient_mode="kronecker", caps=caps)
         assert (rep.mode, ref.mode, ref.lambda_) == ("rescaled", "dense", None)
         assert rep.tokens and rep.tokens == ref.tokens
         assert ([p.to_json_dict() for p in rep.per_neuron]
                 == [p.to_json_dict() for p in ref.per_neuron])
+
+    @pytest.mark.parametrize("activation,mode", [(ca.EXP, "auto"), (ca.EXP, "kronecker"),
+                                                 (ca.RELU, "homogeneous")])
+    def test_policy_needs_relu_and_integer_witnesses(self, activation, mode):
+        tp, vocab, scheme, grid = make_setting()
+        target = lambda pts: np.sin(2 * np.pi * pts[:, 0])
+        with pytest.raises(ValueError, match="lambda_policy"):
+            ca.construct_context(target, grid, vocab, scheme, tp, 0.2, activation=activation,
+                                 coefficient_mode=mode, lambda_policy="pow2")
+
+    def test_two_outputs_with_override_networks(self):
+        tp = ca.identity_sparse_params(2, 2)
+        vocab = ca.Vocabulary.x_grid((-1.5, -1.5), (1.5, 1.5), 25, 2)
+        scheme = ca.calkin_wilf_lattice(2)
+        grid = ca.Grid((0.0,), (1.0,), (201,))
+        nets = [ca.FnnParams([[0.5, 0.25]], [[3.3], [-2.0]], [-1.0, 1.0], ca.RELU),
+                ca.FnnParams([[-1.0]], [[0.8]], [-0.3], ca.RELU)]
+        target = lambda pts: np.column_stack(
+            [ca.fnn_forward_batch(net, pts)[:, 0] for net in nets])
+        rep = ca.construct_context(target, grid, vocab, scheme, tp, 0.3, fnn=nets,
+                                   lambda_policy="max_row", caps=Caps(j_cap=1_000_000))
+        # one lambda from the largest row entry over both networks
+        assert (rep.mode, rep.lambda_) == ("rescaled", 3.3)
+        assert {t.component for t in rep.tokens} == {0, 1}
+        assert {p.component for p in rep.per_neuron} == {0, 1}
+        assert rep.index_sets_disjoint()
+        assert rep.achieved_sup_error < 0.3
 
     def test_homogeneity_identity_exact(self, rng):
         p = ca.FnnParams([[1.3, -0.4]], rng.uniform(-2, 2, (2, 1)),
@@ -605,86 +627,3 @@ class TestReluRescaled:
         act = (pts @ p.W.T + p.b) > 0
         act_scaled = (pts @ scaled.W.T + scaled.b) > 0
         assert np.array_equal(act, act_scaled)
-
-
-class TestExpFdNetwork:
-    w_star = np.array([0.3, -0.2])
-    grid = ca.Grid((-1.0, -1.0), (1.0, 1.0), (41, 41))
-
-    def monomial_exp(self, alpha):
-        pts = self.grid.points()
-        vals = np.exp(pts @ self.w_star)
-        for t, power in enumerate(alpha):
-            vals = vals * pts[:, t] ** power
-        return pts, vals
-
-    def test_constant_polynomial_is_exact(self):
-        net = ca.build_exp_fd_network({(0, 0): 1.0}, self.w_star, 0.5, 0.01)
-        assert net.k == 1
-        pts, vals = self.monomial_exp((0, 0))
-        gap = np.abs(ca.fnn_forward_batch(net, pts)[:, 0] - vals)
-        assert np.max(gap) <= 1e-12
-
-    @pytest.mark.parametrize("alpha,neurons", [((1, 0), 2), ((1, 1), 4)])
-    def test_stencil_error_halves_with_lambda(self, alpha, neurons):
-        pts, vals = self.monomial_exp(alpha)
-        errs = []
-        for m in range(4, 9):
-            net = ca.build_exp_fd_network({alpha: 1.0}, self.w_star, 0.5, 2.0**-m)
-            assert net.k == neurons
-            assert np.all(net.b == 0.0)
-            assert np.max(np.abs(net.W - self.w_star)) < 0.5
-            errs.append(np.max(np.abs(ca.fnn_forward_batch(net, pts)[:, 0] - vals)))
-        for a, b in zip(errs, errs[1:]):
-            assert 0.35 <= b / a <= 0.65
-
-    def test_lambda_cap(self):
-        with pytest.raises(ValueError):
-            ca.build_exp_fd_network({(1, 1): 1.0}, self.w_star, 0.1, 0.06)
-
-    def test_combined_polynomial(self):
-        coeffs = {(0, 0): 0.5, (1, 0): -1.2, (0, 1): 0.7}
-        net = ca.build_exp_fd_network(coeffs, self.w_star, 0.5, 1e-3)
-        pts = self.grid.points()
-        vals = (0.5 - 1.2 * pts[:, 0] + 0.7 * pts[:, 1]) * np.exp(pts @ self.w_star)
-        gap = np.max(np.abs(ca.fnn_forward_batch(net, pts)[:, 0] - vals))
-        assert gap < 5e-3
-        # shared stencil rows are merged: {(0,0),(1,0),(0,1)}
-        assert net.k == 3
-
-
-class TestFitPolynomial:
-    def test_constant_damped_target(self):
-        pts = ca.Grid((0.0, 0.0), (1.0, 1.0), (12, 12)).points()
-        w_star = np.array([0.4, -0.1])
-        damped = np.exp(pts @ w_star) * np.exp(-pts @ w_star)  # == 1
-        fit = ca.fit_polynomial(pts, damped, degree=2)
-        assert fit.residual < 1e-10
-        assert fit.coeffs[(0, 0)] == pytest.approx(1.0, abs=1e-9)
-
-    def test_recovers_linear_coefficient(self):
-        pts = ca.Grid((0.0,), (1.0,), (60,)).points()
-        fit = ca.fit_polynomial(pts, pts[:, 0], degree=3)
-        assert fit.coeffs[(1,)] == pytest.approx(1.0, abs=1e-8)
-        for alpha in ((0,), (2,), (3,)):
-            assert abs(fit.coeffs.get(alpha, 0.0)) < 1e-8
-
-    def test_degree_zero_is_grid_optimal_constant(self):
-        pts = ca.Grid((0.0,), (1.0,), (101,)).points()
-        vals = pts[:, 0] ** 2
-        fit = ca.fit_polynomial(pts, vals, degree=0)
-        assert fit.coeffs[(0,)] == pytest.approx(np.mean(vals), abs=1e-10)
-        assert fit.residual == pytest.approx(np.max(np.abs(vals - np.mean(vals))),
-                                             abs=1e-10)
-
-    def test_end_to_end_with_fd_network(self):
-        # polynomial step feeding the stencil construction
-        w_star = np.array([0.5])
-        grid = ca.Grid((0.0,), (1.0,), (200,))
-        pts = grid.points()
-        f = pts[:, 0] * np.exp(0.5 * pts[:, 0])
-        fit = ca.fit_polynomial(pts, f * np.exp(-pts @ w_star), degree=3)
-        assert fit.residual < 1e-9
-        net = ca.build_exp_fd_network(fit.coeffs, w_star, 0.3, 1e-4)
-        gap = np.max(np.abs(ca.fnn_forward_batch(net, pts)[:, 0] - f))
-        assert gap < 1e-3

@@ -134,6 +134,13 @@ class TestNonUapAudit:
         assert big.min_minmax_error >= 0.5
         assert big.min_minmax_error >= small.min_minmax_error - 1e-9
 
+    @pytest.mark.parametrize("field", ["a_set", "w_set", "b_set"])
+    def test_family_rejects_non_finite_entries(self, field):
+        sets = {"a_set": [1.0, -1.0], "w_set": [0.5], "b_set": [0.0]}
+        sets[field] = sets[field] + [float("nan")]
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ca.FiniteFamilySpec(**sets)
+
     def test_record_csv(self, tmp_path):
         family = ca.FiniteFamilySpec([1.0], [0.3], [0.0])
         rec = ca.nonuap_audit(family, 10, 20, seed=0)

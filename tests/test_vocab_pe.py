@@ -191,16 +191,6 @@ class TestPeValue:
             blk = pe_block(scheme, 1, 10_000)
             assert len(np.unique(blk, axis=0)) == 10_000
 
-    def test_p_y_is_zero(self):
-        scheme = ca.calkin_wilf_lattice(2)
-        for j in (1, 17, 4096, 10_000):
-            assert np.all(ca.pe_y_value(scheme, j, 3) == 0.0)
-
-    def test_p_y_zero_flag_required(self):
-        with pytest.raises(ValueError):
-            ca.PeScheme("calkin_wilf_lattice", ca.Box((-1.0,), (1.0,)),
-                        p_y_zero=False)
-
     def test_pe_value_reproducible_and_pure(self):
         scheme = ca.calkin_wilf_lattice(2, scale=0.5)
         a = [ca.pe_value(scheme, j) for j in (3, 77, 1234)]
@@ -212,12 +202,6 @@ class TestPeValue:
         gen = lambda j0, c: np.arange(j0, j0 + c, dtype=float)[:, None] * 0.125
         scheme = ca.custom_scheme(gen, ca.Box((0.0,), (10.0,)))
         assert ca.pe_value(scheme, 5)[0] == 0.625
-
-    def test_stoken_recomputable(self):
-        vocab = ca.Vocabulary.x_grid((-1.0,), (1.0,), 3, 1)
-        scheme = ca.calkin_wilf_lattice(1)
-        tok = ca.SToken.make(vocab, scheme, 2, 7)
-        assert np.array_equal(tok.value, vocab.v_x[2] + ca.pe_value(scheme, 7))
 
 
 class TestVocabulary:
@@ -267,6 +251,13 @@ class TestDensityAudit:
         # record the achieved n for the report
         assert int(prof.ns[hits[0]]) <= 100_000
 
+    @pytest.mark.parametrize("n_max", [0, -3])
+    def test_rejects_n_max_below_one(self, n_max):
+        vocab = ca.Vocabulary([[0.0]], [[0.0]])
+        scheme = ca.dyadic_lattice(ca.Box((-1.0,), (1.0,)))
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            ca.density_audit(vocab, scheme, ca.Box((-1.0,), (1.0,)), n_max)
+
     def test_csv_output(self, tmp_path):
         vocab = ca.Vocabulary([[0.0]], [[0.0]])
         scheme = ca.dyadic_lattice(ca.Box((-1.0,), (1.0,)))
@@ -292,3 +283,13 @@ class TestSchemeSerde:
                                   ca.Box((0.0,), (1.0,)))
         with pytest.raises(TypeError):
             scheme.to_json_dict()
+
+
+class TestFiniteBounds:
+    @pytest.mark.parametrize("lo,hi", [((float("nan"),), (1.0,)), ((0.0,), (float("inf"),)),
+                                       ((-float("inf"), 0.0), (1.0, 1.0))])
+    def test_box_and_grid_reject_non_finite_bounds(self, lo, hi):
+        with pytest.raises(ValueError, match="box bounds must be finite"):
+            ca.Box(lo, hi)
+        with pytest.raises(ValueError, match="grid bounds must be finite"):
+            ca.Grid(lo, hi, (5,) * len(lo))
