@@ -14,9 +14,9 @@ from .construction import (Caps, ConstructionReport, FitOptions, StageBudgets,
 from .embedding import (EmbeddingResult, embed_fnn, embed_softmax_fnn,
                         exp_to_softmax_fnn, extract_fnn)
 from .errors import (BudgetError, ConfigError, CtxApproxError, DimensionError,
-                     EmptyGridError, EpsilonRangeError, IllConditionedError,
-                     KroneckerCapExceeded, NonFiniteTargetError,
-                     PositionScanExhausted)
+                     EmptyGridError, EpsilonRangeError, FloorViolationError,
+                     IllConditionedError, KroneckerCapExceeded,
+                     NonFiniteTargetError, PositionScanExhausted)
 from .exp_fd import build_exp_fd_network, fit_polynomial
 from .expressions import parse_target
 from .fnn import (EXP, RELU, SOFTMAX, Activation, FitResult, FnnParams,
@@ -28,7 +28,7 @@ from .kronecker import (KroneckerWitness, TokenDecomposition,
                         pell_denominators)
 from .nonuap import (ExpSum, FiniteFamilySpec, NonUapAuditRecord,
                      Prop1FuzzRecord, count_zeros, hard_target, nonuap_audit,
-                     prop1_fuzz, regroup_terms)
+                     prop1_fuzz)
 from .transformer import (GeneralBlocks, InputAssembly, TransformerParams,
                           assemble, attention_forward, identity_sparse_params,
                           random_sparse_params, readout_batch,

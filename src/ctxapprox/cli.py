@@ -367,8 +367,8 @@ def cmd_audit(cfg: dict, out: Path, seed_override: int | None) -> int:
     kind = _require(cfg, "kind", str)
     seed = seed_override if seed_override is not None else _int_field(cfg, "seed", 0)
     if kind == "prop1_fuzz":
-        record = prop1_fuzz(_int_field(cfg, "count"), seed,
-                            k_range=tuple(cfg.get("k_range", [1, 6])),
+        k_range = tuple(_whole(k, "k_range") for k in cfg.get("k_range", [1, 6]))
+        record = prop1_fuzz(_int_field(cfg, "count"), seed, k_range=k_range,
                             exponent_separation=float(cfg.get("exponent_separation", 0.1)),
                             coeff_range=float(cfg.get("coeff_range", 5.0)),
                             interval=tuple(cfg.get("interval", [-8.0, 8.0])),

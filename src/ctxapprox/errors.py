@@ -69,6 +69,17 @@ class PositionScanExhausted(CtxApproxError):
         super().__init__(f"scan exhausted at j_cap={j_cap}: {detail}")
 
 
+class FloorViolationError(CtxApproxError):
+    """A non-UAP audit trial came in under the certified error floor."""
+
+    def __init__(self, trial: int, error: float, floor: float):
+        self.trial = trial
+        self.error = float(error)
+        self.floor = float(floor)
+        super().__init__(f"trial {trial} has minmax error {error:.17g}, below the "
+                         f"certified floor {floor:g}")
+
+
 class BudgetError(CtxApproxError):
     """A construction stage exceeded its error budget."""
 

@@ -11,13 +11,22 @@ a proof of the universally quantified statement.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, FloorViolationError
 
 _DISTINCT_TOL = 1e-9
+# rounding slack below the certified floor: the target's alternation values
+# are +-1 only to within a few ulps
+_FLOOR_TOL = 1e-12
+# joint (cell, coefficient) counts held per multinomial draw; the trials are
+# drawn in chunks of about this many entries, whatever the family size
+_JOINT_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -93,6 +102,17 @@ class Prop1FuzzRecord:
             fh.write(f"{t},{int(k)},{int(z)}\n")
 
 
+def _k_range(k_range) -> tuple[int, int]:
+    """``k_range`` as whole numbers 1 <= k_lo <= k_hi, or ValueError."""
+    try:
+        k_lo, k_hi = (operator.index(k) for k in k_range)
+    except (TypeError, ValueError):
+        raise ValueError(f"k_range must be two integers, got {k_range!r}") from None
+    if not 1 <= k_lo <= k_hi:
+        raise ValueError(f"k_range must satisfy 1 <= k_lo <= k_hi, got {k_range!r}")
+    return k_lo, k_hi
+
+
 def prop1_fuzz(count: int, seed: int, *, k_range=(1, 6),
                exponent_separation: float = 0.1, coeff_range: float = 5.0,
                interval=(-8.0, 8.0), grid_points: int = 2001) -> Prop1FuzzRecord:
@@ -101,8 +121,20 @@ def prop1_fuzz(count: int, seed: int, *, k_range=(1, 6),
     Each trial draws k in ``k_range``, sorted exponents in [-3, 3] at least
     ``exponent_separation`` apart, and coefficients in +-``coeff_range``, not
     all zero.  A sum with more than k - 1 sign changes is a violation.
+    Options that no draw could meet are rejected up front with ValueError,
+    rather than left to spin in the rejection loops.
     """
-    k_lo, k_hi = k_range
+    k_lo, k_hi = _k_range(k_range)
+    sep = float(exponent_separation)
+    if not (math.isfinite(sep) and sep > 0.0):
+        raise ValueError(f"exponent_separation must be finite and > 0, got {sep!r}")
+    if k_hi > 1 and sep * (k_hi - 1) >= 6.0:
+        raise ValueError(f"exponent_separation {sep!r} leaves no room for {k_hi} "
+                         f"exponents in [-3, 3]; it must be below {6.0 / (k_hi - 1)!r}")
+    if not (math.isfinite(coeff_range) and coeff_range > 0.0):
+        raise ValueError(f"coeff_range must be finite and > 0, got {coeff_range!r}")
+    if not all(math.isfinite(v) for v in interval):
+        raise ValueError(f"interval must be finite, got {tuple(interval)!r}")
     rng = np.random.default_rng(seed)
     ks = np.empty(count, dtype=np.int64)
     changes = np.empty(count, dtype=np.int64)
@@ -162,6 +194,14 @@ class FiniteFamilySpec:
 
 @dataclass(frozen=True)
 class NonUapAuditRecord:
+    """Per-trial minmax errors of sampled finite-family networks.
+
+    ``certified_floor`` is Proposition 1's bound: a network whose error at
+    the N + 2 alternation points stayed below 1 would change sign N + 1
+    times there, but its numerator sums at most N exponentials.
+    """
+
+    certified_floor: ClassVar[float] = 1.0
     N: int
     max_context: int
     trials: int
@@ -182,6 +222,7 @@ class NonUapAuditRecord:
             "min_minmax_error": self.min_minmax_error,
             "max_distinct_terms": self.max_distinct_terms,
             "structural_cap_holds": self.structural_cap_holds,
+            "certified_floor": self.certified_floor,
         }
 
     def write_csv(self, fh):
@@ -191,50 +232,50 @@ class NonUapAuditRecord:
             fh.write(f"{t},{int(n)},{e:.17g},{int(d)}\n")
 
 
-def regroup_terms(a: np.ndarray, cell: np.ndarray, N: int) -> np.ndarray:
-    """Sum coefficients of identical (w, b) keys; returns length-N sums."""
-    return np.bincount(cell, weights=a, minlength=N)
-
-
 def nonuap_audit(family: FiniteFamilySpec, max_context: int, trials: int,
                  seed: int) -> NonUapAuditRecord:
     """Sample softmax networks from the family and test them on the hard target.
 
     Each trial draws a context length k <= max_context and k triples from
-    A x W x B (arbitrary multiplicities), regroups the numerator by exact
-    (w, b) key, verifies the distinct-term count stays <= N, and measures the
-    max error against cos((N+1) pi x) at the alternation points.  Returns the
-    per-trial records and the min over trials of that max error.
+    A x W x B (arbitrary multiplicities).  The network depends on the triples
+    only through their joint (cell, coefficient) counts, so the trial draws
+    those counts directly from one multinomial over the N |A| pairs; the
+    regrouped numerator has at most N terms, one per (w, b) cell.  The audit
+    verifies that cap and measures the max error against cos((N+1) pi x) at
+    the alternation points.  By Proposition 1 no trial can come in under
+    ``certified_floor``; one that does raises ``FloorViolationError``.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if max_context < 1:
         raise ValueError("max_context must be >= 1")
     N = family.N
+    n_a = family.a_set.size
     g, z = hard_target(N)
     g_z = g(z)
     n_w, n_b = family.w_set.size, family.b_set.size
     # score matrix e^{w z + b} for the N regrouped cells at the audit points
     wb_w = np.repeat(family.w_set, n_b)
     wb_b = np.tile(family.b_set, n_w)
-    cell_scores = np.exp(np.outer(z, wb_w) + wb_b)           # (len(z), N)
+    cell_scores_t = np.exp(np.outer(z, wb_w) + wb_b).T       # (N, len(z))
 
     rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, max_context + 1, size=trials)
+    pair_probs = np.full(N * n_a, 1.0 / (N * n_a))
     minmax = np.empty(trials)
     distinct = np.empty(trials, dtype=np.int64)
-    lengths = np.empty(trials, dtype=np.int64)
-    for t in range(trials):
-        k = int(rng.integers(1, max_context + 1))
-        cells = rng.integers(0, N, size=k)
-        a = rng.choice(family.a_set, size=k)
-        a_grouped = regroup_terms(a, cells, N)
-        counts = np.bincount(cells, minlength=N)
-        distinct[t] = int(np.count_nonzero(counts))
-        lengths[t] = k
-        num = cell_scores @ a_grouped
-        den = cell_scores @ counts
-        net = num / den
-        minmax[t] = float(np.max(np.abs(net - g_z)))
+    rows = max(1, _JOINT_CELLS // (N * n_a))
+    for start in range(0, trials, rows):
+        stop = min(trials, start + rows)
+        joint = rng.multinomial(lengths[start:stop], pair_probs).reshape(-1, N, n_a)
+        counts = joint.sum(axis=2)
+        net = (joint @ family.a_set) @ cell_scores_t / (counts @ cell_scores_t)
+        minmax[start:stop] = np.max(np.abs(net - g_z), axis=1)
+        distinct[start:stop] = np.count_nonzero(counts, axis=1)
+    below = np.flatnonzero(minmax < NonUapAuditRecord.certified_floor - _FLOOR_TOL)
+    if below.size:
+        raise FloorViolationError(int(below[0]), float(minmax[below[0]]),
+                                  NonUapAuditRecord.certified_floor)
     cap_ok = bool(np.all(distinct <= N))
     return NonUapAuditRecord(N, max_context, trials, seed, float(np.min(minmax)),
                              int(np.max(distinct)), cap_ok, minmax, distinct, lengths)

@@ -449,42 +449,117 @@ class DensityProfile:
             fh.write(f"{int(n)},{r:.17g}\n")
 
 
+# token points (positions x tokens) per pe_block call, and positions per
+# touched-box update inside it
+_DENSITY_BLOCK = 4096
+_TOUCH_ROWS = 32
+
+
+def _point_distances(points: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """Sup-norm distance from each probe to the nearest of each position's
+    ``points`` (tokens, positions, d); (positions, probes), accumulated per
+    dimension to avoid 3-d temporaries."""
+    d = np.full((points.shape[1], probes.shape[0]), np.inf)
+    dv = np.empty_like(d)
+    buf = np.empty_like(d)
+    for pts in points:
+        np.abs(np.subtract(pts[:, :1], probes[None, :, 0], out=dv), out=dv)
+        for t in range(1, probes.shape[1]):
+            np.abs(np.subtract(pts[:, t:t + 1], probes[None, :, t], out=buf), out=buf)
+            np.maximum(dv, buf, out=dv)
+        np.minimum(d, dv, out=d)
+    return d
+
+
+class _ProbeBoxes:
+    """The probe grid of a density audit, and unions of index boxes on it.
+
+    A probe's index along each axis is (coordinate - lo) / step.  The box of
+    a point is every index within ``r`` of it, widened to the enclosing whole
+    indices on both sides, so rounding cannot drop a probe; it may hold a
+    few more.  Any superset of the probes a point can reach will do.
+    """
+
+    def __init__(self, region: Box, per_dim: int):
+        grid = Grid(region.lo, region.hi, (per_dim,) * region.dim)
+        self.probes = grid.points()
+        self.every = np.arange(self.probes.shape[0])
+        self.per_dim = per_dim
+        self.lo = np.array(grid.lo)
+        self.step = (np.array(grid.hi) - self.lo) / max(per_dim - 1, 1)
+        self.strides = per_dim ** np.arange(region.dim - 1, -1, -1)
+
+    def index(self, pts: np.ndarray) -> np.ndarray:
+        """The fractional grid index of each point, per axis."""
+        return (pts - self.lo) / self.step
+
+    def touched(self, index: np.ndarray, r: float) -> np.ndarray:
+        """Flat indices of the union of the boxes at radius ``r`` around the
+        points at fractional grid ``index`` (points, d).
+
+        Each box is enumerated as an offset into the smallest index block
+        that holds every box; once that enumeration outgrows the grid, every
+        probe is returned instead.
+        """
+        half = r / self.step
+        first = np.clip(np.floor(index - half), 0, self.per_dim)
+        stop = np.clip(np.ceil(index + half) + 1, first, self.per_dim)
+        first = first.astype(np.int64)
+        width = stop.astype(np.int64) - first                     # (points, d)
+        span = width.max(axis=0)
+        if index.shape[0] * math.prod(span) >= self.every.size:
+            return self.every
+        offsets = np.indices(span).reshape(span.size, -1)         # (d, block)
+        flat = (first @ self.strides)[:, None] + self.strides @ offsets
+        inside = np.all(offsets < width[:, :, None], axis=1)      # (points, block)
+        mask = np.zeros(self.every.size, dtype=bool)
+        mask[flat[inside]] = True
+        return np.flatnonzero(mask)
+
+
 def density_audit(vocab: Vocabulary, scheme: PeScheme, region: Box,
-                  n_max: int, probe_per_dim: int = 64,
-                  block: int = 4096) -> DensityProfile:
-    """Covering radius r(n) (sup-norm) for n = 1..n_max; non-increasing in n."""
+                  n_max: int, probe_per_dim: int = 64) -> DensityProfile:
+    """Covering radius r(n) (sup-norm) for n = 1..n_max; non-increasing in n.
+
+    Adding position n can lower a probe's best distance only where some new
+    point lies within r(n-1) of it, so each run of positions updates just the
+    probes in the union of its points' boxes (``_ProbeBoxes.touched``) and
+    takes r(n) as the larger of the untouched probes' max and the touched
+    probes' row max.  Every step is an exact min or max over the distances a dense
+    probes-by-positions pass computes, so the radii are bit-identical to it;
+    the first run, with r still infinite, touches every probe.
+    """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if probe_per_dim < 1:
+        raise ValueError(f"probe_per_dim must be >= 1, got {probe_per_dim}")
     if vocab.v_x.shape[0] == 0:
         raise EmptyGridError("empty vocabulary")
     if region.dim != scheme.d_x:
         raise DimensionError("region and scheme dimensions disagree")
-    probes = Grid(region.lo, region.hi, (probe_per_dim,) * region.dim).points()
-    n_probes = probes.shape[0]
-    block = max(64, min(block, (1 << 22) // max(n_probes, 1)))
-    best = np.full(n_probes, np.inf)
+    if not np.all(np.isfinite(vocab.v_x)):
+        raise ValueError("vocabulary x tokens must be finite")
+    boxes = _ProbeBoxes(region, probe_per_dim)
+    best = np.full(boxes.probes.shape[0], np.inf)
     radii = np.empty(n_max)
-    done = 0
-    dv = np.empty((block, n_probes))
-    buf = np.empty((block, n_probes))
-    while done < n_max:
-        take = min(block, n_max - done)
-        pe = pe_block(scheme, done + 1, take)                  # (take, d)
-        # distance from each probe to the nearest token of each position,
-        # accumulated per dimension to avoid 3-d temporaries
-        d = np.full((take, n_probes), np.inf)
-        for v in vocab.v_x:
-            pts = v + pe
-            dvt = dv[:take]
-            np.abs(np.subtract(pts[:, :1], probes[None, :, 0], out=dvt), out=dvt)
-            for t in range(1, probes.shape[1]):
-                bt = buf[:take]
-                np.abs(np.subtract(pts[:, t:t + 1], probes[None, :, t], out=bt), out=bt)
-                np.maximum(dvt, bt, out=dvt)
-            np.minimum(d, dvt, out=d)
-        np.minimum(d[0], best, out=d[0])
-        np.minimum.accumulate(d, axis=0, out=d)
-        radii[done:done + take] = np.max(d, axis=1)
-        best = d[take - 1].copy()
-        done += take
+    r = np.inf
+    block = max(_TOUCH_ROWS, _DENSITY_BLOCK // vocab.v_x.shape[0])
+    for done in range(0, n_max, block):
+        pe = pe_block(scheme, done + 1, min(block, n_max - done))
+        points = vocab.v_x[:, None, :] + pe                       # (tokens, positions, d)
+        index = boxes.index(points)
+        for row in range(0, pe.shape[0], _TOUCH_ROWS):
+            rows = slice(row, row + _TOUCH_ROWS)
+            touched = boxes.touched(index[:, rows].reshape(-1, region.dim), r)
+            d = _point_distances(points[:, rows], boxes.probes[touched])
+            np.minimum(d[0], best[touched], out=d[0])
+            np.minimum.accumulate(d, axis=0, out=d)
+            untouched = best.copy()
+            untouched[touched] = -np.inf
+            out = radii[done + row:done + row + d.shape[0]]
+            out[:] = untouched.max()
+            if touched.size:
+                np.maximum(out, d.max(axis=1), out=out)
+                best[touched] = d[-1]
+            r = out[-1]
     return DensityProfile(np.arange(1, n_max + 1), radii)

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -236,7 +237,7 @@ class TestConstructCommand:
 
 class TestAuditCommands:
     def test_prop1_fuzz(self, tmp_path):
-        cfg = {"kind": "prop1_fuzz", "count": 150, "seed": 3}
+        cfg = {"kind": "prop1_fuzz", "count": 150, "seed": 3, "k_range": [1.0, 6.0]}
         code, out = run(tmp_path, "fuzz", cfg, "audit")
         assert code == 0
         doc = json.loads((out / "audit.json").read_text())
@@ -252,6 +253,35 @@ class TestAuditCommands:
         assert doc["min_minmax_error"] >= 0.5
         assert doc["structural_cap_holds"] is True
         assert doc["N"] == 4
+
+    def test_nonuap_audit_certified_floor(self, tmp_path):
+        cfg = json.loads((ROOT / "configs" / "nonuap_audit.json").read_text())
+        cfg["trials"] = 500
+        code, out = run(tmp_path, "floor", cfg, "audit")
+        assert code == 0
+        doc = json.loads((out / "audit.json").read_text())
+        assert doc["certified_floor"] == 1.0
+        assert doc["min_minmax_error"] >= doc["certified_floor"]
+
+    def test_nonuap_audit_under_the_floor_exit_4(self, tmp_path, monkeypatch):
+        from ctxapprox.nonuap import NonUapAuditRecord
+        monkeypatch.setattr(NonUapAuditRecord, "certified_floor", 2.0)
+        cfg = {"kind": "nonuap", "max_context": 50, "trials": 20, "seed": 1,
+               "family": {"a_set": [1.0, -1.0], "w_set": [0.5], "b_set": [0.0]}}
+        code, out = run(tmp_path, "under", cfg, "audit")
+        assert code == 4
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["exit_code"] == 4
+        assert "below the certified floor 2" in err["message"]
+        assert not (out / "audit.json").exists()
+
+    def test_density_shipped_config_bytes(self, tmp_path):
+        # pinned: the touched-box update must reproduce the dense pass bit for bit
+        cfg = json.loads((ROOT / "configs" / "density_dyadic.json").read_text())
+        code, out = run(tmp_path, "density_dyadic", cfg, "density")
+        assert code == 0
+        digest = hashlib.sha256((out / "density.csv").read_bytes()).hexdigest()
+        assert digest == "39a1899c2b4f123b35075fea85d00647d2b0e3da749523476d5752d45c89a119"
 
     def test_density_dyadic(self, tmp_path):
         cfg = {"vocab": {"v_x": [[0.0]], "v_y": [[0.0]]},
@@ -302,7 +332,8 @@ class TestAuditCommands:
          "probe_per_dim", float("inf")),
         ("audit", {"kind": "prop1_fuzz", "count": 5}, "count", float("inf")),
         ("audit", {"kind": "prop1_fuzz", "count": 5}, "grid_points", float("-inf")),
-        ("audit", {"kind": "prop1_fuzz", "count": 5}, "seed", "3")])
+        ("audit", {"kind": "prop1_fuzz", "count": 5}, "seed", "3"),
+        ("audit", {"kind": "prop1_fuzz", "count": 5}, "k_range", [1.5, 3])])
     def test_bad_integer_field_exit_2(self, tmp_path, command, config, field, value):
         # Infinity used to escape int() as an OverflowError traceback (exit 1)
         cfg = json.loads(json.dumps(config))
@@ -324,6 +355,24 @@ class TestAuditCommands:
                      "scheme": {"kind": "dyadic_lattice", "region": {"lo": [-1.0], "hi": [1.0]}},
                      "region": {"lo": [-1.0], "hi": [1.0]}, "n_max": 7},
          "n_max", 0, "n_max must be >= 1"),
+        ("density", {"vocab": {"v_x": [[0.0]], "v_y": [[0.0]]},
+                     "scheme": {"kind": "dyadic_lattice", "region": {"lo": [-1.0], "hi": [1.0]}},
+                     "region": {"lo": [-1.0], "hi": [1.0]}, "n_max": 7},
+         "probe_per_dim", 0, "probe_per_dim must be >= 1"),
+        ("density", {"vocab": {"v_x": [[0.0]], "v_y": [[0.0]]},
+                     "scheme": {"kind": "dyadic_lattice", "region": {"lo": [-1.0], "hi": [1.0]}},
+                     "region": {"lo": [-1.0], "hi": [1.0]}, "n_max": 7},
+         "vocab.v_x", [[0.0], [float("nan")]], "tokens must be finite"),
+        ("audit", {"kind": "prop1_fuzz", "count": 5}, "exponent_separation", float("nan"),
+         "exponent_separation must be finite and > 0"),
+        ("audit", {"kind": "prop1_fuzz", "count": 5}, "exponent_separation", 1.5,
+         "exponent_separation 1.5 leaves no room for 6 exponents"),
+        ("audit", {"kind": "prop1_fuzz", "count": 5}, "coeff_range", float("nan"),
+         "coeff_range must be finite and > 0"),
+        ("audit", {"kind": "prop1_fuzz", "count": 5}, "interval", [-1.0, float("inf")],
+         "interval must be finite"),
+        ("audit", {"kind": "prop1_fuzz", "count": 5}, "k_range", [3, 1],
+         "k_range must satisfy 1 <= k_lo <= k_hi"),
         ("audit", {"kind": "nonuap", "max_context": 20, "trials": 50, "seed": 1,
                    "family": {"a_set": [1.0], "w_set": [0.5], "b_set": [0.0]}},
          "family.a_set", [1.0, float("nan")], "a_set must be finite")])

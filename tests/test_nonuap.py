@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctxapprox as ca
+from ctxapprox import nonuap
 
 
 class TestExpSum:
@@ -78,6 +79,30 @@ class TestProp1Fuzz:
                     break
             assert k_rec == k
             assert z_rec == ca.count_zeros(ca.ExpSum(a, b), (-4.0, 4.0), 501)
+
+    @pytest.mark.parametrize("options,field", [
+        ({"exponent_separation": float("nan")}, "exponent_separation"),
+        ({"exponent_separation": 0.0}, "exponent_separation"),
+        ({"exponent_separation": -0.1}, "exponent_separation"),
+        ({"exponent_separation": 1.2}, "exponent_separation"),    # = 6 / (6 - 1)
+        ({"exponent_separation": 3.5, "k_range": (1, 3)}, "exponent_separation"),
+        ({"coeff_range": float("nan")}, "coeff_range"),
+        ({"coeff_range": float("inf")}, "coeff_range"),
+        ({"coeff_range": 0.0}, "coeff_range"),
+        ({"interval": (-1.0, float("inf"))}, "interval"),
+        ({"interval": (float("nan"), 1.0)}, "interval"),
+        ({"k_range": (0, 3)}, "k_range"),
+        ({"k_range": (4, 2)}, "k_range"),
+        ({"k_range": (1.5, 3)}, "k_range"),
+        ({"k_range": (1, 2, 3)}, "k_range")])
+    def test_rejects_options_no_draw_can_meet(self, options, field):
+        # a NaN separation used to spin forever in the exponent rejection loop
+        with pytest.raises(ValueError, match=field):
+            ca.prop1_fuzz(5, 1, **options)
+
+    def test_any_separation_fits_a_single_exponent(self):
+        rec = ca.prop1_fuzz(3, 1, k_range=(1, 1), exponent_separation=100.0)
+        assert rec.ks.tolist() == [1, 1, 1]
 
     def test_record_json_and_csv(self):
         rec = ca.Prop1FuzzRecord(np.array([1, 2, 3]), np.array([0, 2, 1]))
@@ -154,6 +179,8 @@ class TestNonUapAudit:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_regrouping_is_exact(self, seed):
+        # the joint (cell, coefficient) counts carry the whole network: the
+        # regrouped coefficients joint @ a_set reproduce the per-token sum
         rng = np.random.default_rng(seed)
         n_w, n_b = 2, 2
         w_set = rng.uniform(-1, 1, n_w)
@@ -161,13 +188,59 @@ class TestNonUapAudit:
         a_set = rng.uniform(-2, 2, 3)
         k = int(rng.integers(1, 50))
         cells = rng.integers(0, n_w * n_b, k)
-        a = rng.choice(a_set, k)
+        a_idx = rng.integers(0, a_set.size, k)
         x = rng.uniform(0, 1, 7)
         w = np.repeat(w_set, n_b)[cells]
         b = np.tile(b_set, n_w)[cells]
-        raw = np.exp(np.outer(x, w) + b) @ a
-        grouped_coeff = ca.regroup_terms(a, cells, n_w * n_b)
+        raw = np.exp(np.outer(x, w) + b) @ a_set[a_idx]
+        joint = np.zeros((n_w * n_b, a_set.size), dtype=np.int64)
+        np.add.at(joint, (cells, a_idx), 1)
+        assert joint.sum() == k
         ww = np.repeat(w_set, n_b)
         bb = np.tile(b_set, n_w)
-        grouped = np.exp(np.outer(x, ww) + bb) @ grouped_coeff
+        grouped = np.exp(np.outer(x, ww) + bb) @ (joint @ a_set)
         assert np.max(np.abs(raw - grouped)) <= 1e-12 * max(1.0, np.max(np.abs(raw)))
+
+    @pytest.mark.parametrize("joint_cells", [nonuap._JOINT_CELLS, 64, 1])
+    def test_vectorised_audit_matches_per_trial_loop(self, monkeypatch, joint_cells):
+        # the same seed's joint counts, evaluated one trial at a time; the
+        # chunk size changes neither the draws nor the errors
+        monkeypatch.setattr(nonuap, "_JOINT_CELLS", joint_cells)
+        family = ca.FiniteFamilySpec([-2.0, -1.0, 1.0, 2.0], [0.5, -1.0], [0.0, 0.7])
+        trials, max_context, seed = 300, 400, 3
+        rec = ca.nonuap_audit(family, max_context, trials, seed)
+        N, n_a = family.N, family.a_set.size
+        rng = np.random.default_rng(seed)
+        lengths = rng.integers(1, max_context + 1, size=trials)
+        joint = rng.multinomial(lengths, np.full(N * n_a, 1.0 / (N * n_a)))
+        joint = joint.reshape(trials, N, n_a)
+        g, z = ca.hard_target(N)
+        scores = np.exp(np.outer(z, np.repeat(family.w_set, family.b_set.size))
+                        + np.tile(family.b_set, family.w_set.size))
+        np.testing.assert_array_equal(rec.context_lengths, lengths)
+        for t in range(trials):
+            counts = joint[t].sum(axis=1)
+            net = (scores @ (joint[t] @ family.a_set)) / (scores @ counts)
+            # matmul summation order may move the last bits
+            assert rec.minmax_errors[t] == pytest.approx(np.max(np.abs(net - g(z))),
+                                                         rel=0, abs=1e-13)
+            assert rec.distinct_terms[t] == np.count_nonzero(counts)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_w=st.integers(1, 3), n_b=st.integers(1, 2), n_a=st.integers(1, 4),
+           max_context=st.integers(1, 200), seed=st.integers(0, 10_000))
+    def test_certified_floor_holds(self, n_w, n_b, n_a, max_context, seed):
+        # Proposition 1: no network from a finite family gets under error 1
+        rng = np.random.default_rng(seed)
+        family = ca.FiniteFamilySpec(rng.uniform(-5, 5, n_a), rng.uniform(-3, 3, n_w),
+                                     rng.uniform(-3, 3, n_b))
+        rec = ca.nonuap_audit(family, max_context, 200, seed)
+        assert rec.certified_floor == 1.0
+        assert rec.min_minmax_error >= rec.certified_floor - 1e-12
+        assert rec.structural_cap_holds
+
+    def test_trial_under_the_floor_raises(self, monkeypatch):
+        monkeypatch.setattr(ca.NonUapAuditRecord, "certified_floor", 2.0)
+        family = ca.FiniteFamilySpec([1.0, -1.0], [0.5], [0.0])
+        with pytest.raises(ca.FloorViolationError, match="trial 0 has minmax error"):
+            ca.nonuap_audit(family, 10, 20, seed=0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ctxapprox as ca
+from ctxapprox import vocab_pe
 from ctxapprox.vocab_pe import (SQRT2, _cw_stream_coords, _dyadic_levels, _fusc_array,
                                _morton_levels, _morton_offset, _morton_split,
                                _morton_stream_bounds, pe_block)
@@ -18,6 +19,24 @@ def cw_iteration_oracle(n):
         q = 1 / (2 * (q.numerator // q.denominator) - q + 1)
         out.append(q)
     return out
+
+
+def dense_covering_radii(vocab, scheme, region, n_max, probe_per_dim, chunk=256):
+    """r(n) by brute force: every probe against every position's points."""
+    probes = ca.Grid(region.lo, region.hi, (probe_per_dim,) * region.dim).points()
+    best = np.full(probes.shape[0], np.inf)
+    radii = []
+    for start in range(0, n_max, chunk):
+        pe = pe_block(scheme, start + 1, min(chunk, n_max - start))
+        dist = np.full((pe.shape[0], probes.shape[0]), np.inf)
+        for v in vocab.v_x:
+            sup = np.max(np.abs((v + pe)[:, None, :] - probes[None, :, :]), axis=2)
+            dist = np.minimum(dist, sup)
+        dist[0] = np.minimum(dist[0], best)
+        dist = np.minimum.accumulate(dist, axis=0)
+        radii.append(dist.max(axis=1))
+        best = dist[-1]
+    return np.concatenate(radii)
 
 
 class TestCalkinWilf:
@@ -250,6 +269,37 @@ class TestDensityAudit:
         assert hits.size > 0
         # record the achieved n for the report
         assert int(prof.ns[hits[0]]) <= 100_000
+
+    @pytest.mark.parametrize("kind", ["dyadic_lattice", "irrational_rotation",
+                                      "calkin_wilf_lattice"])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("tokens", [1, 3])
+    @pytest.mark.parametrize("probe_per_dim", [1, 2, 64])
+    @pytest.mark.parametrize("n_max", [128, 150])
+    def test_matches_dense_reference(self, monkeypatch, kind, d, tokens, probe_per_dim,
+                                     n_max):
+        # small blocks so that 128 ends on a pe_block and an update boundary
+        # and 150 on neither; the third token sits partly outside the region
+        monkeypatch.setattr(vocab_pe, "_DENSITY_BLOCK", 64 * tokens)
+        monkeypatch.setattr(vocab_pe, "_TOUCH_ROWS", 8)
+        region = ca.Box((-1.0,) * d, (1.0,) * d)
+        scheme = (ca.calkin_wilf_lattice(d) if kind == "calkin_wilf_lattice"
+                  else getattr(ca, kind)(region))
+        offsets = [[0.013, -0.029], [-0.41, 0.37], [1.7, -2.3]][:tokens]
+        vocab = ca.Vocabulary([o[:d] for o in offsets], [[0.0]])
+        prof = ca.density_audit(vocab, scheme, region, n_max, probe_per_dim=probe_per_dim)
+        ref = dense_covering_radii(vocab, scheme, region, n_max, probe_per_dim)
+        assert np.array_equal(prof.radii, ref)
+
+    @pytest.mark.parametrize("kind", ["dyadic_lattice", "irrational_rotation"])
+    def test_matches_dense_reference_across_a_full_block(self, kind):
+        n_max = vocab_pe._DENSITY_BLOCK + 45
+        region = ca.Box((-1.0, -1.0), (1.0, 1.0))
+        vocab = ca.Vocabulary([[0.031, -0.017]], [[0.0]])
+        scheme = getattr(ca, kind)(region)
+        prof = ca.density_audit(vocab, scheme, region, n_max, probe_per_dim=24)
+        assert np.array_equal(prof.radii,
+                              dense_covering_radii(vocab, scheme, region, n_max, 24))
 
     @pytest.mark.parametrize("n_max", [0, -3])
     def test_rejects_n_max_below_one(self, n_max):
