@@ -65,6 +65,17 @@ def _require(cfg: dict, field: str, kind=None):
     return cur
 
 
+def _known(obj: dict, field: str, allowed) -> dict:
+    """``obj``, whose keys must all be in ``allowed``; ``field`` is its dotted
+    name, "" for the top level.  A misspelled key would otherwise run with
+    the default."""
+    for key in obj:
+        if key not in allowed:
+            raise ConfigError(f"{field}.{key}" if field else key,
+                              f"unknown key; {field or 'the config'} takes {', '.join(allowed)}")
+    return obj
+
+
 def _whole(value, field: str) -> int:
     """``value`` as an int when it is a whole number; a bare ``int()`` would
     raise ``OverflowError`` on Infinity and truncate 2.5."""
@@ -109,9 +120,7 @@ def _load_options(cfg: dict, field: str, cls):
     their defaults."""
     types = get_type_hints(cls)
     values = {}
-    for key, value in _require(cfg, field, dict).items():
-        if key not in types:
-            raise ConfigError(f"{field}.{key}", f"unknown key; {field} takes {', '.join(types)}")
+    for key, value in _known(_require(cfg, field, dict), field, types).items():
         if types[key] is int:
             values[key] = _whole(value, f"{field}.{key}")
             continue
@@ -124,7 +133,7 @@ def _load_options(cfg: dict, field: str, cls):
 
 
 def _load_grid(cfg: dict, field: str) -> Grid:
-    g = _require(cfg, field, dict)
+    g = _known(_require(cfg, field, dict), field, ("lo", "hi", "counts"))
     lo = _require(g, "lo", list)
     hi = _require(g, "hi", list)
     counts = _require(g, "counts", list)
@@ -134,10 +143,13 @@ def _load_grid(cfg: dict, field: str) -> Grid:
 def _load_transformer(cfg: dict) -> TransformerParams:
     t = _require(cfg, "transformer", dict)
     if "file" in t:
+        _known(t, "transformer", ("file",))
         return TransformerParams.from_json_dict(json.loads(Path(t["file"]).read_text()))
     if "blocks" in t:
+        _known(t, "transformer", ("blocks",))
         return TransformerParams.from_json_dict(t["blocks"])
     kind = t.get("kind", "random")
+    _known(t, "transformer", ("kind", "d_x", "d_y") + (("seed",) if kind == "random" else ()))
     d_x = _require(t, "d_x", int)
     d_y = _require(t, "d_y", int)
     if kind == "identity":
@@ -150,11 +162,15 @@ def _load_transformer(cfg: dict) -> TransformerParams:
 def _load_fnn(cfg: dict) -> FnnParams:
     f = _require(cfg, "fnn", dict)
     if "file" in f:
+        _known(f, "fnn", ("file",))
         return FnnParams.from_json_dict(json.loads(Path(f["file"]).read_text()))
     if "blocks" in f:
+        _known(f, "fnn", ("blocks",))
         return FnnParams.from_json_dict(f["blocks"])
     if "random" in f:
-        r = f["random"]
+        _known(f, "fnn", ("random",))
+        r = _known(_require(f, "random", dict), "fnn.random",
+                   ("seed", "k", "d_in", "d_y", "activation", "scale"))
         rng = np.random.default_rng(_require(r, "seed", int))
         k = _require(r, "k", int)
         d_in = _require(r, "d_in", int)
@@ -171,8 +187,11 @@ def _load_scheme(cfg: dict, field: str = "scheme") -> PeScheme:
     s = _require(cfg, field, dict)
     kind = _require(s, "kind", str)
     if kind == "calkin_wilf_lattice":
+        _known(s, field, ("kind", "d_x", "scale"))
         d_x = _require(s, "d_x", int)
         return calkin_wilf_lattice(d_x, float(s.get("scale", 1.0)))
+    _known(s, field, ("kind", "region"))
+    _known(_require(s, "region", dict), f"{field}.region", ("lo", "hi"))
     region = Box(tuple(_require(s, "region.lo", list)),
                  tuple(_require(s, "region.hi", list)))
     if kind == "dyadic_lattice":
@@ -185,11 +204,13 @@ def _load_scheme(cfg: dict, field: str = "scheme") -> PeScheme:
 def _load_vocab(cfg: dict) -> Vocabulary:
     v = _require(cfg, "vocab", dict)
     if "x_grid" in v:
-        g = v["x_grid"]
+        _known(v, "vocab", ("x_grid", "d_y"))
+        g = _known(_require(v, "x_grid", dict), "vocab.x_grid", ("lo", "hi", "per_dim"))
         return Vocabulary.x_grid(tuple(_require(g, "lo", list)),
                                  tuple(_require(g, "hi", list)),
                                  _require(g, "per_dim", int),
                                  _require(v, "d_y", int))
+    _known(v, "vocab", ("v_x", "v_y"))
     return Vocabulary(np.array(_require(v, "v_x", list), dtype=float),
                       np.array(_require(v, "v_y", list), dtype=float))
 
@@ -260,9 +281,7 @@ def cmd_embed(cfg: dict, out: Path, seed_override: int | None) -> int:
 
 
 def _construct_report(cfg: dict, seed_override: int | None):
-    for key in cfg:
-        if key not in _CONSTRUCT_KEYS:
-            raise ConfigError(key, f"unknown key; construct takes {', '.join(_CONSTRUCT_KEYS)}")
+    _known(cfg, "", _CONSTRUCT_KEYS)
     tp = _load_transformer(cfg)
     grid = _load_grid(cfg, "grid")
     vocab = _load_vocab(cfg)
@@ -270,6 +289,7 @@ def _construct_report(cfg: dict, seed_override: int | None):
     epsilon = float(_require(cfg, "epsilon", (int, float)))
     seed = seed_override if seed_override is not None else _int_field(cfg, "seed", 0)
     tgt_cfg = _require(cfg, "target", dict)
+    _known(tgt_cfg, "target", ("samples_file",) if "samples_file" in tgt_cfg else ("exprs",))
     if "samples_file" in tgt_cfg:
         target = _samples_target(tgt_cfg["samples_file"], grid.dim, tp.d_y)
     else:

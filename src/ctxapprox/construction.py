@@ -31,7 +31,8 @@ from .grids import Grid, as_points, lifted
 from .kronecker import SQRT2, TokenDecomposition, coefficient_decompose
 from .transformer import TransformerParams
 from .vocab_pe import (PeScheme, Vocabulary, _cw_stream_coords, _morton_levels,
-                       _morton_offset, _morton_stream_bounds, _morton_split, pe_block)
+                       _morton_offset, _morton_stream_bounds, _morton_split, pe_block,
+                       pe_rows)
 
 _TOKEN_SAFETY = 1.25
 
@@ -625,10 +626,10 @@ def _activation_lipschitz(activation: Activation, z_lo: float, z_hi: float) -> f
 
 def _token_rows(tokens, vocab, scheme, cmap) -> np.ndarray:
     """Mapped rows of assigned tokens, recomputed exactly from (i, j)."""
+    pe = pe_rows(scheme, [t.position for t in tokens])
     rows = np.empty((len(tokens), cmap.shape[0]))
     for idx, t in enumerate(tokens):
-        pe = pe_block(scheme, t.position, 1)[0]
-        rows[idx] = cmap @ (vocab.v_x[t.vocab_index] + pe)
+        rows[idx] = cmap @ (vocab.v_x[t.vocab_index] + pe[idx])
     return rows
 
 

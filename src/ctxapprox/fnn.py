@@ -165,28 +165,43 @@ class FitResult:
     rank_deficient: bool
 
 
-def _adam_refine(W, b, A, x, f, activation, steps, lr=2e-2):
-    """Fixed-iteration full-batch Adam on the mean-squared residual."""
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    ms = [np.zeros_like(W), np.zeros_like(b), np.zeros_like(A)]
-    vs = [np.zeros_like(W), np.zeros_like(b), np.zeros_like(A)]
-    n = x.shape[0]
+def _adam_refine(W, b, A, x, f, activation, steps):
+    """Fixed-iteration full-batch Adam on the mean-squared residual.
+
+    W, b, A and their gradients are views of two flat vectors, so Adam runs
+    once per step on one short vector, in work arrays allocated once.  The
+    products and elementwise steps keep the operand layouts and order of a
+    per-parameter loop, so the result is bit-identical to it.
+    """
+    lr, beta1, beta2, eps = 2e-2, 0.9, 0.999, 1e-8
+    (k, d), d_y, n = W.shape, A.shape[0], x.shape[0]
+    theta, grad = np.concatenate([W.ravel(), b, A.ravel()]), np.empty(k * (d + 1 + d_y))
+    (W, b, A), (gW, gb, gA) = (
+        (p[:k * d].reshape(k, d), p[k * d:k * (d + 1)], p[k * (d + 1):].reshape(d_y, k))
+        for p in (theta, grad))
+    m, v, step, tmp = (np.zeros_like(theta) for _ in range(4))
+    Z, Phi, G, R = np.empty((n, k)), np.empty((n, k)), np.empty((n, k)), np.empty((n, d_y))
+    relu = activation.kind == "relu"
+    dphi = np.empty((n, k), dtype=bool) if relu else Phi  # exp is its own derivative
     for t in range(1, steps + 1):
-        z = x @ W.T + b
-        if activation.kind == "relu":
-            phi, dphi = np.maximum(z, 0.0), (z > 0).astype(float)
-        else:  # exp
-            phi = np.exp(z)
-            dphi = phi
-        r = phi @ A.T - f  # (n, d_y)
-        g_phi = (r @ A) * dphi / n  # (n, k)
-        grads = [g_phi.T @ x, g_phi.sum(axis=0), (r.T @ phi) / n]
-        for p, g, m, v in zip((W, b, A), grads, ms, vs):
-            m *= beta1
-            m += (1 - beta1) * g
-            v *= beta2
-            v += (1 - beta2) * g * g
-            p -= lr * (m / (1 - beta1**t)) / (np.sqrt(v / (1 - beta2**t)) + eps)
+        np.add(np.matmul(x, W.T, out=Z), b, out=Z)
+        if relu:
+            np.maximum(Z, 0.0, out=Phi)
+            np.greater(Z, 0, out=dphi)
+        else:
+            np.exp(Z, out=Phi)
+        np.subtract(np.matmul(Phi, A.T, out=R), f, out=R)
+        np.divide(np.multiply(np.matmul(R, A, out=G), dphi, out=G), n, out=G)
+        np.matmul(G.T, x, out=gW)
+        G.sum(axis=0, out=gb)
+        np.divide(np.matmul(R.T, Phi, out=gA), n, out=gA)
+        m *= beta1
+        m += np.multiply(1 - beta1, grad, out=tmp)
+        v *= beta2
+        v += np.multiply(np.multiply(1 - beta2, grad, out=tmp), grad, out=tmp)
+        np.multiply(lr, np.divide(m, 1 - beta1**t, out=step), out=step)
+        np.add(np.sqrt(np.divide(v, 1 - beta2**t, out=tmp), out=tmp), eps, out=tmp)
+        theta -= np.divide(step, tmp, out=step)
     return W, b, A
 
 
@@ -254,8 +269,7 @@ def fit_fnn(samples, k: int, activation: Activation, seed: int, *,
         A, _ = solve_A(W, b, ridge_used)
 
     if refine_steps > 0:
-        W, b, A = _adam_refine(W.copy(), b.copy(), A.copy(), z, f,
-                               activation, refine_steps)
+        W, b, A = _adam_refine(W, b, A, z, f, activation, refine_steps)
         A, post_deficient = solve_A(W, b, ridge_used)
         deficient = deficient or post_deficient
 

@@ -113,6 +113,13 @@ def _k_range(k_range) -> tuple[int, int]:
     return k_lo, k_hi
 
 
+def _separated_exponents(rng: np.random.Generator, k: int, sep: float) -> np.ndarray:
+    """k sorted exponents, uniform on [-3, 3] given that neighbours are at
+    least ``sep`` apart: sorted uniforms on [-3, 3 - (k-1) sep], the i-th
+    shifted up by i sep.  Needs (k-1) sep < 6."""
+    return np.sort(rng.uniform(-3.0, 3.0 - (k - 1) * sep, k)) + sep * np.arange(k)
+
+
 def prop1_fuzz(count: int, seed: int, *, k_range=(1, 6),
                exponent_separation: float = 0.1, coeff_range: float = 5.0,
                interval=(-8.0, 8.0), grid_points: int = 2001) -> Prop1FuzzRecord:
@@ -121,8 +128,7 @@ def prop1_fuzz(count: int, seed: int, *, k_range=(1, 6),
     Each trial draws k in ``k_range``, sorted exponents in [-3, 3] at least
     ``exponent_separation`` apart, and coefficients in +-``coeff_range``, not
     all zero.  A sum with more than k - 1 sign changes is a violation.
-    Options that no draw could meet are rejected up front with ValueError,
-    rather than left to spin in the rejection loops.
+    Options that no draw could meet are rejected up front with ValueError.
     """
     k_lo, k_hi = _k_range(k_range)
     sep = float(exponent_separation)
@@ -140,10 +146,7 @@ def prop1_fuzz(count: int, seed: int, *, k_range=(1, 6),
     changes = np.empty(count, dtype=np.int64)
     for trial in range(count):
         k = int(rng.integers(k_lo, k_hi + 1))
-        while True:
-            b = np.sort(rng.uniform(-3.0, 3.0, k))
-            if k == 1 or np.min(np.diff(b)) >= exponent_separation:
-                break
+        b = _separated_exponents(rng, k, sep)
         while True:
             a = rng.uniform(-coeff_range, coeff_range, k)
             if np.any(a != 0.0):

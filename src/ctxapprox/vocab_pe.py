@@ -355,6 +355,22 @@ def pe_block(scheme: PeScheme, j_start: int, count: int) -> np.ndarray:
     return np.asarray(scheme.generator(j_start, count), dtype=float).reshape(count, scheme.d_x)
 
 
+def pe_rows(scheme: PeScheme, positions) -> np.ndarray:
+    """P_x(j) for each j in ``positions`` (any order); returns (len, d_x).
+
+    The rows ``pe_block`` gives, bit for bit.  A Calkin-Wilf position decodes
+    its own streams, where ``pe_block`` would decode the aligned chunk around
+    it; other schemes take one ``pe_block`` row per position.
+    """
+    positions = np.asarray(positions, dtype=np.int64).reshape(-1)
+    if positions.size and positions.min() < 1:
+        raise ValueError("positions must be >= 1")
+    if scheme.kind == "calkin_wilf_lattice":
+        return _cw_stream_coords(scheme, _morton_split(positions - 1, scheme.d_x)).T
+    rows = [pe_block(scheme, int(j), 1) for j in positions]
+    return np.concatenate(rows) if rows else np.empty((0, scheme.d_x))
+
+
 def pe_value(scheme: PeScheme, j: int) -> np.ndarray:
     """P_x(j), deterministic in j."""
     return pe_block(scheme, j, 1)[0]

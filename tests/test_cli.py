@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -173,30 +174,91 @@ class TestConstructCommand:
         err = json.loads((out / "error.json").read_text())
         assert err["error"]["field"] == f"{field}.{key}"
 
+    @pytest.mark.parametrize("command,path,value", [
+        ("construct", "scheme.scal", 0.5),
+        ("construct", "vocab.x_grid.per_dm", 3),
+        ("construct", "vocab.v_x", [[0.0, 0.0]]),
+        ("construct", "transformer.seed", 3),          # identity takes no seed
+        ("construct", "grid.count", [10]),
+        ("construct", "target.expr", ["x"]),
+        ("density", "scheme.d_x", 1),                  # a dyadic region fixes d_x
+        ("density", "scheme.region.l", [0.0]),
+        ("density", "vocab.d_y", 1),
+        ("embed", "fnn.random.scal", 2.0),
+        ("embed", "fnn.file_name", "net.json")])
+    def test_unknown_nested_key_exit_2(self, tmp_path, command, path, value):
+        # a misspelled nested key used to run with the default and exit 0
+        cfg = json.loads(json.dumps({
+            "construct": CONSTRUCT_SMALL, "embed": EMBED_IDENTITY,
+            "density": json.loads((ROOT / "configs" / "density_dyadic.json").read_text()),
+        }[command]))
+        *parents, key = path.split(".")
+        obj = cfg
+        for part in parents:
+            obj = obj[part]
+        obj[key] = value
+        code, out = run(tmp_path, "bad_nested_key", cfg, command)
+        assert code == 2
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["field"] == path and "unknown key" in err["message"]
+
+    def test_shipped_and_benchmark_configs_load(self, monkeypatch):
+        # every shipped config and every benchmark config passes the key checks
+        from ctxapprox import cli
+        spec = importlib.util.spec_from_file_location("workloads",
+                                                      ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "workloads", workloads)
+        spec.loader.exec_module(workloads)
+        commands = workloads.workload("construct-multi", ROOT, None) + \
+            workloads.workload("construct-acceptance", ROOT, None) + \
+            workloads.workload("oracles", ROOT, None)
+        configs = [(c.name, c.config) for c in commands] + [
+            (p.name.split("_")[0], json.loads(p.read_text()))
+            for p in sorted((ROOT / "configs").glob("*.json"))]
+        loaders = {"construct": ("transformer", "grid", "vocab", "scheme"),
+                   "density": ("vocab", "scheme"), "embed": ("transformer", "fnn", "grid")}
+        checked = 0
+        for command, cfg in configs:
+            for field in loaders.get(command, ()):
+                if field == "grid":
+                    cli._load_grid(cfg, "grid")
+                else:
+                    getattr(cli, f"_load_{field}")(cfg)
+                checked += 1
+        assert checked == 22    # 3 construct configs x 4 objects, 2 density x 2, 2 embed x 3
+
     def test_benchmark_spans_nest_inside_construct(self, tmp_path):
         # the benchmark's layer breakdown hooks these names from outside
         from ctxapprox import cli, construction, embedding, kronecker, vocab_pe
         spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
         spans = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(spans)
-        tracer = spans.Tracer("construct")
         modules = {"cli": cli, "construction": construction, "embedding": embedding,
                    "kronecker": kronecker, "vocab_pe": vocab_pe}
-        with tracer.installed(modules):
-            code, _ = run(tmp_path, "traced", CONSTRUCT_SMALL, "construct")
-        assert code == 0
-        by_id = {s["id"]: s for s in tracer.spans}
+        # the Calkin-Wilf scan and token rows decode Morton streams directly;
+        # the irrational rotation takes the block scan, which calls pe_block
+        rotation = {"kind": "irrational_rotation",
+                    "region": {"lo": [-0.125, -0.125], "hi": [0.125, 0.125]}}
+        for scheme, layers in ((CONSTRUCT_SMALL["scheme"], {"fnn.fit_fnn"}),
+                               (rotation, {"fnn.fit_fnn", "vocab_pe.pe_block"})):
+            tracer = spans.Tracer("construct")
+            with tracer.installed(modules):
+                code, _ = run(tmp_path, scheme["kind"], {**CONSTRUCT_SMALL, "scheme": scheme},
+                              "construct")
+            assert code == 0
+            by_id = {s["id"]: s for s in tracer.spans}
 
-        def inside_construct(s):
-            while s["parent"] is not None:
-                s = by_id[s["parent"]]
-                if s["name"] == "construction.construct":
-                    return True
-            return False
+            def inside_construct(s):
+                while s["parent"] is not None:
+                    s = by_id[s["parent"]]
+                    if s["name"] == "construction.construct":
+                        return True
+                return False
 
-        assert [s["name"] for s in tracer.spans].count("construction.construct") == 1
-        nested = {s["name"] for s in tracer.spans if inside_construct(s)}
-        assert {"fnn.fit_fnn", "vocab_pe.pe_block"} <= nested
+            assert [s["name"] for s in tracer.spans].count("construction.construct") == 1
+            nested = {s["name"] for s in tracer.spans if inside_construct(s)}
+            assert layers <= nested
 
     def test_multi_output_construct(self, tmp_path):
         cfg = json.loads(json.dumps(CONSTRUCT_SMALL))

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +7,56 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctxapprox as ca
-from ctxapprox.fnn import perturbation_delta
+from ctxapprox import construction, fnn
+from ctxapprox.cli import main
+from ctxapprox.fnn import _adam_refine, perturbation_delta
 
 from conftest import random_fnn
+
+
+def _adam_refine_reference(W, b, A, x, f, activation, steps, lr=2e-2):
+    """Fixed-iteration full-batch Adam on the mean-squared residual."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    ms = [np.zeros_like(W), np.zeros_like(b), np.zeros_like(A)]
+    vs = [np.zeros_like(W), np.zeros_like(b), np.zeros_like(A)]
+    n = x.shape[0]
+    for t in range(1, steps + 1):
+        z = x @ W.T + b
+        if activation.kind == "relu":
+            phi, dphi = np.maximum(z, 0.0), (z > 0).astype(float)
+        else:  # exp
+            phi = np.exp(z)
+            dphi = phi
+        r = phi @ A.T - f  # (n, d_y)
+        g_phi = (r @ A) * dphi / n  # (n, k)
+        grads = [g_phi.T @ x, g_phi.sum(axis=0), (r.T @ phi) / n]
+        for p, g, m, v in zip((W, b, A), grads, ms, vs):
+            m *= beta1
+            m += (1 - beta1) * g
+            v *= beta2
+            v += (1 - beta2) * g * g
+            p -= lr * (m / (1 - beta1**t)) / (np.sqrt(v / (1 - beta2**t)) + eps)
+    return W, b, A
+
+
+def _bits_equal(a, b) -> bool:
+    """Equal to the bit, so the signs of zeros count too."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _refine_problem(seed, activation, d, d_y, k, n):
+    """A start point and samples shaped like fit_fnn's: the normalized box, a
+    least-squares A and a smooth target."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, (n, d))
+    f = np.column_stack([np.sin((c + 1) * x.sum(axis=1)) for c in range(d_y)])
+    W = rng.uniform(-3.0, 3.0, (k, d))
+    b = rng.uniform(-3.0, 3.0, k)
+    if activation.kind == "exp":
+        W, b = W / 4, b / 4
+    A = np.linalg.lstsq(activation(x @ W.T + b), f, rcond=None)[0].T
+    return W, b, A, x, f
 
 
 class TestForward:
@@ -118,6 +166,53 @@ class TestFit:
         f = np.exp(0.8 * x[:, 0])
         res = ca.fit_fnn((x, f), 8, ca.EXP, seed=3)
         assert res.sup_error < 1e-4
+
+
+class TestAdamRefine:
+    """The preallocated refinement against the plain per-parameter loop."""
+
+    @pytest.mark.parametrize("activation", [ca.RELU, ca.EXP], ids=["relu", "exp"])
+    @pytest.mark.parametrize("d,d_y", [(1, 1), (2, 2), (3, 1)])
+    @pytest.mark.parametrize("k", [1, 5, 16])
+    @pytest.mark.parametrize("n", ["k", 37, 2000])
+    @pytest.mark.parametrize("steps", [0, 1, 7, 300])
+    def test_bit_identical_to_reference(self, activation, d, d_y, k, n, steps):
+        n = k if n == "k" else n
+        W, b, A, x, f = _refine_problem(k + n + d, activation, d, d_y, k, n)
+        got = _adam_refine(W.copy(), b.copy(), A.copy(), x, f, activation, steps)
+        want = _adam_refine_reference(W.copy(), b.copy(), A.copy(), x, f, activation, steps)
+        assert all(_bits_equal(g, w) for g, w in zip(got, want))
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), relu=st.booleans(), d=st.integers(1, 3),
+           d_y=st.integers(1, 2), k=st.integers(1, 16), steps=st.integers(0, 40))
+    def test_bit_identical_on_random_problems(self, seed, relu, d, d_y, k, steps):
+        activation = ca.RELU if relu else ca.EXP
+        n = k + seed % 50
+        W, b, A, x, f = _refine_problem(seed, activation, d, d_y, k, n)
+        got = _adam_refine(W.copy(), b.copy(), A.copy(), x, f, activation, steps)
+        want = _adam_refine_reference(W.copy(), b.copy(), A.copy(), x, f, activation, steps)
+        assert all(_bits_equal(g, w) for g, w in zip(got, want))
+
+    def test_acceptance_fit_matches_reference_driven_fit(self, monkeypatch, tmp_path):
+        # the one fit the shipped acceptance construct makes: k 16, seed 4, 300 steps
+        calls = []
+
+        def recording_fit(*args, **kwargs):
+            calls.append((args, kwargs))
+            return ca.fit_fnn(*args, **kwargs)
+
+        monkeypatch.setattr(construction, "fit_fnn", recording_fit)
+        config = Path(__file__).resolve().parent.parent / "configs" / "construct_sin_acceptance.json"
+        assert main(["construct", "--config", str(config), "--out", str(tmp_path)]) == 0
+        [(args, kwargs)] = calls
+        assert (args[1], args[3], kwargs["refine_steps"]) == (16, 4, 300)
+        got = ca.fit_fnn(*args, **kwargs)
+        monkeypatch.setattr(fnn, "_adam_refine", _adam_refine_reference)
+        want = ca.fit_fnn(*args, **kwargs)
+        for name in ("A", "W", "b"):
+            assert _bits_equal(getattr(got.params, name), getattr(want.params, name))
+        assert got.sup_error == want.sup_error
 
 
 class TestPerturbationGap:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import ctxapprox as ca
 from ctxapprox import nonuap
+from ctxapprox.nonuap import _separated_exponents
 
 
 class TestExpSum:
@@ -69,10 +70,7 @@ class TestProp1Fuzz:
         rng = np.random.default_rng(9)
         for k_rec, z_rec in zip(rec.ks, rec.sign_changes):
             k = int(rng.integers(2, 4))
-            while True:
-                b = np.sort(rng.uniform(-3.0, 3.0, k))
-                if np.min(np.diff(b)) >= 0.2:
-                    break
+            b = np.sort(rng.uniform(-3.0, 3.0 - (k - 1) * 0.2, k)) + 0.2 * np.arange(k)
             while True:
                 a = rng.uniform(-2.0, 2.0, k)
                 if np.any(a != 0.0):
@@ -99,6 +97,27 @@ class TestProp1Fuzz:
         # a NaN separation used to spin forever in the exponent rejection loop
         with pytest.raises(ValueError, match=field):
             ca.prop1_fuzz(5, 1, **options)
+
+    def test_separation_near_the_limit_returns(self):
+        # k = 6 at separation 1.19 (the limit is 1.2): a rejection draw
+        # succeeds with chance about 3e-13, so the old loop never returned
+        rec = ca.prop1_fuzz(5, 1, k_range=(6, 6), exponent_separation=1.19)
+        assert rec.ks.tolist() == [6] * 5
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            b = _separated_exponents(rng, 6, 1.19)
+            assert np.all(np.diff(b) >= 1.19)
+            assert -3.0 <= b[0] and b[-1] <= 3.0
+
+    @pytest.mark.parametrize("k,sep", [(2, 0.5), (3, 1.0), (5, 0.3)])
+    def test_exponents_follow_the_conditioned_uniform_law(self, k, sep):
+        # sorted uniforms on [-3, 3] conditioned on gaps >= sep have spacings
+        # uniform on the simplex of total 6 - (k-1) sep: E b_i is exact
+        rng = np.random.default_rng(k)
+        draws = np.array([_separated_exponents(rng, k, sep) for _ in range(20_000)])
+        i = np.arange(k)
+        expected = -3.0 + i * sep + (i + 1) * (6.0 - (k - 1) * sep) / (k + 1)
+        np.testing.assert_allclose(draws.mean(axis=0), expected, atol=0.03)
 
     def test_any_separation_fits_a_single_exponent(self):
         rec = ca.prop1_fuzz(3, 1, k_range=(1, 1), exponent_separation=100.0)

@@ -8,7 +8,7 @@ import ctxapprox as ca
 from ctxapprox import vocab_pe
 from ctxapprox.vocab_pe import (SQRT2, _cw_stream_coords, _dyadic_levels, _fusc_array,
                                _morton_levels, _morton_offset, _morton_split,
-                               _morton_stream_bounds, pe_block)
+                               _morton_stream_bounds, pe_block, pe_rows)
 
 
 def cw_iteration_oracle(n):
@@ -221,6 +221,37 @@ class TestPeValue:
         gen = lambda j0, c: np.arange(j0, j0 + c, dtype=float)[:, None] * 0.125
         scheme = ca.custom_scheme(gen, ca.Box((0.0,), (10.0,)))
         assert ca.pe_value(scheme, 5)[0] == 0.625
+
+
+class TestPeRows:
+    @pytest.mark.parametrize("scheme", [
+        ca.calkin_wilf_lattice(1), ca.calkin_wilf_lattice(2, scale=0.75),
+        ca.calkin_wilf_lattice(3, scale=2.0)], ids=["cw1", "cw2", "cw3"])
+    def test_calkin_wilf_rows_equal_pe_block(self, scheme):
+        # unsorted, repeated and near 2^34, where the chunks are far apart
+        rng = np.random.default_rng(scheme.d_x)
+        js = np.concatenate(([1, 2, 4097, 4096, 2, 2**34 - 1, 2**34, 2**34 + 1],
+                             rng.integers(1, 2**35, 40)))
+        rows = pe_rows(scheme, js)
+        assert rows.shape == (js.size, scheme.d_x)
+        for row, j in zip(rows, js):
+            assert row.tobytes() == pe_block(scheme, int(j), 1)[0].tobytes()
+
+    @pytest.mark.parametrize("scheme", [
+        ca.dyadic_lattice(ca.Box((-1.0, 0.0), (1.0, 2.0))),
+        ca.irrational_rotation(ca.Box((-3.0, -1.0, 0.0), (3.0, 1.0, 0.5)))],
+        ids=["dyadic", "rotation"])
+    def test_other_schemes_rows_equal_pe_block(self, scheme):
+        js = [300, 1, 7, 7, 2000, 45]
+        rows = pe_rows(scheme, js)
+        for row, j in zip(rows, js):
+            assert row.tobytes() == pe_block(scheme, j, 1)[0].tobytes()
+
+    def test_no_positions_and_position_zero(self):
+        for scheme in (ca.calkin_wilf_lattice(2), ca.dyadic_lattice(ca.Box((0.0,), (1.0,)))):
+            assert pe_rows(scheme, []).shape == (0, scheme.d_x)
+            with pytest.raises(ValueError):
+                pe_rows(scheme, [3, 0])
 
 
 class TestVocabulary:
