@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import sys
+from functools import partial
 from pathlib import Path
 from typing import get_type_hints
 
@@ -24,7 +25,6 @@ from .construction import (Caps, FitOptions, StageBudgets, construct_context,
                            prefix_errors)
 from .embedding import embed_fnn, embed_softmax_fnn
 from .errors import (BudgetError, ConfigError, CtxApproxError,
-                     EpsilonRangeError, IllConditionedError,
                      KroneckerCapExceeded, PositionScanExhausted)
 from .expressions import parse_target
 from .fnn import SOFTMAX, Activation, FnnParams, fnn_forward_batch
@@ -45,55 +45,81 @@ EXIT_NUMERIC = 4
 # nothing calls them, and they go when that hook list drops them
 construct_context_multi_output = construct_relu_rescaled = construct_context
 
-_CONSTRUCT_KEYS = ("target", "transformer", "vocab", "scheme", "grid", "epsilon", "seed",
-                   "budgets", "fit", "caps", "activation", "construction",
-                   "coefficient_mode", "lambda_policy")
+# accepted Python types and their name in messages, per kind a config value is read as
+_KINDS = {int: ((int, float), "an integer"), float: ((int, float), "a number"),
+          str: (str, "a string"), list: (list, "a list"), dict: (dict, "an object")}
+_REQUIRED = object()
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _require(cfg: dict, field: str, kind=None):
-    cur = cfg
-    for part in field.split("."):
-        if not isinstance(cur, dict) or part not in cur:
-            raise ConfigError(field, "missing")
-        cur = cur[part]
-    if kind is not None and not isinstance(cur, kind):
-        raise ConfigError(field, f"expected {kind.__name__}, got {type(cur).__name__}")
-    return cur
+def _typed(value, kind, field: str):
+    """``value`` as ``kind``: ``int`` takes whole numbers only and ``float``
+    any number, neither a bool; ``str``, ``list`` and ``dict`` their own type."""
+    types, name = _KINDS[kind]
+    if isinstance(value, types) and not isinstance(value, bool):
+        try:
+            if kind is not int or isinstance(value, int) or value.is_integer():
+                return kind(value)
+        except OverflowError:       # an integer literal beyond the float range
+            pass
+    raise ConfigError(field, f"expected {name}, got {value!r}")
 
 
-def _known(obj: dict, field: str, allowed) -> dict:
-    """``obj``, whose keys must all be in ``allowed``; ``field`` is its dotted
-    name, "" for the top level.  A misspelled key would otherwise run with
-    the default."""
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{field}.{key}" if field else key,
-                              f"unknown key; {field or 'the config'} takes {', '.join(allowed)}")
-    return obj
+class _Config:
+    """One config object and its dotted path.  Every key asked for is
+    recorded, present or not, so ``done`` can reject the keys never asked
+    for: a key of another kind or route is simply never read."""
 
+    def __init__(self, obj, path: str = ""):
+        self.obj = _typed(obj, dict, path or "config")
+        self.path = path
+        self.asked: dict = {}       # key -> its child reader, or None
 
-def _whole(value, field: str) -> int:
-    """``value`` as an int when it is a whole number; a bare ``int()`` would
-    raise ``OverflowError`` on Infinity and truncate 2.5."""
-    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not whole:
-        raise ConfigError(field, f"expected an integer, got {value!r}")
-    return int(value)
+    def field(self, key: str) -> str:
+        return f"{self.path}.{key}" if self.path else key
 
+    def has(self, key: str) -> bool:
+        self.asked.setdefault(key, None)
+        return key in self.obj
 
-def _int_field(cfg: dict, field: str, default: int | None = None) -> int:
-    """The whole number at the dotted ``field``, or ``default`` when given and absent."""
-    try:
-        value = _require(cfg, field)
-    except ConfigError:
-        if default is None:
-            raise
+    def get(self, key: str, kind, default=_REQUIRED):
+        """The value at ``key`` as ``kind`` (see ``_typed``), or ``default``
+        when absent and given."""
+        if self.has(key):
+            return _typed(self.obj[key], kind, self.field(key))
+        if default is _REQUIRED:
+            raise ConfigError(self.field(key), "missing")
         return default
-    return _whole(value, field)
+
+    def numbers(self, key: str, kind=float, default=_REQUIRED) -> list:
+        return [_typed(v, kind, self.field(key)) for v in self.get(key, list, default)]
+
+    def load(self, key: str, build, kind=None):
+        """``build`` applied to the value at ``key``: a child reader when
+        ``kind`` is None, else the value read as ``kind``.  An error raised
+        while it becomes a library object is a ConfigError naming ``key``."""
+        if kind is None:
+            value = self.asked[key] = _Config(self.get(key, dict), self.field(key))
+        else:
+            value = self.get(key, kind)
+        try:
+            return build(value)
+        except ConfigError:
+            raise
+        except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(self.field(key), f"{type(exc).__name__}: {exc}") from None
+
+    def done(self):
+        """Rejects a key never asked for, here and in every child reader."""
+        for key in self.obj:
+            if key not in self.asked:
+                raise ConfigError(self.field(key), f"unknown key; {self.path or 'the config'} "
+                                  f"takes {', '.join(self.asked)}")
+            if self.asked[key] is not None:
+                self.asked[key].done()
 
 
 def _config_hash(cfg: dict) -> str:
@@ -114,105 +140,88 @@ def _csv_header(cfg: dict) -> str:
     return f"# ctxapprox {__version__} config_sha256={_config_hash(cfg)}\n"
 
 
-def _load_options(cfg: dict, field: str, cls):
-    """``cls`` built from the object ``cfg[field]``: each key must name a field,
-    its value is converted to the field's annotated type, absent fields keep
-    their defaults."""
-    types = get_type_hints(cls)
-    values = {}
-    for key, value in _known(_require(cfg, field, dict), field, types).items():
-        if types[key] is int:
-            values[key] = _whole(value, f"{field}.{key}")
-            continue
-        try:
-            values[key] = types[key](value)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"{field}.{key}",
-                              f"expected {types[key].__name__}, got {value!r}") from None
-    return cls(**values)
+def _read_json(path: str):
+    return json.loads(Path(path).read_text())
 
 
-def _load_grid(cfg: dict, field: str) -> Grid:
-    g = _known(_require(cfg, field, dict), field, ("lo", "hi", "counts"))
-    lo = _require(g, "lo", list)
-    hi = _require(g, "hi", list)
-    counts = _require(g, "counts", list)
-    return Grid(tuple(lo), tuple(hi), tuple(counts))
+def _options(cls, o: _Config):
+    """``cls`` with each annotated field present in ``o``; absent fields keep their defaults."""
+    return cls(**{key: o.get(key, kind) for key, kind in get_type_hints(cls).items()
+                  if o.has(key)})
 
 
-def _load_transformer(cfg: dict) -> TransformerParams:
-    t = _require(cfg, "transformer", dict)
-    if "file" in t:
-        _known(t, "transformer", ("file",))
-        return TransformerParams.from_json_dict(json.loads(Path(t["file"]).read_text()))
-    if "blocks" in t:
-        _known(t, "transformer", ("blocks",))
-        return TransformerParams.from_json_dict(t["blocks"])
-    kind = t.get("kind", "random")
-    _known(t, "transformer", ("kind", "d_x", "d_y") + (("seed",) if kind == "random" else ()))
-    d_x = _require(t, "d_x", int)
-    d_y = _require(t, "d_y", int)
+def _grid(g: _Config) -> Grid:
+    return Grid(tuple(g.numbers("lo")), tuple(g.numbers("hi")), tuple(g.numbers("counts", int)))
+
+
+def _box(b: _Config) -> Box:
+    return Box(tuple(b.numbers("lo")), tuple(b.numbers("hi")))
+
+
+def _transformer(t: _Config) -> TransformerParams:
+    if t.has("file"):
+        return t.load("file", lambda path: TransformerParams.from_json_dict(_read_json(path)), str)
+    if t.has("blocks"):
+        return t.load("blocks", TransformerParams.from_json_dict, dict)
+    kind = t.get("kind", str, "random")
+    d_x = t.get("d_x", int)
+    d_y = t.get("d_y", int)
     if kind == "identity":
         return identity_sparse_params(d_x, d_y)
     if kind == "random":
-        return random_sparse_params(_require(t, "seed", int), d_x, d_y)
-    raise ConfigError("transformer.kind", f"unknown kind {kind!r}")
+        return random_sparse_params(t.get("seed", int), d_x, d_y)
+    raise ConfigError(t.field("kind"), f"unknown kind {kind!r}")
 
 
-def _load_fnn(cfg: dict) -> FnnParams:
-    f = _require(cfg, "fnn", dict)
-    if "file" in f:
-        _known(f, "fnn", ("file",))
-        return FnnParams.from_json_dict(json.loads(Path(f["file"]).read_text()))
-    if "blocks" in f:
-        _known(f, "fnn", ("blocks",))
-        return FnnParams.from_json_dict(f["blocks"])
-    if "random" in f:
-        _known(f, "fnn", ("random",))
-        r = _known(_require(f, "random", dict), "fnn.random",
-                   ("seed", "k", "d_in", "d_y", "activation", "scale"))
-        rng = np.random.default_rng(_require(r, "seed", int))
-        k = _require(r, "k", int)
-        d_in = _require(r, "d_in", int)
-        d_y = _require(r, "d_y", int)
-        scale = float(r.get("scale", 1.0))
-        return FnnParams(rng.uniform(-scale, scale, (d_y, k)),
-                         rng.uniform(-scale, scale, (k, d_in)),
-                         rng.uniform(-scale, scale, k),
-                         Activation(_require(r, "activation", str)))
-    raise ConfigError("fnn", "needs 'blocks' or 'random'")
+def _fnn(f: _Config) -> FnnParams:
+    if f.has("file"):
+        return f.load("file", lambda path: FnnParams.from_json_dict(_read_json(path)), str)
+    if f.has("blocks"):
+        return f.load("blocks", FnnParams.from_json_dict, dict)
+    return f.load("random", _random_fnn)
 
 
-def _load_scheme(cfg: dict, field: str = "scheme") -> PeScheme:
-    s = _require(cfg, field, dict)
-    kind = _require(s, "kind", str)
+def _random_fnn(r: _Config) -> FnnParams:
+    rng = np.random.default_rng(r.get("seed", int))
+    k = r.get("k", int)
+    d_in = r.get("d_in", int)
+    d_y = r.get("d_y", int)
+    scale = r.get("scale", float, 1.0)
+    return FnnParams(rng.uniform(-scale, scale, (d_y, k)),
+                     rng.uniform(-scale, scale, (k, d_in)),
+                     rng.uniform(-scale, scale, k),
+                     Activation(r.get("activation", str)))
+
+
+def _scheme(s: _Config) -> PeScheme:
+    kind = s.get("kind", str)
     if kind == "calkin_wilf_lattice":
-        _known(s, field, ("kind", "d_x", "scale"))
-        d_x = _require(s, "d_x", int)
-        return calkin_wilf_lattice(d_x, float(s.get("scale", 1.0)))
-    _known(s, field, ("kind", "region"))
-    _known(_require(s, "region", dict), f"{field}.region", ("lo", "hi"))
-    region = Box(tuple(_require(s, "region.lo", list)),
-                 tuple(_require(s, "region.hi", list)))
+        return calkin_wilf_lattice(s.get("d_x", int), s.get("scale", float, 1.0))
+    region = s.load("region", _box)
     if kind == "dyadic_lattice":
         return dyadic_lattice(region)
     if kind == "irrational_rotation":
         return irrational_rotation(region)
-    raise ConfigError(f"{field}.kind", f"unknown kind {kind!r}")
+    raise ConfigError(s.field("kind"), f"unknown kind {kind!r}")
 
 
-def _load_vocab(cfg: dict) -> Vocabulary:
-    v = _require(cfg, "vocab", dict)
-    if "x_grid" in v:
-        _known(v, "vocab", ("x_grid", "d_y"))
-        g = _known(_require(v, "x_grid", dict), "vocab.x_grid", ("lo", "hi", "per_dim"))
-        return Vocabulary.x_grid(tuple(_require(g, "lo", list)),
-                                 tuple(_require(g, "hi", list)),
-                                 _require(g, "per_dim", int),
-                                 _require(v, "d_y", int))
-    _known(v, "vocab", ("v_x", "v_y"))
-    return Vocabulary(np.array(_require(v, "v_x", list), dtype=float),
-                      np.array(_require(v, "v_y", list), dtype=float))
+def _vocab(v: _Config) -> Vocabulary:
+    if v.has("x_grid"):
+        return v.load("x_grid", lambda g: Vocabulary.x_grid(
+            tuple(g.numbers("lo")), tuple(g.numbers("hi")), g.get("per_dim", int),
+            v.get("d_y", int)))
+    return Vocabulary(np.array(v.get("v_x", list), dtype=float),
+                      np.array(v.get("v_y", list), dtype=float))
+
+
+def _target(t: _Config, d_in: int, d_y: int):
+    if t.has("samples_file"):
+        return t.load("samples_file", lambda path: _samples_target(path, d_in, d_y), str)
+    compiled = [parse_target(e) for e in t.get("exprs", list)]
+
+    def target(points):
+        return np.column_stack([c(points) for c in compiled])
+    return target
 
 
 def _samples_target(path: str, d_in: int, d_y: int):
@@ -222,8 +231,7 @@ def _samples_target(path: str, d_in: int, d_y: int):
     """
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != d_in + d_y:
-        raise ConfigError("target.samples_file",
-                          f"expected {d_in + d_y} columns, found {data.shape[1]}")
+        raise ValueError(f"expected {d_in + d_y} columns, found {data.shape[1]}")
     x, f = data[:, :d_in], data[:, d_in:]
     if d_in == 1:
         order = np.argsort(x[:, 0])
@@ -242,29 +250,44 @@ def _samples_target(path: str, d_in: int, d_y: int):
     return target
 
 
+def _family(f: _Config) -> FiniteFamilySpec:
+    return FiniteFamilySpec(*(np.array(f.numbers(key)) for key in ("a_set", "w_set", "b_set")))
+
+
+def _random_betas(seed_override: int | None, r: _Config) -> list:
+    seed = r.get("seed", int)
+    lo = r.get("lo", float, -10.0)
+    hi = r.get("hi", float, 10.0)
+    count = r.get("count", int)
+    if count < 1:
+        raise ConfigError(r.field("count"), f"needs at least one beta, got {count}")
+    rng = np.random.default_rng(seed if seed_override is None else seed_override)
+    return rng.uniform(lo, hi, count).tolist()
+
+
 # --------------------------------------------------------------------------
-# subcommands
+# subcommands: each reads its whole config, calls ``done``, then runs
 
 
-def cmd_embed(cfg: dict, out: Path, seed_override: int | None) -> int:
-    mode = _require(cfg, "mode", str)
-    tp = _load_transformer(cfg)
-    fnn = _load_fnn(cfg)
-    grid = _load_grid(cfg, "grid")
+def cmd_embed(cfg: _Config, out: Path, seed_override: int | None) -> int:
+    mode = cfg.get("mode", str)
+    tp = cfg.load("transformer", _transformer)
+    fnn = cfg.load("fnn", _fnn)
+    grid = cfg.load("grid", _grid)
     if mode == "elementwise":
-        result = embed_fnn(tp, fnn)
-        activation = fnn.activation
+        embed = partial(embed_fnn, tp, fnn)
     elif mode == "softmax":
-        epsilon = float(_require(cfg, "epsilon", (int, float)))
-        result = embed_softmax_fnn(tp, fnn, grid, epsilon)
-        activation = SOFTMAX
+        embed = partial(embed_softmax_fnn, tp, fnn, grid, cfg.get("epsilon", float))
     else:
         raise ConfigError("mode", "must be 'elementwise' or 'softmax'")
+    cfg.done()
+    result = embed()
+    activation = fnn.activation if mode == "elementwise" else SOFTMAX
 
     pts = grid.points()
     gap = np.max(np.abs(readout_batch(tp, result, pts, activation)
                         - fnn_forward_batch(fnn, pts)), axis=1)
-    doc = _meta(cfg, "embed")
+    doc = _meta(cfg.obj, "embed")
     doc["result"] = result.to_json_dict()
     doc["grid_max_gap"] = float(np.max(gap))
     doc["y_sup_norm"] = result.y_sup_norm
@@ -272,7 +295,7 @@ def cmd_embed(cfg: dict, out: Path, seed_override: int | None) -> int:
         doc["closed_form_bound"] = result.closed_form_bound
     _write_json(out / "embedding.json", doc)
     with (out / "errors.csv").open("w", newline="") as fh:
-        fh.write(_csv_header(cfg))
+        fh.write(_csv_header(cfg.obj))
         w = csv.writer(fh, lineterminator="\n")
         w.writerow([f"x{i+1}" for i in range(pts.shape[1])] + ["gap"])
         for p, g in zip(pts, gap):
@@ -280,134 +303,110 @@ def cmd_embed(cfg: dict, out: Path, seed_override: int | None) -> int:
     return EXIT_OK
 
 
-def _construct_report(cfg: dict, seed_override: int | None):
-    _known(cfg, "", _CONSTRUCT_KEYS)
-    tp = _load_transformer(cfg)
-    grid = _load_grid(cfg, "grid")
-    vocab = _load_vocab(cfg)
-    scheme = _load_scheme(cfg)
-    epsilon = float(_require(cfg, "epsilon", (int, float)))
-    seed = seed_override if seed_override is not None else _int_field(cfg, "seed", 0)
-    tgt_cfg = _require(cfg, "target", dict)
-    _known(tgt_cfg, "target", ("samples_file",) if "samples_file" in tgt_cfg else ("exprs",))
-    if "samples_file" in tgt_cfg:
-        target = _samples_target(tgt_cfg["samples_file"], grid.dim, tp.d_y)
-    else:
-        compiled = [parse_target(e) for e in _require(cfg, "target.exprs", list)]
-
-        def target(points):
-            return np.column_stack([c(points) for c in compiled])
-
+def cmd_construct(cfg: _Config, out: Path, seed_override: int | None) -> int:
+    tp = cfg.load("transformer", _transformer)
+    grid = cfg.load("grid", _grid)
+    vocab = cfg.load("vocab", _vocab)
+    scheme = cfg.load("scheme", _scheme)
+    epsilon = cfg.get("epsilon", float)
+    seed = cfg.get("seed", int, 0)
+    target = cfg.load("target", lambda t: _target(t, grid.dim, tp.d_y))
     # absent objects take the library's defaults
-    kwargs = {name: _load_options(cfg, name, cls) for name, cls in
-              (("budgets", StageBudgets), ("fit", FitOptions), ("caps", Caps)) if name in cfg}
-    activation = Activation(cfg.get("activation", "relu"))
-    construction = cfg.get("construction", "dense")
+    options = {name: cfg.load(name, partial(_options, cls)) for name, cls in
+               (("budgets", StageBudgets), ("fit", FitOptions), ("caps", Caps)) if cfg.has(name)}
+    activation = Activation(cfg.get("activation", str, "relu"))
+    construction = cfg.get("construction", str, "dense")
     if construction == "relu_rescaled":
-        if activation.kind != "relu":
-            raise ConfigError("activation", "the relu_rescaled construction is relu only")
-        if "coefficient_mode" in cfg:
-            raise ConfigError("coefficient_mode", "the relu_rescaled construction always "
-                              "takes integer witnesses")
-        lambda_policy = cfg.get("lambda_policy", "max_row")
+        options["lambda_policy"] = cfg.get("lambda_policy", str, "max_row")
     elif construction == "dense":
-        if "lambda_policy" in cfg:
-            raise ConfigError("lambda_policy", "applies only to the relu_rescaled construction")
-        lambda_policy = None
+        options["coefficient_mode"] = cfg.get("coefficient_mode", str, "auto")
     else:
         raise ConfigError("construction", "must be 'dense' or 'relu_rescaled'")
-    report = construct_context(target, grid, vocab, scheme, tp, epsilon, seed=seed,
-                               activation=activation, lambda_policy=lambda_policy,
-                               coefficient_mode=cfg.get("coefficient_mode", "auto"), **kwargs)
-    return report, tp, grid, target, activation
-
-
-def cmd_construct(cfg: dict, out: Path, seed_override: int | None) -> int:
-    report, tp, grid, target, activation = _construct_report(cfg, seed_override)
-    doc = _meta(cfg, "construct")
+    cfg.done()
+    report = construct_context(target, grid, vocab, scheme, tp, epsilon, activation=activation,
+                               seed=seed if seed_override is None else seed_override, **options)
+    doc = _meta(cfg.obj, "construct")
     doc["report"] = report.to_json_dict()
     _write_json(out / "report.json", doc)
     with (out / "tokens.csv").open("w", newline="") as fh:
-        fh.write(_csv_header(cfg))
+        fh.write(_csv_header(cfg.obj))
         report.write_tokens_csv(fh)
 
     # prefix error curve: sup error using the first t assigned tokens
     pts = grid.points()
     with (out / "error_vs_n.csv").open("w", newline="") as fh:
-        fh.write(_csv_header(cfg))
+        fh.write(_csv_header(cfg.obj))
         fh.write("n,tokens_used,sup_error\n")
         for n_here, t, err in prefix_errors(report, tp, activation, pts, target(pts)):
             fh.write(f"{n_here},{t},{_fmt(err)}\n")
     return EXIT_OK
 
 
-def cmd_density(cfg: dict, out: Path, seed_override: int | None) -> int:
-    vocab = _load_vocab(cfg)
-    scheme = _load_scheme(cfg)
-    region = Box(tuple(_require(cfg, "region.lo", list)),
-                 tuple(_require(cfg, "region.hi", list)))
-    n_max = _require(cfg, "n_max", int)
-    profile = density_audit(vocab, scheme, region, n_max,
-                            probe_per_dim=_int_field(cfg, "probe_per_dim", 64))
-    doc = _meta(cfg, "density")
+def cmd_density(cfg: _Config, out: Path, seed_override: int | None) -> int:
+    vocab = cfg.load("vocab", _vocab)
+    scheme = cfg.load("scheme", _scheme)
+    region = cfg.load("region", _box)
+    n_max = cfg.get("n_max", int)
+    probe_per_dim = cfg.get("probe_per_dim", int, 64)
+    cfg.done()
+    profile = density_audit(vocab, scheme, region, n_max, probe_per_dim=probe_per_dim)
+    doc = _meta(cfg.obj, "density")
     doc["final_covering_radius"] = float(profile.radii[-1])
     doc["n_max"] = n_max
     _write_json(out / "density.json", doc)
     with (out / "density.csv").open("w", newline="") as fh:
-        fh.write(_csv_header(cfg))
+        fh.write(_csv_header(cfg.obj))
         profile.write_csv(fh)
     return EXIT_OK
 
 
-def cmd_kronecker(cfg: dict, out: Path, seed_override: int | None) -> int:
-    epsilon = float(_require(cfg, "epsilon", (int, float)))
-    q_cap = _int_field(cfg, "q_cap", 10**7)
-    if "betas" in cfg:
-        betas = [float(b) for b in _require(cfg, "betas", list)]
+def cmd_kronecker(cfg: _Config, out: Path, seed_override: int | None) -> int:
+    epsilon = cfg.get("epsilon", float)
+    q_cap = cfg.get("q_cap", int, 10**7)
+    if cfg.has("betas"):
+        betas = cfg.numbers("betas")
+        if not betas:
+            raise ConfigError("betas", "needs at least one beta")
     else:
-        r = _require(cfg, "random", dict)
-        seed = seed_override if seed_override is not None else _int_field(cfg, "random.seed")
-        rng = np.random.default_rng(seed)
-        betas = rng.uniform(float(r.get("lo", -10)), float(r.get("hi", 10)),
-                            _int_field(cfg, "random.count")).tolist()
+        betas = cfg.load("random", partial(_random_betas, seed_override))
+    cfg.done()
     wits = [kronecker_search(b, epsilon, q_cap) for b in betas]
-    doc = _meta(cfg, "kronecker")
+    doc = _meta(cfg.obj, "kronecker")
     doc["witnesses"] = [w.to_json_dict() for w in wits]
     doc["max_q"] = max(w.q for w in wits)
     _write_json(out / "witnesses.json", doc)
     with (out / "witnesses.csv").open("w", newline="") as fh:
-        fh.write(_csv_header(cfg))
+        fh.write(_csv_header(cfg.obj))
         fh.write("beta,q,l,achieved_error\n")
         for w in wits:
             fh.write(f"{_fmt(w.beta)},{w.q},{w.l},{_fmt(w.achieved_error)}\n")
     return EXIT_OK
 
 
-def cmd_audit(cfg: dict, out: Path, seed_override: int | None) -> int:
-    kind = _require(cfg, "kind", str)
-    seed = seed_override if seed_override is not None else _int_field(cfg, "seed", 0)
+def cmd_audit(cfg: _Config, out: Path, seed_override: int | None) -> int:
+    kind = cfg.get("kind", str)
+    seed = cfg.get("seed", int, 0)
+    seed = seed if seed_override is None else seed_override
     if kind == "prop1_fuzz":
-        k_range = tuple(_whole(k, "k_range") for k in cfg.get("k_range", [1, 6]))
-        record = prop1_fuzz(_int_field(cfg, "count"), seed, k_range=k_range,
-                            exponent_separation=float(cfg.get("exponent_separation", 0.1)),
-                            coeff_range=float(cfg.get("coeff_range", 5.0)),
-                            interval=tuple(cfg.get("interval", [-8.0, 8.0])),
-                            grid_points=_int_field(cfg, "grid_points", 2001))
+        audit = partial(prop1_fuzz, cfg.get("count", int), seed,
+                        k_range=tuple(cfg.numbers("k_range", int, [1, 6])),
+                        exponent_separation=cfg.get("exponent_separation", float, 0.1),
+                        coeff_range=cfg.get("coeff_range", float, 5.0),
+                        interval=tuple(cfg.numbers("interval", float, [-8.0, 8.0])),
+                        grid_points=cfg.get("grid_points", int, 2001))
     elif kind == "nonuap":
-        fam = _require(cfg, "family", dict)
-        family = FiniteFamilySpec(np.array(_require(fam, "a_set", list), dtype=float),
-                                  np.array(_require(fam, "w_set", list), dtype=float),
-                                  np.array(_require(fam, "b_set", list), dtype=float))
-        record = nonuap_audit(family, _require(cfg, "max_context", int),
-                              _require(cfg, "trials", int), seed)
+        audit = partial(nonuap_audit, cfg.load("family", _family),
+                        cfg.get("max_context", int), cfg.get("trials", int), seed)
     else:
         raise ConfigError("kind", "must be 'prop1_fuzz' or 'nonuap'")
-    doc = _meta(cfg, "audit")
+    cfg.done()
+    record = audit()
+    doc = _meta(cfg.obj, "audit")
     doc["kind"] = kind
     doc.update(record.to_json_dict())
     _write_json(out / "audit.json", doc)
     with (out / "audit.csv").open("w", newline="") as fh:
-        fh.write(_csv_header(cfg))
+        fh.write(_csv_header(cfg.obj))
         record.write_csv(fh)
     return EXIT_OK
 
@@ -433,10 +432,11 @@ def main(argv=None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    def fail(code: int, field: str, message: str) -> int:
+    def fail(code: int, field: str, message: str, **evidence) -> int:
         _write_json(out / "error.json",
                     {"tool": "ctxapprox", "version": __version__,
-                     "error": {"field": field, "message": message, "exit_code": code}})
+                     "error": {"field": field, "message": message, "exit_code": code,
+                               **evidence}})
         print(f"error: {message}", file=sys.stderr)
         return code
 
@@ -444,31 +444,21 @@ def main(argv=None) -> int:
         cfg = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         return fail(EXIT_CONFIG, "config", f"unreadable config: {exc}")
-    if not isinstance(cfg, dict):
-        return fail(EXIT_CONFIG, "config", "top-level config must be an object")
 
     try:
-        return _COMMANDS[args.command](cfg, out, args.seed)
+        return _COMMANDS[args.command](_Config(cfg), out, args.seed)
     except ConfigError as exc:
         return fail(EXIT_CONFIG, exc.field, str(exc))
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:       # an argument check of the library
         return fail(EXIT_CONFIG, "config", f"{type(exc).__name__}: {exc}")
-    except (PositionScanExhausted, KroneckerCapExceeded, BudgetError) as exc:
-        extra = {}
-        if isinstance(exc, PositionScanExhausted):
-            extra = {"j_cap": exc.j_cap, "unmet": exc.unmet}
-        elif isinstance(exc, BudgetError):
-            extra = {"stage": exc.stage, "measured": exc.measured, "budget": exc.budget}
-        _write_json(out / "error.json",
-                    {"tool": "ctxapprox", "version": __version__,
-                     "error": {"field": "budget", "message": str(exc),
-                               "exit_code": EXIT_BUDGET, **extra}})
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (IllConditionedError, EpsilonRangeError, np.linalg.LinAlgError,
-            FloatingPointError) as exc:
-        return fail(EXIT_NUMERIC, "numeric", str(exc))
-    except CtxApproxError as exc:
+    except PositionScanExhausted as exc:
+        return fail(EXIT_BUDGET, "budget", str(exc), j_cap=exc.j_cap, unmet=exc.unmet)
+    except BudgetError as exc:
+        return fail(EXIT_BUDGET, "budget", str(exc), stage=exc.stage,
+                    measured=exc.measured, budget=exc.budget)
+    except KroneckerCapExceeded as exc:
+        return fail(EXIT_BUDGET, "budget", str(exc))
+    except (CtxApproxError, np.linalg.LinAlgError, FloatingPointError) as exc:
         return fail(EXIT_NUMERIC, "numeric", str(exc))
 
 

@@ -114,8 +114,8 @@ def exp_to_softmax_fnn(src: FnnParams, domain_grid, epsilon: float) -> FnnParams
     """
     if src.activation.kind != "exp":
         raise ValueError("source must be an exp network")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     pts = as_points(domain_grid, src.d_in)
     src_max = float(np.max(np.abs(fnn_forward_batch(src, pts))))
     log_cap = math.log(epsilon) - math.log(2.0 * src.k * (1.0 + src_max))
@@ -184,8 +184,8 @@ def embed_softmax_fnn(tp: TransformerParams, fnn: FnnParams, domain_grid,
     """
     if not tp.is_sparse_mode:
         raise ValueError("embedding requires sparse mode (no general blocks)")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     if fnn.d_in != tp.d_x - 1:
         raise DimensionError(
             f"fnn input dimension {fnn.d_in} != d_x - 1 = {tp.d_x - 1}")

@@ -113,6 +113,17 @@ def _k_range(k_range) -> tuple[int, int]:
     return k_lo, k_hi
 
 
+def _interval(interval) -> tuple[float, float]:
+    """``interval`` as two finite numbers lo < hi, or ValueError."""
+    try:
+        lo, hi = (float(v) for v in interval)
+    except (TypeError, ValueError):
+        raise ValueError(f"interval must be two numbers, got {interval!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"interval must be finite with lo < hi, got {(lo, hi)!r}")
+    return lo, hi
+
+
 def _separated_exponents(rng: np.random.Generator, k: int, sep: float) -> np.ndarray:
     """k sorted exponents, uniform on [-3, 3] given that neighbours are at
     least ``sep`` apart: sorted uniforms on [-3, 3 - (k-1) sep], the i-th
@@ -139,8 +150,7 @@ def prop1_fuzz(count: int, seed: int, *, k_range=(1, 6),
                          f"exponents in [-3, 3]; it must be below {6.0 / (k_hi - 1)!r}")
     if not (math.isfinite(coeff_range) and coeff_range > 0.0):
         raise ValueError(f"coeff_range must be finite and > 0, got {coeff_range!r}")
-    if not all(math.isfinite(v) for v in interval):
-        raise ValueError(f"interval must be finite, got {tuple(interval)!r}")
+    interval = _interval(interval)
     rng = np.random.default_rng(seed)
     ks = np.empty(count, dtype=np.int64)
     changes = np.empty(count, dtype=np.int64)

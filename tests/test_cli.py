@@ -44,6 +44,34 @@ CONSTRUCT_SMALL = {
     "caps": {"j_cap": 40000000},
 }
 
+EMBED_SOFTMAX = json.loads((ROOT / "configs" / "embed_softmax.json").read_text())
+
+DENSITY_SMALL = {"vocab": {"v_x": [[0.0]], "v_y": [[0.0]]},
+                 "scheme": {"kind": "dyadic_lattice", "region": {"lo": [-1.0], "hi": [1.0]}},
+                 "region": {"lo": [-1.0], "hi": [1.0]}, "n_max": 31, "probe_per_dim": 33}
+
+PROP1_SMALL = {"kind": "prop1_fuzz", "count": 20, "seed": 3, "k_range": [1, 6],
+               "exponent_separation": 0.1, "coeff_range": 5.0, "interval": [-8.0, 8.0],
+               "grid_points": 201}
+
+NONUAP_SMALL = {"kind": "nonuap", "max_context": 20, "trials": 50, "seed": 1,
+                "family": {"a_set": [1.0], "w_set": [0.5], "b_set": [0.0]}}
+
+KRONECKER_BETAS = {"betas": [0.0, 1.5], "epsilon": 0.01, "q_cap": 100000}
+
+KRONECKER_RANDOM = {"random": {"seed": 1, "count": 3, "lo": -5.0, "hi": 5.0}, "epsilon": 0.01}
+
+
+def mutated(config, path, value):
+    """A deep copy of ``config`` with ``value`` at the dotted ``path``."""
+    cfg = json.loads(json.dumps(config))
+    *parents, leaf = path.split(".")
+    node = cfg
+    for part in parents:
+        node = node[part]
+    node[leaf] = value
+    return cfg
+
 
 class TestEmbedCommand:
     def test_identity_config_exact(self, tmp_path):
@@ -80,6 +108,12 @@ class TestEmbedCommand:
         assert code == 2
         err = json.loads((out / "error.json").read_text())
         assert err["error"]["field"] == "grid"
+
+    def test_non_object_config_exit_2(self, tmp_path):
+        code, out = run(tmp_path, "list", [EMBED_IDENTITY], "embed")
+        assert code == 2
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["field"] == "config" and "expected an object" in err["message"]
 
 
 class TestConstructCommand:
@@ -185,12 +219,21 @@ class TestConstructCommand:
         ("density", "scheme.region.l", [0.0]),
         ("density", "vocab.d_y", 1),
         ("embed", "fnn.random.scal", 2.0),
-        ("embed", "fnn.file_name", "net.json")])
+        ("embed", "fnn.file_name", "net.json"),
+        ("embed", "epsilon", 0.5),                     # an elementwise embed takes none
+        ("density", "probe_per_dm", 3),
+        ("density", "region.h", [1.0]),
+        ("audit", "exponent_seperation", 0.2),
+        ("audit", "family.c_set", [0.0]),
+        ("kronecker", "qcap", 10),
+        ("kronecker", "random.low", -1.0)])
     def test_unknown_nested_key_exit_2(self, tmp_path, command, path, value):
         # a misspelled nested key used to run with the default and exit 0
         cfg = json.loads(json.dumps({
             "construct": CONSTRUCT_SMALL, "embed": EMBED_IDENTITY,
             "density": json.loads((ROOT / "configs" / "density_dyadic.json").read_text()),
+            "audit": json.loads((ROOT / "configs" / "nonuap_audit.json").read_text()),
+            "kronecker": json.loads((ROOT / "configs" / "kronecker_seeded.json").read_text()),
         }[command]))
         *parents, key = path.split(".")
         obj = cfg
@@ -202,31 +245,37 @@ class TestConstructCommand:
         err = json.loads((out / "error.json").read_text())["error"]
         assert err["field"] == path and "unknown key" in err["message"]
 
-    def test_shipped_and_benchmark_configs_load(self, monkeypatch):
-        # every shipped config and every benchmark config passes the key checks
+    def test_shipped_and_benchmark_configs_load(self, tmp_path, monkeypatch):
+        # every shipped and benchmark config is read whole and builds every
+        # object: each run reaches its library entry point, which raises here
         from ctxapprox import cli
+
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        for name in ("construct_context", "density_audit", "kronecker_search", "nonuap_audit",
+                     "prop1_fuzz", "embed_fnn", "embed_softmax_fnn"):
+            monkeypatch.setattr(cli, name, reached)
         spec = importlib.util.spec_from_file_location("workloads",
                                                       ROOT / "perfbench" / "workloads.py")
         workloads = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, "workloads", workloads)
         spec.loader.exec_module(workloads)
-        commands = workloads.workload("construct-multi", ROOT, None) + \
-            workloads.workload("construct-acceptance", ROOT, None) + \
-            workloads.workload("oracles", ROOT, None)
+        commands = [c for name in workloads.WORKLOADS for c in workloads.workload(name, ROOT, None)]
+        shipped = {"construct_sin_acceptance": "construct", "density_dyadic": "density",
+                   "embed_softmax": "embed", "kronecker_seeded": "kronecker",
+                   "nonuap_audit": "audit"}
+        assert sorted(p.stem for p in (ROOT / "configs").glob("*.json")) == sorted(shipped)
         configs = [(c.name, c.config) for c in commands] + [
-            (p.name.split("_")[0], json.loads(p.read_text()))
-            for p in sorted((ROOT / "configs").glob("*.json"))]
-        loaders = {"construct": ("transformer", "grid", "vocab", "scheme"),
-                   "density": ("vocab", "scheme"), "embed": ("transformer", "fnn", "grid")}
-        checked = 0
-        for command, cfg in configs:
-            for field in loaders.get(command, ()):
-                if field == "grid":
-                    cli._load_grid(cfg, "grid")
-                else:
-                    getattr(cli, f"_load_{field}")(cfg)
-                checked += 1
-        assert checked == 22    # 3 construct configs x 4 objects, 2 density x 2, 2 embed x 3
+            (command, json.loads((ROOT / "configs" / f"{stem}.json").read_text()))
+            for stem, command in shipped.items()]
+        assert len(configs) == 11
+        for i, (command, cfg) in enumerate(configs):
+            with pytest.raises(Reached):
+                run(tmp_path, f"load{i}", cfg, command)
 
     def test_benchmark_spans_nest_inside_construct(self, tmp_path):
         # the benchmark's layer breakdown hooks these names from outside
@@ -395,7 +444,10 @@ class TestAuditCommands:
         ("audit", {"kind": "prop1_fuzz", "count": 5}, "count", float("inf")),
         ("audit", {"kind": "prop1_fuzz", "count": 5}, "grid_points", float("-inf")),
         ("audit", {"kind": "prop1_fuzz", "count": 5}, "seed", "3"),
-        ("audit", {"kind": "prop1_fuzz", "count": 5}, "k_range", [1.5, 3])])
+        ("audit", {"kind": "prop1_fuzz", "count": 5}, "k_range", [1.5, 3]),
+        ("construct", CONSTRUCT_SMALL, "grid.counts", [2.5]),            # was cut to 2
+        ("construct", CONSTRUCT_SMALL, "grid.counts", [float("inf")]),
+        ("embed", EMBED_IDENTITY, "transformer.d_x", True)])
     def test_bad_integer_field_exit_2(self, tmp_path, command, config, field, value):
         # Infinity used to escape int() as an OverflowError traceback (exit 1)
         cfg = json.loads(json.dumps(config))
@@ -437,7 +489,13 @@ class TestAuditCommands:
          "k_range must satisfy 1 <= k_lo <= k_hi"),
         ("audit", {"kind": "nonuap", "max_context": 20, "trials": 50, "seed": 1,
                    "family": {"a_set": [1.0], "w_set": [0.5], "b_set": [0.0]}},
-         "family.a_set", [1.0, float("nan")], "a_set must be finite")])
+         "family.a_set", [1.0, float("nan")], "a_set must be finite"),
+        ("audit", {"kind": "prop1_fuzz", "count": 5}, "interval", [],
+         "interval must be two numbers"),
+        ("audit", {"kind": "prop1_fuzz", "count": 5}, "interval", [-1.0, 0.0, 1.0],
+         "interval must be two numbers"),
+        ("embed", EMBED_SOFTMAX, "epsilon", float("nan"),
+         "epsilon must be positive and finite")])
     def test_out_of_range_input_exit_2(self, tmp_path, command, config, field, value, named):
         # these used to scan to exit 3, fail as "not finite" (exit 4), crash
         # with an IndexError traceback, or report a NaN error floor
@@ -454,6 +512,33 @@ class TestAuditCommands:
         err = json.loads((out / "error.json").read_text())
         assert err["error"]["exit_code"] == 2
         assert named in err["error"]["message"]
+
+    @pytest.mark.parametrize("command,config,path,value,field", [
+        ("construct", CONSTRUCT_SMALL, "transformer", {"file": "no-such-dir/tp.json"},
+         "transformer.file"),
+        ("construct", CONSTRUCT_SMALL, "target", {"samples_file": "no-such-dir/f.csv"},
+         "target.samples_file"),
+        ("embed", EMBED_IDENTITY, "fnn", {"file": "no-such-dir/net.json"}, "fnn.file"),
+        ("construct", CONSTRUCT_SMALL, "epsilon", "0.3", "epsilon"),
+        ("construct", CONSTRUCT_SMALL, "epsilon", True, "epsilon"),
+        pytest.param("construct", CONSTRUCT_SMALL, "epsilon", 10**400, "epsilon",
+                     id="construct-epsilon-beyond-float"),
+        ("kronecker", KRONECKER_BETAS, "epsilon", "0.01", "epsilon"),
+        ("embed", EMBED_SOFTMAX, "epsilon", True, "epsilon"),
+        ("kronecker", KRONECKER_RANDOM, "random.lo", float("nan"), "random"),
+        ("embed", EMBED_SOFTMAX, "fnn.random.scale", float("nan"), "fnn.random"),
+        ("kronecker", KRONECKER_BETAS, "betas", [], "betas"),
+        ("kronecker", KRONECKER_RANDOM, "random.count", 0, "random.count")])
+    def test_bad_value_names_its_field(self, tmp_path, command, config, path, value, field):
+        # these used to escape main as a traceback (exit 1), run with a bool
+        # as 1.0, or exit 2 naming no field
+        cfg = mutated(config, path, value)
+        if command == "construct":
+            cfg["caps"]["j_cap"] = 200
+        code, out = run(tmp_path, "bad_value", cfg, command)
+        assert code == 2
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["field"] == field and err["exit_code"] == 2
 
     def test_exp_activation_exhausts_without_walking_every_position(self, tmp_path,
                                                                    monkeypatch):
@@ -544,3 +629,61 @@ class TestAuditCommands:
         code2, out2 = run(tmp_path, "s2", cfg, "audit", seed=99)
         assert code1 == code2 == 0
         assert (out1 / "audit.csv").read_bytes() == (out2 / "audit.csv").read_bytes()
+
+
+def key_paths(obj, prefix=""):
+    """The dotted path of every key in ``obj``, nested objects included."""
+    for key, value in obj.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from key_paths(value, f"{prefix}{key}.")
+
+
+# a small j_cap bounds every scan a mutation leaves runnable
+MUTATED_CONFIGS = {
+    "embed_identity": ("embed", EMBED_IDENTITY),
+    "embed_softmax": ("embed", EMBED_SOFTMAX),
+    "construct": ("construct", mutated(CONSTRUCT_SMALL, "caps.j_cap", 20_000)),
+    "prop1": ("audit", PROP1_SMALL),
+    "nonuap": ("audit", NONUAP_SMALL),
+    "density": ("density", DENSITY_SMALL),
+    "kronecker_betas": ("kronecker", KRONECKER_BETAS),
+    "kronecker_random": ("kronecker", KRONECKER_RANDOM),
+}
+MUTATIONS = {"string": "0.5", "list": [], "object": {}, "nan": float("nan"),
+             "inf": float("inf"), "negative": -1, "bool": True, "null": None}
+
+
+class TestConfigMutations:
+    @pytest.mark.parametrize("name", sorted(MUTATED_CONFIGS))
+    def test_every_mutation_exits_with_a_documented_code(self, tmp_path, name):
+        # delete, rename or retype each key in turn: nothing escapes main, a
+        # failure writes a well-formed error.json, and a renamed key is unknown
+        command, config = MUTATED_CONFIGS[name]
+        cases = [(path, kind) for path in key_paths(config)
+                 for kind in ("delete", "rename", *MUTATIONS)]
+        for i, (path, kind) in enumerate(cases):
+            *parents, leaf = path.split(".")
+            cfg = json.loads(json.dumps(config))
+            node = cfg
+            for part in parents:
+                node = node[part]
+            if kind in MUTATIONS:
+                node[leaf] = MUTATIONS[kind]
+            else:
+                value = node.pop(leaf)
+                if kind == "rename":
+                    node[leaf + "_x"] = value
+            case = f"{name}: {kind} {path}"
+            try:
+                with np.errstate(all="ignore"):
+                    code, out = run(tmp_path, f"m{i}", cfg, command)
+            except Exception as exc:
+                pytest.fail(f"{case} escaped main: {type(exc).__name__}: {exc}")
+            assert code in (0, 2, 3, 4), case
+            assert not (kind == "rename" and code == 0), case
+            if code:
+                doc = json.loads((out / "error.json").read_text())
+                err = doc["error"]
+                assert doc["tool"] == "ctxapprox" and doc["version"], case
+                assert err["exit_code"] == code and err["field"] and err["message"], case

@@ -115,6 +115,17 @@ class TestExpToSoftmaxLift:
         with pytest.raises(ca.EpsilonRangeError):
             ca.exp_to_softmax_fnn(src, np.linspace(0, 1, 20)[:, None], 1e-280)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), 0.0, -1e-3])
+    def test_epsilon_must_be_positive_and_finite(self, rng, epsilon):
+        # NaN passed the old `epsilon <= 0` check and failed later as
+        # "non-finite entries in A"
+        src = random_fnn(rng, 3, 1, 1, ca.EXP)
+        grid = ca.Grid((-1.0,), (1.0,), (21,))
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            ca.exp_to_softmax_fnn(src, grid.points(), epsilon)
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            ca.embed_softmax_fnn(ca.random_sparse_params(25, 2, 1), src, grid, epsilon)
+
 
 class TestSoftmaxEmbedding:
     def test_constant_output_softmax(self, rng):

@@ -89,6 +89,11 @@ class TestProp1Fuzz:
         ({"coeff_range": 0.0}, "coeff_range"),
         ({"interval": (-1.0, float("inf"))}, "interval"),
         ({"interval": (float("nan"), 1.0)}, "interval"),
+        ({"interval": ()}, "interval"),                 # an IndexError in count_zeros
+        ({"interval": (-1.0, 0.0, 1.0)}, "interval"),   # was cut to (-1, 0)
+        ({"interval": (1.0, -1.0)}, "interval"),
+        ({"interval": (1.0, 1.0)}, "interval"),
+        ({"interval": ("a", 1.0)}, "interval"),
         ({"k_range": (0, 3)}, "k_range"),
         ({"k_range": (4, 2)}, "k_range"),
         ({"k_range": (1.5, 3)}, "k_range"),
