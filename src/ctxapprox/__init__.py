@@ -16,7 +16,7 @@ from .embedding import (EmbeddingResult, embed_fnn, embed_softmax_fnn,
 from .errors import (BudgetError, ConfigError, CtxApproxError, DimensionError,
                      EmptyGridError, EpsilonRangeError, FloorViolationError,
                      IllConditionedError, KroneckerCapExceeded,
-                     NonFiniteTargetError, PositionScanExhausted)
+                     NonFiniteTargetError, PositionScanExhausted, TokenDemandError)
 from .exp_fd import build_exp_fd_network, fit_polynomial
 from .expressions import parse_target
 from .fnn import (EXP, RELU, SOFTMAX, Activation, FitResult, FnnParams,
@@ -36,7 +36,7 @@ from .transformer import (GeneralBlocks, InputAssembly, TransformerParams,
 from .vocab_pe import (Box, DensityProfile, PeScheme, Vocabulary,
                        calkin_wilf_lattice, calkin_wilf_rational,
                        custom_scheme, density_audit, dyadic_lattice, fusc,
-                       irrational_rotation, pe_block, pe_value,
+                       irrational_rotation, pe_block, pe_rows,
                        standard_y_tokens)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

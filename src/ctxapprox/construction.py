@@ -25,14 +25,13 @@ import numpy as np
 
 from ._linalg import inf_operator_norm, solve_refined
 from .errors import (BudgetError, DimensionError, EpsilonRangeError,
-                     NonFiniteTargetError, PositionScanExhausted)
+                     NonFiniteTargetError, PositionScanExhausted, TokenDemandError)
 from .fnn import RELU, Activation, FitResult, fit_fnn, fnn_forward_batch
 from .grids import Grid, as_points, lifted
 from .kronecker import SQRT2, TokenDecomposition, coefficient_decompose
 from .transformer import TransformerParams
 from .vocab_pe import (PeScheme, Vocabulary, _cw_stream_coords, _morton_levels,
-                       _morton_offset, _morton_stream_bounds, _morton_split, pe_block,
-                       pe_rows)
+                       _morton_offset, _morton_stream_bounds, pe_block, pe_rows)
 
 _TOKEN_SAFETY = 1.25
 
@@ -398,15 +397,15 @@ class _Scan:
         return self.collected
 
 
-def _block_scan(scan: _Scan, scheme: PeScheme, start_j: int, j_cap: int,
+def _block_scan(scan: _Scan, scheme: PeScheme, j_cap: int,
                 block: int = 1 << 15) -> list[list[ScanHit]]:
-    """Walk over every position from start_j, one block of encodings at a time.
+    """Walk over every position from 1, one block of encodings at a time.
 
     The path for every case the candidate path does not take, and the
     reference it is tested against.  Under the fast-path condition only the
     nearest cell is checked; a vocabulary that is not a grid tries every entry.
     """
-    j = start_j
+    j = 1
     while j <= j_cap and np.any(scan.demand > 0):
         count = min(block, j_cap - j + 1)
         pe = pe_block(scheme, j, count)                       # (count, d)
@@ -467,13 +466,13 @@ class _Streams:
                        [kept[2][i] for kept, i in zip(self.kept, pick)])
 
 
-def _walk_levels(scheme: PeScheme, d: int, start_j: int, j_cap: int, extend, visit):
-    """Calls ``visit(t_lo, t_hi)`` for the Morton levels of positions [start_j,
-    j_cap] in order, with t = j - 1; before a level is visited,
+def _walk_levels(scheme: PeScheme, d: int, j_cap: int, extend, visit):
+    """Calls ``visit(t_lo, t_hi)`` for the Morton levels of positions [1, j_cap]
+    in order, with t = j - 1; before a level is visited,
     ``extend(s, coords)`` sees the stream values that the level adds, in
     chunks.  The walk stops when ``visit`` returns False."""
     seen = 0
-    for level, t_lo, t_hi in _morton_levels(start_j - 1, j_cap - 1, d):
+    for level, t_lo, t_hi in _morton_levels(j_cap - 1, d):
         for s_lo in range(seen, 1 << level, _CHUNK):
             s = np.arange(s_lo, min(1 << level, s_lo + _CHUNK), dtype=np.int64)
             extend(s, _cw_stream_coords(scheme, s))
@@ -482,8 +481,7 @@ def _walk_levels(scheme: PeScheme, d: int, start_j: int, j_cap: int, extend, vis
             return
 
 
-def _candidate_scan(scan: _Scan, scheme: PeScheme, start_j: int,
-                    j_cap: int) -> list[list[ScanHit]]:
+def _candidate_scan(scan: _Scan, scheme: PeScheme, j_cap: int) -> list[list[ScanHit]]:
     """Grid fast path for the Calkin-Wilf lattice, from candidates per dimension.
 
     Coordinate k of P(j) depends only on stream k of j - 1 and the nearest
@@ -492,7 +490,9 @@ def _candidate_scan(scan: _Scan, scheme: PeScheme, start_j: int,
     candidate positions, each re-checked exactly with the block path's
     formula, and the hits are given out in position order; the walk stops at
     the first level that meets every demand.  For targets left unmet, a second
-    walk finds the least nearest-cell distance over [start_j, j_cap].
+    walk finds the least nearest-cell distance over [1, j_cap]; a target with
+    no distance yet keeps all of level 0, which is position 1 alone, and has
+    a finite box from then on.
     """
     grid = scan.grid
     streams = {ti: _Streams(scan, ti, j_cap - 1) for ti in np.nonzero(scan.demand > 0)[0]}
@@ -520,17 +520,12 @@ def _candidate_scan(scan: _Scan, scheme: PeScheme, start_j: int,
         scan.assign(hits)
         return bool(np.any(scan.demand > 0))
 
-    _walk_levels(scheme, scan.d, start_j, j_cap, extend_hits, visit_hits)
+    _walk_levels(scheme, scan.d, j_cap, extend_hits, visit_hits)
 
     unmet = np.nonzero(scan.demand > 0)[0]
-    if unmet.size and start_j <= j_cap:
+    if unmet.size:
         # each box is widened to a distance reached at some j in range, so the
         # minimiser stays inside it while each level shrinks it
-        first = _cw_stream_coords(scheme, _morton_split(np.array([start_j - 1]), scan.d))
-        for ti in unmet:
-            if not np.isfinite(scan.best[ti]):
-                scan.check(ti, scan.dist(ti, [grid.nearest(ti, k, first[k])[1]
-                                              for k in range(scan.d)]))
         streams = {ti: _Streams(scan, ti, j_cap - 1) for ti in unmet}
 
         def extend_best(s, coords):
@@ -543,13 +538,13 @@ def _candidate_scan(scan: _Scan, scheme: PeScheme, start_j: int,
                     scan.check(ti, scan.dist(ti, z))
             return True
 
-        _walk_levels(scheme, scan.d, start_j, j_cap, extend_best, visit_best)
+        _walk_levels(scheme, scan.d, j_cap, extend_best, visit_best)
     return scan.result(j_cap)
 
 
 def _scan_engine(targets: list[ScanTarget], vocab: Vocabulary, scheme: PeScheme,
-                 tp: TransformerParams, start_j: int, j_cap: int) -> list[list[ScanHit]]:
-    """FCFS multi-target scan over strictly increasing position index.
+                 tp: TransformerParams, j_cap: int) -> list[list[ScanHit]]:
+    """FCFS multi-target scan over positions 1, 2, ... j_cap.
 
     At each position every vocabulary entry is tried in index order and the
     hit with the lowest (vocab index, target index) wins; a position holds at
@@ -558,15 +553,13 @@ def _scan_engine(targets: list[ScanTarget], vocab: Vocabulary, scheme: PeScheme,
     everything else walks every position; both give the same hits and, on
     exhaustion, the same best distances.
     """
-    if start_j < 1:
-        raise ValueError(f"start_j must be >= 1, got {start_j}")
     _require_j_cap(j_cap)
     if not targets:
         return []
     scan = _Scan(targets, vocab, tp)
     if scan.grid is not None and scheme.kind == "calkin_wilf_lattice":
-        return _candidate_scan(scan, scheme, start_j, j_cap)
-    return _block_scan(scan, scheme, start_j, j_cap)
+        return _candidate_scan(scan, scheme, j_cap)
+    return _block_scan(scan, scheme, j_cap)
 
 
 # --------------------------------------------------------------------------
@@ -685,13 +678,16 @@ def _lambda(nets, policy: str) -> float:
 
 
 def _witness_stage(tp, nets, cmap, x_extent, x_tilde, activation, perturb_inner,
-                   use_homog, q_cap, fnn_eval):
+                   use_homog, caps, fnn_eval):
     """Stage 2: plans with integer witnesses for the neurons of ``nets``, (rows
     [W | b], coefficients) per output; ``use_homog`` (relu) splits a neuron into
     exact unit-coefficient copies with token-space rows inside the vocabulary's
-    reach.  Returns the plans, the perturbed network on the grid and its error."""
+    reach.  Returns the plans, the perturbed network on the grid and its error.
+    A position holds one token, so plans that need more than ``caps.j_cap``
+    tokens are rejected before they are built."""
     cmap_inv_norm = inf_operator_norm(np.linalg.inv(cmap))
     plans: list[NeuronPlan] = []
+    planned = 0
     perturbed = np.zeros((x_tilde.shape[0], tp.d_y))
     for comp, (rows, coeffs) in enumerate(nets):
         k = len(coeffs)
@@ -705,12 +701,16 @@ def _witness_stage(tp, nets, cmap, x_extent, x_tilde, activation, perturb_inner,
                 copies = max(1, math.ceil(token_norm / max(x_extent, 1e-12)))
                 sign = 1 if a_i >= 0 else -1
                 wit = TokenDecomposition(float(sign), 0, 1, sign, 0.0)
-                new = [NeuronPlan(len(plans) + c, comp, (abs(a_i) / copies) * row_i, wit)
-                       for c in range(copies)]
+                row = (abs(a_i) / copies) * row_i
             else:
+                copies = 1
                 wit = coefficient_decompose(a_i, perturb_inner / (k * max(m1_i, 1e-12)),
-                                            q_cap)
-                new = [NeuronPlan(len(plans), comp, row_i.copy(), wit)]
+                                            caps.q_cap)
+                row = row_i.copy()
+            planned += copies * wit.token_count
+            if planned > caps.j_cap:
+                raise TokenDemandError(planned, caps.j_cap)
+            new = [NeuronPlan(len(plans) + c, comp, row, wit) for c in range(copies)]
             for p in new:
                 perturbed[:, comp] += p.coefficient * activation(x_tilde @ p.target_row)
             plans.extend(new)
@@ -737,7 +737,7 @@ def _token_stage(plans, tp, vocab, scheme, cmap, x_tilde, m_hat, activation,
             p.tol = tol
             p.token_error_bound = w * lip * tol * m_hat
         collected = _scan_engine([ScanTarget(p.target_row, tol, p.demand) for p in plans],
-                                 vocab, scheme, tp, 1, j_cap)
+                                 vocab, scheme, tp, j_cap)
 
     tokens: list[TokenAssignment] = []
     for p, hits in zip(plans, collected):
@@ -847,7 +847,7 @@ def construct_context(target, grid: Grid, vocab: Vocabulary, scheme: PeScheme,
         nets = [(rows / lam, coeffs * lam) for rows, coeffs in nets]
     plans, perturbed, perturb_measured = _witness_stage(
         tp, nets, cmap, vocab.x_extent, x_tilde, activation, budgets.perturb / u_scale,
-        use_homog, caps.q_cap, fnn_eval)
+        use_homog, caps, fnn_eval)
     if perturb_measured >= budgets.perturb:
         raise BudgetError("perturb", perturb_measured, budgets.perturb)
 

@@ -90,6 +90,15 @@ class BudgetError(CtxApproxError):
         super().__init__(f"stage {stage!r} measured error {measured:.6g} exceeds budget {budget:.6g}")
 
 
+class TokenDemandError(BudgetError):
+    """The plans need more tokens than the positions up to j_cap hold, one each."""
+
+    def __init__(self, planned: int, j_cap: int):
+        CtxApproxError.__init__(self, f"the plans need at least {planned} tokens, more "
+                                      f"than the j_cap = {j_cap} positions can hold")
+        self.stage, self.measured, self.budget = "positions", float(planned), float(j_cap)
+
+
 class ConfigError(CtxApproxError, ValueError):
     """A run configuration is missing or has an invalid field."""
 

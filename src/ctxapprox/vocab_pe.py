@@ -209,41 +209,37 @@ def _morton_stream_bounds(t_last: int, d: int) -> list[int]:
     return [1 << max(0, -(-(b - k) // d)) for k in range(d)]
 
 
-def _morton_levels(t_first: int, t_last: int, d: int):
-    """Yields (L, t_lo, t_hi) for the levels that meet the indices [t_first, t_last].
+def _morton_levels(t_last: int, d: int):
+    """Yields (L, t_lo, t_hi) for the levels that meet the indices [0, t_last].
 
     Level L holds the indices below 2^(d L) that no earlier level holds; an
     index is below 2^(d L) exactly when its d streams are all below 2^L.  So
     level order is index order, and [t_lo, t_hi) is the level's part of the
     range.
     """
-    first, last = (-(-int(t).bit_length() // d) for t in (t_first, t_last))
-    for level in range(first, last + 1):
-        t_lo = max(t_first, 1 << (d * (level - 1)) if level else 0)
+    for level in range(-(-int(t_last).bit_length() // d) + 1):
+        t_lo = 1 << (d * (level - 1)) if level else 0
         yield level, t_lo, min(t_last + 1, 1 << (d * level))
 
 
 _CW_SHELL_EXPONENTS = np.array([0, -1, 1, -2], dtype=np.int64)
 
 
-def _cw_coords(streams: np.ndarray, scale: float) -> np.ndarray:
-    """Coordinate of each stream value (elementwise, any shape)."""
-    signs = np.where(streams & 1 == 1, -1.0, 1.0)
-    exponent = _CW_SHELL_EXPONENTS[(streams >> 1) & 3]
-    idx = 3 * (streams >> 3) + 1          # odd/odd coprime Calkin-Wilf entries
-    num, den = _fusc_array(np.stack((idx, idx + 1)))
-    return signs * (num / den) * np.exp2(exponent.astype(float)) * scale
-
-
 def _cw_stream_coords(scheme: PeScheme, streams: np.ndarray) -> np.ndarray:
-    """Coordinate of each stream value under a Calkin-Wilf scheme.
+    """Coordinate of each stream value under a Calkin-Wilf scheme (elementwise,
+    any shape).
 
     Every dimension decodes its stream the same way, so coordinate k of
     P(j) is this value at stream k of ``_morton_split(j - 1)``, bit for bit
     equal to ``pe_block``.
     """
-    return _cw_coords(np.asarray(streams, dtype=np.int64),
-                      float(scheme.params.get("scale", 1.0)))
+    streams = np.asarray(streams, dtype=np.int64)
+    signs = np.where(streams & 1 == 1, -1.0, 1.0)
+    exponent = _CW_SHELL_EXPONENTS[(streams >> 1) & 3]
+    idx = 3 * (streams >> 3) + 1          # odd/odd coprime Calkin-Wilf entries
+    num, den = _fusc_array(np.stack((idx, idx + 1)))
+    scale = float(scheme.params.get("scale", 1.0))
+    return signs * (num / den) * np.exp2(exponent.astype(float)) * scale
 
 
 def _cw_chunk_bits(d: int) -> int:
@@ -265,9 +261,10 @@ def _cw_block(scheme: PeScheme, j_start: int, count: int) -> np.ndarray:
     Index bits at and above L only reach stream bits at and above L/d, so in
     an aligned 2^L chunk every stream is (chunk part) | (offset part) with the
     offset part below 2^(L/d).  Each coordinate is computed once per (chunk,
-    dimension, offset part) by ``_cw_coords`` and gathered through the cached
-    offset split; every element goes through the same float operations on the
-    same integers as a per-position decode, so the result is bit-identical.
+    dimension, offset part) by ``_cw_stream_coords`` and gathered through the
+    cached offset split; every element goes through the same float operations
+    on the same integers as a per-position decode, so the result is
+    bit-identical.
     """
     d = scheme.d_x
     bits = _cw_chunk_bits(d)
@@ -286,54 +283,50 @@ def _cw_block(scheme: PeScheme, j_start: int, count: int) -> np.ndarray:
     return out.T
 
 
-class _DyadicLevels:
-    """Materialized dyadic levels with cumulative sizes, cached per region."""
-
-    def __init__(self, box: Box):
-        self.box = box
-        self.levels: list[np.ndarray] = []
-        self.cum = [0]
-
-    def _build_level(self, m: int) -> np.ndarray:
-        d = self.box.dim
-        t = np.arange(1, 2**m)
-        mesh = np.meshgrid(*([t] * d), indexing="ij")
-        tuples = np.stack([g.ravel() for g in mesh], axis=1)
-        new = tuples[np.any(tuples % 2 == 1, axis=1)]
-        lo = np.array(self.box.lo)
-        hi = np.array(self.box.hi)
-        return lo + new * (hi - lo) / 2.0**m
-
-    def ensure(self, n: int):
-        while self.cum[-1] < n:
-            m = len(self.levels) + 1
-            if (2**m - 1) ** self.box.dim > 5e7:
-                raise MemoryError(
-                    "dyadic level materialization cap reached; "
-                    "use calkin_wilf_lattice for scans of this depth")
-            pts = self._build_level(m)
-            self.levels.append(pts)
-            self.cum.append(self.cum[-1] + len(pts))
-
-    def block(self, j_start: int, count: int) -> np.ndarray:
-        self.ensure(j_start - 1 + count)
-        out = np.empty((count, self.box.dim))
-        pos = j_start - 1
-        filled = 0
-        while filled < count:
-            level = np.searchsorted(self.cum, pos, side="right") - 1
-            offset = pos - self.cum[level]
-            take = min(count - filled, len(self.levels[level]) - offset)
-            out[filled:filled + take] = self.levels[level][offset:offset + take]
-            filled += take
-            pos += take
-        return out
+_COUNT_CLAMP = (1 << 63) - 1   # int64 max: above every index, so a clamped count decides alike
 
 
-@functools.lru_cache(maxsize=8)
-def _dyadic_levels(lo: tuple, hi: tuple) -> _DyadicLevels:
-    """The levels of one region, shared by every dyadic scheme over it."""
-    return _DyadicLevels(Box(lo, hi))
+def _dyadic_rows(box: Box, t: np.ndarray) -> np.ndarray:
+    """Dyadic encodings of the indices t = j - 1 (int64), ranked in closed form.
+
+    Level m holds the tuples of {1 .. n}^d, n = 2^m - 1, with at least one odd
+    entry, in lexicographic order; its all-even tuples are those of the levels
+    before it, so level m starts at index (2^(m-1) - 1)^d.  A tuple is
+    unranked one coordinate at a time.  Until an odd entry appears the values
+    (2i+1, 2i+2) take 2N - E indices: N = n^rest for the odd one and N - E,
+    E = (n // 2)^rest, for the even one.  After it the rest is mixed radix.
+    """
+    d = box.dim
+    t_max = int(t.max(initial=0))
+    sizes = [2**m - 1 for m in range(1, 64)]                      # n of level m
+    starts = [0] + [n**d for n in sizes if n**d <= t_max]
+    sizes = sizes[:len(starts)]
+    level = np.searchsorted(np.array(starts), t, side="right")     # m of each index
+    r = t - np.array(starts)[level - 1]
+    odd = np.zeros(t.shape, dtype=bool)
+    tup = np.empty((d, t.size), dtype=np.int64)
+    for k, rest in enumerate(range(d - 1, 0, -1)):
+        big_n = np.array([min(n**rest, _COUNT_CLAMP) for n in sizes])[level - 1]
+        pair = np.array([min(2 * n**rest - (n // 2)**rest, _COUNT_CLAMP)
+                         for n in sizes])[level - 1]
+        i, rr = np.divmod(r, pair)
+        even = rr >= big_n
+        tup[k] = 2 * i + 1 + even
+        rr[even] -= big_n[even]
+        if odd.any():
+            digit, free = np.divmod(r, big_n)
+            tup[k, odd] = digit[odd] + 1
+            rr[odd] = free[odd]
+        r = rr
+        odd |= ~even
+    tup[d - 1] = np.where(odd, r + 1, 2 * r + 1)                  # rest 0: N = E = 1
+    lo = np.array(box.lo)
+    width = np.array(box.hi) - lo
+    scale = np.ldexp(1.0, level)
+    out = np.empty((d, t.size))
+    for k in range(d):
+        out[k] = lo[k] + tup[k] * width[k] / scale
+    return out.T
 
 
 def pe_block(scheme: PeScheme, j_start: int, count: int) -> np.ndarray:
@@ -342,38 +335,34 @@ def pe_block(scheme: PeScheme, j_start: int, count: int) -> np.ndarray:
         raise ValueError("need j_start >= 1 and count >= 1")
     if scheme.kind == "calkin_wilf_lattice":
         return _cw_block(scheme, j_start, count)
-    if scheme.kind == "dyadic_lattice":
-        return _dyadic_levels(scheme.region.lo, scheme.region.hi).block(j_start, count)
-    if scheme.kind == "irrational_rotation":
-        primes = scheme.params["primes"]
-        gamma = np.sqrt(np.array(primes, dtype=float))
-        j = np.arange(j_start, j_start + count, dtype=float)[:, None]
-        frac = np.mod(j * gamma, 1.0)
-        lo = np.array(scheme.region.lo)
-        hi = np.array(scheme.region.hi)
-        return lo + frac * (hi - lo)
-    return np.asarray(scheme.generator(j_start, count), dtype=float).reshape(count, scheme.d_x)
+    if scheme.kind == "custom":
+        return np.asarray(scheme.generator(j_start, count), dtype=float).reshape(count, scheme.d_x)
+    return pe_rows(scheme, np.arange(j_start, j_start + count, dtype=np.int64))
 
 
 def pe_rows(scheme: PeScheme, positions) -> np.ndarray:
     """P_x(j) for each j in ``positions`` (any order); returns (len, d_x).
 
-    The rows ``pe_block`` gives, bit for bit.  A Calkin-Wilf position decodes
-    its own streams, where ``pe_block`` would decode the aligned chunk around
-    it; other schemes take one ``pe_block`` row per position.
+    The rows ``pe_block`` gives, bit for bit: every built-in scheme computes
+    P(j) from j alone.  A Calkin-Wilf position decodes its own streams, where
+    ``pe_block`` would decode the aligned chunk around it; a custom scheme
+    takes one generator row per position.
     """
     positions = np.asarray(positions, dtype=np.int64).reshape(-1)
     if positions.size and positions.min() < 1:
         raise ValueError("positions must be >= 1")
     if scheme.kind == "calkin_wilf_lattice":
         return _cw_stream_coords(scheme, _morton_split(positions - 1, scheme.d_x)).T
+    if scheme.kind == "dyadic_lattice":
+        return _dyadic_rows(scheme.region, positions - 1)
+    if scheme.kind == "irrational_rotation":
+        gamma = np.sqrt(np.array(scheme.params["primes"], dtype=float))
+        frac = np.mod(positions.astype(float)[:, None] * gamma, 1.0)
+        lo = np.array(scheme.region.lo)
+        hi = np.array(scheme.region.hi)
+        return lo + frac * (hi - lo)
     rows = [pe_block(scheme, int(j), 1) for j in positions]
     return np.concatenate(rows) if rows else np.empty((0, scheme.d_x))
-
-
-def pe_value(scheme: PeScheme, j: int) -> np.ndarray:
-    """P_x(j), deterministic in j."""
-    return pe_block(scheme, j, 1)[0]
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +149,20 @@ class TestConstructCommand:
         err = json.loads((out / "error.json").read_text())
         assert err["error"]["exit_code"] == 3
         assert err["error"]["unmet"][0]["best_distance"] > 0
+
+    def test_more_planned_tokens_than_positions_exit_3_at_once(self, tmp_path):
+        # one x token spans nothing, so every relu neuron asks for about 1e12
+        # unit copies; no more than j_cap of them can ever be placed
+        cfg = mutated(CONSTRUCT_SMALL, "vocab.x_grid.per_dim", 1)
+        cfg["caps"]["j_cap"] = 20000
+        start = time.perf_counter()
+        code, out = run(tmp_path, "demand", cfg, "construct")
+        assert time.perf_counter() - start < 5.0
+        assert code == 3
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["stage"] == "positions" and err["budget"] == 20000
+        assert err["measured"] > 20000
+        assert "20000" in err["message"] and str(int(err["measured"])) in err["message"]
 
     @pytest.mark.parametrize("field,value,named", [
         ("epsilon", float("nan"), "epsilon"), ("epsilon", float("inf"), "epsilon"),

@@ -21,10 +21,10 @@ def make_setting(d_y=1, vocab_extent=10.0, per_dim=81, seed=101):
     return tp, vocab, scheme, grid
 
 
-def first_hit(row, vocab, scheme, tp, tol, start_j=1, j_cap=1_000_000):
+def first_hit(row, vocab, scheme, tp, tol, j_cap=1_000_000):
     """The first (position, vocabulary entry) whose mapped row lies within tol of ``row``."""
     target = ScanTarget(np.atleast_1d(np.asarray(row, dtype=float)), tol, 1)
-    return _scan_engine([target], vocab, scheme, tp, start_j, j_cap)[0][0]
+    return _scan_engine([target], vocab, scheme, tp, j_cap)[0][0]
 
 
 class TestSingleTargetScan:
@@ -32,7 +32,7 @@ class TestSingleTargetScan:
         tp = ca.identity_sparse_params(2, 1)
         vocab = ca.Vocabulary.x_grid((-2.0, -2.0), (2.0, 2.0), 5, 1)
         scheme = ca.calkin_wilf_lattice(2)
-        target = vocab.v_x[7] + ca.pe_value(scheme, 1)
+        target = vocab.v_x[7] + ca.pe_rows(scheme, [1])[0]
         hit = first_hit(target, vocab, scheme, tp, tol=1e-9)
         assert hit.position == 1 and hit.vocab_index == 7
 
@@ -51,9 +51,8 @@ class TestSingleTargetScan:
         tp = ca.identity_sparse_params(2, 1)
         vocab = ca.Vocabulary.x_grid((-2.0, -2.0), (2.0, 2.0), 5, 1)
         scheme = ca.calkin_wilf_lattice(2)
-        for start in (1, 9, 137):
-            hit = first_hit([0.1, -0.4], vocab, scheme, tp, tol=100.0, start_j=start)
-            assert hit.position == start
+        hit = first_hit([0.1, -0.4], vocab, scheme, tp, tol=100.0)
+        assert hit.position == 1
 
     def test_exhaustion_carries_evidence(self):
         tp = ca.identity_sparse_params(2, 1)
@@ -108,8 +107,8 @@ class TestScanFastPath:
         # several open targets with demand > 1 exercise the FCFS tie-break
         targets = [ScanTarget(cmap @ rng.uniform(-1.2, 1.2, d), tol, demand)
                    for demand in (4, 2, 3)]
-        fast = _scan_engine(targets, grid_vocab, scheme, tp, 1, 1 << 16)
-        slow = _scan_engine(targets, plain_vocab, scheme, tp, 1, 1 << 16)
+        fast = _scan_engine(targets, grid_vocab, scheme, tp, 1 << 16)
+        slow = _scan_engine(targets, plain_vocab, scheme, tp, 1 << 16)
         assert fast == slow
         assert [len(hits) for hits in fast] == [4, 2, 3]
 
@@ -132,13 +131,13 @@ class TestScanFastPath:
         assert fast["best_distance"] == slow["best_distance"]
 
 
-def _both_paths(targets, vocab, scheme, tp, start_j, j_cap):
+def _both_paths(targets, vocab, scheme, tp, j_cap):
     """(hits, unmet evidence or None) of the candidate path and of the block scan."""
     out = []
     for path in (_candidate_scan, _block_scan):
         scan = _Scan(targets, vocab, tp)
         try:
-            path(scan, scheme, start_j, j_cap)
+            path(scan, scheme, j_cap)
             out.append((scan.collected, None))
         except ca.PositionScanExhausted as exc:
             out.append((scan.collected, exc.unmet))
@@ -149,9 +148,8 @@ class TestCandidatePath:
     """The Calkin-Wilf candidate path against the block scan as reference."""
 
     @settings(max_examples=24, deadline=None)
-    @given(seed=st.integers(0, 10_000), frac=st.floats(0.002, 0.99), d=st.sampled_from([2, 3]),
-           start_j=st.sampled_from([1, 2, 37, 1000]))
-    def test_same_hits_as_block_scan(self, seed, frac, d, start_j):
+    @given(seed=st.integers(0, 10_000), frac=st.floats(0.002, 0.99), d=st.sampled_from([2, 3]))
+    def test_same_hits_as_block_scan(self, seed, frac, d):
         tp = ca.random_sparse_params(seed, d, 1)
         vocab = ca.Vocabulary.x_grid((-1.0,) * d, (1.0,) * d, 9, 1)
         scheme = ca.calkin_wilf_lattice(d)
@@ -163,13 +161,13 @@ class TestCandidatePath:
         targets = [ScanTarget(cmap @ rng.uniform(-1.2, 1.2, d), tol, demand)
                    for demand in (3, 2, 4)]
         targets.append(ScanTarget(cmap @ np.r_[40.0, rng.uniform(-1, 1, d - 1)], tol, 1))
-        candidate, block = _both_paths(targets, vocab, scheme, tp, start_j, 1 << 15)
+        candidate, block = _both_paths(targets, vocab, scheme, tp, 1 << 15)
         assert candidate == block
         assert [u["target_index"] for u in candidate[1]][-1] == 3
 
-    @pytest.mark.parametrize("seed,d,start_j,j_cap", [
-        (11, 2, 1, 3000), (12, 2, 40, 20_000), (13, 3, 1, 5000), (14, 3, 9, 40_000)])
-    def test_exhaustion_reports_block_scan_best_distance(self, seed, d, start_j, j_cap):
+    @pytest.mark.parametrize("seed,d,j_cap", [
+        (11, 2, 3000), (12, 2, 20_000), (13, 3, 5000), (14, 3, 40_000)])
+    def test_exhaustion_reports_block_scan_best_distance(self, seed, d, j_cap):
         # a tolerance far below every reachable distance: no hit, and each
         # best distance is the least nearest-cell distance up to j_cap
         tp = ca.random_sparse_params(seed, d, 1)
@@ -178,8 +176,7 @@ class TestCandidatePath:
         vocab = ca.Vocabulary.x_grid((-1.0,) * d, (1.0,) * d, 9, 1)
         rng = np.random.default_rng(seed)
         targets = [ScanTarget(cmap @ rng.uniform(-1.2, 1.2, d), 1e-12, 2) for _ in range(3)]
-        candidate, block = _both_paths(targets, vocab, ca.calkin_wilf_lattice(d), tp,
-                                       start_j, j_cap)
+        candidate, block = _both_paths(targets, vocab, ca.calkin_wilf_lattice(d), tp, j_cap)
         assert candidate == block
         hits, unmet = candidate
         assert hits == [[], [], []] and [u["target_index"] for u in unmet] == [0, 1, 2]
@@ -190,13 +187,13 @@ class TestCandidatePath:
         vocab = ca.Vocabulary.x_grid((-1.0, -1.0), (1.0, 1.0), 9, 1)
         target = ScanTarget(tp.C.T @ tp.B @ np.array([0.3, -0.2]),
                             _fast_path_tol(tp, vocab, 0.5), 2)
-        want = _block_scan(_Scan([target], vocab, tp), ca.calkin_wilf_lattice(2), 1, 1 << 16)
+        want = _block_scan(_Scan([target], vocab, tp), ca.calkin_wilf_lattice(2), 1 << 16)
 
         def no_block(*args, **kwargs):
             raise AssertionError("block scan used")
 
         monkeypatch.setattr(construction, "_block_scan", no_block)
-        assert _scan_engine([target], vocab, ca.calkin_wilf_lattice(2), tp, 1, 1 << 16) == want
+        assert _scan_engine([target], vocab, ca.calkin_wilf_lattice(2), tp, 1 << 16) == want
 
 
 class TestConstructContext:
@@ -212,7 +209,7 @@ class TestConstructContext:
         vocab = ca.Vocabulary.x_grid((-2.0, -2.0), (2.0, 2.0), 5, 1)
         scheme = ca.calkin_wilf_lattice(2)
         grid = ca.Grid((0.0,), (1.0,), (101,))
-        r = vocab.v_x[12] + ca.pe_value(scheme, 1)
+        r = vocab.v_x[12] + ca.pe_rows(scheme, [1])[0]
         fnn = ca.FnnParams([[SQRT2]], [[r[0]]], [r[1]], ca.RELU)
 
         def target(pts):
@@ -352,7 +349,7 @@ class TestConstructContext:
         vocab = ca.Vocabulary.x_grid((-2.0, -2.0), (2.0, 2.0), 5, 1)
         scheme = ca.calkin_wilf_lattice(2)
         grid = ca.Grid((0.0,), (1.0,), (101,))
-        r = vocab.v_x[12] + ca.pe_value(scheme, 1)
+        r = vocab.v_x[12] + ca.pe_rows(scheme, [1])[0]
         fnn = ca.FnnParams([[SQRT2]], [[r[0]]], [r[1]], ca.EXP)
 
         def target(pts):
@@ -397,7 +394,7 @@ class TestConstructContext:
         vocab = ca.Vocabulary.x_grid((-2.0,) * 3, (2.0,) * 3, 5, 1)
         scheme = ca.calkin_wilf_lattice(3)
         grid = ca.Grid((0.0, 0.0), (1.0, 1.0), (21, 21))
-        r = vocab.v_x[93] + ca.pe_value(scheme, 2)
+        r = vocab.v_x[93] + ca.pe_rows(scheme, [2])[0]
         assert np.max(r) > 0  # the relu stays active on part of the domain
         fnn = ca.FnnParams([[SQRT2]], [r[:2]], [r[2]], ca.RELU)
 
@@ -470,7 +467,7 @@ class TestConstructContext:
         vocab = ca.Vocabulary.x_grid((-2.0, -2.0), (2.0, 2.0), 5, 1)
         scheme = ca.calkin_wilf_lattice(2)
         grid = ca.Grid((0.0,), (1.0,), (101,))
-        r = vocab.v_x[12] + ca.pe_value(scheme, 1)
+        r = vocab.v_x[12] + ca.pe_rows(scheme, [1])[0]
         fnn = ca.FnnParams([[SQRT2]], [[r[0]]], [r[1]], ca.RELU)
         target = lambda pts: ca.fnn_forward_batch(fnn, pts)[:, 0]
         with pytest.raises(ca.EpsilonRangeError):

@@ -6,9 +6,9 @@ import pytest
 
 import ctxapprox as ca
 from ctxapprox import vocab_pe
-from ctxapprox.vocab_pe import (SQRT2, _cw_stream_coords, _dyadic_levels, _fusc_array,
-                               _morton_levels, _morton_offset, _morton_split,
-                               _morton_stream_bounds, pe_block, pe_rows)
+from ctxapprox.vocab_pe import (SQRT2, _cw_stream_coords, _fusc_array, _morton_levels,
+                               _morton_offset, _morton_split, _morton_stream_bounds,
+                               pe_block, pe_rows)
 
 
 def cw_iteration_oracle(n):
@@ -108,7 +108,7 @@ class TestCalkinWilfBlock:
     def test_pinned_coordinates(self, streams):
         # stream u: sign bit, shell e = (0, -1, 1, -2)[bits 1-2], cw(3 (u >> 3) + 1)
         d = len(streams)
-        value = ca.pe_value(ca.calkin_wilf_lattice(d), morton_join(streams) + 1)
+        value = pe_rows(ca.calkin_wilf_lattice(d), [morton_join(streams) + 1])[0]
         for u, got in zip(streams, value):
             num, den = ca.calkin_wilf_rational(3 * (u >> 3) + 1)
             sign = -1.0 if u & 1 else 1.0
@@ -130,16 +130,17 @@ class TestStreamFormat:
                    for i in range(0, 10_000, 997))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
-    @pytest.mark.parametrize("t_first,t_last", [(0, 0), (0, 5000), (37, 37), (999, 2**40),
+    @pytest.mark.parametrize("t_probe,t_last", [(0, 0), (0, 5000), (37, 37), (999, 2**40),
                                                 (2**62 - 9, 2**62 - 1)])
-    def test_levels_partition_the_range_in_order(self, d, t_first, t_last):
-        levels = list(_morton_levels(t_first, t_last, d))
-        assert levels[0][1] == t_first and levels[-1][2] == t_last + 1
-        assert all(a[2] == b[1] and a[0] < b[0] for a, b in zip(levels, levels[1:]))
+    def test_levels_partition_the_range_in_order(self, d, t_probe, t_last):
+        levels = list(_morton_levels(t_last, d))
+        assert levels[0][:2] == (0, 0) and levels[-1][2] == t_last + 1
+        assert all(a[2] == b[1] and a[0] + 1 == b[0] for a, b in zip(levels, levels[1:]))
         for level, t_lo, t_hi in levels:
             # a level's indices are those whose streams all lie below 2^L,
             # and not all below 2^(L - 1)
-            for t in {t_lo, t_hi - 1, (t_lo + t_hi) // 2}:
+            probe = {t_probe} if t_lo <= t_probe < t_hi else set()
+            for t in {t_lo, t_hi - 1, (t_lo + t_hi) // 2} | probe:
                 streams = _morton_split(np.array([t]), d)
                 assert np.all(streams < 2**level)
                 assert level == 0 or np.any(streams >= 2 ** (level - 1))
@@ -168,7 +169,7 @@ class TestStreamFormat:
 class TestPeValue:
     def test_dyadic_first_levels_one_dim(self):
         scheme = ca.dyadic_lattice(ca.Box((-1.0,), (1.0,)))
-        vals = [ca.pe_value(scheme, j)[0] for j in range(1, 8)]
+        vals = pe_rows(scheme, range(1, 8))[:, 0]
         assert vals[0] == 0.0
         assert sorted(vals[1:3]) == [-0.5, 0.5]
         assert sorted(vals[3:7]) == [-0.75, -0.25, 0.25, 0.75]
@@ -179,23 +180,6 @@ class TestPeValue:
         vals = sorted(pe_block(scheme, 1, 2**m - 1)[:, 0])
         expected = [k * 2.0**(1 - m) - 1.0 for k in range(1, 2**m)]
         np.testing.assert_allclose(vals, expected, atol=0)
-
-    def test_dyadic_cache_is_bounded_and_reused(self):
-        _dyadic_levels.cache_clear()
-        bound = _dyadic_levels.cache_info().maxsize
-        for i in range(bound + 5):
-            scheme = ca.dyadic_lattice(ca.Box((-1.0 - i,), (1.0,)))
-            pe_block(scheme, 1, 7)
-            assert _dyadic_levels.cache_info().currsize <= bound
-        region = ca.Box((-3.0, 0.0), (3.0, 1.0))
-        first = pe_block(ca.dyadic_lattice(region), 1, 40)
-        levels = _dyadic_levels(region.lo, region.hi)
-        built = list(levels.levels)
-        again = pe_block(ca.dyadic_lattice(region), 1, 40)
-        assert np.array_equal(first, again)
-        assert _dyadic_levels(region.lo, region.hi) is levels
-        assert all(a is b for a, b in zip(levels.levels, built))
-        assert len(levels.levels) == len(built)
 
     def test_irrational_rotation_distinct(self):
         scheme = ca.irrational_rotation(ca.Box((0.0,), (1.0,)), primes=(2,))
@@ -212,7 +196,7 @@ class TestPeValue:
 
     def test_pe_value_reproducible_and_pure(self):
         scheme = ca.calkin_wilf_lattice(2, scale=0.5)
-        a = [ca.pe_value(scheme, j) for j in (3, 77, 1234)]
+        a = [pe_rows(scheme, [j])[0] for j in (3, 77, 1234)]
         b = pe_block(scheme, 1, 1300)
         for j, v in zip((3, 77, 1234), a):
             assert np.array_equal(v, b[j - 1])
@@ -220,7 +204,7 @@ class TestPeValue:
     def test_custom_scheme(self):
         gen = lambda j0, c: np.arange(j0, j0 + c, dtype=float)[:, None] * 0.125
         scheme = ca.custom_scheme(gen, ca.Box((0.0,), (10.0,)))
-        assert ca.pe_value(scheme, 5)[0] == 0.625
+        assert pe_rows(scheme, [5])[0, 0] == 0.625
 
 
 class TestPeRows:
@@ -239,19 +223,105 @@ class TestPeRows:
 
     @pytest.mark.parametrize("scheme", [
         ca.dyadic_lattice(ca.Box((-1.0, 0.0), (1.0, 2.0))),
-        ca.irrational_rotation(ca.Box((-3.0, -1.0, 0.0), (3.0, 1.0, 0.5)))],
-        ids=["dyadic", "rotation"])
+        ca.irrational_rotation(ca.Box((-3.0, -1.0, 0.0), (3.0, 1.0, 0.5))),
+        ca.dyadic_lattice(ca.Box((-1.0, -2.0, 0.1), (1.0, 0.5, 0.7)))],
+        ids=["dyadic", "rotation", "dyadic3"])
     def test_other_schemes_rows_equal_pe_block(self, scheme):
-        js = [300, 1, 7, 7, 2000, 45]
+        # unsorted and repeated, and random positions up to 2^40
+        rng = np.random.default_rng(scheme.d_x)
+        js = np.concatenate(([300, 1, 7, 7, 2000, 45, 2**40, 2**40 - 1],
+                             rng.integers(1, 2**40, 200)))
         rows = pe_rows(scheme, js)
         for row, j in zip(rows, js):
-            assert row.tobytes() == pe_block(scheme, j, 1)[0].tobytes()
+            assert row.tobytes() == pe_block(scheme, int(j), 1)[0].tobytes()
+        block = pe_block(scheme, 2**40 - 30, 60)
+        order = rng.permutation(60)
+        assert pe_rows(scheme, 2**40 - 30 + order).tobytes() == block[order].tobytes()
 
     def test_no_positions_and_position_zero(self):
         for scheme in (ca.calkin_wilf_lattice(2), ca.dyadic_lattice(ca.Box((0.0,), (1.0,)))):
             assert pe_rows(scheme, []).shape == (0, scheme.d_x)
             with pytest.raises(ValueError):
                 pe_rows(scheme, [3, 0])
+
+
+def dyadic_levels_reference(box, levels):
+    """Levels 1..levels of the dyadic lattice, built level by level: every
+    tuple of {1 .. 2^m - 1}^d with an odd entry, in lexicographic order."""
+    lo, hi = np.array(box.lo), np.array(box.hi)
+    out = []
+    for m in range(1, levels + 1):
+        t = np.arange(1, 2**m)
+        mesh = np.meshgrid(*([t] * box.dim), indexing="ij")
+        tuples = np.stack([g.ravel() for g in mesh], axis=1)
+        new = tuples[np.any(tuples % 2 == 1, axis=1)]
+        out.append(lo + new * (hi - lo) / 2.0**m)
+    return np.concatenate(out)
+
+
+def dyadic_unrank(d, j):
+    """Level m and integer tuple of position j, in Python ints throughout."""
+    t = j - 1
+    m = 1
+    while (2**m - 1) ** d <= t:
+        m += 1
+    n, e = 2**m - 1, 2 ** (m - 1) - 1
+    r = t - e**d
+    tup, odd = [], False
+    for rest in range(d - 1, -1, -1):
+        full, with_odd = n**rest, n**rest - e**rest
+        if odd:
+            v, r = divmod(r, full)
+            tup.append(v + 1)
+            continue
+        i, r = divmod(r, full + with_odd)     # values 2i+1 (full) and 2i+2 (with_odd)
+        odd = r < full
+        tup.append(2 * i + 1 if odd else 2 * i + 2)
+        if not odd:
+            r -= full
+    return m, tup
+
+
+class TestDyadicClosedForm:
+    """The closed-form dyadic ranking against the levels built one by one."""
+
+    BOXES = {1: ca.Box((-1.0,), (1.0,)), 2: ca.Box((-3.0, 0.0), (3.0, 1.0)),
+             3: ca.Box((-1.0, -2.0, 0.1), (1.0, 0.5, 0.7))}
+
+    @pytest.mark.parametrize("d,levels", [(1, 12), (2, 7), (3, 5)])
+    def test_bit_identical_to_levels_built_one_by_one(self, d, levels):
+        scheme = ca.dyadic_lattice(self.BOXES[d])
+        want = dyadic_levels_reference(scheme.region, levels)
+        assert len(want) == (2**levels - 1) ** d
+        # blocks of 997 straddle the level boundaries at (2^m - 1)^d
+        for j in range(1, len(want) + 1, 997):
+            got = pe_block(scheme, j, min(997, len(want) + 1 - j))
+            assert got.tobytes() == np.ascontiguousarray(want[j - 1:j - 1 + len(got)]).tobytes()
+        js = np.random.default_rng(d).permutation(len(want)) + 1
+        assert pe_rows(scheme, js).tobytes() == want[js - 1].tobytes()
+
+    def test_deep_position_lies_on_its_level_grid(self):
+        # (2^20 - 1)^2 < 2^40 <= (2^21 - 1)^2: level 21, far past any
+        # level that could be built and stored
+        box = ca.Box((-1.0, 0.0), (1.0, 2.0))
+        rows = pe_block(ca.dyadic_lattice(box), 2**40, 4)
+        ticks = (rows - np.array(box.lo)) / (np.array(box.hi) - np.array(box.lo)) * 2**21
+        assert np.array_equal(ticks, np.rint(ticks))
+        assert np.all((ticks >= 1) & (ticks <= 2**21 - 1))
+        assert np.all(np.any(ticks % 2 == 1, axis=1))
+        for i in range(4):
+            m, tup = dyadic_unrank(2, 2**40 + i)
+            assert m == 21 and np.array_equal(ticks[i], tup)
+
+    @pytest.mark.parametrize("j", [2**62, 2**62 - 1, 2**61 + 12345, 2**63 - 2])
+    def test_ten_dims_at_deep_positions_match_python_int_unrank(self, j):
+        # level 7: 127^9 completions per first value, so 2N - E is beyond int64
+        box = ca.Box(tuple(-1.0 - k for k in range(10)), tuple(1.0 + k for k in range(10)))
+        m, tup = dyadic_unrank(10, j)
+        lo, hi = np.array(box.lo), np.array(box.hi)
+        want = lo + np.array(tup) * (hi - lo) / 2.0**m
+        assert pe_block(ca.dyadic_lattice(box), j, 1)[0].tobytes() == want.tobytes()
+        assert pe_rows(ca.dyadic_lattice(box), [j])[0].tobytes() == want.tobytes()
 
 
 class TestVocabulary:
