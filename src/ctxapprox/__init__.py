@@ -16,7 +16,8 @@ from .embedding import (EmbeddingResult, embed_fnn, embed_softmax_fnn,
 from .errors import (BudgetError, ConfigError, CtxApproxError, DimensionError,
                      EmptyGridError, EpsilonRangeError, FloorViolationError,
                      IllConditionedError, KroneckerCapExceeded,
-                     NonFiniteTargetError, PositionScanExhausted, TokenDemandError)
+                     NonFiniteFitError, NonFiniteTargetError,
+                     PositionScanExhausted, TokenDemandError)
 from .exp_fd import build_exp_fd_network, fit_polynomial
 from .expressions import parse_target
 from .fnn import (EXP, RELU, SOFTMAX, Activation, FitResult, FnnParams,

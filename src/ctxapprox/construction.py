@@ -25,7 +25,8 @@ import numpy as np
 
 from ._linalg import inf_operator_norm, solve_refined
 from .errors import (BudgetError, DimensionError, EpsilonRangeError,
-                     NonFiniteTargetError, PositionScanExhausted, TokenDemandError)
+                     NonFiniteFitError, NonFiniteTargetError, PositionScanExhausted,
+                     TokenDemandError)
 from .fnn import RELU, Activation, FitResult, fit_fnn, fnn_forward_batch
 from .grids import Grid, as_points, lifted
 from .kronecker import SQRT2, TokenDecomposition, coefficient_decompose
@@ -660,9 +661,12 @@ def _fit_stage(tp, pts, f_vals, fnn, fit, activation, seed):
     for comp in range(tp.d_y):
         params = fnn[comp] if fnn is not None else None
         if params is None:
-            fits.append(fit_fnn((pts, g_vals[:, comp]), fit.k, activation, seed + comp,
-                                ridge=fit.ridge, refine_steps=fit.refine_steps,
-                                feature_scale=fit.feature_scale))
+            try:
+                fits.append(fit_fnn((pts, g_vals[:, comp]), fit.k, activation, seed + comp,
+                                    ridge=fit.ridge, refine_steps=fit.refine_steps,
+                                    feature_scale=fit.feature_scale))
+            except NonFiniteFitError as exc:
+                raise NonFiniteFitError(exc.names, comp) from None
             continue
         if params.d_in != pts.shape[1] or params.d_y != 1:
             raise DimensionError("override network has wrong dimensions")

@@ -40,6 +40,18 @@ class NonFiniteTargetError(CtxApproxError):
                          f"point(s), first: {', '.join(map(str, self.first))}")
 
 
+class NonFiniteFitError(CtxApproxError):
+    """A fit ended with non-finite network parameters, for instance when an
+    exp activation overflowed."""
+
+    def __init__(self, names: list, component: int | None = None):
+        self.names = list(names)
+        self.component = component
+        of = "" if component is None else f" of output component {component}"
+        super().__init__(f"the fit{of} has non-finite entries in "
+                         f"{', '.join(self.names)}")
+
+
 class KroneckerCapExceeded(CtxApproxError):
     """No integer witness found below the q cap."""
 

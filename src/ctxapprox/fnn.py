@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, EmptyGridError
+from .errors import DimensionError, EmptyGridError, NonFiniteFitError
 from .grids import as_points
 
 
@@ -170,8 +170,19 @@ def _adam_refine(W, b, A, x, f, activation, steps):
 
     W, b, A and their gradients are views of two flat vectors, so Adam runs
     once per step on one short vector, in work arrays allocated once.  The
-    products and elementwise steps keep the operand layouts and order of a
-    per-parameter loop, so the result is bit-identical to it.
+    sums keep the operand layouts and order of a per-parameter loop, so the
+    result is bit-identical to it.  Three passes take a cheaper route to the
+    same bits:
+
+    * d = 1 < k: ``x @ W.T + b`` is ``[x, 1] @ [W.T; b]``, a BLAS product
+      with inner dimension 2 that rounds ``x*w`` and then adds ``b``, as the
+      loop does; ``W.T`` alone is a strided view that matmul cannot hand to
+      BLAS;
+    * ``R @ A`` goes through ``np.dot``, which hands it to BLAS also when it
+      is an outer product (d_y = 1: one exact multiply per entry);
+    * k > 1: the column sums of ``G`` add its rows in order, as
+      ``G.sum(axis=0)`` does, in one strided pass per column.  For k = 1 the
+      column is contiguous and ``sum`` adds it pairwise, so it stays there.
     """
     lr, beta1, beta2, eps = 2e-2, 0.9, 0.999, 1e-8
     (k, d), d_y, n = W.shape, A.shape[0], x.shape[0]
@@ -183,17 +194,26 @@ def _adam_refine(W, b, A, x, f, activation, steps):
     Z, Phi, G, R = np.empty((n, k)), np.empty((n, k)), np.empty((n, k)), np.empty((n, d_y))
     relu = activation.kind == "relu"
     dphi = np.empty((n, k), dtype=bool) if relu else Phi  # exp is its own derivative
+    fused = d == 1 < k
+    if fused:  # for d = 1, W.ravel() is W.T's row, so [W.T; b] is theta's head
+        x1, Wb = np.hstack([x, np.ones((n, 1))]), theta[:2 * k].reshape(2, k)
     for t in range(1, steps + 1):
-        np.add(np.matmul(x, W.T, out=Z), b, out=Z)
+        if fused:
+            np.matmul(x1, Wb, out=Z)
+        else:
+            np.add(np.matmul(x, W.T, out=Z), b, out=Z)
         if relu:
             np.maximum(Z, 0.0, out=Phi)
             np.greater(Z, 0, out=dphi)
         else:
             np.exp(Z, out=Phi)
         np.subtract(np.matmul(Phi, A.T, out=R), f, out=R)
-        np.divide(np.multiply(np.matmul(R, A, out=G), dphi, out=G), n, out=G)
+        np.divide(np.multiply(np.dot(R, A, out=G), dphi, out=G), n, out=G)
         np.matmul(G.T, x, out=gW)
-        G.sum(axis=0, out=gb)
+        if k > 1:
+            np.einsum("ij->j", G, out=gb)
+        else:
+            G.sum(axis=0, out=gb)
         np.divide(np.matmul(R.T, Phi, out=gA), n, out=gA)
         m *= beta1
         m += np.multiply(1 - beta1, grad, out=tmp)
@@ -219,7 +239,8 @@ def fit_fnn(samples, k: int, activation: Activation, seed: int, *,
     of the box (the joint (W, b) law is fixed and sign-symmetric).  The affine
     map is composed back into the returned parameters.  A rank-deficient
     least-squares system is re-solved with a ridge term of 1e-8 and flagged
-    in the result.
+    in the result.  A fit whose parameters end non-finite (an exp activation
+    that overflows, say) raises NonFiniteFitError.
     """
     if activation.kind not in ("relu", "exp"):
         raise ValueError("fit_fnn supports relu and exp activations")
@@ -262,19 +283,25 @@ def fit_fnn(samples, k: int, activation: Activation, seed: int, *,
         gram = phi.T @ phi + lam * np.eye(k)
         return np.linalg.solve(gram, phi.T @ f).T, False
 
-    ridge_used = ridge
-    A, deficient = solve_A(W, b, ridge)
-    if deficient:
-        ridge_used = max(ridge, 1e-8)
-        A, _ = solve_A(W, b, ridge_used)
+    # overflow is reported once, as non-finite parameters, below
+    with np.errstate(all="ignore"):
+        ridge_used = ridge
+        A, deficient = solve_A(W, b, ridge)
+        if deficient:
+            ridge_used = max(ridge, 1e-8)
+            A, _ = solve_A(W, b, ridge_used)
 
-    if refine_steps > 0:
-        W, b, A = _adam_refine(W, b, A, z, f, activation, refine_steps)
-        A, post_deficient = solve_A(W, b, ridge_used)
-        deficient = deficient or post_deficient
+        if refine_steps > 0:
+            W, b, A = _adam_refine(W, b, A, z, f, activation, refine_steps)
+            A, post_deficient = solve_A(W, b, ridge_used)
+            deficient = deficient or post_deficient
 
-    W_orig = W / half
-    b_orig = b - W @ (center / half)
+        W_orig = W / half
+        b_orig = b - W @ (center / half)
+    bad = [name for name, arr in (("A", A), ("W", W_orig), ("b", b_orig))
+           if not np.all(np.isfinite(arr))]
+    if bad:
+        raise NonFiniteFitError(bad)
     params = FnnParams(A, W_orig, b_orig, activation)
     resid = fnn_forward_batch(params, x) - f
     return FitResult(params, float(np.max(np.abs(resid))), ridge_used, deficient)

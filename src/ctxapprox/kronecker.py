@@ -1,10 +1,9 @@
 """Scalar Kronecker approximation: integer pairs (q, l) with q*sqrt(2) - l
 approximating a real target modulo integers.
 
-Every returned witness is re-verified in extended precision (mpmath, 60
-digits after the point) with an evaluation order independent of the search
-path, since cancellation in q*sqrt(2) - l destroys double precision once q
-is large.
+Every returned witness is re-verified in exact integer arithmetic, which
+gives the correctly rounded error, since cancellation in q*sqrt(2) - l
+destroys double precision once q is large.
 """
 
 from __future__ import annotations
@@ -12,17 +11,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
-
 from .errors import KroneckerCapExceeded
 
 SQRT2 = math.sqrt(2.0)
 
-_MP_DPS = 60
 # Fixed-point fraction bits beyond those of q_cap: the slack then widens the
 # candidate window by at most 2^-62 of a turn, which holds q_cap * 2^-62
-# extra q <= q_cap on average, so the mpmath check rarely rejects a candidate.
+# extra q <= q_cap on average, so the exact check rarely rejects a candidate.
 _GUARD_BITS = 64
+# First bracket width 2^-p of the exact check; 128 bits settle errors down to
+# about 2^-70 in one pass, and the bracket narrows by doubling p.
+_CHECK_BITS = 128
 
 
 def pell_denominators(limit: int) -> list[int]:
@@ -36,17 +35,28 @@ def pell_denominators(limit: int) -> list[int]:
 
 
 def _verified_error(beta: float, q: int) -> tuple[int, float]:
-    """(l, |beta - q*sqrt2 + l|) in extended precision.
+    """(l, |beta - q*sqrt2 + l|) for q >= 1: l is the integer nearest to
+    r = q*sqrt2 - beta, and the error is correctly rounded to a double.
 
-    The working precision keeps _MP_DPS digits after the point: it adds the
-    integer digits of |beta| + 2q, which bound those of every term.
+    With beta = num/den exactly and s = isqrt(2 * q^2 * 4^p), r*den*2^p lies
+    strictly between s*den - num*2^p and that plus den, since q*sqrt2 is
+    irrational.  Rounding is monotone, so when both ends give the same
+    nearest integer l and the same double l - r (int / int divides correctly
+    rounded), r gives them too; otherwise p doubles.  Equal signed errors
+    also keep l outside the bracket.  r is irrational, so the bracket
+    settles.
     """
-    with mpmath.workdps(_MP_DPS + len(str(int(abs(beta)) + 2 * q))):
-        r = mpmath.mpf(q) * mpmath.sqrt(2) - mpmath.mpf(beta)
-        l = int(mpmath.nint(r))
-        # independent order: accumulate the large terms first
-        err = abs((mpmath.mpf(l) - mpmath.mpf(q) * mpmath.sqrt(2)) + mpmath.mpf(beta))
-    return l, float(err)
+    num, den = float(beta).as_integer_ratio()
+    p = _CHECK_BITS
+    while True:
+        scale = den << p
+        lo = math.isqrt(2 * q * q << 2 * p) * den - (num << p)
+        hi = lo + den
+        l = (2 * lo + scale) // (2 * scale)
+        err = (l * scale - lo) / scale
+        if l == (2 * hi + scale) // (2 * scale) and err == (l * scale - hi) / scale:
+            return l, abs(err)
+        p *= 2
 
 
 @dataclass(frozen=True)
@@ -138,7 +148,7 @@ def kronecker_search(beta: float, epsilon: float, q_cap: int = 10**7) -> Kroneck
     every witness q has q*A mod M within epsilon*M + q_cap + 1 of B.  The
     candidates are the q with q*A mod M within epsilon*M + 2*(q_cap + 1) of
     B (twice the slack needed); they are walked in increasing order with
-    exact integer first-hit solves, and the first one whose mpmath error is
+    exact integer first-hit solves, and the first one whose exact error is
     below epsilon is returned.  Existence for some cap follows from the
     scalar Kronecker approximation theorem (sqrt2 irrational).
     """
@@ -155,11 +165,11 @@ def kronecker_search(beta: float, epsilon: float, q_cap: int = 10**7) -> Kroneck
 
 
 def _closest_up_to(beta: float, q_cap: int) -> tuple[int, float]:
-    """(q, mpmath error) of the first q <= q_cap that reaches the least error.
+    """(q, exact error) of the first q <= q_cap that reaches the least error.
 
     Bisection on the window's half-width finds the least fixed-point distance
     d over q <= q_cap; every q of least true error lies within d + slack, and
-    the mpmath check decides among those few candidates.
+    the exact check decides among those few candidates.
     """
     m, a, center, slack = _fixed_point(beta, q_cap)
     lo, hi = 0, m // 2
@@ -221,14 +231,13 @@ def coefficient_decompose(a: float, epsilon: float, q_cap: int = 10**7) -> Token
     coefficients, which need no sqrt2 tokens at all.
     """
     _check_inputs(a, epsilon, q_cap)
-    with mpmath.workdps(_MP_DPS):
-        r0 = mpmath.mpf(a)
-        l0 = int(mpmath.nint(r0))
-        err0 = float(abs(r0 - l0))
+    a = float(a)
+    l0 = round(a)               # ties to even; a - l0 is exact in floats
+    err0 = abs(a - l0)
     if err0 < epsilon:
         sign = 1 if l0 >= 0 else -1
-        return TokenDecomposition(float(a), 0, abs(l0), sign, err0)
+        return TokenDecomposition(a, 0, abs(l0), sign, err0)
     wit = kronecker_search(a, epsilon, q_cap)
     # the witness gives a ~= q*sqrt2 - l, i.e. sign = -sign(l) in q*sqrt2 + s*l
     sign = 1 if wit.l <= 0 else -1
-    return TokenDecomposition(float(a), wit.q, abs(wit.l), sign, wit.achieved_error)
+    return TokenDecomposition(a, wit.q, abs(wit.l), sign, wit.achieved_error)

@@ -1,6 +1,8 @@
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -11,6 +13,14 @@ import pytest
 from ctxapprox.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(*args):
+    """Run ``python *args`` in a fresh interpreter that imports this ctxapprox."""
+    import ctxapprox
+    env = dict(os.environ, PYTHONPATH=str(Path(ctxapprox.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
 
 
 def run(tmp_path, name, config, command, seed=None):
@@ -593,6 +603,23 @@ class TestAuditCommands:
         assert "not finite" in err["error"]["message"]
         assert "[0.0]" in err["error"]["message"]
 
+    def test_non_finite_fit_exit_4(self, tmp_path):
+        # an exp fit with wide features overflows; it used to exit 2 naming
+        # field "config", with numpy overflow warnings on stderr
+        cfg = json.loads((ROOT / "configs" / "construct_sin_acceptance.json").read_text())
+        cfg["activation"] = "exp"
+        cfg["fit"] = {"k": 16, "refine_steps": 300, "feature_scale": 200}
+        cfg_path, out = tmp_path / "exp_fit.json", tmp_path / "exp_fit_out"
+        cfg_path.write_text(json.dumps(cfg))
+        proc = run_python("-m", "ctxapprox.cli", "construct", "--config", str(cfg_path),
+                      "--out", str(out))
+        assert proc.returncode == 4
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["exit_code"] == 4 and err["field"] == "numeric"
+        assert "output component 0" in err["message"]
+        assert "non-finite" in err["message"]
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
     def test_numerical_failure_exit_4(self, tmp_path):
         # a singular B block fails the conditioning check
         cfg = {
@@ -644,6 +671,13 @@ class TestAuditCommands:
         code2, out2 = run(tmp_path, "s2", cfg, "audit", seed=99)
         assert code1 == code2 == 0
         assert (out1 / "audit.csv").read_bytes() == (out2 / "audit.csv").read_bytes()
+
+
+def test_cli_import_leaves_mpmath_out():
+    # mpmath is a test oracle only; the runtime checks witnesses in integers
+    proc = run_python("-c", "import sys, ctxapprox.cli; print('mpmath' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def key_paths(obj, prefix=""):

@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -167,6 +168,15 @@ class TestFit:
         res = ca.fit_fnn((x, f), 8, ca.EXP, seed=3)
         assert res.sup_error < 1e-4
 
+    def test_overflowing_fit_is_a_numerical_error(self, recwarn):
+        # exp features of scale 200 overflow; this is not an argument error
+        x = np.linspace(0, 1, 200)[:, None]
+        with pytest.raises(ca.NonFiniteFitError) as info:
+            ca.fit_fnn((x, np.sin(x[:, 0])), 16, ca.EXP, seed=4, refine_steps=300,
+                       feature_scale=200)
+        assert not isinstance(info.value, ValueError) and info.value.component is None
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
 
 class TestAdamRefine:
     """The preallocated refinement against the plain per-parameter loop."""
@@ -213,6 +223,56 @@ class TestAdamRefine:
         for name in ("A", "W", "b"):
             assert _bits_equal(getattr(got.params, name), getattr(want.params, name))
         assert got.sup_error == want.sup_error
+
+
+# workloads.MULTI_OUTPUT of the benchmark: its two fits are k 14, 300 steps on
+# a 1500-point grid, seeds 9 and 10
+MULTI_OUTPUT = {
+    "target": {"exprs": ["sin(2*pi*x)", "cos(2*pi*x)"]},
+    "transformer": {"kind": "random", "seed": 7, "d_x": 2, "d_y": 2},
+    "vocab": {"x_grid": {"lo": [-10.0, -10.0], "hi": [10.0, 10.0], "per_dim": 81},
+              "d_y": 2},
+    "scheme": {"kind": "calkin_wilf_lattice", "d_x": 2},
+    "grid": {"lo": [0.0], "hi": [1.0], "counts": [1500]},
+    "epsilon": 0.3,
+    "seed": 9,
+    "budgets": {"fit": 0.08, "perturb": 0.02, "tokens": 0.20},
+    "fit": {"k": 14, "refine_steps": 300},
+    "caps": {"j_cap": 80000000},
+}
+
+
+@pytest.fixture(scope="module")
+def multi_output_fit_calls(tmp_path_factory):
+    """The fit_fnn calls of the multi-output construct, in order."""
+    calls = []
+
+    def recording_fit(*args, **kwargs):
+        calls.append((args, kwargs))
+        return ca.fit_fnn(*args, **kwargs)
+
+    tmp = tmp_path_factory.mktemp("multi")
+    config = tmp / "multi.json"
+    config.write_text(json.dumps(MULTI_OUTPUT))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construction, "fit_fnn", recording_fit)
+        assert main(["construct", "--config", str(config), "--out", str(tmp / "out")]) == 0
+    return calls
+
+
+@pytest.mark.parametrize("component,seed", [(0, 9), (1, 10)])
+def test_multi_output_fit_matches_reference_driven_fit(multi_output_fit_calls, monkeypatch,
+                                                       component, seed):
+    args, kwargs = multi_output_fit_calls[component]
+    assert len(multi_output_fit_calls) == 2
+    assert (args[0][0].shape, args[1], args[3], kwargs["refine_steps"]) == \
+        ((1500, 1), 14, seed, 300)
+    got = ca.fit_fnn(*args, **kwargs)
+    monkeypatch.setattr(fnn, "_adam_refine", _adam_refine_reference)
+    want = ca.fit_fnn(*args, **kwargs)
+    for name in ("A", "W", "b"):
+        assert _bits_equal(getattr(got.params, name), getattr(want.params, name))
+    assert got.sup_error == want.sup_error
 
 
 class TestPerturbationGap:

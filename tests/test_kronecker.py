@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctxapprox as ca
-from ctxapprox.kronecker import SQRT2, _first_hit
+from ctxapprox import kronecker
+from ctxapprox.kronecker import SQRT2, _first_hit, _verified_error
 
 
 def brute_force_smallest_q(beta, epsilon, q_max):
@@ -32,6 +33,85 @@ def brute_force_closest(beta, q_max):
             errs.append(abs(r - mpmath.nint(r)))
         best = min(range(q_max), key=errs.__getitem__)
         return best + 1, float(errs[best])
+
+
+def mpmath_verified_error(beta, q):
+    """Independent oracle: (nearest l, |beta - q*sqrt2 + l|) with 60 digits
+    after the point."""
+    with mpmath.workdps(60 + len(str(int(abs(beta)) + 2 * q))):
+        r = mpmath.mpf(q) * mpmath.sqrt(2) - mpmath.mpf(beta)
+        l = int(mpmath.nint(r))
+        return l, float(abs((mpmath.mpf(l) - mpmath.mpf(q) * mpmath.sqrt(2))
+                            + mpmath.mpf(beta)))
+
+
+def mpmath_nearest(a):
+    """Independent oracle: (nint(a), |a - nint(a)|); nint breaks ties to even."""
+    with mpmath.workdps(60):
+        l = int(mpmath.nint(mpmath.mpf(a)))
+        return l, float(abs(mpmath.mpf(a) - l))
+
+
+class TestVerifiedError:
+    """The exact integer check against an extended-precision oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(beta=st.floats(-1e6, 1e6, allow_nan=False), q=st.integers(1, 2**62))
+    def test_matches_mpmath(self, beta, q):
+        assert _verified_error(beta, q) == mpmath_verified_error(beta, q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(beta=st.floats(allow_nan=False, allow_infinity=False),
+           q=st.integers(1, 2**62))
+    def test_matches_mpmath_over_all_doubles(self, beta, q):
+        assert _verified_error(beta, q) == mpmath_verified_error(beta, q)
+
+    @settings(max_examples=300, deadline=None)
+    @given(beta=st.floats(-100, 100, allow_nan=False), q=st.integers(1, 10**6))
+    def test_matches_mpmath_from_a_one_bit_bracket(self, beta, q):
+        # the first brackets straddle l or a half-integer; the loop narrows them
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kronecker, "_CHECK_BITS", 1)
+            assert _verified_error(beta, q) == mpmath_verified_error(beta, q)
+
+    @pytest.mark.parametrize("q", ca.pell_denominators(10**15))
+    def test_pell_denominators_beta_zero(self, q):
+        # the best approximations of sqrt2: the least errors for their size
+        assert _verified_error(0.0, q) == mpmath_verified_error(0.0, q)
+
+    @pytest.mark.parametrize("q", ca.pell_denominators(2**130)[20::4])
+    def test_errors_far_below_the_first_bracket(self, q):
+        # beta is the double nearest q*sqrt2 - p for a Pell pair (q, p), so the
+        # error is down to 1e-56: the bracket must narrow, past l itself
+        with mpmath.workdps(300):
+            r = mpmath.mpf(q) * mpmath.sqrt(2)
+            beta = float(r - mpmath.nint(r))
+            r -= mpmath.mpf(beta)
+            want = int(mpmath.nint(r)), float(abs(r - mpmath.nint(r)))
+        assert _verified_error(beta, q) == want
+
+    @pytest.mark.parametrize("q", [q // 2 for q in ca.pell_denominators(2**140)
+                                   if q % 2 == 0 and q > 2**60])
+    @pytest.mark.parametrize("side", [-1, 0, 1])
+    @pytest.mark.parametrize("bits", [1, 128])
+    def test_r_next_to_a_half_integer(self, q, side, bits):
+        # 2q*sqrt2 is near an odd integer, so r = q*sqrt2 - beta is within
+        # 1e-40 or so of m + 1/2: the ends of a bracket round to m and m + 1
+        with mpmath.workdps(300):
+            r = mpmath.mpf(q) * mpmath.sqrt(2)
+            beta = float(r - mpmath.floor(r) - mpmath.mpf(0.5))
+            beta = math.nextafter(beta, side * math.inf) if side else beta
+            r -= mpmath.mpf(beta)
+            want = int(mpmath.nint(r)), float(abs(r - mpmath.nint(r)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kronecker, "_CHECK_BITS", bits)
+            assert _verified_error(beta, q) == want
+
+    @pytest.mark.parametrize("beta", [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                                      1e300, -1e300])
+    @pytest.mark.parametrize("q", [1, 2, 12, 985, 10**7 + 1, 2**62])
+    def test_extreme_betas(self, beta, q):
+        assert _verified_error(beta, q) == mpmath_verified_error(beta, q)
 
 
 class TestFirstHit:
@@ -223,6 +303,15 @@ class TestCoefficientDecompose:
     def test_propagates_cap_failure(self):
         with pytest.raises(ca.KroneckerCapExceeded):
             ca.coefficient_decompose(0.123456, 1e-10, q_cap=20)
+
+    @pytest.mark.parametrize("a", [0.5, -0.5, 1.5, -1.5, 2.5, -2.5, -3.4999999999999996,
+                                   2.0**51 + 0.5, 2.0**52 - 0.5, 2.0**52 + 0.5,
+                                   -(2.0**52 + 0.5), 0.0, -0.0, 5e-324, 1e300])
+    def test_nearest_integer_matches_mpmath(self, a):
+        # q = 0 takes the nearest integer in floats; ties go to even, as in mpmath
+        d = ca.coefficient_decompose(a, 0.75)
+        l, err = mpmath_nearest(a)
+        assert (d.count_sqrt2, d.unit_sign * d.count_unit, d.achieved_error) == (0, l, err)
 
     def test_token_count(self):
         d = ca.coefficient_decompose(2.0 + SQRT2, 1e-6)
