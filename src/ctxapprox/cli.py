@@ -49,6 +49,7 @@ construct_context_multi_output = construct_relu_rescaled = construct_context
 _KINDS = {int: ((int, float), "an integer"), float: ((int, float), "a number"),
           str: (str, "a string"), list: (list, "a list"), dict: (dict, "an object")}
 _REQUIRED = object()
+_NEAREST_BLOCK = 1 << 20    # point-sample distances per chunk of a nearest-sample lookup
 
 
 def _fmt(x: float) -> str:
@@ -227,7 +228,8 @@ def _target(t: _Config, d_in: int, d_y: int):
 def _samples_target(path: str, d_in: int, d_y: int):
     """Target from a sample CSV (x columns then value columns).
 
-    Linear interpolation along a 1-d domain; nearest-sample lookup otherwise.
+    Linear interpolation along a 1-d domain; nearest-sample (sup-norm)
+    lookup otherwise, over chunks of points so memory stays bounded.
     """
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != d_in + d_y:
@@ -244,8 +246,11 @@ def _samples_target(path: str, d_in: int, d_y: int):
     else:
         def target(points):
             pts = np.atleast_2d(np.asarray(points, dtype=float))
-            idx = np.argmin(np.max(np.abs(pts[:, None, :] - x[None, :, :]),
-                                   axis=2), axis=1)
+            idx = np.empty(pts.shape[0], dtype=np.intp)
+            step = max(1, _NEAREST_BLOCK // x.size)
+            for s in range(0, pts.shape[0], step):
+                idx[s:s + step] = np.argmin(np.max(np.abs(
+                    pts[s:s + step, None, :] - x[None, :, :]), axis=2), axis=1)
             return f[idx]
     return target
 

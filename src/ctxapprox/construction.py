@@ -19,7 +19,7 @@ literal integer-witness route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,9 +96,10 @@ class Caps:
 class NeuronPlan:
     """One token group: a target row and its integer coefficient witness.
 
-    ``token_error_bound`` is the group's term of the stage-3 inequality chain,
-    (sqrt2 q + l) * L_sigma * tol * max||x~||_1; the groups' bounds sum to at
-    most the token budget.
+    Its positions are the report's tokens whose ``neuron`` is ``index``.
+    ``token_error_bound`` is the group's term of the stage-3 inequality
+    chain, (sqrt2 q + l) * L_sigma * tol * max||x~||_1; the groups' bounds
+    sum to at most the token budget.
     """
 
     index: int
@@ -107,8 +108,6 @@ class NeuronPlan:
     witness: TokenDecomposition
     tol: float = 0.0
     token_error_bound: float = 0.0
-    positions_sqrt2: list = field(default_factory=list)
-    positions_unit: list = field(default_factory=list)
 
     @property
     def coefficient(self) -> float:
@@ -126,8 +125,6 @@ class NeuronPlan:
             "witness": self.witness.to_json_dict(),
             "tol": self.tol,
             "token_error_bound": self.token_error_bound,
-            "positions_sqrt2": [int(j) for j in self.positions_sqrt2],
-            "positions_unit": [int(j) for j in self.positions_unit],
         }
 
 
@@ -152,7 +149,8 @@ class ConstructionReport:
 
     The context is stored sparsely: every position up to n that is not listed
     in ``tokens`` is nulled (vocabulary index 0, y = 0).  ``dense_context``
-    materializes the full (X, Y) pair for small n.
+    materializes the full (X, Y) pair for small n.  ``tokens`` is the one
+    record of the assignment; the JSON form records the vocabulary by hash.
     """
 
     mode: str
@@ -166,7 +164,6 @@ class ConstructionReport:
     per_neuron: tuple
     d_x: int
     d_y: int
-    scale: float
     lambda_: float | None
     vocab: Vocabulary
     scheme: PeScheme
@@ -186,11 +183,6 @@ class ConstructionReport:
     @property
     def max_q_plus_l(self) -> int:
         return max((p.witness.token_count for p in self.per_neuron), default=0)
-
-    def index_sets_disjoint(self) -> bool:
-        all_pos = [j for p in self.per_neuron
-                   for j in list(p.positions_sqrt2) + list(p.positions_unit)]
-        return len(all_pos) == len(set(all_pos))
 
     def dense_context(self, limit: int = 200_000) -> tuple[np.ndarray, np.ndarray]:
         """Materialize (X, Y) with nulled positions filled in (x token 0, y 0)."""
@@ -215,7 +207,6 @@ class ConstructionReport:
             "seed": self.seed,
             "d_x": self.d_x,
             "d_y": self.d_y,
-            "scale": self.scale,
             "lambda": self.lambda_,
             "fit_sup_error": self.fit_sup_error,
             "max_q_plus_l": self.max_q_plus_l,
@@ -751,7 +742,6 @@ def _token_stage(plans, tp, vocab, scheme, cmap, x_tilde, m_hat, activation,
                 float(p.witness.unit_sign))
         for rank, h in enumerate(hits):
             role, y = ("sqrt2", SQRT2) if rank < q else unit
-            (p.positions_sqrt2 if rank < q else p.positions_unit).append(h.position)
             y_vec = np.zeros(tp.d_y)
             y_vec[p.component] = y
             if vocab.y_index_of(y_vec) is None:   # bit-exact membership in V_y
@@ -873,7 +863,7 @@ def construct_context(target, grid: Grid, vocab: Vocabulary, scheme: PeScheme,
         budgets=budgets, measured=measured, achieved_sup_error=achieved,
         n=max((t.position for t in tokens), default=0), seed=seed,
         tokens=tuple(tokens), per_neuron=tuple(plans), d_x=tp.d_x, d_y=tp.d_y,
-        scale=1.0, lambda_=lam, vocab=vocab, scheme=scheme,
+        lambda_=lam, vocab=vocab, scheme=scheme,
         fit_sup_error=max(fr.sup_error for fr in fits) if fits else 0.0)
 
 

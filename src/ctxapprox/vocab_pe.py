@@ -9,6 +9,7 @@ so encodings are bit-reproducible across runs and platforms.
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -382,7 +383,7 @@ def standard_y_tokens(d_y: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Finite token sets V_x and V_y.
+    """Finite token sets V_x and V_y; every token is finite.
 
     ``x_grid_spec`` (lo, hi, per_dim) is populated by the grid constructor and
     lets position scans locate the nearest x token in O(1); general
@@ -398,6 +399,8 @@ class Vocabulary:
         v_y = np.atleast_2d(np.asarray(self.v_y, dtype=float))
         if v_x.shape[0] == 0 or v_y.shape[0] == 0:
             raise EmptyGridError("vocabulary sets must be non-empty")
+        if not (np.all(np.isfinite(v_x)) and np.all(np.isfinite(v_y))):
+            raise ValueError("vocabulary tokens must be finite")
         v_x.setflags(write=False)
         v_y.setflags(write=False)
         object.__setattr__(self, "v_x", v_x)
@@ -433,8 +436,12 @@ class Vocabulary:
                           x_grid_spec=(g.lo, g.hi, per_dim))
 
     def to_json_dict(self) -> dict:
-        return {"v_x": self.v_x.tolist(), "v_y": self.v_y.tolist(),
-                "x_grid_spec": list(self.x_grid_spec) if self.x_grid_spec else None}
+        """V_x as its grid spec (None for a list), size and SHA-256 of its
+        points as row-major little-endian float64; V_y verbatim."""
+        return {"x_grid_spec": list(self.x_grid_spec) if self.x_grid_spec else None,
+                "v_x_count": self.v_x.shape[0],
+                "v_x_sha256": hashlib.sha256(np.ascontiguousarray(self.v_x, dtype="<f8")).hexdigest(),
+                "v_y": self.v_y.tolist()}
 
 
 # --------------------------------------------------------------------------
@@ -538,12 +545,8 @@ def density_audit(vocab: Vocabulary, scheme: PeScheme, region: Box,
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if probe_per_dim < 1:
         raise ValueError(f"probe_per_dim must be >= 1, got {probe_per_dim}")
-    if vocab.v_x.shape[0] == 0:
-        raise EmptyGridError("empty vocabulary")
     if region.dim != scheme.d_x:
         raise DimensionError("region and scheme dimensions disagree")
-    if not np.all(np.isfinite(vocab.v_x)):
-        raise ValueError("vocabulary x tokens must be finite")
     boxes = _ProbeBoxes(region, probe_per_dim)
     best = np.full(boxes.probes.shape[0], np.inf)
     radii = np.empty(n_max)

@@ -370,6 +370,58 @@ class TestConstructCommand:
         for name in ("report.json", "tokens.csv", "error_vs_n.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("vocab", ["x_grid", "v_x"])
+    def test_report_records_the_vocabulary_by_hash(self, tmp_path, vocab):
+        import ctxapprox as ca
+        cfg = json.loads(json.dumps(CONSTRUCT_SMALL))
+        if vocab == "x_grid":
+            g = cfg["vocab"]["x_grid"]
+            spec = [g["lo"], g["hi"], g["per_dim"]]
+            want = ca.Vocabulary.x_grid(tuple(g["lo"]), tuple(g["hi"]), g["per_dim"], 1)
+        else:
+            # an explicit list takes the exhaustive scan; a zero target needs no tokens
+            spec = None
+            v_x = np.random.default_rng(3).uniform(-8, 8, (50, 2)).tolist()
+            cfg["vocab"] = {"v_x": v_x, "v_y": ca.standard_y_tokens(1).tolist()}
+            cfg["target"] = {"exprs": ["0"]}
+            want = ca.Vocabulary(np.array(v_x), ca.standard_y_tokens(1))
+        code, out = run(tmp_path, vocab, cfg, "construct")
+        assert code == 0
+        rep = json.loads((out / "report.json").read_text())["report"]
+        # the keys perfbench/run.py and perfbench/workloads.check_construct read
+        assert {"n", "tokens", "achieved_sup_error", "epsilon", "budgets",
+                "measured"} <= rep.keys()
+        assert set(rep["budgets"]) <= set(rep["measured"])
+        digest = hashlib.sha256(np.ascontiguousarray(want.v_x, dtype="<f8").tobytes())
+        assert rep["vocab"] == {"x_grid_spec": spec, "v_x_count": want.v_x.shape[0],
+                                "v_x_sha256": digest.hexdigest(), "v_y": want.v_y.tolist()}
+        # tokens (and tokens.csv) are the one record of the assignment
+        assert "scale" not in rep
+        assert not any({"positions_sqrt2", "positions_unit"} & p.keys() for p in rep["per_neuron"])
+        assert len((out / "tokens.csv").read_text().splitlines()) == 2 + len(rep["tokens"])
+
+    def test_nearest_sample_target_in_bounded_memory(self, tmp_path):
+        import tracemalloc
+        from ctxapprox.cli import _samples_target
+        rng = np.random.default_rng(5)
+        samples = np.hstack([rng.uniform(-1, 1, (2000, 2)), rng.normal(size=(2000, 2))])
+        path = tmp_path / "samples.csv"
+        np.savetxt(path, samples, fmt="%.17g", delimiter=",", header="x1,x2,f1,f2",
+                   comments="")
+        x, f = samples[:, :2], samples[:, 2:]
+        pts = rng.uniform(-1.2, 1.2, (5000, 2))
+        target = _samples_target(str(path), 2, 2)
+        # one (points, samples, d) difference array would take 160 MB
+        tracemalloc.start()
+        try:
+            got = target(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+        want = np.array([f[np.argmin(np.max(np.abs(x - p), axis=1))] for p in pts])
+        assert np.array_equal(got, want)
+
 
 class TestAuditCommands:
     def test_prop1_fuzz(self, tmp_path):
@@ -520,7 +572,10 @@ class TestAuditCommands:
         ("audit", {"kind": "prop1_fuzz", "count": 5}, "interval", [-1.0, 0.0, 1.0],
          "interval must be two numbers"),
         ("embed", EMBED_SOFTMAX, "epsilon", float("nan"),
-         "epsilon must be positive and finite")])
+         "epsilon must be positive and finite"),
+        ("construct", CONSTRUCT_SMALL, "vocab",
+         {"v_x": [[0.0, 0.0], [float("nan"), 0.0], [1.0, 1.0]],
+          "v_y": [[0.0], [1.0], [-1.0], [2 ** 0.5]]}, "tokens must be finite")])
     def test_out_of_range_input_exit_2(self, tmp_path, command, config, field, value, named):
         # these used to scan to exit 3, fail as "not finite" (exit 4), crash
         # with an IndexError traceback, or report a NaN error floor
@@ -537,6 +592,9 @@ class TestAuditCommands:
         err = json.loads((out / "error.json").read_text())
         assert err["error"]["exit_code"] == 2
         assert named in err["error"]["message"]
+        if field.split(".")[0] == "vocab":
+            # a non-finite token is rejected when the vocabulary is read
+            assert err["error"]["field"] == "vocab"
 
     @pytest.mark.parametrize("command,config,path,value,field", [
         ("construct", CONSTRUCT_SMALL, "transformer", {"file": "no-such-dir/tp.json"},

@@ -237,13 +237,22 @@ class TestConstructContext:
         assert rep.measured["perturb"] <= b.perturb
         assert rep.measured["tokens"] <= b.tokens
         assert b.total <= 0.2 + 1e-12
-        assert rep.index_sets_disjoint()
         assert rep.max_q_plus_l >= 1
         # per-group accounting: the stage-3 bounds chain to the budget and
         # dominate the measured token-stage error
         u_norm = np.max(np.sum(np.abs(tp.U), axis=1))
         bound_sum = sum(p.token_error_bound for p in rep.per_neuron) * u_norm
         assert rep.measured["tokens"] <= bound_sum <= b.tokens
+
+    def test_report_rejects_a_position_assigned_twice(self):
+        _, vocab, scheme, _ = make_setting()
+        tokens = (construction.TokenAssignment(3, 5, "plus_unit", 0, 0, 1.0),
+                  construction.TokenAssignment(3, 7, "sqrt2", 1, 0, SQRT2))
+        with pytest.raises(ValueError, match="position 3 assigned twice"):
+            ca.ConstructionReport(
+                mode="dense", epsilon=0.3, budgets=StageBudgets.thirds(0.3), measured={},
+                achieved_sup_error=0.0, n=3, seed=0, tokens=tokens, per_neuron=(),
+                d_x=2, d_y=1, lambda_=None, vocab=vocab, scheme=scheme, fit_sup_error=0.0)
 
     def test_determinism(self):
         tp, vocab, scheme, grid = make_setting()
@@ -508,7 +517,6 @@ class TestMultiOutput:
         rep = ca.construct_context(
             target, grid, vocab, scheme, tp, 0.5, seed=3,
             fit=FitOptions(k=10, refine_steps=150), caps=Caps(j_cap=40_000_000))
-        assert rep.index_sets_disjoint()
         per_comp = {0: [], 1: []}
         for t in rep.tokens:
             per_comp[t.component].append(t.position)
@@ -560,8 +568,9 @@ class TestReluRescaled:
         assert rep.lambda_ >= 1.0
         assert rep.max_q_plus_l >= 2  # honest integer witnesses
         for p in rep.per_neuron:
-            assert len(p.positions_sqrt2) == p.witness.count_sqrt2
-            assert len(p.positions_unit) == p.witness.count_unit
+            roles = [t.role for t in rep.tokens if t.neuron == p.index]
+            assert roles.count("sqrt2") == p.witness.count_sqrt2
+            assert sum(r in ("plus_unit", "minus_unit") for r in roles) == p.witness.count_unit
 
     @pytest.mark.parametrize("policy", ["max_row", "pow2", "int"])
     def test_equals_kronecker_route_on_prescaled_network(self, policy):
@@ -609,7 +618,6 @@ class TestReluRescaled:
         assert (rep.mode, rep.lambda_) == ("rescaled", 3.3)
         assert {t.component for t in rep.tokens} == {0, 1}
         assert {p.component for p in rep.per_neuron} == {0, 1}
-        assert rep.index_sets_disjoint()
         assert rep.achieved_sup_error < 0.3
 
     def test_homogeneity_identity_exact(self, rng):

@@ -343,6 +343,12 @@ class TestVocabulary:
         with pytest.raises(ca.EmptyGridError):
             ca.Vocabulary(np.zeros((0, 2)), np.zeros((1, 1)))
 
+    @pytest.mark.parametrize("v_x,v_y", [([[0.0, np.inf]], [[0.0]]),
+                                         ([[0.0, 0.0]], [[0.0], [np.nan]])])
+    def test_non_finite_token_rejected(self, v_x, v_y):
+        with pytest.raises(ValueError, match="tokens must be finite"):
+            ca.Vocabulary(v_x, v_y)
+
 
 class TestDensityAudit:
     def test_dyadic_exact_staircase(self):
