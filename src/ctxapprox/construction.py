@@ -176,14 +176,6 @@ class ConstructionReport:
                 raise ValueError(f"position {t.position} assigned twice")
             seen.add(t.position)
 
-    @property
-    def nulled_count(self) -> int:
-        return self.n - len(self.tokens)
-
-    @property
-    def max_q_plus_l(self) -> int:
-        return max((p.witness.token_count for p in self.per_neuron), default=0)
-
     def dense_context(self, limit: int = 200_000) -> tuple[np.ndarray, np.ndarray]:
         """Materialize (X, Y) with nulled positions filled in (x token 0, y 0)."""
         if self.n > limit:
@@ -203,35 +195,24 @@ class ConstructionReport:
             "measured": dict(self.measured),
             "achieved_sup_error": self.achieved_sup_error,
             "n": self.n,
-            "nulled_count": self.nulled_count,
             "seed": self.seed,
             "d_x": self.d_x,
             "d_y": self.d_y,
             "lambda": self.lambda_,
             "fit_sup_error": self.fit_sup_error,
-            "max_q_plus_l": self.max_q_plus_l,
             "per_neuron": [p.to_json_dict() for p in self.per_neuron],
             "tokens": [t.to_json_dict() for t in self.tokens],
             "vocab": self.vocab.to_json_dict(),
             "scheme": self.scheme.to_json_dict(),
         }
 
-    def write_tokens_csv(self, fh, nulled_limit: int = 100_000):
-        """Token CSV; nulled rows are included only when n <= nulled_limit."""
+    def write_tokens_csv(self, fh):
+        """Token CSV: the assigned tokens in position order; every other
+        position up to n is nulled."""
         fh.write("position,vocab_index,role,neuron,component,y_value\n")
-        by_pos = {t.position: t for t in self.tokens}
-        if self.n <= nulled_limit:
-            for j in range(1, self.n + 1):
-                t = by_pos.get(j)
-                if t is None:
-                    fh.write(f"{j},0,nulled,-1,-1,0\n")
-                else:
-                    fh.write(f"{j},{t.vocab_index},{t.role},{t.neuron},"
-                             f"{t.component},{t.y_value:.17g}\n")
-        else:
-            for t in sorted(self.tokens, key=lambda t: t.position):
-                fh.write(f"{t.position},{t.vocab_index},{t.role},{t.neuron},"
-                         f"{t.component},{t.y_value:.17g}\n")
+        for t in sorted(self.tokens, key=lambda t: t.position):
+            fh.write(f"{t.position},{t.vocab_index},{t.role},{t.neuron},"
+                     f"{t.component},{t.y_value:.17g}\n")
 
 
 # --------------------------------------------------------------------------

@@ -381,18 +381,34 @@ def standard_y_tokens(d_y: int) -> np.ndarray:
     return np.array(tokens)
 
 
+def _grid_spec(v_x: np.ndarray) -> tuple | None:
+    """(lo, hi, per_dim) when the (count, d) points ``v_x`` are, bit for bit,
+    the C-order points of the grid over [v_x[0], v_x[-1]] with per_dim points
+    per dimension; None otherwise."""
+    count, d = v_x.shape
+    per_dim = round(count ** (1 / d)) if d else 0
+    if d == 0 or per_dim ** d != count or np.any(v_x[-1] < v_x[0]):
+        return None
+    g = Grid(v_x[0], v_x[-1], (per_dim,) * d)
+    with np.errstate(all="ignore"):            # a span past the float range
+        points = g.points()                    # matches no finite points
+    return (g.lo, g.hi, per_dim) if points.tobytes() == v_x.tobytes() else None
+
+
 @dataclass(frozen=True)
 class Vocabulary:
     """Finite token sets V_x and V_y; every token is finite.
 
-    ``x_grid_spec`` (lo, hi, per_dim) is populated by the grid constructor and
-    lets position scans locate the nearest x token in O(1); general
+    ``x_grid_spec`` is the grid the points of V_x form, else None: it is
+    (lo, hi, per_dim) when V_x is, bit for bit, the C-order points of
+    ``Grid(V_x[0], V_x[-1], (per_dim,) * d)``.  It is derived from V_x, never
+    given, and lets position scans locate the nearest x token in O(1); other
     vocabularies work through the exhaustive path.
     """
 
     v_x: np.ndarray
     v_y: np.ndarray
-    x_grid_spec: tuple | None = None
+    x_grid_spec: tuple | None = field(init=False)
 
     def __post_init__(self):
         v_x = np.atleast_2d(np.asarray(self.v_x, dtype=float))
@@ -405,6 +421,7 @@ class Vocabulary:
         v_y.setflags(write=False)
         object.__setattr__(self, "v_x", v_x)
         object.__setattr__(self, "v_y", v_y)
+        object.__setattr__(self, "x_grid_spec", _grid_spec(v_x))
 
     @property
     def d_x(self) -> int:
@@ -431,12 +448,11 @@ class Vocabulary:
     @staticmethod
     def x_grid(lo, hi, per_dim: int, d_y: int) -> "Vocabulary":
         """Regular grid V_x over [lo, hi] plus the standard V_y token set."""
-        g = Grid(lo, hi, (per_dim,) * len(np.atleast_1d(lo)))
-        return Vocabulary(g.points(), standard_y_tokens(d_y),
-                          x_grid_spec=(g.lo, g.hi, per_dim))
+        return Vocabulary(Grid(lo, hi, (per_dim,) * len(np.atleast_1d(lo))).points(),
+                          standard_y_tokens(d_y))
 
     def to_json_dict(self) -> dict:
-        """V_x as its grid spec (None for a list), size and SHA-256 of its
+        """V_x as the grid it forms (None if none), size and SHA-256 of its
         points as row-major little-endian float64; V_y verbatim."""
         return {"x_grid_spec": list(self.x_grid_spec) if self.x_grid_spec else None,
                 "v_x_count": self.v_x.shape[0],

@@ -115,7 +115,7 @@ def test_criterion_04_construction_end_to_end():
           and budget_ok and elapsed < 300.0)
     report(4, "finite-vocabulary construction end to end", ok,
            f"(sup error {rep.achieved_sup_error:.4f}, n={rep.n}, "
-           f"max q+l={rep.max_q_plus_l}, stages "
+           f"max q+l={max(p.demand for p in rep.per_neuron)}, stages "
            f"fit {rep.measured['fit']:.3f}/{b.fit:.3f} "
            f"perturb {rep.measured['perturb']:.1e}/{b.perturb:.3f} "
            f"tokens {rep.measured['tokens']:.3f}/{b.tokens:.3f}, {elapsed:.1f}s)")

@@ -379,7 +379,8 @@ class TestConstructCommand:
             spec = [g["lo"], g["hi"], g["per_dim"]]
             want = ca.Vocabulary.x_grid(tuple(g["lo"]), tuple(g["hi"]), g["per_dim"], 1)
         else:
-            # an explicit list takes the exhaustive scan; a zero target needs no tokens
+            # points that form no grid take the exhaustive scan; a zero
+            # target needs no tokens
             spec = None
             v_x = np.random.default_rng(3).uniform(-8, 8, (50, 2)).tolist()
             cfg["vocab"] = {"v_x": v_x, "v_y": ca.standard_y_tokens(1).tolist()}
@@ -399,6 +400,33 @@ class TestConstructCommand:
         assert "scale" not in rep
         assert not any({"positions_sqrt2", "positions_unit"} & p.keys() for p in rep["per_neuron"])
         assert len((out / "tokens.csv").read_text().splitlines()) == 2 + len(rep["tokens"])
+
+    def test_grid_written_as_a_list_takes_the_nearest_cell_path(self, tmp_path, monkeypatch):
+        import ctxapprox as ca
+        from ctxapprox import construction
+        g = CONSTRUCT_SMALL["vocab"]["x_grid"]
+        v_x = ca.Vocabulary.x_grid(tuple(g["lo"]), tuple(g["hi"]), g["per_dim"], 1).v_x
+        listed = mutated(CONSTRUCT_SMALL, "vocab",
+                         {"v_x": v_x.tolist(), "v_y": ca.standard_y_tokens(1).tolist()})
+
+        def no_block(*args, **kwargs):
+            raise AssertionError("block scan used")
+
+        # the exhaustive scan over 65^2 entries would take tens of seconds
+        monkeypatch.setattr(construction, "_block_scan", no_block)
+        outs = []
+        for name, cfg in (("x_grid", CONSTRUCT_SMALL), ("v_x", listed)):
+            code, out = run(tmp_path, name, cfg, "construct")
+            assert code == 0
+            outs.append(out)
+        spelled, written = (json.loads((out / "report.json").read_text())["report"]
+                            for out in outs)
+        assert written == spelled
+        assert written["vocab"]["x_grid_spec"] == [g["lo"], g["hi"], g["per_dim"]]
+        for name in ("tokens.csv", "error_vs_n.csv"):
+            # the comment line carries the config hash, which differs
+            bodies = [(out / name).read_text().splitlines()[1:] for out in outs]
+            assert bodies[0] == bodies[1]
 
     def test_nearest_sample_target_in_bounded_memory(self, tmp_path):
         import tracemalloc

@@ -1,3 +1,4 @@
+import io
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,10 +22,39 @@ def make_setting(d_y=1, vocab_extent=10.0, per_dim=81, seed=101):
     return tp, vocab, scheme, grid
 
 
-def first_hit(row, vocab, scheme, tp, tol, j_cap=1_000_000):
+def first_hit(row, vocab, scheme, tp, tol, j_cap=1_000_000, engine=None):
     """The first (position, vocabulary entry) whose mapped row lies within tol of ``row``."""
     target = ScanTarget(np.atleast_1d(np.asarray(row, dtype=float)), tol, 1)
-    return _scan_engine([target], vocab, scheme, tp, j_cap)[0][0]
+    return (engine or _scan_engine)([target], vocab, scheme, tp, j_cap)[0][0]
+
+
+def exhaustive_scan(targets, vocab, scheme, tp, j_cap):
+    """The block scan trying every vocabulary entry at every position: the
+    reference for the nearest-cell path, whatever grid the vocabulary forms."""
+    scan = _Scan(targets, vocab, tp)
+    scan.grid = None
+    return _block_scan(scan, scheme, j_cap)
+
+
+def small_dyadic_construction():
+    """(tp, grid, target, report) of a construction with a short context:
+    a two-neuron relu target on the dyadic scheme, n = 4106."""
+    tp = ca.random_sparse_params(33, 2, 1)
+    vocab = ca.Vocabulary.x_grid((-3.0, -3.0), (3.0, 3.0), 13, 1)
+    scheme = ca.dyadic_lattice(ca.Box((-3.2, -3.2), (3.2, 3.2)))
+    grid = ca.Grid((0.0,), (1.0,), (101,))
+    rng = np.random.default_rng(5)
+    fnn = ca.FnnParams([[1.1, -0.7]], rng.uniform(-1, 1, (2, 1)),
+                       rng.uniform(-1, 1, 2), ca.RELU)
+
+    def target(pts):
+        return ca.fnn_forward_batch(fnn, pts)[:, 0] * tp.U[0, 0]
+
+    rep = ca.construct_context(target, grid, vocab, scheme, tp, 0.25,
+                               fnn=[ca.FnnParams(fnn.A / tp.U[0, 0], fnn.W,
+                                                 fnn.b, ca.RELU)],
+                               seed=2, caps=Caps(j_cap=500_000))
+    return tp, grid, target, rep
 
 
 class TestSingleTargetScan:
@@ -67,11 +97,10 @@ class TestSingleTargetScan:
         # engine fast path and the exhaustive path agree on the first hit
         tp = ca.identity_sparse_params(2, 1)
         grid_vocab = ca.Vocabulary.x_grid((-1.0, -1.0), (1.0, 1.0), 9, 1)
-        plain_vocab = ca.Vocabulary(grid_vocab.v_x, grid_vocab.v_y)
         scheme = ca.calkin_wilf_lattice(2)
         target = [0.37, -0.62]
         fast = first_hit(target, grid_vocab, scheme, tp, tol=0.01)
-        slow = first_hit(target, plain_vocab, scheme, tp, tol=0.01)
+        slow = first_hit(target, grid_vocab, scheme, tp, tol=0.01, engine=exhaustive_scan)
         assert (fast.position, fast.vocab_index) == (slow.position, slow.vocab_index)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan"), float("inf")])
@@ -99,7 +128,6 @@ class TestScanFastPath:
     def test_same_hits_as_exhaustive_path(self, seed, d, per_dim, frac):
         tp = ca.random_sparse_params(seed, d, 1)
         grid_vocab = ca.Vocabulary.x_grid((-1.0,) * d, (1.0,) * d, per_dim, 1)
-        plain_vocab = ca.Vocabulary(grid_vocab.v_x, grid_vocab.v_y)
         scheme = ca.calkin_wilf_lattice(d)
         cmap = tp.C.T @ tp.B
         tol = _fast_path_tol(tp, grid_vocab, frac)
@@ -108,27 +136,30 @@ class TestScanFastPath:
         targets = [ScanTarget(cmap @ rng.uniform(-1.2, 1.2, d), tol, demand)
                    for demand in (4, 2, 3)]
         fast = _scan_engine(targets, grid_vocab, scheme, tp, 1 << 16)
-        slow = _scan_engine(targets, plain_vocab, scheme, tp, 1 << 16)
+        slow = exhaustive_scan(targets, grid_vocab, scheme, tp, 1 << 16)
         assert fast == slow
         assert [len(hits) for hits in fast] == [4, 2, 3]
 
     def test_off_grid_target_reports_nearest_cell_distance(self):
-        # the wanted token lies far outside the grid: no hit, and the
+        # the wanted token lies outside the grid at every position up to
+        # j_cap, far out or just past the largest encoding (there the rounded
+        # cell of the second coordinate sets the distance): no hit, and the
         # reported best distance is that of the nearest (clipped) cell
         tp = ca.identity_sparse_params(2, 1)
-        grid_vocab = ca.Vocabulary.x_grid((-1.0, -1.0), (1.0, 1.0), 9, 1)
-        plain_vocab = ca.Vocabulary(grid_vocab.v_x, grid_vocab.v_y)
+        vocab = ca.Vocabulary.x_grid((-1.0, -1.0), (1.0, 1.0), 9, 1)
         scheme = ca.calkin_wilf_lattice(2)
-        unmet = []
-        for vocab in (grid_vocab, plain_vocab):
-            with pytest.raises(ca.PositionScanExhausted) as exc:
-                first_hit([500.0, -500.0], vocab, scheme, tp, tol=0.01, j_cap=500)
-            unmet.append(exc.value.unmet[0])
-        fast, slow = unmet
-        assert fast["remaining"] == 1
-        assert fast["tol"] < fast["best_distance"] < np.inf
-        # identity maps: the nearest cell is the nearest vocabulary entry
-        assert fast["best_distance"] == slow["best_distance"]
+        for target in ([500.0, -500.0], [7.02, 0.3]):
+            unmet = []
+            for engine in (_scan_engine, exhaustive_scan):
+                with pytest.raises(ca.PositionScanExhausted) as exc:
+                    first_hit(target, vocab, scheme, tp, tol=0.01, j_cap=500,
+                              engine=engine)
+                unmet.append(exc.value.unmet[0])
+            fast, slow = unmet
+            assert fast["remaining"] == 1
+            assert fast["tol"] < fast["best_distance"] < np.inf
+            # identity maps: the nearest cell is the nearest vocabulary entry
+            assert fast["best_distance"] == slow["best_distance"]
 
 
 def _both_paths(targets, vocab, scheme, tp, j_cap):
@@ -237,7 +268,7 @@ class TestConstructContext:
         assert rep.measured["perturb"] <= b.perturb
         assert rep.measured["tokens"] <= b.tokens
         assert b.total <= 0.2 + 1e-12
-        assert rep.max_q_plus_l >= 1
+        assert max(p.demand for p in rep.per_neuron) >= 1
         # per-group accounting: the stage-3 bounds chain to the budget and
         # dominate the measured token-stage error
         u_norm = np.max(np.sum(np.abs(tp.U), axis=1))
@@ -321,21 +352,7 @@ class TestConstructContext:
     def test_readout_matches_materialized_context(self):
         # independent check of the sparse audit path against the actual
         # attention readout on a materialized small context
-        tp = ca.random_sparse_params(33, 2, 1)
-        vocab = ca.Vocabulary.x_grid((-3.0, -3.0), (3.0, 3.0), 13, 1)
-        scheme = ca.dyadic_lattice(ca.Box((-3.2, -3.2), (3.2, 3.2)))
-        grid = ca.Grid((0.0,), (1.0,), (101,))
-        rng = np.random.default_rng(5)
-        fnn = ca.FnnParams([[1.1, -0.7]], rng.uniform(-1, 1, (2, 1)),
-                           rng.uniform(-1, 1, 2), ca.RELU)
-
-        def target(pts):
-            return ca.fnn_forward_batch(fnn, pts)[:, 0] * tp.U[0, 0]
-
-        rep = ca.construct_context(target, grid, vocab, scheme, tp, 0.25,
-                                   fnn=[ca.FnnParams(fnn.A / tp.U[0, 0], fnn.W,
-                                                     fnn.b, ca.RELU)],
-                                   seed=2, caps=Caps(j_cap=500_000))
+        tp, grid, target, rep = small_dyadic_construction()
         assert rep.n <= 200_000
         X, Y = rep.dense_context()
         X_pe = X + ca.pe_block(rep.scheme, 1, rep.n).T
@@ -350,6 +367,18 @@ class TestConstructContext:
             asm = ca.assemble(X_pe, Y, pts[i])
             a = ca.transformer_readout(tp, asm, ca.RELU)
             assert np.max(np.abs(a - out[i])) < 1e-10
+
+    def test_tokens_csv_lists_the_assigned_tokens_only(self):
+        # a short context still leaves its nulled positions implied
+        *_, rep = small_dyadic_construction()
+        assert len(rep.tokens) < rep.n <= 100_000
+        fh = io.StringIO()
+        rep.write_tokens_csv(fh)
+        lines = fh.getvalue().splitlines()
+        # the header and one row per token; the CLI's file adds its comment line
+        assert len(lines) == 1 + len(rep.tokens)
+        assert [int(line.split(",")[0]) for line in lines[1:]] == \
+            sorted(t.position for t in rep.tokens)
 
     def test_exp_activation_exact_hit(self):
         # element-wise activations other than relu go through the literal
@@ -566,7 +595,7 @@ class TestReluRescaled:
                                    caps=Caps(j_cap=80_000_000))
         assert rep.achieved_sup_error < 1.0
         assert rep.lambda_ >= 1.0
-        assert rep.max_q_plus_l >= 2  # honest integer witnesses
+        assert max(p.demand for p in rep.per_neuron) >= 2  # honest integer witnesses
         for p in rep.per_neuron:
             roles = [t.role for t in rep.tokens if t.neuron == p.index]
             assert roles.count("sqrt2") == p.witness.count_sqrt2

@@ -339,6 +339,40 @@ class TestVocabulary:
         assert vocab.y_index_of([0.0, SQRT2]) is not None
         assert vocab.y_index_of([SQRT2, SQRT2]) is None
 
+    @pytest.mark.parametrize("d,per_dim", [(1, 2), (1, 81), (2, 5), (2, 9), (2, 13),
+                                           (2, 65), (2, 81), (3, 5), (3, 9)])
+    def test_grid_spec_is_found_from_the_points(self, d, per_dim):
+        lo, hi = (-1.5,) * d, (2.0,) * d
+        vocab = ca.Vocabulary.x_grid(lo, hi, per_dim, 1)
+        assert vocab.x_grid_spec == (lo, hi, per_dim)
+        # the same points written out as a list form the same grid
+        listed = ca.Vocabulary(vocab.v_x.tolist(), vocab.v_y)
+        assert listed.x_grid_spec == (lo, hi, per_dim)
+
+    def test_single_point_grid_records_its_point(self):
+        vocab = ca.Vocabulary.x_grid((-1.0, 2.0), (3.0, 4.0), 1, 1)
+        assert vocab.v_x.tolist() == [[1.0, 3.0]]
+        assert vocab.x_grid_spec == ((1.0, 3.0), (1.0, 3.0), 1)
+
+    @pytest.mark.parametrize("case", ["reversed", "nudged", "3x5", "no_coordinates"])
+    def test_no_grid_spec_for_points_that_form_no_grid(self, case):
+        grid = ca.Vocabulary.x_grid((-1.0, -1.0), (1.0, 1.0), 9, 1).v_x
+        if case == "reversed":
+            v_x = grid[::-1]
+        elif case == "nudged":
+            v_x = grid.copy()
+            v_x[40, 1] = np.nextafter(v_x[40, 1], 1.0)
+        elif case == "3x5":
+            v_x = ca.Grid((-1.0, -1.0), (1.0, 1.0), (3, 5)).points()
+        else:
+            v_x = np.zeros((1, 0))
+        assert ca.Vocabulary(v_x, [[0.0]]).x_grid_spec is None
+
+    def test_grid_spec_is_not_an_argument(self):
+        vocab = ca.Vocabulary.x_grid((-1.0, -1.0), (1.0, 1.0), 9, 1)
+        with pytest.raises(TypeError):
+            ca.Vocabulary(vocab.v_x, vocab.v_y, x_grid_spec=vocab.x_grid_spec)
+
     def test_empty_vocab_rejected(self):
         with pytest.raises(ca.EmptyGridError):
             ca.Vocabulary(np.zeros((0, 2)), np.zeros((1, 1)))
