@@ -353,6 +353,9 @@ def cmd_density(cfg: _Config, out: Path, seed_override: int | None) -> int:
     region = cfg.load("region", _box)
     n_max = cfg.get("n_max", int)
     probe_per_dim = cfg.get("probe_per_dim", int, 64)
+    for key, value in (("n_max", n_max), ("probe_per_dim", probe_per_dim)):
+        if value < 1:
+            raise ConfigError(key, f"{key} must be >= 1, got {value}")
     cfg.done()
     profile = density_audit(vocab, scheme, region, n_max, probe_per_dim=probe_per_dim)
     doc = _meta(cfg.obj, "density")

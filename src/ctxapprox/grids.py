@@ -33,6 +33,13 @@ class Grid:
             raise EmptyGridError("counts must all be >= 1")
         if any(h < l for l, h in zip(lo, hi)):
             raise DimensionError("hi must be >= lo componentwise")
+        span = tuple(h - l for l, h in zip(lo, hi))
+        if not all(np.isfinite(span)):
+            raise ValueError(f"grid span hi - lo must be finite, got {span}")
+        mid = tuple(0.5 * (l + h) for l, h, c in zip(lo, hi, counts) if c == 1)
+        if not all(np.isfinite(mid)):
+            raise ValueError(f"grid midpoint (lo + hi) / 2 of a 1-point axis must be "
+                             f"finite, got {mid}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "counts", counts)

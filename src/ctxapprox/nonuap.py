@@ -240,9 +240,9 @@ class NonUapAuditRecord:
 
     def write_csv(self, fh):
         fh.write("trial,context_length,minmax_error,distinct_terms\n")
-        for t, (n, e, d) in enumerate(
-                zip(self.context_lengths, self.minmax_errors, self.distinct_terms)):
-            fh.write(f"{t},{int(n)},{e:.17g},{int(d)}\n")
+        fh.writelines(f"{t},{int(n)},{e:.17g},{int(d)}\n" for t, (n, e, d) in enumerate(zip(
+            self.context_lengths.tolist(), self.minmax_errors.tolist(),
+            self.distinct_terms.tolist())))
 
 
 def nonuap_audit(family: FiniteFamilySpec, max_context: int, trials: int,

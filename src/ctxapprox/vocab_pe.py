@@ -83,6 +83,9 @@ class Box:
             raise ValueError(f"box bounds must be finite, got lo={lo}, hi={hi}")
         if len(lo) != len(hi) or any(h <= l for l, h in zip(lo, hi)):
             raise DimensionError("box needs hi > lo componentwise")
+        span = tuple(h - l for l, h in zip(lo, hi))
+        if not all(math.isfinite(v) for v in span):
+            raise ValueError(f"box span hi - lo must be finite, got {span}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -389,10 +392,11 @@ def _grid_spec(v_x: np.ndarray) -> tuple | None:
     per_dim = round(count ** (1 / d)) if d else 0
     if d == 0 or per_dim ** d != count or np.any(v_x[-1] < v_x[0]):
         return None
-    g = Grid(v_x[0], v_x[-1], (per_dim,) * d)
-    with np.errstate(all="ignore"):            # a span past the float range
-        points = g.points()                    # matches no finite points
-    return (g.lo, g.hi, per_dim) if points.tobytes() == v_x.tobytes() else None
+    try:
+        g = Grid(v_x[0], v_x[-1], (per_dim,) * d)
+    except ValueError:                         # a span past the float range
+        return None                            # has no finite points to match
+    return (g.lo, g.hi, per_dim) if g.points().tobytes() == v_x.tobytes() else None
 
 
 @dataclass(frozen=True)
@@ -473,117 +477,112 @@ class DensityProfile:
 
     def write_csv(self, fh):
         fh.write("n,covering_radius\n")
-        for n, r in zip(self.ns, self.radii):
-            fh.write(f"{int(n)},{r:.17g}\n")
+        fh.writelines(f"{int(n)},{r:.17g}\n" for n, r in zip(self.ns.tolist(), self.radii.tolist()))
 
 
-# token points (positions x tokens) per pe_block call, and positions per
-# touched-box update inside it
-_DENSITY_BLOCK = 4096
-_TOUCH_ROWS = 32
-
-
-def _point_distances(points: np.ndarray, probes: np.ndarray) -> np.ndarray:
-    """Sup-norm distance from each probe to the nearest of each position's
-    ``points`` (tokens, positions, d); (positions, probes), accumulated per
-    dimension to avoid 3-d temporaries."""
-    d = np.full((points.shape[1], probes.shape[0]), np.inf)
-    dv = np.empty_like(d)
-    buf = np.empty_like(d)
-    for pts in points:
-        np.abs(np.subtract(pts[:, :1], probes[None, :, 0], out=dv), out=dv)
-        for t in range(1, probes.shape[1]):
-            np.abs(np.subtract(pts[:, t:t + 1], probes[None, :, t], out=buf), out=buf)
-            np.maximum(dv, buf, out=dv)
-        np.minimum(d, dv, out=d)
-    return d
+# (point, probe) pairs a density audit computes per chunk of positions
+_DENSITY_PAIRS = 1 << 16
 
 
 class _ProbeBoxes:
-    """The probe grid of a density audit, and unions of index boxes on it.
+    """The probe grid of a density audit, and one box of probe indices per point.
 
-    A probe's index along each axis is (coordinate - lo) / step.  The box of
-    a point is every index within ``r`` of it, widened to the enclosing whole
-    indices on both sides, so rounding cannot drop a probe; it may hold a
-    few more.  Any superset of the probes a point can reach will do.
-    """
+    A probe's index along an axis is (coordinate - lo) / step.  The box of a point at
+    radius r holds every index within r of it, widened to whole indices and by a margin
+    far above the rounding of indices and probe coordinates: a superset of the probes
+    within r, which is all it must be."""
 
     def __init__(self, region: Box, per_dim: int):
         grid = Grid(region.lo, region.hi, (per_dim,) * region.dim)
-        self.probes = grid.points()
-        self.every = np.arange(self.probes.shape[0])
+        self.axes = grid.axes()
         self.per_dim = per_dim
         self.lo = np.array(grid.lo)
         self.step = (np.array(grid.hi) - self.lo) / max(per_dim - 1, 1)
+        self.extent = np.maximum(np.abs(self.lo), np.abs(grid.hi)) / self.step
         self.strides = per_dim ** np.arange(region.dim - 1, -1, -1)
 
-    def index(self, pts: np.ndarray) -> np.ndarray:
-        """The fractional grid index of each point, per axis."""
-        return (pts - self.lo) / self.step
-
-    def touched(self, index: np.ndarray, r: float) -> np.ndarray:
-        """Flat indices of the union of the boxes at radius ``r`` around the
-        points at fractional grid ``index`` (points, d).
-
-        Each box is enumerated as an offset into the smallest index block
-        that holds every box; once that enumeration outgrows the grid, every
-        probe is returned instead.
-        """
+    def box(self, r: float) -> tuple[np.ndarray, list[int]]:
+        """Per axis, the reach of radius r in indices and the box side that holds it."""
         half = r / self.step
-        first = np.clip(np.floor(index - half), 0, self.per_dim)
-        stop = np.clip(np.ceil(index + half) + 1, first, self.per_dim)
-        first = first.astype(np.int64)
-        width = stop.astype(np.int64) - first                     # (points, d)
-        span = width.max(axis=0)
-        if index.shape[0] * math.prod(span) >= self.every.size:
-            return self.every
-        offsets = np.indices(span).reshape(span.size, -1)         # (d, block)
-        flat = (first @ self.strides)[:, None] + self.strides @ offsets
-        inside = np.all(offsets < width[:, :, None], axis=1)      # (points, block)
-        mask = np.zeros(self.every.size, dtype=bool)
-        mask[flat[inside]] = True
-        return np.flatnonzero(mask)
+        reach = half + 2.0**-30 * (1 + 2 * half + self.per_dim + self.extent)
+        return reach, [int(min(self.per_dim, np.floor(2 * h) + 3)) for h in reach]
+
+    def pairs(self, pts: np.ndarray, reach: np.ndarray, sides: list[int]):
+        """Flat probe index and sup-norm distance of each (point, box entry) pair of ``pts``
+        (points, d), as two (points, box) arrays; a clipped box repeats its last index."""
+        first = np.clip(np.floor((pts - self.lo) / self.step - reach), 0, self.per_dim - 1)
+        flat, dist = np.zeros((len(pts), 1), dtype=np.intp), np.zeros((len(pts), 1))
+        for t, side in enumerate(sides):
+            at = np.minimum(first[:, t, None] + np.arange(side), self.per_dim - 1).astype(np.intp)
+            dv = np.abs(pts[:, t, None] - self.axes[t][at])
+            flat = (flat[:, :, None] + at[:, None, :] * self.strides[t]).reshape(len(pts), -1)
+            dist = np.maximum(dist[:, :, None], dv[:, None, :]).reshape(len(pts), -1)
+        return flat, dist
+
+
+def _lowered(best: np.ndarray, seen: np.ndarray, flat, dist, r: float) -> int:
+    """How many of the probes whose best distance is r the pairs lower below it.  Each hit
+    writes its number into ``seen`` (scratch per probe); one number per probe stays."""
+    hit = flat[dist < r]
+    hit = hit[best[hit] == r]
+    seen[hit] = order = np.arange(hit.size)
+    return np.count_nonzero(seen[hit] == order)
 
 
 def density_audit(vocab: Vocabulary, scheme: PeScheme, region: Box,
                   n_max: int, probe_per_dim: int = 64) -> DensityProfile:
     """Covering radius r(n) (sup-norm) for n = 1..n_max; non-increasing in n.
 
-    Adding position n can lower a probe's best distance only where some new
-    point lies within r(n-1) of it, so each run of positions updates just the
-    probes in the union of its points' boxes (``_ProbeBoxes.touched``) and
-    takes r(n) as the larger of the untouched probes' max and the touched
-    probes' row max.  Every step is an exact min or max over the distances a dense
-    probes-by-positions pass computes, so the radii are bit-identical to it;
-    the first run, with r still infinite, touches every probe.
-    """
+    Position n can lower a probe's best distance only where one of its points lies
+    within r(n-1) of it, so a chunk of positions pairs each point with its own box at
+    the radius before the chunk, as many as fit ``_DENSITY_PAIRS``.  As r(n) never
+    increases, it is constant on a run of positions when some probe at r before the run
+    is still at r after it; such a run is applied at once, and a run where r falls is
+    halved until the fall sits at one position.  Every step is an exact min or max of the
+    distances a dense probes-by-positions pass computes, so the radii are bit-identical."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if probe_per_dim < 1:
         raise ValueError(f"probe_per_dim must be >= 1, got {probe_per_dim}")
-    if region.dim != scheme.d_x:
-        raise DimensionError("region and scheme dimensions disagree")
+    if not region.dim == scheme.d_x == vocab.d_x:
+        raise DimensionError(f"region, scheme and vocabulary dimensions disagree: "
+                             f"{region.dim}, {scheme.d_x}, {vocab.d_x}")
     boxes = _ProbeBoxes(region, probe_per_dim)
-    best = np.full(boxes.probes.shape[0], np.inf)
+    tokens = len(vocab.v_x)
+    best = np.full(probe_per_dim ** region.dim, np.inf)
+    seen = np.empty(best.size, dtype=np.intp)
     radii = np.empty(n_max)
-    r = np.inf
-    block = max(_TOUCH_ROWS, _DENSITY_BLOCK // vocab.v_x.shape[0])
-    for done in range(0, n_max, block):
-        pe = pe_block(scheme, done + 1, min(block, n_max - done))
-        points = vocab.v_x[:, None, :] + pe                       # (tokens, positions, d)
-        index = boxes.index(points)
-        for row in range(0, pe.shape[0], _TOUCH_ROWS):
-            rows = slice(row, row + _TOUCH_ROWS)
-            touched = boxes.touched(index[:, rows].reshape(-1, region.dim), r)
-            d = _point_distances(points[:, rows], boxes.probes[touched])
-            np.minimum(d[0], best[touched], out=d[0])
-            np.minimum.accumulate(d, axis=0, out=d)
-            untouched = best.copy()
-            untouched[touched] = -np.inf
-            out = radii[done + row:done + row + d.shape[0]]
-            out[:] = untouched.max()
-            if touched.size:
-                np.maximum(out, d.max(axis=1), out=out)
-                best[touched] = d[-1]
-            r = out[-1]
+    r, at_r = np.inf, best.size               # r(n) and how many probes attain it
+    done = 0
+    while done < n_max:
+        reach, sides = boxes.box(r)
+        box = math.prod(sides)
+        rows = min(n_max - done, max(1, _DENSITY_PAIRS // (tokens * box)))
+        part = max(1, _DENSITY_PAIRS // box)  # tokens per pair block of one position
+        points = pe_block(scheme, done + 1, rows)[:, None, :] + vocab.v_x   # (rows, tokens, d)
+        if rows > 1:
+            flat, dist = (m.reshape(rows, -1) for m in
+                          boxes.pairs(points.reshape(rows * tokens, -1), reach, sides))
+        runs = [(0, rows)]
+        while runs:
+            a, b = runs.pop()
+            if b - a == 1:                    # one position, a block of its tokens at a time
+                lowered = 0
+                for pair_flat, pair_dist in ([(flat[a], dist[a])] if rows > 1 else (
+                        boxes.pairs(points[0, s:s + part], reach, sides)
+                        for s in range(0, tokens, part))):
+                    lowered += _lowered(best, seen, pair_flat, pair_dist, r)
+                    np.minimum.at(best, pair_flat, pair_dist)
+                if lowered == at_r:           # r falls here: the new maximum
+                    r = best.max()
+                    lowered, at_r = 0, np.count_nonzero(best == r)
+            else:
+                lowered = _lowered(best, seen, flat[a:b], dist[a:b], r)
+                if lowered == at_r:           # r falls in the run: halve it
+                    runs += [((a + b) // 2, b), (a, (a + b) // 2)]
+                    continue
+                np.minimum.at(best, flat[a:b].ravel(), dist[a:b].ravel())
+            at_r -= lowered
+            radii[done + a:done + b] = r
+        done += rows
     return DensityProfile(np.arange(1, n_max + 1), radii)

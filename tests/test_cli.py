@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -492,12 +493,56 @@ class TestAuditCommands:
         assert not (out / "audit.json").exists()
 
     def test_density_shipped_config_bytes(self, tmp_path):
-        # pinned: the touched-box update must reproduce the dense pass bit for bit
+        # pinned: the per-point boxes and the bisection of the non-increasing
+        # r(n) must reproduce the dense pass bit for bit
         cfg = json.loads((ROOT / "configs" / "density_dyadic.json").read_text())
         code, out = run(tmp_path, "density_dyadic", cfg, "density")
         assert code == 0
         digest = hashlib.sha256((out / "density.csv").read_bytes()).hexdigest()
         assert digest == "39a1899c2b4f123b35075fea85d00647d2b0e3da749523476d5752d45c89a119"
+
+    def test_density_oracles_input_bytes(self, tmp_path):
+        # pinned: the benchmark's density inputs (2-D dyadic, n_max 16000,
+        # 64^2 probes), which run through many chunks and falls of r
+        cfg = {"vocab": {"v_x": [[0.0, 0.0]], "v_y": [[0.0]]},
+               "scheme": {"kind": "dyadic_lattice",
+                          "region": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}},
+               "region": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+               "n_max": 16000, "probe_per_dim": 64}
+        code, out = run(tmp_path, "density_oracles", cfg, "density")
+        assert code == 0
+        digest = hashlib.sha256((out / "density.csv").read_bytes()).hexdigest()
+        assert digest == "3258e04beadde4bd56c3cbf0e84d4f34e1382c318c436c395028cd1e7c10bf1f"
+
+    @pytest.mark.parametrize("field", ["n_max", "probe_per_dim"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_density_counts_name_their_field(self, tmp_path, field, value):
+        # these used to reach the library's check and exit 2 naming "config"
+        code, out = run(tmp_path, "density_count", mutated(DENSITY_SMALL, field, value),
+                        "density")
+        assert code == 2
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["field"] == field
+        assert f"{field} must be >= 1, got {value}" in err["message"]
+
+    @pytest.mark.parametrize("field,kind", [("region", "box"), ("scheme.region", "box"),
+                                            ("vocab.x_grid", "grid")])
+    def test_density_span_past_the_float_range_exit_2(self, tmp_path, capsys, field, kind):
+        # such a span used to print numpy RuntimeWarnings and exit 0 with an
+        # inf covering radius for every n
+        big = {"lo": [-1e308], "hi": [1e308]}
+        if field == "vocab.x_grid":
+            cfg = mutated(DENSITY_SMALL, "vocab", {"x_grid": {**big, "per_dim": 3}, "d_y": 1})
+        else:
+            cfg = mutated(DENSITY_SMALL, field, big)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run(tmp_path, "density_span", cfg, "density")
+        assert code == 2 and not caught
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["field"] == field
+        assert f"{kind} span hi - lo must be finite, got (inf,)" in err["message"]
+        assert capsys.readouterr().err == f"error: {err['message']}\n"
 
     def test_density_dyadic(self, tmp_path):
         cfg = {"vocab": {"v_x": [[0.0]], "v_y": [[0.0]]},

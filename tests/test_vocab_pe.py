@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ctxapprox as ca
 from ctxapprox import vocab_pe
@@ -354,7 +356,8 @@ class TestVocabulary:
         assert vocab.v_x.tolist() == [[1.0, 3.0]]
         assert vocab.x_grid_spec == ((1.0, 3.0), (1.0, 3.0), 1)
 
-    @pytest.mark.parametrize("case", ["reversed", "nudged", "3x5", "no_coordinates"])
+    @pytest.mark.parametrize("case", ["reversed", "nudged", "3x5", "no_coordinates",
+                                      "span_overflow", "midpoint_overflow"])
     def test_no_grid_spec_for_points_that_form_no_grid(self, case):
         grid = ca.Vocabulary.x_grid((-1.0, -1.0), (1.0, 1.0), 9, 1).v_x
         if case == "reversed":
@@ -364,6 +367,10 @@ class TestVocabulary:
             v_x[40, 1] = np.nextafter(v_x[40, 1], 1.0)
         elif case == "3x5":
             v_x = ca.Grid((-1.0, -1.0), (1.0, 1.0), (3, 5)).points()
+        elif case == "span_overflow":
+            v_x = [[-1e308], [1e308]]
+        elif case == "midpoint_overflow":
+            v_x = [[1.7e308]]
         else:
             v_x = np.zeros((1, 0))
         assert ca.Vocabulary(v_x, [[0.0]]).x_grid_spec is None
@@ -419,10 +426,10 @@ class TestDensityAudit:
     @pytest.mark.parametrize("n_max", [128, 150])
     def test_matches_dense_reference(self, monkeypatch, kind, d, tokens, probe_per_dim,
                                      n_max):
-        # small blocks so that 128 ends on a pe_block and an update boundary
-        # and 150 on neither; the third token sits partly outside the region
-        monkeypatch.setattr(vocab_pe, "_DENSITY_BLOCK", 64 * tokens)
-        monkeypatch.setattr(vocab_pe, "_TOUCH_ROWS", 8)
+        # a small pair budget: many chunks, positions whose boxes exceed it
+        # (applied a token slice at a time) and falls of r inside runs; the
+        # third token sits partly outside the region
+        monkeypatch.setattr(vocab_pe, "_DENSITY_PAIRS", 256)
         region = ca.Box((-1.0,) * d, (1.0,) * d)
         scheme = (ca.calkin_wilf_lattice(d) if kind == "calkin_wilf_lattice"
                   else getattr(ca, kind)(region))
@@ -432,9 +439,35 @@ class TestDensityAudit:
         ref = dense_covering_radii(vocab, scheme, region, n_max, probe_per_dim)
         assert np.array_equal(prof.radii, ref)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["dyadic_lattice", "irrational_rotation",
+                                                  "calkin_wilf_lattice"]),
+           d=st.integers(1, 3), budget=st.sampled_from([1, 16, 64, 256, 4096]))
+    def test_matches_dense_reference_random(self, data, kind, d, budget):
+        # budgets this small make many chunks, positions past the budget and
+        # falls of r inside runs; offsets up to 2.5 put tokens outside the region
+        lo = data.draw(st.lists(st.floats(-2.0, 1.0), min_size=d, max_size=d))
+        width = data.draw(st.lists(st.floats(0.25, 3.0), min_size=d, max_size=d))
+        region = ca.Box(lo, [l + w for l, w in zip(lo, width)])
+        scheme = (ca.calkin_wilf_lattice(d) if kind == "calkin_wilf_lattice"
+                  else getattr(ca, kind)(region))
+        coord = st.floats(-2.5, 2.5, allow_nan=False)
+        offsets = data.draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                                     min_size=1, max_size=3))
+        vocab = ca.Vocabulary(offsets, [[0.0]])
+        probe_per_dim = data.draw(st.integers(1, (33, 12, 6)[d - 1]))
+        n_max = data.draw(st.integers(1, 200))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(vocab_pe, "_DENSITY_PAIRS", budget)
+            prof = ca.density_audit(vocab, scheme, region, n_max, probe_per_dim=probe_per_dim)
+        assert np.array_equal(prof.radii,
+                              dense_covering_radii(vocab, scheme, region, n_max, probe_per_dim))
+
     @pytest.mark.parametrize("kind", ["dyadic_lattice", "irrational_rotation"])
     def test_matches_dense_reference_across_a_full_block(self, kind):
-        n_max = vocab_pe._DENSITY_BLOCK + 45
+        # the final boxes hold at most 4 x 4 probes, so the last chunk is
+        # at least _DENSITY_PAIRS / 16 positions long
+        n_max = vocab_pe._DENSITY_PAIRS // 16 + 45
         region = ca.Box((-1.0, -1.0), (1.0, 1.0))
         vocab = ca.Vocabulary([[0.031, -0.017]], [[0.0]])
         scheme = getattr(ca, kind)(region)
@@ -448,6 +481,13 @@ class TestDensityAudit:
         scheme = ca.dyadic_lattice(ca.Box((-1.0,), (1.0,)))
         with pytest.raises(ValueError, match="n_max must be >= 1"):
             ca.density_audit(vocab, scheme, ca.Box((-1.0,), (1.0,)), n_max)
+
+    def test_rejects_vocabulary_of_another_dimension(self):
+        # a 1-d token used to be broadcast over a 2-d region
+        region = ca.Box((-1.0, -1.0), (1.0, 1.0))
+        with pytest.raises(ca.DimensionError, match="dimensions disagree: 2, 2, 1"):
+            ca.density_audit(ca.Vocabulary([[0.5]], [[0.0]]), ca.dyadic_lattice(region),
+                             region, 7)
 
     def test_csv_output(self, tmp_path):
         vocab = ca.Vocabulary([[0.0]], [[0.0]])
@@ -484,3 +524,15 @@ class TestFiniteBounds:
             ca.Box(lo, hi)
         with pytest.raises(ValueError, match="grid bounds must be finite"):
             ca.Grid(lo, hi, (5,) * len(lo))
+
+    def test_box_and_grid_reject_a_span_past_the_float_range(self):
+        with pytest.raises(ValueError, match=r"box span hi - lo must be finite, got \(inf,\)"):
+            ca.Box((-1e308,), (1e308,))
+        with pytest.raises(ValueError, match=r"grid span hi - lo must be finite, got \(inf,\)"):
+            ca.Grid((-1e308,), (1e308,), (5,))
+
+    def test_grid_rejects_a_one_point_axis_whose_midpoint_overflows(self):
+        with pytest.raises(ValueError, match=r"grid midpoint \(lo \+ hi\) / 2 .* \(inf,\)"):
+            ca.Grid((1.7e308, 0.0), (1.7e308, 1.0), (1, 5))
+        # two points need no midpoint
+        assert ca.Grid((1.7e308, 0.0), (1.7e308, 1.0), (2, 5)).points().shape == (10, 2)
