@@ -69,6 +69,22 @@ PROP1_SMALL = {"kind": "prop1_fuzz", "count": 20, "seed": 3, "k_range": [1, 6],
 NONUAP_SMALL = {"kind": "nonuap", "max_context": 20, "trials": 50, "seed": 1,
                 "family": {"a_set": [1.0], "w_set": [0.5], "b_set": [0.0]}}
 
+# criterion 5 of the acceptance suite (multi-output construction), as the
+# benchmark runs it; ints stay ints, since config_sha256 hashes the JSON
+CONSTRUCT_MULTI = {
+    "target": {"exprs": ["sin(2*pi*x)", "cos(2*pi*x)"]},
+    "transformer": {"kind": "random", "seed": 7, "d_x": 2, "d_y": 2},
+    "vocab": {"x_grid": {"lo": [-10.0, -10.0], "hi": [10.0, 10.0], "per_dim": 81},
+              "d_y": 2},
+    "scheme": {"kind": "calkin_wilf_lattice", "d_x": 2},
+    "grid": {"lo": [0.0], "hi": [1.0], "counts": [1500]},
+    "epsilon": 0.3,
+    "seed": 9,
+    "budgets": {"fit": 0.08, "perturb": 0.02, "tokens": 0.20},
+    "fit": {"k": 14, "refine_steps": 300},
+    "caps": {"j_cap": 80000000},
+}
+
 KRONECKER_BETAS = {"betas": [0.0, 1.5], "epsilon": 0.01, "q_cap": 100000}
 
 KRONECKER_RANDOM = {"random": {"seed": 1, "count": 3, "lo": -5.0, "hi": 5.0}, "epsilon": 0.01}
@@ -371,6 +387,24 @@ class TestConstructCommand:
         for name in ("report.json", "tokens.csv", "error_vs_n.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("name,digests", [
+        ("acceptance", ("96dc6733fd16aea83ffa588ecf2f56c846b39b3b7e0595e73f7e81a6dafb3206",
+                        "f9eb6eb0ac311fd090897c96973aa5bac915521b41b64a76abc614997d7735c0",
+                        "43c1a90278921a95de23b68c6949d94885727943931d9e962423c12d003ea842")),
+        ("multi", ("ec9717890e1bde42abfdcd56adba9dae3510bd71d841b067c87f84bd51e227f4",
+                   "d335e0958b1af03c3907eee964cc703ae83390b31249ed6eb4014372de528ec1",
+                   "ce401c1f7ace5f432611ed555688d4e74dd47d97c72173bab461d8457765d724"))])
+    def test_construct_artifact_bytes(self, tmp_path, name, digests):
+        # pinned: a change that moves one bit of a fit, a scan or a token sum
+        # shows here
+        cfg = (json.loads((ROOT / "configs" / "construct_sin_acceptance.json").read_text())
+               if name == "acceptance" else CONSTRUCT_MULTI)
+        code, out = run(tmp_path, name, cfg, "construct")
+        assert code == 0
+        got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                    for f in ("report.json", "tokens.csv", "error_vs_n.csv"))
+        assert got == digests
+
     @pytest.mark.parametrize("vocab", ["x_grid", "v_x"])
     def test_report_records_the_vocabulary_by_hash(self, tmp_path, vocab):
         import ctxapprox as ca
@@ -491,6 +525,13 @@ class TestAuditCommands:
         assert err["exit_code"] == 4
         assert "below the certified floor 2" in err["message"]
         assert not (out / "audit.json").exists()
+
+    def test_nonuap_shipped_config_bytes(self, tmp_path):
+        cfg = json.loads((ROOT / "configs" / "nonuap_audit.json").read_text())
+        code, out = run(tmp_path, "nonuap_shipped", cfg, "audit")
+        assert code == 0
+        digest = hashlib.sha256((out / "audit.csv").read_bytes()).hexdigest()
+        assert digest == "0715eb00d61fae0749fe006eaca1dbfa29c8e576fb604648d791b119bcdf51c1"
 
     def test_density_shipped_config_bytes(self, tmp_path):
         # pinned: the per-point boxes and the bisection of the non-increasing
