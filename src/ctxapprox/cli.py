@@ -215,10 +215,22 @@ def _vocab(v: _Config) -> Vocabulary:
                       np.array(v.get("v_y", list), dtype=float))
 
 
+def _same_dimension(d_x: int, of: str, vocab: Vocabulary, scheme: PeScheme):
+    """Names the vocabulary or scheme field whose dimension is not ``d_x``,
+    the dimension of the field ``of``."""
+    scheme_field = "scheme.d_x" if scheme.kind == "calkin_wilf_lattice" else "scheme.region"
+    for field, dim in (("vocab", vocab.d_x), (scheme_field, scheme.d_x)):
+        if dim != d_x:
+            raise ConfigError(field, f"{field} has dimension {dim}, {of} has {d_x}")
+
+
 def _target(t: _Config, d_in: int, d_y: int):
     if t.has("samples_file"):
         return t.load("samples_file", lambda path: _samples_target(path, d_in, d_y), str)
     compiled = [parse_target(e) for e in t.get("exprs", list)]
+    if len(compiled) != d_y:
+        raise ConfigError(t.field("exprs"), f"needs one expression per output "
+                                            f"(d_y = {d_y}), got {len(compiled)}")
 
     def target(points):
         return np.column_stack([c(points) for c in compiled])
@@ -313,6 +325,7 @@ def cmd_construct(cfg: _Config, out: Path, seed_override: int | None) -> int:
     grid = cfg.load("grid", _grid)
     vocab = cfg.load("vocab", _vocab)
     scheme = cfg.load("scheme", _scheme)
+    _same_dimension(tp.d_x, "transformer.d_x", vocab, scheme)
     epsilon = cfg.get("epsilon", float)
     seed = cfg.get("seed", int, 0)
     target = cfg.load("target", lambda t: _target(t, grid.dim, tp.d_y))
@@ -351,6 +364,7 @@ def cmd_density(cfg: _Config, out: Path, seed_override: int | None) -> int:
     vocab = cfg.load("vocab", _vocab)
     scheme = cfg.load("scheme", _scheme)
     region = cfg.load("region", _box)
+    _same_dimension(region.dim, "region", vocab, scheme)
     n_max = cfg.get("n_max", int)
     probe_per_dim = cfg.get("probe_per_dim", int, 64)
     for key, value in (("n_max", n_max), ("probe_per_dim", probe_per_dim)):
@@ -396,7 +410,10 @@ def cmd_audit(cfg: _Config, out: Path, seed_override: int | None) -> int:
     seed = cfg.get("seed", int, 0)
     seed = seed if seed_override is None else seed_override
     if kind == "prop1_fuzz":
-        audit = partial(prop1_fuzz, cfg.get("count", int), seed,
+        count = cfg.get("count", int)
+        if count < 0:
+            raise ConfigError("count", f"count must be >= 0, got {count}")
+        audit = partial(prop1_fuzz, count, seed,
                         k_range=tuple(cfg.numbers("k_range", int, [1, 6])),
                         exponent_separation=cfg.get("exponent_separation", float, 0.1),
                         coeff_range=cfg.get("coeff_range", float, 5.0),

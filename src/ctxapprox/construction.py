@@ -38,6 +38,7 @@ _TOKEN_SAFETY = 1.25
 
 _J_CAP_MAX = 1 << 62   # position indices, Morton streams and pe_block work in int64
 _CHUNK = 1 << 16       # stream values or candidate tuples handled at a time
+_SUM_CELLS = 1 << 14   # (point, token) cells of one row block of a token sum
 
 
 def _require_positive_finite(name: str, value: float):
@@ -599,24 +600,44 @@ def _token_rows(tokens, vocab, scheme, cmap) -> np.ndarray:
     return rows
 
 
-def _token_prefix_sums(token_rows, tokens, x_tilde, activation, d_y):
-    """Yields sum_{j<=t} y_j sigma(row_j . x~) per component, (N, d_y), for t = 0..T.
+def _row_blocks(n: int, tokens: int) -> list[slice]:
+    """Consecutive slices of max(2, _SUM_CELLS // tokens) rows covering n rows.
 
-    One array is updated in place and yielded after each token.
+    No slice has exactly one row unless n = 1: numpy sends a one-row product
+    to a vector kernel, whose bits differ from the full product's, so a
+    one-row tail joins the block before it."""
+    rows = max(2, _SUM_CELLS // max(tokens, 1))
+    cuts = [*range(0, n, rows), n]
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        del cuts[-2]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def _token_prefix_sums(token_rows, tokens, x_tilde, activation, d_y):
+    """Yields (rows, t, sums) for each row block of x~ and t = 0..T, where
+    sums is sum_{j<=t} y_j sigma(row_j . x~) per component on the block's
+    rows, (rows, d_y).
+
+    Blocks hold about _SUM_CELLS (point, token) cells (see _row_blocks), so
+    no temporary grows with points x tokens.  Within a block the tokens are added one after
+    another, in position order, into one array that is yielded after each.
     """
-    out = np.zeros((x_tilde.shape[0], d_y))
-    yield out
-    if not tokens:
-        return
-    act = activation(x_tilde @ token_rows.T)            # (N, T)
-    for idx, t in enumerate(tokens):
-        out[:, t.component] += t.y_value * act[:, idx]
-        yield out
+    for rows in _row_blocks(x_tilde.shape[0], len(tokens)):
+        act = activation(x_tilde[rows] @ token_rows.T)
+        out = np.zeros((act.shape[0], d_y))
+        yield rows, 0, out
+        for idx, t in enumerate(tokens):
+            out[:, t.component] += t.y_value * act[:, idx]
+            yield rows, idx + 1, out
+        del act     # freed before the next block's product is made, not after
 
 
 def _token_sum(token_rows, tokens, x_tilde, activation, d_y) -> np.ndarray:
     """sum_j y_j sigma(row_j . x~) per component; (N, d_y)."""
-    *_, out = _token_prefix_sums(token_rows, tokens, x_tilde, activation, d_y)
+    out = np.empty((x_tilde.shape[0], d_y))
+    for rows, t, vals in _token_prefix_sums(token_rows, tokens, x_tilde, activation, d_y):
+        if t == len(tokens):
+            out[rows] = vals
     return out
 
 
@@ -737,10 +758,12 @@ def _token_stage(plans, tp, vocab, scheme, cmap, x_tilde, m_hat, activation,
 
 
 def _audit_stage(tokens, trows, token_vals, tp, activation, f_vals, x_tilde_audit, f_audit):
-    """Stage 4: the finished context's readout error on the grid and the refined grid."""
-    audit_vals = _token_sum(trows, tokens, x_tilde_audit, activation, tp.d_y)
+    """Stage 4: the finished context's readout error on the grid and, one row
+    block at a time, on the refined grid."""
+    sums = _token_prefix_sums(trows, tokens, x_tilde_audit, activation, tp.d_y)
     return (_readout_error(tp.U, token_vals, f_vals),
-            _readout_error(tp.U, audit_vals, f_audit))
+            float(np.max([_readout_error(tp.U, vals, f_audit[rows])
+                          for rows, t, vals in sums if t == len(tokens)])))
 
 
 def construct_context(target, grid: Grid, vocab: Vocabulary, scheme: PeScheme,
@@ -858,6 +881,8 @@ def prefix_errors(report: ConstructionReport, tp: TransformerParams,
     x_t = lifted(as_points(points, tp.d_x - 1))
     tokens = sorted(report.tokens, key=lambda t: t.position)
     rows = _token_rows(tokens, report.vocab, report.scheme, tp.C.T @ tp.B)
-    sums = _token_prefix_sums(rows, tokens, x_t, activation, tp.d_y)
-    return [(tokens[t - 1].position if t else 0, t, _readout_error(tp.U, vals, f_vals))
-            for t, vals in enumerate(sums)]
+    errors = np.zeros(len(tokens) + 1)
+    for block, t, vals in _token_prefix_sums(rows, tokens, x_t, activation, tp.d_y):
+        errors[t] = np.maximum(errors[t], _readout_error(tp.U, vals, f_vals[block]))
+    return [(tokens[t - 1].position if t else 0, t, float(err))
+            for t, err in enumerate(errors)]

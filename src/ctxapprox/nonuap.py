@@ -141,6 +141,8 @@ def prop1_fuzz(count: int, seed: int, *, k_range=(1, 6),
     all zero.  A sum with more than k - 1 sign changes is a violation.
     Options that no draw could meet are rejected up front with ValueError.
     """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     k_lo, k_hi = _k_range(k_range)
     sep = float(exponent_separation)
     if not (math.isfinite(sep) and sep > 0.0):

@@ -476,8 +476,12 @@ class DensityProfile:
     radii: np.ndarray
 
     def write_csv(self, fh):
+        """One line per n, streamed; r(n) takes few distinct values, so each
+        is formatted once."""
+        radii = self.radii.tolist()
+        text = {r: f",{r:.17g}\n" for r in set(radii)}
         fh.write("n,covering_radius\n")
-        fh.writelines(f"{int(n)},{r:.17g}\n" for n, r in zip(self.ns.tolist(), self.radii.tolist()))
+        fh.writelines(f"{n}{text[r]}" for n, r in zip(self.ns.tolist(), radii))
 
 
 # (point, probe) pairs a density audit computes per chunk of positions

@@ -494,6 +494,11 @@ class TestAuditCommands:
         doc = json.loads((out / "audit.json").read_text())
         assert doc["violations"] == 0
 
+    def test_prop1_fuzz_zero_count(self, tmp_path):
+        code, out = run(tmp_path, "fuzz0", mutated(PROP1_SMALL, "count", 0), "audit")
+        assert code == 0
+        assert json.loads((out / "audit.json").read_text())["violations"] == 0
+
     def test_nonuap_audit(self, tmp_path):
         cfg = {"kind": "nonuap", "max_context": 50, "trials": 200, "seed": 1,
                "family": {"a_set": [1.0, -1.0], "w_set": [0.5, -0.5],
@@ -725,10 +730,22 @@ class TestAuditCommands:
         ("kronecker", KRONECKER_RANDOM, "random.lo", float("nan"), "random"),
         ("embed", EMBED_SOFTMAX, "fnn.random.scale", float("nan"), "fnn.random"),
         ("kronecker", KRONECKER_BETAS, "betas", [], "betas"),
-        ("kronecker", KRONECKER_RANDOM, "random.count", 0, "random.count")])
+        ("kronecker", KRONECKER_RANDOM, "random.count", 0, "random.count"),
+        ("density", DENSITY_SMALL, "vocab.v_x", [], "vocab"),
+        ("density", DENSITY_SMALL, "vocab.v_x", [[0.0, 0.0]], "vocab"),
+        ("construct", CONSTRUCT_SMALL, "scheme.d_x", 3, "scheme.d_x"),
+        ("construct", CONSTRUCT_SMALL, "scheme",
+         {"kind": "dyadic_lattice", "region": {"lo": [-1.0], "hi": [1.0]}}, "scheme.region"),
+        ("construct", CONSTRUCT_SMALL, "vocab",
+         {"v_x": [[0.0]], "v_y": [[0.0], [1.0], [-1.0], [2 ** 0.5]]}, "vocab"),
+        ("construct", CONSTRUCT_SMALL, "target.exprs", [], "target.exprs"),
+        ("construct", CONSTRUCT_SMALL, "target.exprs", ["x", "x"], "target.exprs"),
+        ("audit", PROP1_SMALL, "count", -1, "count")])
     def test_bad_value_names_its_field(self, tmp_path, command, config, path, value, field):
         # these used to escape main as a traceback (exit 1), run with a bool
-        # as 1.0, or exit 2 naming no field
+        # as 1.0, or exit 2 naming no field (the dimension mismatches named
+        # "config", an empty exprs list and a negative count with a raw numpy
+        # message)
         cfg = mutated(config, path, value)
         if command == "construct":
             cfg["caps"]["j_cap"] = 200

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -661,3 +662,78 @@ class TestReluRescaled:
         act = (pts @ p.W.T + p.b) > 0
         act_scaled = (pts @ scaled.W.T + scaled.b) > 0
         assert np.array_equal(act, act_scaled)
+
+
+class TestBlockedTokenSums:
+    """The token sums run in row blocks of about _SUM_CELLS (point, token)
+    cells; every value must keep the bits of the one-pass formula."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), cells=st.sampled_from([8, 12, 40]),
+           t_count=st.sampled_from([0, 1, 3, 5, 7, 21]), d_x=st.sampled_from([2, 3]),
+           d_y=st.sampled_from([1, 2]), kind=st.sampled_from(["relu", "exp"]),
+           n_case=st.sampled_from(["1", "2", "rows-1", "rows", "rows+1", "2rows+1"]))
+    def test_blocks_match_the_one_pass_sums(self, seed, cells, t_count, d_x, d_y, kind,
+                                             n_case):
+        rng = np.random.default_rng(seed)
+        rows = max(2, cells // max(t_count, 1))   # t_count > cells / 2 leaves 2 rows
+        n = {"1": 1, "2": 2, "rows-1": rows - 1, "rows": rows, "rows+1": rows + 1,
+             "2rows+1": 2 * rows + 1}[n_case]
+        tp = ca.random_sparse_params(seed % 1000, d_x, d_y)
+        vocab = ca.Vocabulary.x_grid((-2.0,) * d_x, (2.0,) * d_x, 5, d_y)
+        scheme = ca.calkin_wilf_lattice(d_x)
+        positions = rng.choice(np.arange(1, 300), t_count, replace=False)
+        tokens = sorted((construction.TokenAssignment(
+            int(j), int(rng.integers(len(vocab.v_x))), "sqrt2", 0, int(rng.integers(d_y)),
+            float(rng.choice([SQRT2, 1.0, -1.0]))) for j in positions),
+            key=lambda t: t.position)
+        activation = ca.Activation(kind)
+        pts = rng.uniform(0.0, 1.0, (n, d_x - 1))
+        x_t = np.hstack([pts, np.ones((n, 1))])
+        f_vals = rng.uniform(-1.0, 1.0, (n, d_y))
+        trows = _token_rows(tokens, vocab, scheme, tp.C.T @ tp.B)
+
+        # the one-pass reference: every point at once, tokens in position order
+        sums = [np.zeros((n, d_y))]
+        act = activation(x_t @ trows.T)
+        for idx, t in enumerate(tokens):
+            sums.append(sums[-1].copy())
+            sums[-1][:, t.component] += t.y_value * act[:, idx]
+        errors = [float(np.max(np.abs((tp.U @ s.T).T - f_vals))) for s in sums]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(construction, "_SUM_CELLS", cells)
+            blocks = construction._row_blocks(n, t_count)
+            got = construction._token_sum(trows, tokens, x_t, activation, d_y)
+            got_errors = ca.prefix_errors(SimpleNamespace(tokens=tokens, vocab=vocab,
+                                                          scheme=scheme),
+                                          tp, activation, pts, f_vals)
+            base, audit = construction._audit_stage(tokens, trows, got, tp, activation,
+                                                    f_vals, x_t, f_vals)
+        assert all(b.stop - b.start >= 2 for b in blocks) or n == 1
+        assert len(blocks) == max(1, n // rows)
+        assert np.array_equal(got, sums[-1])
+        assert got_errors == [(tokens[t - 1].position if t else 0, t, e)
+                              for t, e in enumerate(errors)]
+        assert base == audit == errors[-1]
+
+    def test_audit_stage_memory_is_one_block(self):
+        # unblocked, the (points, tokens) products of 50k points and 40
+        # tokens are two 16 MB temporaries
+        rng = np.random.default_rng(5)
+        tp = ca.random_sparse_params(3, 2, 1)
+        tokens = [construction.TokenAssignment(j + 1, 0, "plus_unit", 0, 0, 1.0)
+                  for j in range(40)]
+        trows = rng.uniform(-1.0, 1.0, (40, 2))
+        x_audit = np.hstack([rng.uniform(0.0, 1.0, (50_000, 1)), np.ones((50_000, 1))])
+        f_audit = rng.uniform(-1.0, 1.0, (50_000, 1))
+        token_vals = np.zeros((10, 1))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            construction._audit_stage(tokens, trows, token_vals, tp, ca.RELU,
+                                      np.zeros((10, 1)), x_audit, f_audit)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

@@ -103,6 +103,11 @@ class TestProp1Fuzz:
         with pytest.raises(ValueError, match=field):
             ca.prop1_fuzz(5, 1, **options)
 
+    def test_rejects_a_negative_count(self):
+        # numpy used to fail with "negative dimensions are not allowed"
+        with pytest.raises(ValueError, match="count must be >= 0, got -1"):
+            ca.prop1_fuzz(-1, 1)
+
     def test_separation_near_the_limit_returns(self):
         # k = 6 at separation 1.19 (the limit is 1.2): a rejection draw
         # succeeds with chance about 3e-13, so the old loop never returned
