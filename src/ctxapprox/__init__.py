@@ -10,7 +10,7 @@ positional encoding cannot.
 __version__ = "0.1.0"
 
 from .construction import (Caps, ConstructionReport, FitOptions, StageBudgets,
-                           construct_context, prefix_errors)
+                           construct_context)
 from .embedding import (EmbeddingResult, embed_fnn, embed_softmax_fnn,
                         exp_to_softmax_fnn, extract_fnn)
 from .errors import (BudgetError, ConfigError, CtxApproxError, DimensionError,

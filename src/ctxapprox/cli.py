@@ -21,8 +21,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import __version__
-from .construction import (Caps, FitOptions, StageBudgets, construct_context,
-                           prefix_errors)
+from .construction import Caps, FitOptions, StageBudgets, construct_context
 from .embedding import embed_fnn, embed_softmax_fnn
 from .errors import (BudgetError, ConfigError, CtxApproxError,
                      KroneckerCapExceeded, PositionScanExhausted)
@@ -151,6 +150,17 @@ def _options(cls, o: _Config):
                   if o.has(key)})
 
 
+def _seed(cfg: _Config, seed_override: int | None, default=_REQUIRED) -> int:
+    """``seed`` of ``cfg``, or the ``--seed`` override when given; numpy's
+    generators take no negative seed, so the one used must be >= 0."""
+    field, seed = cfg.field("seed"), cfg.get("seed", int, default)
+    if seed_override is not None:
+        field, seed = "--seed", seed_override
+    if seed < 0:
+        raise ConfigError(field, f"{field} must be >= 0, got {seed}")
+    return seed
+
+
 def _grid(g: _Config) -> Grid:
     return Grid(tuple(g.numbers("lo")), tuple(g.numbers("hi")), tuple(g.numbers("counts", int)))
 
@@ -170,7 +180,7 @@ def _transformer(t: _Config) -> TransformerParams:
     if kind == "identity":
         return identity_sparse_params(d_x, d_y)
     if kind == "random":
-        return random_sparse_params(t.get("seed", int), d_x, d_y)
+        return random_sparse_params(_seed(t, None), d_x, d_y)
     raise ConfigError(t.field("kind"), f"unknown kind {kind!r}")
 
 
@@ -183,7 +193,7 @@ def _fnn(f: _Config) -> FnnParams:
 
 
 def _random_fnn(r: _Config) -> FnnParams:
-    rng = np.random.default_rng(r.get("seed", int))
+    rng = np.random.default_rng(_seed(r, None))
     k = r.get("k", int)
     d_in = r.get("d_in", int)
     d_y = r.get("d_y", int)
@@ -227,7 +237,7 @@ def _same_dimension(d_x: int, of: str, vocab: Vocabulary, scheme: PeScheme):
 def _target(t: _Config, d_in: int, d_y: int):
     if t.has("samples_file"):
         return t.load("samples_file", lambda path: _samples_target(path, d_in, d_y), str)
-    compiled = [parse_target(e) for e in t.get("exprs", list)]
+    compiled = [parse_target(e) for e in t.numbers("exprs", str)]
     if len(compiled) != d_y:
         raise ConfigError(t.field("exprs"), f"needs one expression per output "
                                             f"(d_y = {d_y}), got {len(compiled)}")
@@ -272,13 +282,13 @@ def _family(f: _Config) -> FiniteFamilySpec:
 
 
 def _random_betas(seed_override: int | None, r: _Config) -> list:
-    seed = r.get("seed", int)
+    seed = _seed(r, seed_override)
     lo = r.get("lo", float, -10.0)
     hi = r.get("hi", float, 10.0)
     count = r.get("count", int)
     if count < 1:
         raise ConfigError(r.field("count"), f"needs at least one beta, got {count}")
-    rng = np.random.default_rng(seed if seed_override is None else seed_override)
+    rng = np.random.default_rng(seed)
     return rng.uniform(lo, hi, count).tolist()
 
 
@@ -326,8 +336,12 @@ def cmd_construct(cfg: _Config, out: Path, seed_override: int | None) -> int:
     vocab = cfg.load("vocab", _vocab)
     scheme = cfg.load("scheme", _scheme)
     _same_dimension(tp.d_x, "transformer.d_x", vocab, scheme)
+    if vocab.d_y != tp.d_y:
+        raise ConfigError("vocab", f"vocab has d_y {vocab.d_y}, transformer.d_y is {tp.d_y}")
+    if grid.dim != tp.d_x - 1:
+        raise ConfigError("grid", f"grid has dimension {grid.dim}, needs d_x - 1 = {tp.d_x - 1}")
     epsilon = cfg.get("epsilon", float)
-    seed = cfg.get("seed", int, 0)
+    seed = _seed(cfg, seed_override, 0)
     target = cfg.load("target", lambda t: _target(t, grid.dim, tp.d_y))
     # absent objects take the library's defaults
     options = {name: cfg.load(name, partial(_options, cls)) for name, cls in
@@ -342,20 +356,17 @@ def cmd_construct(cfg: _Config, out: Path, seed_override: int | None) -> int:
         raise ConfigError("construction", "must be 'dense' or 'relu_rescaled'")
     cfg.done()
     report = construct_context(target, grid, vocab, scheme, tp, epsilon, activation=activation,
-                               seed=seed if seed_override is None else seed_override, **options)
+                               seed=seed, **options)
     doc = _meta(cfg.obj, "construct")
     doc["report"] = report.to_json_dict()
     _write_json(out / "report.json", doc)
     with (out / "tokens.csv").open("w", newline="") as fh:
         fh.write(_csv_header(cfg.obj))
         report.write_tokens_csv(fh)
-
-    # prefix error curve: sup error using the first t assigned tokens
-    pts = grid.points()
     with (out / "error_vs_n.csv").open("w", newline="") as fh:
         fh.write(_csv_header(cfg.obj))
         fh.write("n,tokens_used,sup_error\n")
-        for n_here, t, err in prefix_errors(report, tp, activation, pts, target(pts)):
+        for n_here, t, err in report.error_vs_n:
             fh.write(f"{n_here},{t},{_fmt(err)}\n")
     return EXIT_OK
 
@@ -407,8 +418,7 @@ def cmd_kronecker(cfg: _Config, out: Path, seed_override: int | None) -> int:
 
 def cmd_audit(cfg: _Config, out: Path, seed_override: int | None) -> int:
     kind = cfg.get("kind", str)
-    seed = cfg.get("seed", int, 0)
-    seed = seed if seed_override is None else seed_override
+    seed = _seed(cfg, seed_override, 0)
     if kind == "prop1_fuzz":
         count = cfg.get("count", int)
         if count < 0:

@@ -28,7 +28,7 @@ from .errors import (BudgetError, DimensionError, EpsilonRangeError,
                      NonFiniteFitError, NonFiniteTargetError, PositionScanExhausted,
                      TokenDemandError)
 from .fnn import RELU, Activation, FitResult, fit_fnn, fnn_forward_batch
-from .grids import Grid, as_points, lifted
+from .grids import Grid, lifted
 from .kronecker import SQRT2, TokenDecomposition, coefficient_decompose
 from .transformer import TransformerParams
 from .vocab_pe import (PeScheme, Vocabulary, _cw_stream_coords, _morton_levels,
@@ -38,6 +38,7 @@ _TOKEN_SAFETY = 1.25
 
 _J_CAP_MAX = 1 << 62   # position indices, Morton streams and pe_block work in int64
 _CHUNK = 1 << 16       # stream values or candidate tuples handled at a time
+_SCAN_BLOCK = 1 << 15  # positions decoded at a time by the block scan
 _SUM_CELLS = 1 << 14   # (point, token) cells of one row block of a token sum
 
 
@@ -152,6 +153,8 @@ class ConstructionReport:
     in ``tokens`` is nulled (vocabulary index 0, y = 0).  ``dense_context``
     materializes the full (X, Y) pair for small n.  ``tokens`` is the one
     record of the assignment; the JSON form records the vocabulary by hash.
+    ``error_vs_n`` is (n, t, error) for t = 0..T: the fit-grid readout error
+    of the first t tokens, the t-th at position n; the JSON form leaves it out.
     """
 
     mode: str
@@ -169,6 +172,7 @@ class ConstructionReport:
     vocab: Vocabulary
     scheme: PeScheme
     fit_sup_error: float
+    error_vs_n: tuple = ()
 
     def __post_init__(self):
         seen = set()
@@ -371,8 +375,7 @@ class _Scan:
         return self.collected
 
 
-def _block_scan(scan: _Scan, scheme: PeScheme, j_cap: int,
-                block: int = 1 << 15) -> list[list[ScanHit]]:
+def _block_scan(scan: _Scan, scheme: PeScheme, j_cap: int) -> list[list[ScanHit]]:
     """Walk over every position from 1, one block of encodings at a time.
 
     The path for every case the candidate path does not take, and the
@@ -381,7 +384,7 @@ def _block_scan(scan: _Scan, scheme: PeScheme, j_cap: int,
     """
     j = 1
     while j <= j_cap and np.any(scan.demand > 0):
-        count = min(block, j_cap - j + 1)
+        count = min(_SCAN_BLOCK, j_cap - j + 1)
         pe = pe_block(scheme, j, count)                       # (count, d)
         hits = []
         open_idx = np.nonzero(scan.demand > 0)[0]
@@ -632,13 +635,17 @@ def _token_prefix_sums(token_rows, tokens, x_tilde, activation, d_y):
         del act     # freed before the next block's product is made, not after
 
 
-def _token_sum(token_rows, tokens, x_tilde, activation, d_y) -> np.ndarray:
-    """sum_j y_j sigma(row_j . x~) per component; (N, d_y)."""
-    out = np.empty((x_tilde.shape[0], d_y))
-    for rows, t, vals in _token_prefix_sums(token_rows, tokens, x_tilde, activation, d_y):
+def _token_pass(token_rows, tokens, x_tilde, activation, tp, f_vals):
+    """One pass of _token_prefix_sums over the points: the full token sum
+    (N, d_y) and the curve ``ConstructionReport.error_vs_n``."""
+    out = np.empty((x_tilde.shape[0], tp.d_y))
+    errors = np.zeros(len(tokens) + 1)
+    for rows, t, vals in _token_prefix_sums(token_rows, tokens, x_tilde, activation, tp.d_y):
+        errors[t] = np.maximum(errors[t], _readout_error(tp.U, vals, f_vals[rows]))
         if t == len(tokens):
             out[rows] = vals
-    return out
+    return out, [(tokens[t - 1].position if t else 0, t, float(err))
+                 for t, err in enumerate(errors)]
 
 
 def _readout_error(U: np.ndarray, vals: np.ndarray, f_vals: np.ndarray) -> float:
@@ -715,11 +722,11 @@ def _witness_stage(tp, nets, cmap, x_extent, x_tilde, activation, perturb_inner,
 
 
 def _token_stage(plans, tp, vocab, scheme, cmap, x_tilde, m_hat, activation,
-                 tokens_inner, j_cap, perturbed):
+                 tokens_inner, j_cap, perturbed, f_vals):
     """Stage 3: scan with one tolerance that splits the token budget over the
     plans' token weights, then put sqrt2 on a plan's first q positions and its
     unit sign on the rest.  Returns the tokens in position order, their mapped
-    rows, their sum on the grid and its error."""
+    rows, the stage error and the curve ``ConstructionReport.error_vs_n``."""
     collected = []
     if plans:
         weights = [SQRT2 * p.witness.count_sqrt2 + p.witness.count_unit for p in plans]
@@ -752,18 +759,17 @@ def _token_stage(plans, tp, vocab, scheme, cmap, x_tilde, m_hat, activation,
                                           p.index, p.component, y))
     tokens.sort(key=lambda t: t.position)
     trows = _token_rows(tokens, vocab, scheme, cmap)
-    token_vals = _token_sum(trows, tokens, x_tilde, activation, tp.d_y)
+    token_vals, curve = _token_pass(trows, tokens, x_tilde, activation, tp, f_vals)
     tokens_measured = float(np.max(np.abs(tp.U @ (token_vals - perturbed).T)))
-    return tokens, trows, token_vals, tokens_measured
+    return tokens, trows, tokens_measured, curve
 
 
-def _audit_stage(tokens, trows, token_vals, tp, activation, f_vals, x_tilde_audit, f_audit):
-    """Stage 4: the finished context's readout error on the grid and, one row
-    block at a time, on the refined grid."""
+def _audit_stage(tokens, trows, tp, activation, x_tilde_audit, f_audit):
+    """Stage 4: the finished context's readout error on the refined grid, one
+    row block at a time."""
     sums = _token_prefix_sums(trows, tokens, x_tilde_audit, activation, tp.d_y)
-    return (_readout_error(tp.U, token_vals, f_vals),
-            float(np.max([_readout_error(tp.U, vals, f_audit[rows])
-                          for rows, t, vals in sums if t == len(tokens)])))
+    return float(np.max([_readout_error(tp.U, vals, f_audit[rows])
+                         for rows, t, vals in sums if t == len(tokens)]))
 
 
 def construct_context(target, grid: Grid, vocab: Vocabulary, scheme: PeScheme,
@@ -849,40 +855,23 @@ def construct_context(target, grid: Grid, vocab: Vocabulary, scheme: PeScheme,
     if perturb_measured >= budgets.perturb:
         raise BudgetError("perturb", perturb_measured, budgets.perturb)
 
-    tokens, trows, token_vals, tokens_measured = _token_stage(
+    tokens, trows, tokens_measured, curve = _token_stage(
         plans, tp, vocab, scheme, cmap, x_tilde, grid.max_x_tilde_l1(), activation,
-        budgets.tokens / u_scale, caps.j_cap, perturbed)
+        budgets.tokens / u_scale, caps.j_cap, perturbed, f_vals)
     if tokens_measured >= budgets.tokens:
         raise BudgetError("tokens", tokens_measured, budgets.tokens)
 
-    base_total, achieved = _audit_stage(tokens, trows, token_vals, tp, activation,
-                                        f_vals, lifted(audit_pts), f_audit)
+    achieved = _audit_stage(tokens, trows, tp, activation, lifted(audit_pts), f_audit)
     if achieved >= epsilon:
         raise BudgetError("total", achieved, epsilon)
 
     measured = {"fit": fit_measured, "perturb": perturb_measured,
-                "tokens": tokens_measured, "base_grid_total": base_total}
+                "tokens": tokens_measured, "base_grid_total": curve[-1][2]}
     return ConstructionReport(
         mode="dense" if lam is None else "rescaled", epsilon=epsilon,
         budgets=budgets, measured=measured, achieved_sup_error=achieved,
         n=max((t.position for t in tokens), default=0), seed=seed,
         tokens=tuple(tokens), per_neuron=tuple(plans), d_x=tp.d_x, d_y=tp.d_y,
         lambda_=lam, vocab=vocab, scheme=scheme,
-        fit_sup_error=max(fr.sup_error for fr in fits) if fits else 0.0)
-
-
-def prefix_errors(report: ConstructionReport, tp: TransformerParams,
-                  activation: Activation, points, f_vals) -> list[tuple[int, int, float]]:
-    """Sup error at the points using only the first t tokens, for t = 0..T.
-
-    Rows are (n, t, error), where n is the position of the t-th token (0 for
-    t = 0) and error is max |U sum_{j<=t} y_j sigma(row_j . x~) - f|.
-    """
-    x_t = lifted(as_points(points, tp.d_x - 1))
-    tokens = sorted(report.tokens, key=lambda t: t.position)
-    rows = _token_rows(tokens, report.vocab, report.scheme, tp.C.T @ tp.B)
-    errors = np.zeros(len(tokens) + 1)
-    for block, t, vals in _token_prefix_sums(rows, tokens, x_t, activation, tp.d_y):
-        errors[t] = np.maximum(errors[t], _readout_error(tp.U, vals, f_vals[block]))
-    return [(tokens[t - 1].position if t else 0, t, float(err))
-            for t, err in enumerate(errors)]
+        fit_sup_error=max(fr.sup_error for fr in fits) if fits else 0.0,
+        error_vs_n=tuple(curve))

@@ -1,12 +1,14 @@
 """Tiny arithmetic expression grammar for target functions.
 
-Supports literals, pi, input components (x or x1..x99), + - * /, unary minus,
-parentheses, and the functions sin, cos, exp, relu.  Expressions compile to
-vectorized callables on (N, d) point arrays; ``x`` is an alias for ``x1``.
+Literals, pi, input components (x or x1, x2, ...; ``x`` is ``x1``), + - * /,
+unary minus, parentheses and the functions sin, cos, exp, relu.  ``ast``
+parses an expression in eval mode, an allow-list of node types checks it, and
+it compiles to a vectorized callable on (N, d) point arrays.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import re
 from dataclasses import dataclass
@@ -16,8 +18,9 @@ import numpy as np
 
 from .errors import ConfigError
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-                       r"|([A-Za-z_][A-Za-z_0-9]*)|(.))")
+# most nodes on a root-to-leaf path: Python's own limit on nested parentheses,
+# and it keeps the recursive walks far inside the recursion limit
+_MAX_DEPTH = 200
 
 _FUNCTIONS: dict[str, Callable] = {
     "sin": np.sin,
@@ -25,124 +28,46 @@ _FUNCTIONS: dict[str, Callable] = {
     "exp": np.exp,
     "relu": lambda z: np.maximum(z, 0.0),
 }
+_BINOPS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply, ast.Div: np.divide}
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            break
-        num, ident, sym = m.groups()
-        if num is not None:
-            tokens.append(("num", num))
-        elif ident is not None:
-            tokens.append(("ident", ident))
-        elif sym.strip():
-            if sym not in "+-*/(),":
-                raise ConfigError("target.expr", f"unexpected character {sym!r}")
-            tokens.append(("sym", sym))
-        pos = m.end()
-    tokens.append(("end", ""))
-    return tokens
+def _compile(node: ast.AST, source: str, depth: int = 1) -> tuple:
+    """The tree ``_eval`` runs: ("const", c), ("var", index), or (ufunc, *operands)."""
+    if depth > _MAX_DEPTH:
+        raise ConfigError("target.expr", f"nesting deeper than {_MAX_DEPTH} levels")
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        return (_BINOPS[type(node.op)], _compile(node.left, source, depth + 1),
+                _compile(node.right, source, depth + 1))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return (np.negative, _compile(node.operand, source, depth + 1))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _FUNCTIONS and len(node.args) == 1 and not node.keywords):
+        return (_FUNCTIONS[node.func.id], _compile(node.args[0], source, depth + 1))
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return ("const", float(node.value))     # OverflowError past the float range
+    if isinstance(node, ast.Name):
+        if node.id == "pi":
+            return ("const", math.pi)
+        m = re.fullmatch(r"x(\d*)", node.id)
+        if m and int(m.group(1) or 1) >= 1:
+            return ("var", int(m.group(1) or 1) - 1)
+    raise ConfigError("target.expr", f"{ast.get_source_segment(source, node)!r} is not "
+                      "allowed; targets take numbers, pi, x1.., + - * /, unary minus "
+                      f"and {', '.join(_FUNCTIONS)} of one argument")
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, sym: str):
-        kind, val = self.next()
-        if kind != "sym" or val != sym:
-            raise ConfigError("target.expr", f"expected {sym!r} near token {val!r}")
-
-    def parse(self):
-        node = self.expr()
-        kind, val = self.peek()
-        if kind != "end":
-            raise ConfigError("target.expr", f"trailing input at {val!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("sym", "+") or self.peek() == ("sym", "-"):
-            op = self.next()[1]
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek() == ("sym", "*") or self.peek() == ("sym", "/"):
-            op = self.next()[1]
-            rhs = self.unary()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
-
-    def unary(self):
-        if self.peek() == ("sym", "-"):
-            self.next()
-            return ("neg", self.unary())
-        return self.atom()
-
-    def atom(self):
-        kind, val = self.next()
-        if kind == "num":
-            return ("const", float(val))
-        if kind == "ident":
-            if val == "pi":
-                return ("const", math.pi)
-            if val in _FUNCTIONS:
-                self.expect("(")
-                arg = self.expr()
-                self.expect(")")
-                return ("call", val, arg)
-            m = re.fullmatch(r"x(\d*)", val)
-            if m:
-                idx = int(m.group(1)) - 1 if m.group(1) else 0
-                if idx < 0:
-                    raise ConfigError("target.expr", f"bad variable {val!r}")
-                return ("var", idx)
-            raise ConfigError("target.expr", f"unknown identifier {val!r}")
-        if kind == "sym" and val == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        raise ConfigError("target.expr", f"unexpected token {val!r}")
-
-
-def _eval(node, pts: np.ndarray):
-    op = node[0]
+def _eval(node: tuple, pts: np.ndarray) -> np.ndarray:
+    """Constants become full arrays before a ufunc meets them (a scalar call may
+    round differently), and no subtree is folded ahead of time."""
+    op, *operands = node
     if op == "const":
-        return np.full(pts.shape[0], node[1])
+        return np.full(pts.shape[0], operands[0])
     if op == "var":
-        if node[1] >= pts.shape[1]:
-            raise ConfigError("target.expr",
-                              f"variable x{node[1] + 1} exceeds input dimension {pts.shape[1]}")
-        return pts[:, node[1]]
-    if op == "neg":
-        return -_eval(node[1], pts)
-    if op == "call":
-        return _FUNCTIONS[node[1]](_eval(node[2], pts))
-    a, b = _eval(node[1], pts), _eval(node[2], pts)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    return a / b
+        if operands[0] >= pts.shape[1]:
+            raise ConfigError("target.expr", f"variable x{operands[0] + 1} exceeds "
+                                             f"input dimension {pts.shape[1]}")
+        return pts[:, operands[0]]
+    return op(*(_eval(a, pts) for a in operands))
 
 
 @dataclass(frozen=True)
@@ -158,4 +83,8 @@ class TargetExpr:
 
 
 def parse_target(text: str) -> TargetExpr:
-    return TargetExpr(text, _Parser(text).parse())
+    source = " ".join(text.split())     # eval mode rejects leading whitespace
+    try:
+        return TargetExpr(text, _compile(ast.parse(source, mode="eval").body, source))
+    except (SyntaxError, RecursionError, OverflowError) as exc:
+        raise ConfigError("target.expr", f"cannot parse: {exc}") from None

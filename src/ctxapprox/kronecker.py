@@ -213,10 +213,6 @@ class TokenDecomposition:
     def token_count(self) -> int:
         return self.count_sqrt2 + self.count_unit
 
-    def token_values(self) -> list[float]:
-        """Mapping onto vocabulary y tokens: q sqrt2 entries, l signed units."""
-        return [SQRT2] * self.count_sqrt2 + [float(self.unit_sign)] * self.count_unit
-
     def to_json_dict(self) -> dict:
         return {"target": self.target, "count_sqrt2": self.count_sqrt2,
                 "count_unit": self.count_unit, "unit_sign": self.unit_sign,

@@ -141,8 +141,7 @@ class TransformerParams:
                                  general=general)
 
 
-def random_sparse_params(seed: int, d_x: int, d_y: int, *,
-                         with_off_blocks: bool = True) -> TransformerParams:
+def random_sparse_params(seed: int, d_x: int, d_y: int) -> TransformerParams:
     """Seeded well-conditioned sparse-partition parameters (F = 0).
 
     B, C, U are built as Q R-orthogonal factors times diagonals in [0.6, 1.6],
@@ -156,12 +155,8 @@ def random_sparse_params(seed: int, d_x: int, d_y: int, *,
 
     B, C = well_conditioned(d_x), well_conditioned(d_x)
     U = well_conditioned(d_y)
-    if with_off_blocks:
-        D = rng.standard_normal((d_x, d_x))
-        E = rng.standard_normal((d_x, d_y))
-    else:
-        D = np.zeros((d_x, d_x))
-        E = np.zeros((d_x, d_y))
+    D = rng.standard_normal((d_x, d_x))
+    E = rng.standard_normal((d_x, d_y))
     return TransformerParams(B, C, D, E, np.zeros((d_y, d_x)), U)
 
 

@@ -740,12 +740,19 @@ class TestAuditCommands:
          {"v_x": [[0.0]], "v_y": [[0.0], [1.0], [-1.0], [2 ** 0.5]]}, "vocab"),
         ("construct", CONSTRUCT_SMALL, "target.exprs", [], "target.exprs"),
         ("construct", CONSTRUCT_SMALL, "target.exprs", ["x", "x"], "target.exprs"),
-        ("audit", PROP1_SMALL, "count", -1, "count")])
+        ("audit", PROP1_SMALL, "count", -1, "count"),
+        ("construct", CONSTRUCT_SMALL, "vocab.d_y", 2, "vocab"),
+        ("construct", CONSTRUCT_SMALL, "grid",
+         {"lo": [0.0, 0.0], "hi": [1.0, 1.0], "counts": [4, 4]}, "grid"),
+        ("construct", CONSTRUCT_SMALL, "target.exprs", ["+".join(["x"] * 2000)],
+         "target.expr"),
+        ("construct", CONSTRUCT_SMALL, "target.exprs", ["(" * 300 + "x" + ")" * 300],
+         "target.expr")])
     def test_bad_value_names_its_field(self, tmp_path, command, config, path, value, field):
-        # these used to escape main as a traceback (exit 1), run with a bool
-        # as 1.0, or exit 2 naming no field (the dimension mismatches named
-        # "config", an empty exprs list and a negative count with a raw numpy
-        # message)
+        # these used to escape main as a traceback (exit 1; the 2000-term and
+        # 300-deep targets as a RecursionError), run with a bool as 1.0, or
+        # exit 2 naming no field (the dimension mismatches named "config", an
+        # empty exprs list and a negative count with a raw numpy message)
         cfg = mutated(config, path, value)
         if command == "construct":
             cfg["caps"]["j_cap"] = 200
@@ -753,6 +760,28 @@ class TestAuditCommands:
         assert code == 2
         err = json.loads((out / "error.json").read_text())["error"]
         assert err["field"] == field and err["exit_code"] == 2
+
+    @pytest.mark.parametrize("command,config,path,override,field", [
+        ("construct", CONSTRUCT_SMALL, "seed", None, "seed"),
+        ("audit", PROP1_SMALL, "seed", None, "seed"),
+        ("audit", NONUAP_SMALL, "seed", None, "seed"),
+        ("kronecker", KRONECKER_RANDOM, "random.seed", None, "random.seed"),
+        ("construct", CONSTRUCT_MULTI, "transformer.seed", None, "transformer.seed"),
+        ("embed", EMBED_SOFTMAX, "fnn.random.seed", None, "fnn.random.seed"),
+        ("construct", CONSTRUCT_SMALL, None, -1, "--seed"),
+        ("audit", PROP1_SMALL, None, -1, "--seed"),
+        ("audit", NONUAP_SMALL, None, -1, "--seed"),
+        ("kronecker", KRONECKER_RANDOM, None, -1, "--seed")])
+    def test_negative_seed_names_the_seed(self, tmp_path, command, config, path, override,
+                                          field):
+        # numpy's "expected non-negative integer" used to reach the user
+        # under the field "config" (or "transformer", "fnn.random")
+        cfg = mutated(config, path, -1) if path else config
+        code, out = run(tmp_path, "neg_seed", cfg, command, seed=override)
+        assert code == 2
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["field"] == field and err["exit_code"] == 2
+        assert f"{field} must be >= 0, got -1" in err["message"]
 
     def test_exp_activation_exhausts_without_walking_every_position(self, tmp_path,
                                                                    monkeypatch):

@@ -305,7 +305,7 @@ class TestConstructContext:
                                    caps=Caps(j_cap=40_000_000))
         pts = grid.points()
         f_vals = target(pts)
-        rows = ca.prefix_errors(rep, tp, ca.RELU, pts, f_vals)
+        rows = list(rep.error_vs_n)
         # the sum rebuilt from scratch for every prefix
         x_t = np.hstack([pts, np.ones((pts.shape[0], 1))])
         tokens = sorted(rep.tokens, key=lambda t: t.position)
@@ -704,18 +704,15 @@ class TestBlockedTokenSums:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(construction, "_SUM_CELLS", cells)
             blocks = construction._row_blocks(n, t_count)
-            got = construction._token_sum(trows, tokens, x_t, activation, d_y)
-            got_errors = ca.prefix_errors(SimpleNamespace(tokens=tokens, vocab=vocab,
-                                                          scheme=scheme),
-                                          tp, activation, pts, f_vals)
-            base, audit = construction._audit_stage(tokens, trows, got, tp, activation,
-                                                    f_vals, x_t, f_vals)
+            got, got_errors = construction._token_pass(trows, tokens, x_t, activation, tp,
+                                                       f_vals)
+            audit = construction._audit_stage(tokens, trows, tp, activation, x_t, f_vals)
         assert all(b.stop - b.start >= 2 for b in blocks) or n == 1
         assert len(blocks) == max(1, n // rows)
         assert np.array_equal(got, sums[-1])
         assert got_errors == [(tokens[t - 1].position if t else 0, t, e)
                               for t, e in enumerate(errors)]
-        assert base == audit == errors[-1]
+        assert got_errors[-1][2] == audit == errors[-1]
 
     def test_audit_stage_memory_is_one_block(self):
         # unblocked, the (points, tokens) products of 50k points and 40
@@ -727,12 +724,10 @@ class TestBlockedTokenSums:
         trows = rng.uniform(-1.0, 1.0, (40, 2))
         x_audit = np.hstack([rng.uniform(0.0, 1.0, (50_000, 1)), np.ones((50_000, 1))])
         f_audit = rng.uniform(-1.0, 1.0, (50_000, 1))
-        token_vals = np.zeros((10, 1))
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            construction._audit_stage(tokens, trows, token_vals, tp, ca.RELU,
-                                      np.zeros((10, 1)), x_audit, f_audit)
+            construction._audit_stage(tokens, trows, tp, ca.RELU, x_audit, f_audit)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()

@@ -2,8 +2,65 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ctxapprox as ca
+from ctxapprox.expressions import _MAX_DEPTH
+
+# the reference the grammar is held to: constants become np.full arrays
+# before any operator or function meets them, and ufuncs apply in tree order
+_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+           "sin": np.sin, "cos": np.cos, "exp": np.exp, "relu": lambda z: np.maximum(z, 0.0)}
+
+
+def reference(tree, pts):
+    kind, *args = tree
+    if kind == "const":
+        return np.full(pts.shape[0], float(args[0]))
+    if kind == "pi":
+        return np.full(pts.shape[0], math.pi)
+    if kind == "var":
+        return pts[:, args[0]]
+    if kind == "neg":
+        return np.negative(reference(args[0], pts))
+    return _UFUNCS[kind](*(reference(a, pts) for a in args))
+
+
+def render(tree, rnd):
+    """Source text of ``tree``: compound operands in parentheses, plus random
+    redundant parentheses and whitespace (newlines and tabs included)."""
+    def sp():
+        return rnd.choice(["", "", " ", "  ", "\n", "\t"])
+
+    kind, *args = tree
+    if kind == "const":
+        text = repr(args[0])
+    elif kind == "pi":
+        text = "pi"
+    elif kind == "var":
+        text = rnd.choice(["x", "x1", "x01"] if args[0] == 0 else [f"x{args[0] + 1}"])
+    elif kind == "neg":
+        text = f"-{sp()}({sp()}{render(args[0], rnd)}{sp()})"
+    elif kind in ("sin", "cos", "exp", "relu"):
+        text = f"{kind}{sp()}({sp()}{render(args[0], rnd)}{sp()})"
+    else:
+        a, b = (f"({sp()}{render(c, rnd)}{sp()})" for c in args)
+        text = f"{a}{sp()}{kind}{sp()}{b}"
+    for _ in range(rnd.randrange(3)):
+        text = f"({sp()}{text}{sp()})"
+    return text
+
+
+_TREES = st.recursive(
+    st.one_of(st.floats(0.0, 1e6).map(lambda c: ("const", c)),
+              st.integers(0, 10**20).map(lambda c: ("const", c)),
+              st.just(("pi",)), st.integers(0, 2).map(lambda i: ("var", i))),
+    lambda sub: st.one_of(
+        sub.map(lambda a: ("neg", a)),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "relu"]), sub),
+        st.tuples(st.sampled_from(["+", "-", "*", "/"]), sub, sub)),
+    max_leaves=12)
 
 
 class TestParseTarget:
@@ -31,7 +88,13 @@ class TestParseTarget:
         assert f(pts)[0] == 3.0
 
     def test_errors_name_field(self):
-        for bad in ("sin(", "x0", "2 ** 3", "foo(3)", "1 + ", "x9"):
+        # the deep and long inputs used to escape as a RecursionError
+        for bad in ("sin(", "x0", "2 ** 3", "foo(3)", "1 + ", "x9",
+                    "(" * 300 + "x" + ")" * 300, "+".join(["x"] * 2000), "-" * 2000 + "x",
+                    "-" * _MAX_DEPTH + "x", "1" * 400 + "*x",
+                    "+x", "2**x", "1j*x", "True*x",
+                    "sin(x, x)", "sin(x=1)", "np.sin(x)", "x[0]",
+                    "(lambda: 1)()", '__import__("os")'):
             with pytest.raises(ca.ConfigError) as exc:
                 f = ca.parse_target(bad)
                 f(np.zeros((1, 2)))
@@ -40,3 +103,20 @@ class TestParseTarget:
     def test_scientific_literals(self):
         f = ca.parse_target("1.5e-3 + 2.0e2 * x")
         assert f(np.array([[1.0]]))[0] == pytest.approx(200.0015)
+
+    @pytest.mark.parametrize("text,value", [
+        (" x ", 2.0), ("x\n+ 1", 3.0), ("x01", 2.0), ("1_000*x", 2000.0),
+        ("-" * (_MAX_DEPTH - 1) + "x", -2.0)])
+    def test_whitespace_and_python_spellings(self, text, value):
+        assert ca.parse_target(text)(np.array([[2.0]]))[0] == value
+
+    @settings(max_examples=200, deadline=None)
+    @given(tree=_TREES, rnd=st.randoms(use_true_random=False),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_trees_keep_the_reference_bits(self, tree, rnd, seed):
+        pts = np.random.default_rng(seed).uniform(-3.0, 3.0, (7, 3))
+        text = render(tree, rnd)
+        with np.errstate(all="ignore"):
+            got = ca.parse_target(text)(pts)
+            want = reference(tree, pts)
+        assert got.tobytes() == want.tobytes(), text

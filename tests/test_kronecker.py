@@ -317,11 +317,3 @@ class TestCoefficientDecompose:
         d = ca.coefficient_decompose(2.0 + SQRT2, 1e-6)
         assert d.token_count == d.count_sqrt2 + d.count_unit
 
-    def test_token_values_mapping(self):
-        # the explicit mapping onto vocabulary y tokens reconstructs the value
-        for a in (SQRT2, 3.0, -2.2, 5.7):
-            d = ca.coefficient_decompose(a, 0.05)
-            vals = d.token_values()
-            assert len(vals) == d.token_count
-            assert sum(vals) == pytest.approx(d.value, abs=1e-12)
-            assert all(v in (SQRT2, 1.0, -1.0) for v in vals)
