@@ -13,6 +13,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -161,6 +162,18 @@ def _seed(cfg: _Config, seed_override: int | None, default=_REQUIRED) -> int:
     return seed
 
 
+def _positive(cfg: _Config, key: str, kind, default=_REQUIRED):
+    """The value at ``key`` read as ``kind``: an integer must be >= 1, a
+    number positive and finite."""
+    value = cfg.get(key, kind, default)
+    if kind is int and value < 1:
+        raise ConfigError(cfg.field(key), f"{cfg.field(key)} must be >= 1, got {value}")
+    if kind is float and not (math.isfinite(value) and value > 0):
+        raise ConfigError(cfg.field(key), f"{cfg.field(key)} must be positive and finite, "
+                                          f"got {value!r}")
+    return value
+
+
 def _grid(g: _Config) -> Grid:
     return Grid(tuple(g.numbers("lo")), tuple(g.numbers("hi")), tuple(g.numbers("counts", int)))
 
@@ -285,9 +298,7 @@ def _random_betas(seed_override: int | None, r: _Config) -> list:
     seed = _seed(r, seed_override)
     lo = r.get("lo", float, -10.0)
     hi = r.get("hi", float, 10.0)
-    count = r.get("count", int)
-    if count < 1:
-        raise ConfigError(r.field("count"), f"needs at least one beta, got {count}")
+    count = _positive(r, "count", int)
     rng = np.random.default_rng(seed)
     return rng.uniform(lo, hi, count).tolist()
 
@@ -304,7 +315,7 @@ def cmd_embed(cfg: _Config, out: Path, seed_override: int | None) -> int:
     if mode == "elementwise":
         embed = partial(embed_fnn, tp, fnn)
     elif mode == "softmax":
-        embed = partial(embed_softmax_fnn, tp, fnn, grid, cfg.get("epsilon", float))
+        embed = partial(embed_softmax_fnn, tp, fnn, grid, _positive(cfg, "epsilon", float))
     else:
         raise ConfigError("mode", "must be 'elementwise' or 'softmax'")
     cfg.done()
@@ -340,7 +351,7 @@ def cmd_construct(cfg: _Config, out: Path, seed_override: int | None) -> int:
         raise ConfigError("vocab", f"vocab has d_y {vocab.d_y}, transformer.d_y is {tp.d_y}")
     if grid.dim != tp.d_x - 1:
         raise ConfigError("grid", f"grid has dimension {grid.dim}, needs d_x - 1 = {tp.d_x - 1}")
-    epsilon = cfg.get("epsilon", float)
+    epsilon = _positive(cfg, "epsilon", float)
     seed = _seed(cfg, seed_override, 0)
     target = cfg.load("target", lambda t: _target(t, grid.dim, tp.d_y))
     # absent objects take the library's defaults
@@ -376,11 +387,8 @@ def cmd_density(cfg: _Config, out: Path, seed_override: int | None) -> int:
     scheme = cfg.load("scheme", _scheme)
     region = cfg.load("region", _box)
     _same_dimension(region.dim, "region", vocab, scheme)
-    n_max = cfg.get("n_max", int)
-    probe_per_dim = cfg.get("probe_per_dim", int, 64)
-    for key, value in (("n_max", n_max), ("probe_per_dim", probe_per_dim)):
-        if value < 1:
-            raise ConfigError(key, f"{key} must be >= 1, got {value}")
+    n_max = _positive(cfg, "n_max", int)
+    probe_per_dim = _positive(cfg, "probe_per_dim", int, 64)
     cfg.done()
     profile = density_audit(vocab, scheme, region, n_max, probe_per_dim=probe_per_dim)
     doc = _meta(cfg.obj, "density")
@@ -394,8 +402,8 @@ def cmd_density(cfg: _Config, out: Path, seed_override: int | None) -> int:
 
 
 def cmd_kronecker(cfg: _Config, out: Path, seed_override: int | None) -> int:
-    epsilon = cfg.get("epsilon", float)
-    q_cap = cfg.get("q_cap", int, 10**7)
+    epsilon = _positive(cfg, "epsilon", float)
+    q_cap = _positive(cfg, "q_cap", int, 10**7)
     if cfg.has("betas"):
         betas = cfg.numbers("betas")
         if not betas:
@@ -431,7 +439,7 @@ def cmd_audit(cfg: _Config, out: Path, seed_override: int | None) -> int:
                         grid_points=cfg.get("grid_points", int, 2001))
     elif kind == "nonuap":
         audit = partial(nonuap_audit, cfg.load("family", _family),
-                        cfg.get("max_context", int), cfg.get("trials", int), seed)
+                        _positive(cfg, "max_context", int), _positive(cfg, "trials", int), seed)
     else:
         raise ConfigError("kind", "must be 'prop1_fuzz' or 'nonuap'")
     cfg.done()

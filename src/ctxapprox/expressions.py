@@ -48,7 +48,7 @@ def _compile(node: ast.AST, source: str, depth: int = 1) -> tuple:
     if isinstance(node, ast.Name):
         if node.id == "pi":
             return ("const", math.pi)
-        m = re.fullmatch(r"x(\d*)", node.id)
+        m = re.fullmatch(r"x(\d{0,18})", node.id)     # int() refuses over 4300 digits
         if m and int(m.group(1) or 1) >= 1:
             return ("var", int(m.group(1) or 1) - 1)
     raise ConfigError("target.expr", f"{ast.get_source_segment(source, node)!r} is not "

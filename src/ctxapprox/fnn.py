@@ -165,14 +165,38 @@ class FitResult:
     rank_deficient: bool
 
 
+def _adam(theta, grad, gradient, steps):
+    """``steps`` full-batch Adam steps on ``theta``, in place and in work arrays
+    allocated once; ``gradient()`` writes the loss gradient at ``theta`` into
+    ``grad``.  The two moments are the rows of one array, so each update
+    that both take is one call; every entry is rounded as in the textbook
+    loop (``v`` adds ``((1 - beta2) * g) * g``)."""
+    lr, beta1, beta2, eps = 2e-2, 0.9, 0.999, 1e-8
+    betas, keep = np.array([[beta1], [beta2]]), np.array([[1 - beta1], [1 - beta2]])
+    bias = np.empty((2, 1))
+    moments, new, hat = (np.zeros((2, theta.shape[0])) for _ in range(3))
+    for t in range(1, steps + 1):
+        gradient()
+        moments *= betas
+        np.multiply(keep, grad, out=new)
+        new[1] *= grad
+        moments += new
+        bias[0, 0], bias[1, 0] = 1 - beta1**t, 1 - beta2**t
+        np.divide(moments, bias, out=hat)
+        step, root = hat
+        np.multiply(lr, step, out=step)
+        np.add(np.sqrt(root, out=root), eps, out=root)
+        theta -= np.divide(step, root, out=step)
+
+
 def _adam_refine(W, b, A, x, f, activation, steps):
-    """Fixed-iteration full-batch Adam on the mean-squared residual.
+    """Fixed-iteration full-batch Adam on the mean-squared residual, with the
+    gradient from dense (n, k) passes: the route for exp, d > 1 and d_y > 1.
 
     W, b, A and their gradients are views of two flat vectors, so Adam runs
-    once per step on one short vector, in work arrays allocated once.  The
-    sums keep the operand layouts and order of a per-parameter loop, so the
-    result is bit-identical to it.  Three passes take a cheaper route to the
-    same bits:
+    once per step on one short vector.  The sums keep the operand layouts and
+    order of a per-parameter loop, so the result is bit-identical to it.
+    Three passes take a cheaper route to the same bits:
 
     * d = 1 < k: ``x @ W.T + b`` is ``[x, 1] @ [W.T; b]``, a BLAS product
       with inner dimension 2 that rounds ``x*w`` and then adds ``b``, as the
@@ -184,20 +208,19 @@ def _adam_refine(W, b, A, x, f, activation, steps):
       ``G.sum(axis=0)`` does, in one strided pass per column.  For k = 1 the
       column is contiguous and ``sum`` adds it pairwise, so it stays there.
     """
-    lr, beta1, beta2, eps = 2e-2, 0.9, 0.999, 1e-8
     (k, d), d_y, n = W.shape, A.shape[0], x.shape[0]
     theta, grad = np.concatenate([W.ravel(), b, A.ravel()]), np.empty(k * (d + 1 + d_y))
     (W, b, A), (gW, gb, gA) = (
         (p[:k * d].reshape(k, d), p[k * d:k * (d + 1)], p[k * (d + 1):].reshape(d_y, k))
         for p in (theta, grad))
-    m, v, step, tmp = (np.zeros_like(theta) for _ in range(4))
     Z, Phi, G, R = np.empty((n, k)), np.empty((n, k)), np.empty((n, k)), np.empty((n, d_y))
     relu = activation.kind == "relu"
     dphi = np.empty((n, k), dtype=bool) if relu else Phi  # exp is its own derivative
     fused = d == 1 < k
     if fused:  # for d = 1, W.ravel() is W.T's row, so [W.T; b] is theta's head
         x1, Wb = np.hstack([x, np.ones((n, 1))]), theta[:2 * k].reshape(2, k)
-    for t in range(1, steps + 1):
+
+    def gradient():
         if fused:
             np.matmul(x1, Wb, out=Z)
         else:
@@ -215,14 +238,104 @@ def _adam_refine(W, b, A, x, f, activation, steps):
         else:
             G.sum(axis=0, out=gb)
         np.divide(np.matmul(R.T, Phi, out=gA), n, out=gA)
-        m *= beta1
-        m += np.multiply(1 - beta1, grad, out=tmp)
-        v *= beta2
-        v += np.multiply(np.multiply(1 - beta2, grad, out=tmp), grad, out=tmp)
-        np.multiply(lr, np.divide(m, 1 - beta1**t, out=step), out=step)
-        np.add(np.sqrt(np.divide(v, 1 - beta2**t, out=tmp), out=tmp), eps, out=tmp)
-        theta -= np.divide(step, tmp, out=step)
+
+    _adam(theta, grad, gradient, steps)
     return W, b, A
+
+
+def _run_sum_refine(W, b, A, x, f, steps):
+    """The Adam of ``_adam_refine`` for a relu net with d = d_y = 1, on the
+    gradient of ``_run_sum_gradient``: O(n log n) once, then O(k log n) a
+    step instead of O(n k).  The gradient is the dense one added in another
+    order, so the result matches ``_adam_refine`` to rounding, not to the bit.
+    """
+    k = W.shape[0]
+    theta, grad = np.concatenate([W.ravel(), b, A.ravel()]), np.empty(3 * k)
+    with np.errstate(divide="ignore", invalid="ignore"):  # w = 0 and the infinite pads
+        _adam(theta, grad, _run_sum_gradient(x, f, theta, grad), steps)
+    return theta[:k].reshape(k, 1), theta[k:2 * k], theta[2 * k:].reshape(1, k)
+
+
+def _run_sum_gradient(x, f, theta, grad):
+    """A function that writes the mean-squared-loss gradient of the relu net
+    ``theta`` = [w, b, a] (d = d_y = 1) on samples (x, f) into ``grad``, and
+    returns each neuron's run: its end e, and whether the run is the suffix
+    [e, n) of the sorted samples or the prefix [0, e).
+
+    Neuron j is active (``x*w + b > 0``, the dense mask) on one run of the
+    sorted samples: a suffix when w > 0, a prefix otherwise.  Once, the
+    samples are sorted and the prefix sums of x², x, 1, f·x and f taken.
+    Per call, in O(k log n):
+
+    * ``searchsorted`` on the kink -b/w puts each run end, and the dense
+      formula at the samples either side of it confirms the end; where it
+      does not (w = 0, a kink within rounding of a sample), the end is
+      counted from that neuron's dense mask, so every run is exactly the
+      dense pass's active set;
+    * between consecutive run ends the net is one line s·x + c, with (s, c)
+      the running sum of ±a·(w, b) in run-end order;
+    * so the residual sums Σ r·x and Σ r over each stretch come from the
+      prefix sums, their running sums give each run's, and every gradient
+      entry is a run sum / n.
+    """
+    k, n = theta.shape[0] // 3, x.shape[0]
+    WB, a = theta[:2 * k].reshape(2, k), theta[2 * k:]
+    w, b = WB
+    gWb, gA = grad[:2 * k].reshape(2, k), grad[2 * k:]
+    xs, fs = (v[np.argsort(x[:, 0], kind="stable"), 0] for v in (x, f))
+    # padded[e], padded[e + 1]: the samples either side of run end e
+    padded, beside = np.concatenate([[-np.inf], xs, [np.inf]]), np.array([[0], [1]])
+    # prefix sums over the sorted samples, divided by n: of (x², x, f·x) and of (x, 1, f)
+    P = np.zeros((2, 3, n + 1))
+    for row, v in zip(P.reshape(6, n + 1), (xs * xs, xs, fs * xs, xs, np.ones(n), fs)):
+        np.cumsum(v, out=row[1:])
+    P /= n
+    ends, E = np.empty((2, k), dtype=np.intp), np.empty(k + 2, dtype=np.intp)
+    # E: the run ends in ascending order, between 0 and n
+    E[0], E[-1] = 0, n
+    PE, D, DL = np.empty((2, 3, k + 2)), np.empty((2, 3, k + 1)), np.empty((2, 3, k + 1))
+    L, S = np.full((3, k + 1), -1.0), np.empty((2, k + 1))  # (s, c, -1) on each stretch
+    Q = np.zeros((2, k + 2))  # (Σ r·x, Σ r) / n over the samples before each run end
+    signed, R = np.empty((2, k)), np.empty((2, k))
+    t, asg, ad = np.empty(k), np.empty(k), np.empty(k)
+    U, Z = np.empty((2, k), dtype=bool), np.empty((2, k), dtype=bool)
+    prefix, suffix = U  # the dense mask wanted at the samples below and at each run end
+    E1, SC, SC0, SC1 = E[1:-1], L[:2], L[:2, 0], L[:2, 1:]
+    PE0, PE1, Q1, Qmid, Qall = PE[..., :-1], PE[..., 1:], Q[:, 1:], Q[:, 1:-1], Q[:, -1:]
+
+    def gradient():
+        np.greater(w, 0, out=suffix)
+        np.logical_not(suffix, out=prefix)
+        sgn = np.where(suffix, 1.0, -1.0)
+        e = xs.searchsorted(np.negative(np.divide(b, w, out=t), out=t), "right")
+        z = padded.take(np.add(e, beside, out=ends))
+        z *= w
+        z += b
+        if not np.equal(np.greater(z, 0, out=Z), U, out=Z).all():
+            bad = np.flatnonzero(~Z.all(axis=0))
+            active = np.count_nonzero(xs[:, None] * w[bad] + b[bad] > 0, axis=0)
+            e[bad] = np.where(suffix[bad], n - active, active)
+        order = e.argsort(kind="stable")
+        e.take(order, out=E1)
+        # (s, c) of the first stretch: the prefix neurons' a·(w, b), from
+        # a - a·sgn = 2a on them and 0 elsewhere; then each run end adds its
+        # neuron's ±a·(w, b)
+        np.multiply(WB, np.multiply(a, sgn, out=asg), out=signed)
+        np.matmul(WB, np.subtract(a, asg, out=ad), out=SC0)
+        np.multiply(SC0, 0.5, out=SC0)
+        signed.take(order, axis=1, out=SC1)
+        np.add.accumulate(SC, axis=1, out=SC)
+        P.take(E, axis=2, out=PE)
+        np.subtract(PE1, PE0, out=D)  # (x², x, f·x) and (x, 1, f) summed over each stretch
+        np.add.reduce(np.multiply(D, L, out=DL), axis=1, out=S)  # Σ r·x, Σ r over each
+        np.add.accumulate(S, axis=1, out=Q1)
+        Qmid.take(order.argsort(kind="stable"), axis=1, out=R)
+        np.subtract(Qall, R, out=R, where=suffix)  # (Σ r·x, Σ r) / n over each run
+        np.multiply(a, R, out=gWb)
+        np.multiply(WB, R, out=R)
+        np.add(R[0], R[1], out=gA)
+        return e, suffix
+    return gradient
 
 
 def fit_fnn(samples, k: int, activation: Activation, seed: int, *,
@@ -231,7 +344,11 @@ def fit_fnn(samples, k: int, activation: Activation, seed: int, *,
     """Fit a one-hidden-layer network to samples; deterministic given seed.
 
     Random-feature hidden layer plus linear least squares for A, optionally
-    followed by a fixed-iteration Adam refinement of all parameters.  The
+    followed by a fixed-iteration Adam refinement of all parameters and a
+    least-squares A again.  A relu net with d = d_y = 1 (each output's fit in
+    a relu construction on a 1-d grid) refines on run sums of the sorted
+    samples, O(k log n) a step (``_run_sum_refine``); exp, d > 1 and d_y > 1
+    on dense (n, k) passes (``_adam_refine``).  The routes agree to rounding.  The
     samples' bounding box is affinely normalized to [-1, 1]^d; rows of W are
     drawn from the fixed symmetric distribution
     uniform(-feature_scale, feature_scale) in normalized coordinates and b is
@@ -292,7 +409,10 @@ def fit_fnn(samples, k: int, activation: Activation, seed: int, *,
             A, _ = solve_A(W, b, ridge_used)
 
         if refine_steps > 0:
-            W, b, A = _adam_refine(W, b, A, z, f, activation, refine_steps)
+            if activation.kind == "relu" and d == f.shape[1] == 1:
+                W, b, A = _run_sum_refine(W, b, A, z, f, refine_steps)
+            else:
+                W, b, A = _adam_refine(W, b, A, z, f, activation, refine_steps)
             A, post_deficient = solve_A(W, b, ridge_used)
             deficient = deficient or post_deficient
 

@@ -87,14 +87,20 @@ class TestParseTarget:
         pts = np.array([[3.0, 4.0]])
         assert f(pts)[0] == 3.0
 
+    def test_variable_index_takes_up_to_18_digits(self):
+        f = ca.parse_target("x" + "0" * 17 + "2")
+        assert f(np.array([[3.0, 4.0]]))[0] == 4.0
+
     def test_errors_name_field(self):
-        # the deep and long inputs used to escape as a RecursionError
+        # the deep and long inputs used to escape as a RecursionError, and a
+        # 5000-digit variable index as int()'s bare ValueError
         for bad in ("sin(", "x0", "2 ** 3", "foo(3)", "1 + ", "x9",
                     "(" * 300 + "x" + ")" * 300, "+".join(["x"] * 2000), "-" * 2000 + "x",
                     "-" * _MAX_DEPTH + "x", "1" * 400 + "*x",
                     "+x", "2**x", "1j*x", "True*x",
                     "sin(x, x)", "sin(x=1)", "np.sin(x)", "x[0]",
-                    "(lambda: 1)()", '__import__("os")'):
+                    "(lambda: 1)()", '__import__("os")', "x" + "1" * 19,
+                    "x" + "1" * 5000):
             with pytest.raises(ca.ConfigError) as exc:
                 f = ca.parse_target(bad)
                 f(np.zeros((1, 2)))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import ctxapprox as ca
 from ctxapprox import construction, fnn
 from ctxapprox.cli import main
-from ctxapprox.fnn import _adam_refine, perturbation_delta
+from ctxapprox.fnn import _adam_refine, _run_sum_gradient, perturbation_delta
 
 from conftest import random_fnn
 
@@ -58,6 +58,35 @@ def _refine_problem(seed, activation, d, d_y, k, n):
         W, b = W / 4, b / 4
     A = np.linalg.lstsq(activation(x @ W.T + b), f, rcond=None)[0].T
     return W, b, A, x, f
+
+
+def _recording(routes, name, refine):
+    """``refine`` that appends ``name`` to ``routes`` on each call."""
+    def recorded(*args):
+        routes.append(name)
+        return refine(*args)
+    return recorded
+
+
+def _assert_matches_dense_reference_fit(monkeypatch, args, kwargs):
+    """The fit takes the run-sum route, and matches to rounding the fit whose
+    refinement is the dense per-parameter loop.  On the three shipped fits
+    (acceptance, both multi-output components) the parameters differ by at
+    most 1.6e-8 of their largest entry and the sup errors by 2.1e-7
+    relative; the bounds leave a margin of about 5."""
+    routes = []
+    monkeypatch.setattr(fnn, "_run_sum_refine",
+                        _recording(routes, "run sums", fnn._run_sum_refine))
+    got = ca.fit_fnn(*args, **kwargs)
+    monkeypatch.setattr(fnn, "_run_sum_refine", _recording(
+        routes, "dense", lambda W, b, A, x, f, steps:
+        _adam_refine_reference(W, b, A, x, f, ca.RELU, steps)))
+    want = ca.fit_fnn(*args, **kwargs)
+    assert routes == ["run sums", "dense"]
+    for name in ("A", "W", "b"):
+        g, w = getattr(got.params, name), getattr(want.params, name)
+        assert np.max(np.abs(g - w)) <= 1e-7 * np.max(np.abs(w))
+    assert got.sup_error == pytest.approx(want.sup_error, rel=1e-6, abs=0)
 
 
 class TestForward:
@@ -179,7 +208,7 @@ class TestFit:
 
 
 class TestAdamRefine:
-    """The preallocated refinement against the plain per-parameter loop."""
+    """The dense refinement against the plain per-parameter loop, to the bit."""
 
     @pytest.mark.parametrize("activation", [ca.RELU, ca.EXP], ids=["relu", "exp"])
     @pytest.mark.parametrize("d,d_y", [(1, 1), (2, 2), (3, 1)])
@@ -217,12 +246,7 @@ class TestAdamRefine:
         assert main(["construct", "--config", str(config), "--out", str(tmp_path)]) == 0
         [(args, kwargs)] = calls
         assert (args[1], args[3], kwargs["refine_steps"]) == (16, 4, 300)
-        got = ca.fit_fnn(*args, **kwargs)
-        monkeypatch.setattr(fnn, "_adam_refine", _adam_refine_reference)
-        want = ca.fit_fnn(*args, **kwargs)
-        for name in ("A", "W", "b"):
-            assert _bits_equal(getattr(got.params, name), getattr(want.params, name))
-        assert got.sup_error == want.sup_error
+        _assert_matches_dense_reference_fit(monkeypatch, args, kwargs)
 
 
 # workloads.MULTI_OUTPUT of the benchmark: its two fits are k 14, 300 steps on
@@ -267,12 +291,101 @@ def test_multi_output_fit_matches_reference_driven_fit(multi_output_fit_calls, m
     assert len(multi_output_fit_calls) == 2
     assert (args[0][0].shape, args[1], args[3], kwargs["refine_steps"]) == \
         ((1500, 1), 14, seed, 300)
-    got = ca.fit_fnn(*args, **kwargs)
-    monkeypatch.setattr(fnn, "_adam_refine", _adam_refine_reference)
-    want = ca.fit_fnn(*args, **kwargs)
-    for name in ("A", "W", "b"):
-        assert _bits_equal(getattr(got.params, name), getattr(want.params, name))
-    assert got.sup_error == want.sup_error
+    _assert_matches_dense_reference_fit(monkeypatch, args, kwargs)
+
+
+def _dense_gradient(theta, x, f):
+    """Mean-squared-loss gradient of the relu net [w, b, a] on (x, f), d = d_y = 1."""
+    w, b, a = theta.reshape(3, -1)
+    z = x[:, None] * w + b
+    phi = np.maximum(z, 0.0)
+    r = phi @ a - f
+    g = r[:, None] * a * (z > 0) / len(x)
+    return np.concatenate([g.T @ x, g.sum(axis=0), r @ phi / len(x)])
+
+
+# neuron kinds of the run-sum cases: a random neuron, w = 0 with b > 0 and with
+# b <= 0, a kink within rounding of a sample and exactly on one, a kink outside the data
+_NEURONS = ("random", "flat_on", "flat_off", "near_sample", "on_sample", "outside")
+
+
+def _run_sum_case(seed, n, kinds, duplicates):
+    """Unsorted samples on [-1, 1] (on a coarse grid with ``duplicates``) and
+    a net with one neuron of each kind in ``kinds``."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, n)
+    if duplicates:
+        x = np.round(x * 4) / 4
+    f = np.sin(3 * x) + rng.normal(0.0, 0.1, n)
+    k = len(kinds)
+    w, b, a = rng.uniform(-3.0, 3.0, k), rng.uniform(-3.0, 3.0, k), rng.normal(0.0, 1.0, k)
+    for j, kind in enumerate(kinds):
+        sample = x[rng.integers(n)]
+        if kind in ("flat_on", "flat_off"):
+            w[j] = 0.0
+            b[j] = rng.uniform(0.1, 2.0) if kind == "flat_on" else rng.choice([0.0, -0.0, -1.0])
+        elif kind == "near_sample":
+            b[j] = -w[j] * sample
+        elif kind == "on_sample":
+            w[j] = rng.choice([-2.0, 2.0])
+            b[j] = -w[j] * sample
+        elif kind == "outside":
+            b[j] = -w[j] * rng.choice([-1.0, 1.0]) * rng.uniform(1.01, 4.0)
+    return np.concatenate([w, b, a]), x, f
+
+
+class TestRunSumGradient:
+    """The O(k log n) relu gradient against the dense one."""
+
+    @staticmethod
+    def _check(theta, x, f):
+        grad = np.empty_like(theta)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e, suffix = _run_sum_gradient(x[:, None], f[:, None], theta, grad)()
+        want = _dense_gradient(theta, x, f)
+        assert np.max(np.abs(grad - want)) <= 1e-12 * np.max(np.abs(want))
+        # each run is the dense mask on the sorted samples
+        k = len(e)
+        w, b = theta[:k], theta[k:2 * k]
+        xs = np.sort(x)
+        mask = xs[:, None] * w + b > 0
+        at = np.arange(len(x))[:, None]
+        assert np.array_equal(mask, np.where(suffix, at >= e, at < e))
+
+    @pytest.mark.parametrize("kinds", [
+        ("flat_on",), ("flat_off",), ("on_sample",), ("near_sample",), ("outside",),
+        ("flat_on", "flat_off", "random"), _NEURONS, _NEURONS * 3])
+    @pytest.mark.parametrize("n", ["k", 1, 2, 57, 2000])
+    @pytest.mark.parametrize("duplicates", [False, True], ids=["distinct", "duplicates"])
+    def test_matches_dense_gradient(self, kinds, n, duplicates):
+        n = len(kinds) if n == "k" else max(n, len(kinds))
+        self._check(*_run_sum_case(n + len(kinds), n, kinds, duplicates))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kinds=st.lists(st.sampled_from(_NEURONS), min_size=1, max_size=20),
+           extra=st.integers(0, 300), duplicates=st.booleans())
+    def test_matches_dense_gradient_on_random_nets(self, seed, kinds, extra, duplicates):
+        self._check(*_run_sum_case(seed, len(kinds) + extra, kinds, duplicates))
+
+    @pytest.mark.parametrize("activation,d,d_y,route", [
+        (ca.RELU, 1, 1, "_run_sum_refine"), (ca.RELU, 1, 2, "_adam_refine"),
+        (ca.RELU, 2, 1, "_adam_refine"), (ca.EXP, 1, 1, "_adam_refine")])
+    def test_route(self, monkeypatch, activation, d, d_y, route):
+        routes = []
+        for name in ("_adam_refine", "_run_sum_refine"):
+            monkeypatch.setattr(fnn, name, _recording(routes, name, getattr(fnn, name)))
+        x = np.random.default_rng(0).uniform(0, 1, (200, d))
+        ca.fit_fnn((x, np.sin(x[:, :1] + np.arange(d_y))), 8, activation, seed=1, refine_steps=5)
+        assert routes == [route]
+
+    def test_overflowing_relu_fit_is_a_numerical_error(self, recwarn):
+        # a target of 1e200 overflows the squared gradient in Adam's second moment
+        x = np.linspace(0, 1, 2000)[:, None]
+        with pytest.raises(ca.NonFiniteFitError):
+            ca.fit_fnn((x, 1e200 * np.sin(2 * np.pi * x[:, 0])), 16, ca.RELU, seed=4,
+                       refine_steps=300)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 class TestPerturbationGap:
