@@ -188,8 +188,8 @@ def _transformer(t: _Config) -> TransformerParams:
     if t.has("blocks"):
         return t.load("blocks", TransformerParams.from_json_dict, dict)
     kind = t.get("kind", str, "random")
-    d_x = t.get("d_x", int)
-    d_y = t.get("d_y", int)
+    d_x = _positive(t, "d_x", int)
+    d_y = _positive(t, "d_y", int)
     if kind == "identity":
         return identity_sparse_params(d_x, d_y)
     if kind == "random":
@@ -207,9 +207,9 @@ def _fnn(f: _Config) -> FnnParams:
 
 def _random_fnn(r: _Config) -> FnnParams:
     rng = np.random.default_rng(_seed(r, None))
-    k = r.get("k", int)
-    d_in = r.get("d_in", int)
-    d_y = r.get("d_y", int)
+    k = _positive(r, "k", int)
+    d_in = _positive(r, "d_in", int)
+    d_y = _positive(r, "d_y", int)
     scale = r.get("scale", float, 1.0)
     return FnnParams(rng.uniform(-scale, scale, (d_y, k)),
                      rng.uniform(-scale, scale, (k, d_in)),

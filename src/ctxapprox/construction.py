@@ -40,6 +40,7 @@ _J_CAP_MAX = 1 << 62   # position indices, Morton streams and pe_block work in i
 _CHUNK = 1 << 16       # stream values or candidate tuples handled at a time
 _SCAN_BLOCK = 1 << 15  # positions decoded at a time by the block scan
 _SUM_CELLS = 1 << 14   # (point, token) cells of one row block of a token sum
+_HEAD_BITS = 16        # the candidate scan visits the indices below 2^16 together
 
 
 def _require_positive_finite(name: str, value: float):
@@ -278,8 +279,7 @@ class _CellGrid:
         # computed inverse is off by at most ulps * cond, relatively.
         ulps = 4 * (cmap.shape[0] + 2) * np.finfo(float).eps
         norm = inf_operator_norm(cmap)
-        residual = [float(np.max(_sup_dist(_mapped(cmap, u[:, None]), r)))
-                    for u, r in zip(self.u, rows)]
+        residual = _sup_dist(_mapped(cmap, self.u.T), rows.T)
         self._slack = residual + ulps * (norm * np.max(np.abs(self.u), axis=1)
                                          + np.max(np.abs(rows), axis=1))
         self._cond_ulps = ulps * norm * float(np.max(self.inv_rows))
@@ -300,17 +300,19 @@ class _CellGrid:
             return None
         return cls(lo, h, int(per_dim), cmap, inv, rows)
 
-    def nearest(self, ti: int, k: int, coords: np.ndarray):
+    def nearest(self, ti, k: int, coords: np.ndarray):
         """Clipped nearest cell along dimension k at PE coordinates ``coords``,
-        and z = its value + the coordinate; the one formula both grid paths use."""
+        and z = its value + the coordinate; the one formula both grid paths use.
+        An array of targets ``ti`` broadcasts against ``coords``."""
         cell = np.clip(np.rint((self.u[ti, k] - coords - self.lo[k]) / self.h[k]),
                        0, self.per_dim - 1)
         return cell, (self.lo[k] + cell * self.h[k]) + coords
 
-    def half_widths(self, ti: int, tol: float) -> np.ndarray:
+    def half_widths(self, ti, tol) -> np.ndarray:
         """Per-dimension bound on |z_k - u_k| for every z whose computed row
         lies within ``tol`` of the target row: the box (C^T B)^-1 [-tol, tol]^d,
-        widened by the rounding of the row, of u and of the inverse."""
+        widened by the rounding of the row, of u and of the inverse.  Targets
+        and tolerances as (targets, 1) columns give a (targets, d) array."""
         c = self._cond_ulps
         return (tol * (1 + 2 * c) + self._slack[ti]) * self.inv_rows * (1 + c)
 
@@ -334,13 +336,22 @@ class _Scan:
     def d(self) -> int:
         return self.rows.shape[1]
 
-    def dist(self, ti: int, z) -> np.ndarray:
-        """Sup distance from the rows of the points z (d columns) to target ti's row."""
-        return _sup_dist(_mapped(self.cmap, z), self.rows[ti])
+    def dist(self, ti, z) -> np.ndarray:
+        """Sup distance from the rows of the points z (d columns) to the row of
+        target ti, one index or one per point."""
+        return _sup_dist(_mapped(self.cmap, z), self.rows[ti].T)
 
     def check(self, ti: int, dist: np.ndarray) -> np.ndarray:
         """Indices of the hits among the distances to target ti; records the least."""
         self.best[ti] = min(self.best[ti], float(np.min(dist)))
+        return np.nonzero(dist < self.tols[ti])[0]
+
+    def check_grouped(self, ti: np.ndarray, dist: np.ndarray) -> np.ndarray:
+        """``check`` for distances to several targets, one per distance, each
+        target's distances adjacent."""
+        first = np.flatnonzero(np.diff(ti, prepend=-1))
+        least = np.minimum.reduceat(dist, first)
+        self.best[ti[first]] = np.minimum(self.best[ti[first]], least)
         return np.nonzero(dist < self.tols[ti])[0]
 
     def vocab_index(self, cells) -> np.ndarray:
@@ -348,14 +359,14 @@ class _Scan:
                                     (self.grid.per_dim,) * len(cells))
 
     def assign(self, hits: list):
-        """Gives out the hits, (positions, vocab indices, target) triples, in
-        (position, vocab index, target) order; a position holds one token and
-        a target takes no more than its demand."""
+        """Gives out the hits, (positions, vocab indices, targets) triples with
+        one target or one per hit, in (position, vocab index, target) order; a
+        position holds one token and a target takes no more than its demand."""
         if not hits:
             return
         hj = np.concatenate([h[0] for h in hits])
         hv = np.concatenate([h[1] for h in hits])
-        ht = np.concatenate([np.full(len(h[0]), h[2], dtype=np.int64) for h in hits])
+        ht = np.concatenate([np.broadcast_to(h[2], h[0].shape) for h in hits])
         used_pos = set()
         for idx in np.lexsort((ht, hv, hj)):
             ti = int(ht[idx])
@@ -404,58 +415,91 @@ def _block_scan(scan: _Scan, scheme: PeScheme, j_cap: int) -> list[list[ScanHit]
     return scan.result(j_cap)
 
 
-class _Streams:
-    """Per dimension, the stream values of one target whose nearest cell lies
-    in a box around its token-space target and that an index up to t_last can
-    hold: Morton offset, cell and z of each."""
+class _KeptStreams:
+    """Per dimension, the stream values kept for the targets of one walk:
+    those whose nearest cell lies in a target's box and that an index up to
+    t_last can hold.  Stored flat, each value as (target, Morton offset,
+    cell, z)."""
 
-    def __init__(self, scan: _Scan, ti: int, t_last: int):
-        self.scan, self.ti = scan, ti
+    def __init__(self, scan: _Scan, t_last: int):
+        self.scan = scan
         self.bounds = _morton_stream_bounds(t_last, scan.d)
-        self.kept = [(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
-                     for _ in range(scan.d)]
+        self.kept = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64),
+                      np.empty(0), np.empty(0)) for _ in range(scan.d)]
 
-    def extend(self, s: np.ndarray, coords: np.ndarray, widths: np.ndarray):
-        """Adds the values ``s`` (coordinates ``coords``) that lie in the box of
-        half-widths ``widths`` and drops the kept values that no longer do."""
+    def extend(self, s: np.ndarray, coords: np.ndarray, live: np.ndarray,
+               widths: np.ndarray):
+        """Adds, for each target that ``live`` marks, the values ``s``
+        (coordinates ``coords``) that lie in its box of half-widths
+        ``widths[target]``, and drops the kept values that no longer do.
+
+        A box test covers at most _CHUNK (target, value) cells at a time, and
+        the Morton offsets of the values kept are computed in one call,
+        whatever the targets."""
         grid, d = self.scan.grid, self.scan.d
+        tids = np.nonzero(live)[0]
+        step = max(1, _CHUNK // max(tids.size, 1))
         for k in range(d):
-            u = grid.u[self.ti, k]
-            cell, z = grid.nearest(self.ti, k, coords)
-            sel = (np.abs(z - u) <= widths[k]) & (s < self.bounds[k])
-            new = (_morton_offset(s[sel], d, k), cell[sel], z[sel])
-            still = np.abs(self.kept[k][2] - u) <= widths[k]
-            self.kept[k] = tuple(np.concatenate((old[still], add))
-                                 for old, add in zip(self.kept[k], new))
+            inside = s < self.bounds[k]
+            values, cols = s[inside], coords[inside]
+            u, w = grid.u[tids, k][:, None], widths[tids, k][:, None]
+            old = self.kept[k]
+            parts = [tuple(a[:0] for a in old)]          # typed, for a chunk that adds none
+            for first in range(0, values.size, step):
+                cells, zs = grid.nearest(tids[:, None], k, cols[first:first + step])
+                row, col = np.nonzero(np.abs(zs - u) <= w)
+                parts.append((tids[row], values[first + col], cells[row, col], zs[row, col]))
+            tid, value, cell, z = (np.concatenate(p) for p in zip(*parts))
+            new = (tid, _morton_offset(value, d, k), cell, z)
+            still = live[old[0]] & (np.abs(old[3] - grid.u[old[0], k]) <= widths[old[0], k])
+            self.kept[k] = tuple(np.concatenate((a[still], b)) for a, b in zip(old, new))
 
-    def candidates(self, t_lo: int, t_hi: int):
-        """Yields (t, cells, z) for the tuples of kept values whose index t lies
-        in [t_lo, t_hi), at most _CHUNK tuples at a time."""
-        sizes = [len(kept[0]) for kept in self.kept]
-        total = math.prod(sizes)
-        for first in range(0, total, _CHUNK):
-            idx = np.unravel_index(np.arange(first, min(first + _CHUNK, total)), sizes)
-            t = sum(kept[0][i] for kept, i in zip(self.kept, idx))
+    def candidates(self, live: np.ndarray, t_lo: int, t_hi: int):
+        """Yields (targets, t, cells, z) for the tuples of each live target's
+        kept values whose index t lies in [t_lo, t_hi), target after target,
+        at most _CHUNK tuples at a time."""
+        for k, kept in enumerate(self.kept):          # grouped by target, once a visit
+            order = np.argsort(kept[0], kind="stable")
+            self.kept[k] = tuple(a[order] for a in kept)
+        counts = np.array([np.bincount(kept[0], minlength=live.size) for kept in self.kept])
+        starts = np.cumsum(counts, axis=1) - counts                   # (d, targets)
+        tuples = np.where(live, np.prod(counts, axis=0), 0)
+        ends = np.cumsum(tuples)
+        for first in range(0, int(ends[-1]), _CHUNK):
+            flat = np.arange(first, min(first + _CHUNK, int(ends[-1])), dtype=np.int64)
+            tgt = np.searchsorted(ends, flat, side="right")
+            rest = flat - (ends[tgt] - tuples[tgt])
+            idx = [None] * self.scan.d
+            for k in reversed(range(self.scan.d)):               # C order per target
+                rest, i = np.divmod(rest, counts[k, tgt])
+                idx[k] = starts[k, tgt] + i
+            t = sum(kept[1][i] for kept, i in zip(self.kept, idx))
             sel = np.nonzero((t >= t_lo) & (t < t_hi))[0]
             if sel.size:
                 pick = [i[sel] for i in idx]
-                yield (t[sel], [kept[1][i] for kept, i in zip(self.kept, pick)],
-                       [kept[2][i] for kept, i in zip(self.kept, pick)])
+                yield (tgt[sel], t[sel], [kept[2][i] for kept, i in zip(self.kept, pick)],
+                       [kept[3][i] for kept, i in zip(self.kept, pick)])
 
 
 def _walk_levels(scheme: PeScheme, d: int, j_cap: int, extend, visit):
     """Calls ``visit(t_lo, t_hi)`` for the Morton levels of positions [1, j_cap]
     in order, with t = j - 1; before a level is visited,
     ``extend(s, coords)`` sees the stream values that the level adds, in
-    chunks.  The walk stops when ``visit`` returns False."""
-    seen = 0
-    for level, t_lo, t_hi in _morton_levels(j_cap - 1, d):
+    chunks.  The levels that hold only indices below 2^_HEAD_BITS are
+    visited as one range: a visit gives out its hits in position order, so
+    it ends as they would one by one, and it saves a pass per tiny level.
+    The walk stops when ``visit`` returns False."""
+    seen = t_lo = 0
+    for level, _, t_hi in _morton_levels(j_cap - 1, d):
+        if d * (level + 1) <= _HEAD_BITS and t_hi < j_cap:
+            continue                                  # visited with the next level
         for s_lo in range(seen, 1 << level, _CHUNK):
             s = np.arange(s_lo, min(1 << level, s_lo + _CHUNK), dtype=np.int64)
             extend(s, _cw_stream_coords(scheme, s))
         seen = 1 << level
         if not visit(t_lo, t_hi):
             return
+        t_lo = t_hi
 
 
 def _candidate_scan(scan: _Scan, scheme: PeScheme, j_cap: int) -> list[list[ScanHit]]:
@@ -466,53 +510,55 @@ def _candidate_scan(scan: _Scan, scheme: PeScheme, j_cap: int) -> list[list[Scan
     target's box.  Per level, the streams that pass are combined into
     candidate positions, each re-checked exactly with the block path's
     formula, and the hits are given out in position order; the walk stops at
-    the first level that meets every demand.  For targets left unmet, a second
-    walk finds the least nearest-cell distance over [1, j_cap]; a target with
-    no distance yet keeps all of level 0, which is position 1 alone, and has
-    a finite box from then on.
+    the first level that meets every demand.  Each chunk of stream values is
+    tested against the boxes of all open targets at once, and each level's
+    candidates of all of them are checked together.  For targets left unmet,
+    a second walk finds the least nearest-cell distance over [1, j_cap]; a
+    target with no distance yet keeps every value of the first visit, whose
+    positions are those below 2^_HEAD_BITS, and has a finite box from then
+    on.
     """
     grid = scan.grid
-    streams = {ti: _Streams(scan, ti, j_cap - 1) for ti in np.nonzero(scan.demand > 0)[0]}
+    every = np.arange(len(scan.demand))[:, None]
+    tol_widths = grid.half_widths(every, scan.tols[:, None])          # (targets, d)
+    streams = _KeptStreams(scan, j_cap - 1)
 
     def extend_hits(s, coords):
-        for ti in np.nonzero(scan.demand > 0)[0]:
-            streams[ti].extend(s, coords, grid.half_widths(ti, scan.tols[ti]))
+        streams.extend(s, coords, scan.demand > 0, tol_widths)
 
     def visit_hits(t_lo, t_hi):
-        open_idx = np.nonzero(scan.demand > 0)[0]
+        live = scan.demand > 0
         # the other targets take at most quota - demand of one target's hits,
         # so its first quota hits in position order are all it can use
-        quota = int(np.sum(scan.demand[open_idx]))
-        hits = []
-        for ti in open_idx:
-            pos, vix = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-            for t, cells, z in streams[ti].candidates(t_lo, t_hi):
-                sel = scan.check(ti, scan.dist(ti, z))
-                pos = np.concatenate((pos, t[sel] + 1))
-                vix = np.concatenate((vix, scan.vocab_index([c[sel] for c in cells])))
-                if pos.size > quota:
-                    first = np.argsort(pos)[:quota]
-                    pos, vix = pos[first], vix[first]
-            hits.append((pos, vix, ti))
-        scan.assign(hits)
+        quota = int(np.sum(scan.demand[live]))
+        pos, vix, tgt = (np.empty(0, dtype=np.int64),) * 3
+        for ti, t, cells, z in streams.candidates(live, t_lo, t_hi):
+            sel = scan.check_grouped(ti, scan.dist(ti, z))
+            pos = np.concatenate((pos, t[sel] + 1))
+            vix = np.concatenate((vix, scan.vocab_index([c[sel] for c in cells])))
+            tgt = np.concatenate((tgt, ti[sel]))
+            if pos.size > quota:
+                order = np.lexsort((pos, tgt))
+                pos, vix, tgt = pos[order], vix[order], tgt[order]
+                keep = np.arange(tgt.size) - np.searchsorted(tgt, tgt) < quota
+                pos, vix, tgt = pos[keep], vix[keep], tgt[keep]
+        scan.assign([(pos, vix, tgt)])
         return bool(np.any(scan.demand > 0))
 
     _walk_levels(scheme, scan.d, j_cap, extend_hits, visit_hits)
 
-    unmet = np.nonzero(scan.demand > 0)[0]
-    if unmet.size:
+    unmet = scan.demand > 0
+    if np.any(unmet):
         # each box is widened to a distance reached at some j in range, so the
         # minimiser stays inside it while each level shrinks it
-        streams = {ti: _Streams(scan, ti, j_cap - 1) for ti in unmet}
+        streams = _KeptStreams(scan, j_cap - 1)
 
         def extend_best(s, coords):
-            for ti in unmet:
-                streams[ti].extend(s, coords, grid.half_widths(ti, scan.best[ti]))
+            streams.extend(s, coords, unmet, grid.half_widths(every, scan.best[:, None]))
 
         def visit_best(t_lo, t_hi):
-            for ti in unmet:
-                for _, _, z in streams[ti].candidates(t_lo, t_hi):
-                    scan.check(ti, scan.dist(ti, z))
+            for ti, _, _, z in streams.candidates(unmet, t_lo, t_hi):
+                scan.check_grouped(ti, scan.dist(ti, z))
             return True
 
         _walk_levels(scheme, scan.d, j_cap, extend_best, visit_best)
@@ -623,16 +669,21 @@ def _token_prefix_sums(token_rows, tokens, x_tilde, activation, d_y):
 
     Blocks hold about _SUM_CELLS (point, token) cells (see _row_blocks), so
     no temporary grows with points x tokens.  Within a block the tokens are added one after
-    another, in position order, into one array that is yielded after each.
+    another, in position order, into one array that is yielded after each.  Every block
+    writes into the same two buffers, so no block allocates.
     """
-    for rows in _row_blocks(x_tilde.shape[0], len(tokens)):
-        act = activation(x_tilde[rows] @ token_rows.T)
-        out = np.zeros((act.shape[0], d_y))
+    blocks = _row_blocks(x_tilde.shape[0], len(tokens))
+    size = max((b.stop - b.start for b in blocks), default=0)
+    act_buf, out_buf = np.empty((size, len(tokens))), np.empty((size, d_y))
+    for rows in blocks:
+        size = rows.stop - rows.start
+        act = activation.in_place(np.matmul(x_tilde[rows], token_rows.T, out=act_buf[:size]))
+        out = out_buf[:size]
+        out.fill(0.0)
         yield rows, 0, out
         for idx, t in enumerate(tokens):
             out[:, t.component] += t.y_value * act[:, idx]
             yield rows, idx + 1, out
-        del act     # freed before the next block's product is made, not after
 
 
 def _token_pass(token_rows, tokens, x_tilde, activation, tp, f_vals):

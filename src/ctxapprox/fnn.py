@@ -54,6 +54,16 @@ class Activation:
             return np.asarray(self.fn(z), dtype=float)
         raise ValueError("softmax is not an element-wise map; use the forward routines")
 
+    def in_place(self, z: np.ndarray) -> np.ndarray:
+        """``self(z)`` written over the float64 array ``z``, which is returned;
+        the same bits, and relu and exp allocate nothing."""
+        if self.kind == "relu":
+            return np.maximum(z, 0.0, out=z)
+        if self.kind == "exp":
+            return np.exp(z, out=z)
+        z[...] = self(z)
+        return z
+
 
 RELU = Activation("relu")
 EXP = Activation("exp")

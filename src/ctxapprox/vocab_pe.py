@@ -194,15 +194,31 @@ def _morton_split(t: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _morton_spread(d: int) -> np.ndarray:
+    """Read-only table of the 256 byte values b with bit i of b moved to bit
+    i*d; bits that would pass bit 62 are dropped, as no offset holds them."""
+    b = np.arange(256, dtype=np.int64)
+    table = np.zeros(256, dtype=np.int64)
+    for i in range(min(8, 62 // d + 1)):
+        table |= ((b >> i) & 1) << (i * d)
+    table.setflags(write=False)
+    return table
+
+
 def _morton_offset(s: np.ndarray, d: int, k: int) -> np.ndarray:
     """The index bits that value s of stream k (of d) contributes: bit i of s
-    becomes index bit i*d + k.  An index is the sum of its streams' offsets."""
+    becomes index bit i*d + k.  An index is the sum of its streams' offsets.
+
+    One table lookup per byte of s, for the values of stream k below
+    ``_morton_stream_bounds(2^62 - 1, d)[k]``, whose offsets fit int64."""
     s = np.asarray(s, dtype=np.int64)
-    out = np.zeros_like(s)
-    nbits = int(s.max()).bit_length() if s.size else 0
-    for bit in range(nbits):
-        out |= ((s >> bit) & 1) << (bit * d + k)
-    return out
+    spread = _morton_spread(d)
+    out = spread[s & 255]
+    nbytes = -(-int(s.max()).bit_length() // 8) if s.size else 0
+    for byte in range(1, nbytes):
+        out |= spread[(s >> (8 * byte)) & 255] << (8 * byte * d)
+    return out << k
 
 
 def _morton_stream_bounds(t_last: int, d: int) -> list[int]:
@@ -226,7 +242,10 @@ def _morton_levels(t_last: int, d: int):
         yield level, t_lo, min(t_last + 1, 1 << (d * level))
 
 
-_CW_SHELL_EXPONENTS = np.array([0, -1, 1, -2], dtype=np.int64)
+# sign * 2^e for the low three bits of a stream value: bit 0 the sign, bits
+# 1-2 the shell e in (0, -1, 1, -2); both factors are exact, so one product
+# has the bits of the two
+_CW_SIGNED_SHELLS = np.array([1.0, -1.0, 0.5, -0.5, 2.0, -2.0, 0.25, -0.25])
 
 
 def _cw_stream_coords(scheme: PeScheme, streams: np.ndarray) -> np.ndarray:
@@ -238,12 +257,23 @@ def _cw_stream_coords(scheme: PeScheme, streams: np.ndarray) -> np.ndarray:
     equal to ``pe_block``.
     """
     streams = np.asarray(streams, dtype=np.int64)
-    signs = np.where(streams & 1 == 1, -1.0, 1.0)
-    exponent = _CW_SHELL_EXPONENTS[(streams >> 1) & 3]
-    idx = 3 * (streams >> 3) + 1          # odd/odd coprime Calkin-Wilf entries
-    num, den = _fusc_array(np.stack((idx, idx + 1)))
+    m = streams >> 3
+    if streams.ndim == 1 and streams.size and np.all(np.diff(streams) == 1):
+        # a contiguous range: eight consecutive values share each m, so each
+        # distinct m is decoded once and its ratio gathered
+        ratio = _cw_ratio(np.arange(m[0], m[-1] + 1))[m - m[0]]
+    else:
+        ratio = _cw_ratio(m)
     scale = float(scheme.params.get("scale", 1.0))
-    return signs * (num / den) * np.exp2(exponent.astype(float)) * scale
+    return ratio * _CW_SIGNED_SHELLS[streams & 7] * scale
+
+
+def _cw_ratio(m: np.ndarray) -> np.ndarray:
+    """cw(3m + 1) = fusc(3m + 1) / fusc(3m + 2), the odd/odd coprime
+    Calkin-Wilf entries, as floats."""
+    idx = 3 * m + 1
+    num, den = _fusc_array(np.stack((idx, idx + 1)))
+    return num / den
 
 
 def _cw_chunk_bits(d: int) -> int:

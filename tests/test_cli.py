@@ -757,14 +757,24 @@ class TestAuditCommands:
         ("embed", EMBED_SOFTMAX, "epsilon", -1.0, "epsilon"),
         ("kronecker", KRONECKER_BETAS, "q_cap", 0, "q_cap"),
         ("audit", NONUAP_SMALL, "max_context", 0, "max_context"),
-        ("audit", NONUAP_SMALL, "trials", 0, "trials")])
+        ("audit", NONUAP_SMALL, "trials", 0, "trials"),
+        ("construct", CONSTRUCT_SMALL, "transformer.d_x", 0, "transformer.d_x"),
+        ("construct", CONSTRUCT_SMALL, "transformer.d_y", -1, "transformer.d_y"),
+        ("embed", EMBED_SOFTMAX, "transformer.d_x", -1, "transformer.d_x"),
+        ("embed", EMBED_IDENTITY, "transformer.d_y", 0, "transformer.d_y"),
+        ("embed", EMBED_IDENTITY, "fnn.random.k", -1, "fnn.random.k"),
+        ("embed", EMBED_IDENTITY, "fnn.random.d_in", 0, "fnn.random.d_in"),
+        ("embed", EMBED_SOFTMAX, "fnn.random.d_y", 0, "fnn.random.d_y")])
     def test_bad_value_names_its_field(self, tmp_path, command, config, path, value, field):
         # these used to escape main as a traceback (exit 1; the 2000-term and
         # 300-deep targets as a RecursionError), run with a bool as 1.0, or
         # exit 2 naming no field (the dimension mismatches named "config", an
         # empty exprs list and a negative count with a raw numpy message, and
         # so did an epsilon, q_cap, max_context or trials out of range; a
-        # 5000-digit variable index was named "target")
+        # 5000-digit variable index was named "target"; a transformer or
+        # random-network dimension below 1 was named "transformer",
+        # "fnn.random" or "config", with numpy's "cond is not defined on
+        # empty arrays" or "negative dimensions are not allowed")
         cfg = mutated(config, path, value)
         if command == "construct":
             cfg["caps"]["j_cap"] = 200

@@ -214,6 +214,135 @@ class TestCandidatePath:
         assert hits == [[], [], []] and [u["target_index"] for u in unmet] == [0, 1, 2]
         assert all(1e-12 < u["best_distance"] < np.inf for u in unmet)
 
+    @pytest.mark.parametrize("seed,d", [(21, 2), (22, 2), (23, 3), (24, 3)])
+    @pytest.mark.parametrize("chunk", [None, 64])
+    def test_many_targets_with_mixed_demands(self, monkeypatch, seed, d, chunk):
+        # 14 targets with demands 1-5 close at different levels, and 4 with a
+        # tolerance no position reaches take the best-distance walk after
+        # them; a _CHUNK of 64 splits levels, box tests and candidate lists
+        # within and across targets
+        if chunk:
+            monkeypatch.setattr(construction, "_CHUNK", chunk)
+        tp = ca.random_sparse_params(seed, d, 1)
+        vocab = ca.Vocabulary.x_grid((-1.0,) * d, (1.0,) * d, 9, 1)
+        cmap = tp.C.T @ tp.B
+        rng = np.random.default_rng(seed)
+        tol = _fast_path_tol(tp, vocab, 0.4)
+        targets = [ScanTarget(cmap @ rng.uniform(-1.0, 1.0, d), tol, int(rng.integers(1, 6)))
+                   for _ in range(14)]
+        targets += [ScanTarget(cmap @ rng.uniform(-1.0, 1.0, d), 1e-12, 1) for _ in range(4)]
+        candidate, block = _both_paths(targets, vocab, ca.calkin_wilf_lattice(d), tp,
+                                       1 << (14 if d == 2 else 18))
+        assert candidate == block
+        hits, unmet = candidate
+        assert [u["target_index"] for u in unmet] == [14, 15, 16, 17]
+        assert all(1e-12 < u["best_distance"] < np.inf for u in unmet)
+        closing = {-(-(max(h.position for h in got) - 1).bit_length() // d)
+                   for got in hits[:14]}
+        assert len(closing) >= 2
+
+    def test_a_dimension_that_keeps_no_value(self, monkeypatch):
+        # identity maps: the token-space target is the row.  Coordinate 0.13
+        # lies 0.12 from both nearest cells of level 0's value, so dimension
+        # 0 keeps no value there while dimension 1 keeps it; levels are
+        # visited one by one, level 0 first
+        monkeypatch.setattr(construction, "_HEAD_BITS", 0)
+        tp = ca.identity_sparse_params(2, 1)
+        vocab = ca.Vocabulary.x_grid((-1.0, -1.0), (1.0, 1.0), 9, 1)
+        sizes = []
+        candidates = construction._KeptStreams.candidates
+
+        def recording(self, live, t_lo, t_hi):
+            sizes.append([kept[0].size for kept in self.kept])
+            return candidates(self, live, t_lo, t_hi)
+
+        monkeypatch.setattr(construction._KeptStreams, "candidates", recording)
+        targets = [ScanTarget(np.array([0.13, 0.0]), 0.01, 2),
+                   ScanTarget(np.array([0.13, -0.5]), 0.01, 1)]
+        candidate, block = _both_paths(targets, vocab, ca.calkin_wilf_lattice(2), tp, 1 << 16)
+        assert candidate == block and candidate[1] is None
+        assert sizes[0][0] == 0 and sizes[0][1] > 0
+
+    def test_stream_work_does_not_grow_with_targets(self, monkeypatch):
+        # each chunk of stream values is decoded once and spread once per
+        # dimension, for 20 targets as for one; both exhaust j_cap, so both
+        # walk every level twice
+        tp = ca.random_sparse_params(31, 2, 1)
+        vocab = ca.Vocabulary.x_grid((-1.0, -1.0), (1.0, 1.0), 9, 1)
+        cmap = tp.C.T @ tp.B
+        rng = np.random.default_rng(31)
+        calls = {}
+        for name in ("_morton_offset", "_cw_stream_coords"):
+            def counting(*args, _name=name, _real=getattr(construction, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(construction, name, counting)
+        counts = []
+        for n_targets in (1, 20):
+            calls.update({"_morton_offset": 0, "_cw_stream_coords": 0})
+            targets = [ScanTarget(cmap @ rng.uniform(-1.0, 1.0, 2), 1e-12, 1)
+                       for _ in range(n_targets)]
+            with pytest.raises(ca.PositionScanExhausted):
+                _candidate_scan(_Scan(targets, vocab, tp), ca.calkin_wilf_lattice(2), 1 << 16)
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert counts[0]["_morton_offset"] == 2 * counts[0]["_cw_stream_coords"] > 0
+
+    def test_box_tests_hold_at_most_a_chunk_of_cells(self, monkeypatch):
+        # 20 targets and a _CHUNK of 64: every box test covers at most 64
+        # (target, value) cells
+        monkeypatch.setattr(construction, "_CHUNK", 64)
+        cells = []
+        nearest = construction._CellGrid.nearest
+
+        def recording(self, ti, k, coords):
+            out = nearest(self, ti, k, coords)
+            cells.append(out[0].size)
+            return out
+
+        monkeypatch.setattr(construction._CellGrid, "nearest", recording)
+        tp = ca.random_sparse_params(32, 2, 1)
+        vocab = ca.Vocabulary.x_grid((-1.0, -1.0), (1.0, 1.0), 9, 1)
+        rng = np.random.default_rng(32)
+        targets = [ScanTarget(tp.C.T @ tp.B @ rng.uniform(-1.0, 1.0, 2), 1e-12, 1)
+                   for _ in range(20)]
+        with pytest.raises(ca.PositionScanExhausted):
+            _candidate_scan(_Scan(targets, vocab, tp), ca.calkin_wilf_lattice(2), 1 << 16)
+        assert cells and max(cells) <= 64
+
+    def test_scan_memory_on_the_multi_output_construct(self, monkeypatch):
+        # the criterion-5 construct's scan (23 targets, n = 18,065,916); the
+        # per-target scan this path replaced peaked at 525 KB on these inputs
+        calls = []
+        engine = construction._scan_engine
+
+        def recording(*args):
+            calls.append(args)
+            return engine(*args)
+
+        monkeypatch.setattr(construction, "_scan_engine", recording)
+        tp = ca.random_sparse_params(7, 2, 2)
+        vocab = ca.Vocabulary.x_grid((-10.0, -10.0), (10.0, 10.0), 81, 2)
+
+        def target(pts):
+            return np.column_stack([np.sin(2 * np.pi * pts[:, 0]),
+                                    np.cos(2 * np.pi * pts[:, 0])])
+
+        rep = ca.construct_context(target, ca.Grid((0.0,), (1.0,), (1500,)), vocab,
+                                   ca.calkin_wilf_lattice(2), tp, 0.3, seed=9,
+                                   budgets=ca.StageBudgets(0.08, 0.02, 0.20),
+                                   fit=FitOptions(k=14, refine_steps=300),
+                                   caps=Caps(j_cap=80_000_000))
+        assert rep.n == 18_065_916 and len(calls[0][0]) == 23
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            engine(*calls[0])
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 525 * 1024
+
     def test_scan_engine_takes_candidate_path_for_calkin_wilf_grid(self, monkeypatch):
         tp = ca.random_sparse_params(3, 2, 1)
         vocab = ca.Vocabulary.x_grid((-1.0, -1.0), (1.0, 1.0), 9, 1)

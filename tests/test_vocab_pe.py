@@ -158,6 +158,42 @@ class TestStreamFormat:
         tops = [_morton_offset(np.array([b - 1]), d, k)[0] for k, b in enumerate(bounds)]
         assert 0 <= sum(int(x) for x in tops) < 2 ** max(t_last.bit_length(), 1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 9))
+    def test_table_offsets_equal_the_bit_loop(self, data, d):
+        # every value a stream can hold below j_cap = 2^62, its ends and 0
+        k = data.draw(st.integers(0, d - 1))
+        bound = _morton_stream_bounds(2**62 - 1, d)[k]
+        s = np.array(data.draw(st.lists(st.one_of(st.integers(0, bound - 1),
+                                                  st.sampled_from([0, 1, bound - 1])),
+                                        max_size=40)), dtype=np.int64)
+        want = np.zeros_like(s)
+        for bit in range(int(s.max()).bit_length() if s.size else 0):
+            want |= ((s >> bit) & 1) << (bit * d + k)
+        got = _morton_offset(s, d, k)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), count=st.integers(0, 70), scale=st.sampled_from([1.0, 0.75]))
+    def test_stream_coords_of_a_range_equal_the_per_value_decode(self, data, count, scale):
+        # a contiguous range decodes each m = s >> 3 once; the values must
+        # keep the bits of the per-value fusc decode, near 0, near the stream
+        # bounds and near 2^62
+        top = 2**62 - count
+        near = [0, 2**62 - count] + [b - count // 2 for d in (2, 3)
+                                      for b in _morton_stream_bounds(2**62 - 1, d)]
+        start = data.draw(st.one_of(st.integers(0, top),
+                                    st.sampled_from(near).flatmap(
+                                        lambda a: st.integers(max(0, a - 9), min(top, a + 9)))))
+        s = np.arange(start, start + count, dtype=np.int64)
+        num, den = _fusc_array(np.stack((3 * (s >> 3) + 1, 3 * (s >> 3) + 2)))
+        want = (np.where(s & 1 == 1, -1.0, 1.0) * (num / den)
+                * np.exp2(np.array([0, -1, 1, -2])[(s >> 1) & 3].astype(float)) * scale)
+        scheme = ca.calkin_wilf_lattice(2, scale=scale)
+        assert _cw_stream_coords(scheme, s).tobytes() == want.tobytes()
+        # any other order takes the per-value route, with the same bits
+        assert _cw_stream_coords(scheme, s[::-1])[::-1].tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_stream_coords_through_interleave_equal_pe_block(self, d):
         scheme = ca.calkin_wilf_lattice(d, scale=0.75)
