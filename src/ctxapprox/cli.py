@@ -10,7 +10,6 @@ every output.  Identical configs produce byte-identical outputs.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -50,10 +49,6 @@ _KINDS = {int: ((int, float), "an integer"), float: ((int, float), "a number"),
           str: (str, "a string"), list: (list, "a list"), dict: (dict, "an object")}
 _REQUIRED = object()
 _NEAREST_BLOCK = 1 << 20    # point-sample distances per chunk of a nearest-sample lookup
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _typed(value, kind, field: str):
@@ -137,8 +132,13 @@ def _meta(cfg: dict, command: str) -> dict:
             "config_sha256": _config_hash(cfg)}
 
 
-def _csv_header(cfg: dict) -> str:
-    return f"# ctxapprox {__version__} config_sha256={_config_hash(cfg)}\n"
+def _write_csv(path: Path, cfg: dict, columns: str, lines):
+    """A CSV artifact: a comment line with the tool version and the config
+    hash, the ``columns`` line, then ``lines``, each a finished row with its
+    newline, streamed.  Callers format floats ``%.17g``."""
+    with path.open("w", newline="") as fh:
+        fh.write(f"# ctxapprox {__version__} config_sha256={_config_hash(cfg)}\n{columns}\n")
+        fh.writelines(lines)
 
 
 def _read_json(path: str):
@@ -172,6 +172,15 @@ def _positive(cfg: _Config, key: str, kind, default=_REQUIRED):
         raise ConfigError(cfg.field(key), f"{cfg.field(key)} must be positive and finite, "
                                           f"got {value!r}")
     return value
+
+
+def _pair(cfg: _Config, key: str, kind, default: list) -> tuple:
+    """The two values at ``key``, each read as ``kind``."""
+    pair = tuple(cfg.numbers(key, kind, default))
+    if len(pair) != 2:
+        raise ConfigError(cfg.field(key), f"{cfg.field(key)} must be two "
+                          f"{'integers' if kind is int else 'numbers'}, got {list(pair)!r}")
+    return pair
 
 
 def _grid(g: _Config) -> Grid:
@@ -332,12 +341,10 @@ def cmd_embed(cfg: _Config, out: Path, seed_override: int | None) -> int:
     if result.closed_form_bound is not None:
         doc["closed_form_bound"] = result.closed_form_bound
     _write_json(out / "embedding.json", doc)
-    with (out / "errors.csv").open("w", newline="") as fh:
-        fh.write(_csv_header(cfg.obj))
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow([f"x{i+1}" for i in range(pts.shape[1])] + ["gap"])
-        for p, g in zip(pts, gap):
-            w.writerow([_fmt(v) for v in p] + [_fmt(g)])
+    _write_csv(out / "errors.csv", cfg.obj,
+               ",".join([*(f"x{i + 1}" for i in range(pts.shape[1])), "gap"]),
+               (",".join([f"{v:.17g}" for v in p + [g]]) + "\n"
+                for p, g in zip(pts.tolist(), gap.tolist())))
     return EXIT_OK
 
 
@@ -371,14 +378,11 @@ def cmd_construct(cfg: _Config, out: Path, seed_override: int | None) -> int:
     doc = _meta(cfg.obj, "construct")
     doc["report"] = report.to_json_dict()
     _write_json(out / "report.json", doc)
-    with (out / "tokens.csv").open("w", newline="") as fh:
-        fh.write(_csv_header(cfg.obj))
-        report.write_tokens_csv(fh)
-    with (out / "error_vs_n.csv").open("w", newline="") as fh:
-        fh.write(_csv_header(cfg.obj))
-        fh.write("n,tokens_used,sup_error\n")
-        for n_here, t, err in report.error_vs_n:
-            fh.write(f"{n_here},{t},{_fmt(err)}\n")
+    _write_csv(out / "tokens.csv", cfg.obj, "position,vocab_index,role,neuron,component,y_value",
+               (f"{t.position},{t.vocab_index},{t.role},{t.neuron},{t.component},"
+                f"{t.y_value:.17g}\n" for t in report.tokens))
+    _write_csv(out / "error_vs_n.csv", cfg.obj, "n,tokens_used,sup_error",
+               (f"{n},{t},{err:.17g}\n" for n, t, err in report.error_vs_n))
     return EXIT_OK
 
 
@@ -395,9 +399,11 @@ def cmd_density(cfg: _Config, out: Path, seed_override: int | None) -> int:
     doc["final_covering_radius"] = float(profile.radii[-1])
     doc["n_max"] = n_max
     _write_json(out / "density.json", doc)
-    with (out / "density.csv").open("w", newline="") as fh:
-        fh.write(_csv_header(cfg.obj))
-        profile.write_csv(fh)
+    # r(n) takes few distinct values, so each is formatted once
+    radii = profile.radii.tolist()
+    text = {r: f",{r:.17g}\n" for r in set(radii)}
+    _write_csv(out / "density.csv", cfg.obj, "n,covering_radius",
+               (f"{n}{text[r]}" for n, r in zip(profile.ns.tolist(), radii)))
     return EXIT_OK
 
 
@@ -416,11 +422,8 @@ def cmd_kronecker(cfg: _Config, out: Path, seed_override: int | None) -> int:
     doc["witnesses"] = [w.to_json_dict() for w in wits]
     doc["max_q"] = max(w.q for w in wits)
     _write_json(out / "witnesses.json", doc)
-    with (out / "witnesses.csv").open("w", newline="") as fh:
-        fh.write(_csv_header(cfg.obj))
-        fh.write("beta,q,l,achieved_error\n")
-        for w in wits:
-            fh.write(f"{_fmt(w.beta)},{w.q},{w.l},{_fmt(w.achieved_error)}\n")
+    _write_csv(out / "witnesses.csv", cfg.obj, "beta,q,l,achieved_error",
+               (f"{w.beta:.17g},{w.q},{w.l},{w.achieved_error:.17g}\n" for w in wits))
     return EXIT_OK
 
 
@@ -431,12 +434,19 @@ def cmd_audit(cfg: _Config, out: Path, seed_override: int | None) -> int:
         count = cfg.get("count", int)
         if count < 0:
             raise ConfigError("count", f"count must be >= 0, got {count}")
-        audit = partial(prop1_fuzz, count, seed,
-                        k_range=tuple(cfg.numbers("k_range", int, [1, 6])),
-                        exponent_separation=cfg.get("exponent_separation", float, 0.1),
-                        coeff_range=cfg.get("coeff_range", float, 5.0),
-                        interval=tuple(cfg.numbers("interval", float, [-8.0, 8.0])),
-                        grid_points=cfg.get("grid_points", int, 2001))
+        k_range = _pair(cfg, "k_range", int, [1, 6])
+        separation = _positive(cfg, "exponent_separation", float, 0.1)
+        if k_range[1] > 1 and separation * (k_range[1] - 1) >= 6.0:
+            raise ConfigError("exponent_separation", f"exponent_separation {separation!r} leaves "
+                              f"no room for {k_range[1]} exponents in [-3, 3]; it must be below "
+                              f"{6.0 / (k_range[1] - 1)!r}")
+        grid_points = cfg.get("grid_points", int, 2001)
+        if grid_points < 2:
+            raise ConfigError("grid_points", f"grid_points must be >= 2, got {grid_points}")
+        audit = partial(prop1_fuzz, count, seed, k_range=k_range, exponent_separation=separation,
+                        coeff_range=_positive(cfg, "coeff_range", float, 5.0),
+                        interval=_pair(cfg, "interval", float, [-8.0, 8.0]),
+                        grid_points=grid_points)
     elif kind == "nonuap":
         audit = partial(nonuap_audit, cfg.load("family", _family),
                         _positive(cfg, "max_context", int), _positive(cfg, "trials", int), seed)
@@ -448,9 +458,15 @@ def cmd_audit(cfg: _Config, out: Path, seed_override: int | None) -> int:
     doc["kind"] = kind
     doc.update(record.to_json_dict())
     _write_json(out / "audit.json", doc)
-    with (out / "audit.csv").open("w", newline="") as fh:
-        fh.write(_csv_header(cfg.obj))
-        record.write_csv(fh)
+    if kind == "prop1_fuzz":
+        _write_csv(out / "audit.csv", cfg.obj, "trial,k,sign_changes",
+                   (f"{t},{k},{z}\n" for t, (k, z) in enumerate(zip(
+                       record.ks.tolist(), record.sign_changes.tolist()))))
+    else:
+        _write_csv(out / "audit.csv", cfg.obj, "trial,context_length,minmax_error,distinct_terms",
+                   (f"{t},{n},{e:.17g},{d}\n" for t, (n, e, d) in enumerate(zip(
+                       record.context_lengths.tolist(), record.minmax_errors.tolist(),
+                       record.distinct_terms.tolist()))))
     return EXIT_OK
 
 

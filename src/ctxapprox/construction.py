@@ -153,7 +153,8 @@ class ConstructionReport:
     The context is stored sparsely: every position up to n that is not listed
     in ``tokens`` is nulled (vocabulary index 0, y = 0).  ``dense_context``
     materializes the full (X, Y) pair for small n.  ``tokens`` is the one
-    record of the assignment; the JSON form records the vocabulary by hash.
+    record of the assignment, in position order; the JSON form records the
+    vocabulary by hash.
     ``error_vs_n`` is (n, t, error) for t = 0..T: the fit-grid readout error
     of the first t tokens, the t-th at position n; the JSON form leaves it out.
     """
@@ -211,14 +212,6 @@ class ConstructionReport:
             "vocab": self.vocab.to_json_dict(),
             "scheme": self.scheme.to_json_dict(),
         }
-
-    def write_tokens_csv(self, fh):
-        """Token CSV: the assigned tokens in position order; every other
-        position up to n is nulled."""
-        fh.write("position,vocab_index,role,neuron,component,y_value\n")
-        for t in sorted(self.tokens, key=lambda t: t.position):
-            fh.write(f"{t.position},{t.vocab_index},{t.role},{t.neuron},"
-                     f"{t.component},{t.y_value:.17g}\n")
 
 
 # --------------------------------------------------------------------------

@@ -96,11 +96,6 @@ class Prop1FuzzRecord:
     def to_json_dict(self) -> dict:
         return {"violations": self.violations, "count": len(self.ks)}
 
-    def write_csv(self, fh):
-        fh.write("trial,k,sign_changes\n")
-        for t, (k, z) in enumerate(zip(self.ks, self.sign_changes)):
-            fh.write(f"{t},{int(k)},{int(z)}\n")
-
 
 def _k_range(k_range) -> tuple[int, int]:
     """``k_range`` as whole numbers 1 <= k_lo <= k_hi, or ValueError."""
@@ -239,12 +234,6 @@ class NonUapAuditRecord:
             "structural_cap_holds": self.structural_cap_holds,
             "certified_floor": self.certified_floor,
         }
-
-    def write_csv(self, fh):
-        fh.write("trial,context_length,minmax_error,distinct_terms\n")
-        fh.writelines(f"{t},{int(n)},{e:.17g},{int(d)}\n" for t, (n, e, d) in enumerate(zip(
-            self.context_lengths.tolist(), self.minmax_errors.tolist(),
-            self.distinct_terms.tolist())))
 
 
 def nonuap_audit(family: FiniteFamilySpec, max_context: int, trials: int,

@@ -505,14 +505,6 @@ class DensityProfile:
     ns: np.ndarray
     radii: np.ndarray
 
-    def write_csv(self, fh):
-        """One line per n, streamed; r(n) takes few distinct values, so each
-        is formatted once."""
-        radii = self.radii.tolist()
-        text = {r: f",{r:.17g}\n" for r in set(radii)}
-        fh.write("n,covering_radius\n")
-        fh.writelines(f"{n}{text[r]}" for n, r in zip(self.ns.tolist(), radii))
-
 
 # (point, probe) pairs a density audit computes per chunk of positions
 _DENSITY_PAIRS = 1 << 16

@@ -24,6 +24,11 @@ def run_python(*args):
                           text=True, timeout=120)
 
 
+def sha256s(out, *names):
+    """The SHA-256 hex digest of each named artifact in ``out``."""
+    return tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names)
+
+
 def run(tmp_path, name, config, command, seed=None):
     cfg_path = tmp_path / f"{name}.json"
     cfg_path.write_text(json.dumps(config))
@@ -88,6 +93,15 @@ CONSTRUCT_MULTI = {
 KRONECKER_BETAS = {"betas": [0.0, 1.5], "epsilon": 0.01, "q_cap": 100000}
 
 KRONECKER_RANDOM = {"random": {"seed": 1, "count": 3, "lo": -5.0, "hi": 5.0}, "epsilon": 0.01}
+
+# the benchmark's oracle inputs; ints stay ints, since config_sha256 hashes the JSON
+KRONECKER_ORACLES = {"random": {"seed": 808, "count": 1000, "lo": -10.0, "hi": 10.0},
+                     "epsilon": 1e-6, "q_cap": 100000000}
+DENSITY_ORACLES = {"vocab": {"v_x": [[0.0, 0.0]], "v_y": [[0.0]]},
+                   "scheme": {"kind": "dyadic_lattice",
+                              "region": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}},
+                   "region": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+                   "n_max": 16000, "probe_per_dim": 64}
 
 
 def mutated(config, path, value):
@@ -403,9 +417,7 @@ class TestConstructCommand:
                if name == "acceptance" else CONSTRUCT_MULTI)
         code, out = run(tmp_path, name, cfg, "construct")
         assert code == 0
-        got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
-                    for f in ("report.json", "tokens.csv", "error_vs_n.csv"))
-        assert got == digests
+        assert sha256s(out, "report.json", "tokens.csv", "error_vs_n.csv") == digests
 
     @pytest.mark.parametrize("vocab", ["x_grid", "v_x"])
     def test_report_records_the_vocabulary_by_hash(self, tmp_path, vocab):
@@ -537,8 +549,9 @@ class TestAuditCommands:
         cfg = json.loads((ROOT / "configs" / "nonuap_audit.json").read_text())
         code, out = run(tmp_path, "nonuap_shipped", cfg, "audit")
         assert code == 0
-        digest = hashlib.sha256((out / "audit.csv").read_bytes()).hexdigest()
-        assert digest == "0715eb00d61fae0749fe006eaca1dbfa29c8e576fb604648d791b119bcdf51c1"
+        assert sha256s(out, "audit.json", "audit.csv") == (
+            "acf09ded2f501f0d792bd1ebb9af444f3c5cc00cff41189842800e5de04806fe",
+            "0715eb00d61fae0749fe006eaca1dbfa29c8e576fb604648d791b119bcdf51c1")
 
     def test_density_shipped_config_bytes(self, tmp_path):
         # pinned: the per-point boxes and the bisection of the non-increasing
@@ -546,21 +559,39 @@ class TestAuditCommands:
         cfg = json.loads((ROOT / "configs" / "density_dyadic.json").read_text())
         code, out = run(tmp_path, "density_dyadic", cfg, "density")
         assert code == 0
-        digest = hashlib.sha256((out / "density.csv").read_bytes()).hexdigest()
-        assert digest == "39a1899c2b4f123b35075fea85d00647d2b0e3da749523476d5752d45c89a119"
+        assert sha256s(out, "density.json", "density.csv") == (
+            "1ea965c5fcc033ed6184d0d52beb9871c1c70dc38206cf634462a0a631a57e8b",
+            "39a1899c2b4f123b35075fea85d00647d2b0e3da749523476d5752d45c89a119")
 
     def test_density_oracles_input_bytes(self, tmp_path):
         # pinned: the benchmark's density inputs (2-D dyadic, n_max 16000,
         # 64^2 probes), which run through many chunks and falls of r
-        cfg = {"vocab": {"v_x": [[0.0, 0.0]], "v_y": [[0.0]]},
-               "scheme": {"kind": "dyadic_lattice",
-                          "region": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}},
-               "region": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
-               "n_max": 16000, "probe_per_dim": 64}
-        code, out = run(tmp_path, "density_oracles", cfg, "density")
+        code, out = run(tmp_path, "density_oracles", DENSITY_ORACLES, "density")
         assert code == 0
-        digest = hashlib.sha256((out / "density.csv").read_bytes()).hexdigest()
-        assert digest == "3258e04beadde4bd56c3cbf0e84d4f34e1382c318c436c395028cd1e7c10bf1f"
+        assert sha256s(out, "density.json", "density.csv") == (
+            "372c4aa9ec46a6c2f4748eb8294b122eda262e65665585de35278c682fedab0f",
+            "3258e04beadde4bd56c3cbf0e84d4f34e1382c318c436c395028cd1e7c10bf1f")
+
+    @pytest.mark.parametrize("command,config,pinned", [
+        ("kronecker", json.loads((ROOT / "configs" / "kronecker_seeded.json").read_text()),
+         {"witnesses.json": "df74313c784cae4e9c9b1eb96efc3fa75486e91aef0c04937667b2ae995c12c0",
+          "witnesses.csv": "159f1cb37efced6bc0d360da90ce237bb9cca1017b3e33bb43b3403d9a41e3c6"}),
+        ("kronecker", KRONECKER_ORACLES,
+         {"witnesses.json": "9b3c50089e991debeee3b0c6ba4b8d5e538dd7acb5c4fe7a85184f5e0c85f5eb",
+          "witnesses.csv": "b16cee2059c94bc73e392c9c5740ac3db787c008d351f39a663f73ac404c16bd"}),
+        ("embed", EMBED_SOFTMAX,
+         {"embedding.json": "889e304395010577887a70f182181c4272761b4516ffa025d68b7a7a45413205",
+          "errors.csv": "e58e7a1ab7c2dac1deb9698cd256f3673de2bdf13d04e356aecb27a000907a5e"}),
+        ("audit", PROP1_SMALL,
+         {"audit.json": "957b033b7a0599c1fc74061db1d6df63c99d624ff8ffce102ab4edb12eca917b",
+          "audit.csv": "9e9c111aa8ed837f127ecaf60e6c23b90c0b6cddc06686fbef97ed4060e03394"})],
+        ids=["kronecker_seeded", "kronecker_oracles", "embed_softmax", "prop1_fuzz"])
+    def test_oracle_artifact_bytes(self, tmp_path, command, config, pinned):
+        # pinned: the JSON and CSV bytes of the kronecker, embed and
+        # prop1_fuzz commands, on the shipped and the benchmark's inputs
+        code, out = run(tmp_path, "oracle", config, command)
+        assert code == 0
+        assert dict(zip(pinned, sha256s(out, *pinned))) == pinned
 
     @pytest.mark.parametrize("field", ["n_max", "probe_per_dim"])
     @pytest.mark.parametrize("value", [0, -3])
@@ -676,11 +707,11 @@ class TestAuditCommands:
                      "region": {"lo": [-1.0], "hi": [1.0]}, "n_max": 7},
          "vocab.v_x", [[0.0], [float("nan")]], "tokens must be finite"),
         ("audit", {"kind": "prop1_fuzz", "count": 5}, "exponent_separation", float("nan"),
-         "exponent_separation must be finite and > 0"),
+         "exponent_separation must be positive and finite"),
         ("audit", {"kind": "prop1_fuzz", "count": 5}, "exponent_separation", 1.5,
          "exponent_separation 1.5 leaves no room for 6 exponents"),
         ("audit", {"kind": "prop1_fuzz", "count": 5}, "coeff_range", float("nan"),
-         "coeff_range must be finite and > 0"),
+         "coeff_range must be positive and finite"),
         ("audit", {"kind": "prop1_fuzz", "count": 5}, "interval", [-1.0, float("inf")],
          "interval must be finite"),
         ("audit", {"kind": "prop1_fuzz", "count": 5}, "k_range", [3, 1],
@@ -764,7 +795,13 @@ class TestAuditCommands:
         ("embed", EMBED_IDENTITY, "transformer.d_y", 0, "transformer.d_y"),
         ("embed", EMBED_IDENTITY, "fnn.random.k", -1, "fnn.random.k"),
         ("embed", EMBED_IDENTITY, "fnn.random.d_in", 0, "fnn.random.d_in"),
-        ("embed", EMBED_SOFTMAX, "fnn.random.d_y", 0, "fnn.random.d_y")])
+        ("embed", EMBED_SOFTMAX, "fnn.random.d_y", 0, "fnn.random.d_y"),
+        ("audit", PROP1_SMALL, "exponent_separation", -1, "exponent_separation"),
+        ("audit", PROP1_SMALL, "exponent_separation", 1.5, "exponent_separation"),
+        ("audit", PROP1_SMALL, "coeff_range", float("inf"), "coeff_range"),
+        ("audit", PROP1_SMALL, "k_range", [], "k_range"),
+        ("audit", PROP1_SMALL, "interval", [], "interval"),
+        ("audit", mutated(PROP1_SMALL, "count", 0), "grid_points", -1, "grid_points")])
     def test_bad_value_names_its_field(self, tmp_path, command, config, path, value, field):
         # these used to escape main as a traceback (exit 1; the 2000-term and
         # 300-deep targets as a RecursionError), run with a bool as 1.0, or
@@ -774,7 +811,9 @@ class TestAuditCommands:
         # 5000-digit variable index was named "target"; a transformer or
         # random-network dimension below 1 was named "transformer",
         # "fnn.random" or "config", with numpy's "cond is not defined on
-        # empty arrays" or "negative dimensions are not allowed")
+        # empty arrays" or "negative dimensions are not allowed"; a prop1_fuzz
+        # option out of range was named "config", and a grid_points below 2
+        # ran when no trial reached its check)
         cfg = mutated(config, path, value)
         if command == "construct":
             cfg["caps"]["j_cap"] = 200
@@ -913,6 +952,58 @@ class TestAuditCommands:
         assert (out1 / "audit.csv").read_bytes() == (out2 / "audit.csv").read_bytes()
 
 
+class TestCsvArtifacts:
+    @pytest.mark.parametrize("command,config,columns,count", [
+        ("embed", EMBED_IDENTITY, {"errors.csv": "x1,x2,gap"}, 15 * 15),
+        ("construct", CONSTRUCT_SMALL,
+         {"tokens.csv": "position,vocab_index,role,neuron,component,y_value",
+          "error_vs_n.csv": "n,tokens_used,sup_error"}, None),
+        ("density", DENSITY_SMALL, {"density.csv": "n,covering_radius"}, 31),
+        ("kronecker", KRONECKER_BETAS, {"witnesses.csv": "beta,q,l,achieved_error"}, 2),
+        ("audit", PROP1_SMALL, {"audit.csv": "trial,k,sign_changes"}, None),
+        ("audit", NONUAP_SMALL,
+         {"audit.csv": "trial,context_length,minmax_error,distinct_terms"}, 50)],
+        ids=["embed", "construct", "density", "kronecker", "prop1_fuzz", "nonuap"])
+    def test_header_and_rows(self, tmp_path, command, config, columns, count):
+        # README "CSV schemas": a comment line with the tool version and the
+        # hash of the canonical config, then the column line, then the rows
+        import ctxapprox as ca
+        code, out = run(tmp_path, "csv", config, command)
+        assert code == 0
+        canon = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
+        comment = f"# ctxapprox {ca.__version__} config_sha256={hashlib.sha256(canon).hexdigest()}"
+        rows = {}
+        for name, column_line in columns.items():
+            lines = (out / name).read_text().splitlines()
+            assert lines[:2] == [comment, column_line]
+            rows[name] = lines[2:]
+        if command == "construct":
+            # one row per assigned token, in position order: every other
+            # position up to n is nulled
+            report = json.loads((out / "report.json").read_text())["report"]
+            tokens = report["tokens"]
+            assert len(tokens) < report["n"]
+            positions = [t["position"] for t in tokens]
+            assert positions == sorted(set(positions))
+            assert rows["tokens.csv"] == [
+                f"{t['position']},{t['vocab_index']},{t['role']},{t['neuron']},"
+                f"{t['component']},{t['y_value']:.17g}" for t in tokens]
+            assert len(rows["error_vs_n.csv"]) == len(tokens) + 1
+        elif command == "audit" and config["kind"] == "prop1_fuzz":
+            options = {k: v for k, v in config.items() if k not in ("kind", "count", "seed")}
+            rec = ca.prop1_fuzz(config["count"], config["seed"], **options)
+            assert rows["audit.csv"] == [f"{t},{k},{z}" for t, (k, z) in enumerate(
+                zip(rec.ks.tolist(), rec.sign_changes.tolist()))]
+        else:
+            # one row per grid point, beta, n (from 1) or trial (from 0)
+            (body,) = rows.values()
+            assert len(body) == count
+            if command in ("density", "audit"):
+                first = 1 if command == "density" else 0
+                assert [int(line.split(",")[0]) for line in body] == \
+                    list(range(first, first + count))
+
+
 def test_cli_import_leaves_mpmath_out():
     # mpmath is a test oracle only; the runtime checks witnesses in integers
     proc = run_python("-c", "import sys, ctxapprox.cli; print('mpmath' in sys.modules)")
@@ -947,7 +1038,8 @@ class TestConfigMutations:
     @pytest.mark.parametrize("name", sorted(MUTATED_CONFIGS))
     def test_every_mutation_exits_with_a_documented_code(self, tmp_path, name):
         # delete, rename or retype each key in turn: nothing escapes main, a
-        # failure writes a well-formed error.json, and a renamed key is unknown
+        # failure writes a well-formed error.json naming a field, not the
+        # whole config, and a renamed key is unknown
         command, config = MUTATED_CONFIGS[name]
         cases = [(path, kind) for path in key_paths(config)
                  for kind in ("delete", "rename", *MUTATIONS)]
@@ -976,3 +1068,4 @@ class TestConfigMutations:
                 err = doc["error"]
                 assert doc["tool"] == "ctxapprox" and doc["version"], case
                 assert err["exit_code"] == code and err["field"] and err["message"], case
+                assert err["field"] != "config", case

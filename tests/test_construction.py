@@ -1,4 +1,3 @@
-import io
 import tracemalloc
 from types import SimpleNamespace
 
@@ -497,18 +496,6 @@ class TestConstructContext:
             asm = ca.assemble(X_pe, Y, pts[i])
             a = ca.transformer_readout(tp, asm, ca.RELU)
             assert np.max(np.abs(a - out[i])) < 1e-10
-
-    def test_tokens_csv_lists_the_assigned_tokens_only(self):
-        # a short context still leaves its nulled positions implied
-        *_, rep = small_dyadic_construction()
-        assert len(rep.tokens) < rep.n <= 100_000
-        fh = io.StringIO()
-        rep.write_tokens_csv(fh)
-        lines = fh.getvalue().splitlines()
-        # the header and one row per token; the CLI's file adds its comment line
-        assert len(lines) == 1 + len(rep.tokens)
-        assert [int(line.split(",")[0]) for line in lines[1:]] == \
-            sorted(t.position for t in rep.tokens)
 
     def test_exp_activation_exact_hit(self):
         # element-wise activations other than relu go through the literal

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,12 +131,9 @@ class TestProp1Fuzz:
         rec = ca.prop1_fuzz(3, 1, k_range=(1, 1), exponent_separation=100.0)
         assert rec.ks.tolist() == [1, 1, 1]
 
-    def test_record_json_and_csv(self):
+    def test_record_json(self):
         rec = ca.Prop1FuzzRecord(np.array([1, 2, 3]), np.array([0, 2, 1]))
         assert rec.to_json_dict() == {"violations": 1, "count": 3}
-        buf = io.StringIO()
-        rec.write_csv(buf)
-        assert buf.getvalue() == "trial,k,sign_changes\n0,1,0\n1,2,2\n2,3,1\n"
 
 
 class TestHardTarget:
@@ -194,16 +189,6 @@ class TestNonUapAudit:
         sets[field] = sets[field] + [float("nan")]
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             ca.FiniteFamilySpec(**sets)
-
-    def test_record_csv(self, tmp_path):
-        family = ca.FiniteFamilySpec([1.0], [0.3], [0.0])
-        rec = ca.nonuap_audit(family, 10, 20, seed=0)
-        path = tmp_path / "audit.csv"
-        with path.open("w") as fh:
-            rec.write_csv(fh)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "trial,context_length,minmax_error,distinct_terms"
-        assert len(lines) == 21
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000))

@@ -525,18 +525,6 @@ class TestDensityAudit:
             ca.density_audit(ca.Vocabulary([[0.5]], [[0.0]]), ca.dyadic_lattice(region),
                              region, 7)
 
-    def test_csv_output(self, tmp_path):
-        vocab = ca.Vocabulary([[0.0]], [[0.0]])
-        scheme = ca.dyadic_lattice(ca.Box((-1.0,), (1.0,)))
-        prof = ca.density_audit(vocab, scheme, ca.Box((-1.0,), (1.0,)), 7,
-                                probe_per_dim=65)
-        path = tmp_path / "density.csv"
-        with path.open("w") as fh:
-            prof.write_csv(fh)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "n,covering_radius"
-        assert len(lines) == 8
-
 
 class TestSchemeSerde:
     def test_round_trip(self):
