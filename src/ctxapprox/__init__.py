@@ -9,6 +9,10 @@ positional encoding cannot.
 
 __version__ = "0.1.0"
 
+import os as _os
+
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")     # unless the user set it (README, Notes)
+
 from .construction import (Caps, ConstructionReport, FitOptions, StageBudgets,
                            construct_context)
 from .embedding import (EmbeddingResult, embed_fnn, embed_softmax_fnn,

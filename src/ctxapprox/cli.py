@@ -4,7 +4,8 @@ Subcommands: embed | construct | audit | density | kronecker.  Each run takes
 a single JSON config (no environment-variable configuration), writes JSON and
 CSV artifacts under --out, and embeds the config hash and tool version in
 every output.  Identical configs produce byte-identical outputs.  Exit codes:
-0 success, 2 config error, 3 budget exhaustion, 4 numerical failure.
+0 success, 1 a bug (an uncaught exception, with its traceback), 2 config
+error, 3 budget exhaustion, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -174,15 +175,6 @@ def _positive(cfg: _Config, key: str, kind, default=_REQUIRED):
     return value
 
 
-def _pair(cfg: _Config, key: str, kind, default: list) -> tuple:
-    """The two values at ``key``, each read as ``kind``."""
-    pair = tuple(cfg.numbers(key, kind, default))
-    if len(pair) != 2:
-        raise ConfigError(cfg.field(key), f"{cfg.field(key)} must be two "
-                          f"{'integers' if kind is int else 'numbers'}, got {list(pair)!r}")
-    return pair
-
-
 def _grid(g: _Config) -> Grid:
     return Grid(tuple(g.numbers("lo")), tuple(g.numbers("hi")), tuple(g.numbers("counts", int)))
 
@@ -223,7 +215,7 @@ def _random_fnn(r: _Config) -> FnnParams:
     return FnnParams(rng.uniform(-scale, scale, (d_y, k)),
                      rng.uniform(-scale, scale, (k, d_in)),
                      rng.uniform(-scale, scale, k),
-                     Activation(r.get("activation", str)))
+                     r.load("activation", Activation, str))
 
 
 def _scheme(s: _Config) -> PeScheme:
@@ -319,12 +311,16 @@ def _random_betas(seed_override: int | None, r: _Config) -> list:
 def cmd_embed(cfg: _Config, out: Path, seed_override: int | None) -> int:
     mode = cfg.get("mode", str)
     tp = cfg.load("transformer", _transformer)
+    if not tp.is_sparse_mode:
+        raise ConfigError("transformer", "embedding requires sparse mode (no general blocks)")
     fnn = cfg.load("fnn", _fnn)
     grid = cfg.load("grid", _grid)
+    if grid.dim != fnn.d_in:
+        raise ConfigError("fnn", f"fnn input dimension {fnn.d_in} != grid dimension {grid.dim}")
     if mode == "elementwise":
         embed = partial(embed_fnn, tp, fnn)
     elif mode == "softmax":
-        embed = partial(embed_softmax_fnn, tp, fnn, grid, _positive(cfg, "epsilon", float))
+        embed = partial(embed_softmax_fnn, tp, fnn, grid, cfg.get("epsilon", float))
     else:
         raise ConfigError("mode", "must be 'elementwise' or 'softmax'")
     cfg.done()
@@ -350,21 +346,20 @@ def cmd_embed(cfg: _Config, out: Path, seed_override: int | None) -> int:
 
 def cmd_construct(cfg: _Config, out: Path, seed_override: int | None) -> int:
     tp = cfg.load("transformer", _transformer)
+    if not tp.is_sparse_mode or np.any(tp.F != 0.0):
+        raise ConfigError("transformer", "construction needs general blocks absent and F = 0")
     grid = cfg.load("grid", _grid)
     vocab = cfg.load("vocab", _vocab)
     scheme = cfg.load("scheme", _scheme)
     _same_dimension(tp.d_x, "transformer.d_x", vocab, scheme)
-    if vocab.d_y != tp.d_y:
-        raise ConfigError("vocab", f"vocab has d_y {vocab.d_y}, transformer.d_y is {tp.d_y}")
-    if grid.dim != tp.d_x - 1:
-        raise ConfigError("grid", f"grid has dimension {grid.dim}, needs d_x - 1 = {tp.d_x - 1}")
     epsilon = _positive(cfg, "epsilon", float)
     seed = _seed(cfg, seed_override, 0)
     target = cfg.load("target", lambda t: _target(t, grid.dim, tp.d_y))
     # absent objects take the library's defaults
     options = {name: cfg.load(name, partial(_options, cls)) for name, cls in
                (("budgets", StageBudgets), ("fit", FitOptions), ("caps", Caps)) if cfg.has(name)}
-    activation = Activation(cfg.get("activation", str, "relu"))
+    if cfg.has("activation"):
+        options["activation"] = cfg.load("activation", Activation, str)
     construction = cfg.get("construction", str, "dense")
     if construction == "relu_rescaled":
         options["lambda_policy"] = cfg.get("lambda_policy", str, "max_row")
@@ -373,8 +368,7 @@ def cmd_construct(cfg: _Config, out: Path, seed_override: int | None) -> int:
     else:
         raise ConfigError("construction", "must be 'dense' or 'relu_rescaled'")
     cfg.done()
-    report = construct_context(target, grid, vocab, scheme, tp, epsilon, activation=activation,
-                               seed=seed, **options)
+    report = construct_context(target, grid, vocab, scheme, tp, epsilon, seed=seed, **options)
     doc = _meta(cfg.obj, "construct")
     doc["report"] = report.to_json_dict()
     _write_json(out / "report.json", doc)
@@ -391,8 +385,8 @@ def cmd_density(cfg: _Config, out: Path, seed_override: int | None) -> int:
     scheme = cfg.load("scheme", _scheme)
     region = cfg.load("region", _box)
     _same_dimension(region.dim, "region", vocab, scheme)
-    n_max = _positive(cfg, "n_max", int)
-    probe_per_dim = _positive(cfg, "probe_per_dim", int, 64)
+    n_max = cfg.get("n_max", int)
+    probe_per_dim = cfg.get("probe_per_dim", int, 64)
     cfg.done()
     profile = density_audit(vocab, scheme, region, n_max, probe_per_dim=probe_per_dim)
     doc = _meta(cfg.obj, "density")
@@ -412,8 +406,8 @@ def cmd_kronecker(cfg: _Config, out: Path, seed_override: int | None) -> int:
     q_cap = _positive(cfg, "q_cap", int, 10**7)
     if cfg.has("betas"):
         betas = cfg.numbers("betas")
-        if not betas:
-            raise ConfigError("betas", "needs at least one beta")
+        if not betas or not all(map(math.isfinite, betas)):
+            raise ConfigError("betas", f"needs at least one beta, each finite, got {betas!r}")
     else:
         betas = cfg.load("random", partial(_random_betas, seed_override))
     cfg.done()
@@ -431,25 +425,15 @@ def cmd_audit(cfg: _Config, out: Path, seed_override: int | None) -> int:
     kind = cfg.get("kind", str)
     seed = _seed(cfg, seed_override, 0)
     if kind == "prop1_fuzz":
-        count = cfg.get("count", int)
-        if count < 0:
-            raise ConfigError("count", f"count must be >= 0, got {count}")
-        k_range = _pair(cfg, "k_range", int, [1, 6])
-        separation = _positive(cfg, "exponent_separation", float, 0.1)
-        if k_range[1] > 1 and separation * (k_range[1] - 1) >= 6.0:
-            raise ConfigError("exponent_separation", f"exponent_separation {separation!r} leaves "
-                              f"no room for {k_range[1]} exponents in [-3, 3]; it must be below "
-                              f"{6.0 / (k_range[1] - 1)!r}")
-        grid_points = cfg.get("grid_points", int, 2001)
-        if grid_points < 2:
-            raise ConfigError("grid_points", f"grid_points must be >= 2, got {grid_points}")
-        audit = partial(prop1_fuzz, count, seed, k_range=k_range, exponent_separation=separation,
-                        coeff_range=_positive(cfg, "coeff_range", float, 5.0),
-                        interval=_pair(cfg, "interval", float, [-8.0, 8.0]),
-                        grid_points=grid_points)
+        audit = partial(prop1_fuzz, cfg.get("count", int), seed,
+                        k_range=cfg.numbers("k_range", int, [1, 6]),
+                        exponent_separation=cfg.get("exponent_separation", float, 0.1),
+                        coeff_range=cfg.get("coeff_range", float, 5.0),
+                        interval=cfg.numbers("interval", float, [-8.0, 8.0]),
+                        grid_points=cfg.get("grid_points", int, 2001))
     elif kind == "nonuap":
-        audit = partial(nonuap_audit, cfg.load("family", _family),
-                        _positive(cfg, "max_context", int), _positive(cfg, "trials", int), seed)
+        audit = partial(nonuap_audit, cfg.load("family", _family), cfg.get("max_context", int),
+                        cfg.get("trials", int), seed)
     else:
         raise ConfigError("kind", "must be 'prop1_fuzz' or 'nonuap'")
     cfg.done()
@@ -508,8 +492,6 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](_Config(cfg), out, args.seed)
     except ConfigError as exc:
         return fail(EXIT_CONFIG, exc.field, str(exc))
-    except ValueError as exc:       # an argument check of the library
-        return fail(EXIT_CONFIG, "config", f"{type(exc).__name__}: {exc}")
     except PositionScanExhausted as exc:
         return fail(EXIT_BUDGET, "budget", str(exc), j_cap=exc.j_cap, unmet=exc.unmet)
     except BudgetError as exc:

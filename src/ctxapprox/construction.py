@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import inf_operator_norm, solve_refined
-from .errors import (BudgetError, DimensionError, EpsilonRangeError,
+from .errors import (BudgetError, ConfigError, DimensionError, EpsilonRangeError,
                      NonFiniteFitError, NonFiniteTargetError, PositionScanExhausted,
                      TokenDemandError)
 from .fnn import RELU, Activation, FitResult, fit_fnn, fnn_forward_batch
@@ -769,8 +769,16 @@ def _token_stage(plans, tp, vocab, scheme, cmap, x_tilde, m_hat, activation,
                  tokens_inner, j_cap, perturbed, f_vals):
     """Stage 3: scan with one tolerance that splits the token budget over the
     plans' token weights, then put sqrt2 on a plan's first q positions and its
-    unit sign on the rest.  Returns the tokens in position order, their mapped
-    rows, the stage error and the curve ``ConstructionReport.error_vs_n``."""
+    unit sign on the rest.  A y token that V_y lacks is rejected before the
+    scan.  Returns the tokens in position order, their mapped rows, the stage
+    error and the curve ``ConstructionReport.error_vs_n``."""
+    needed = {(p.component, y) for p in plans for n, y in (
+        (p.witness.count_sqrt2, SQRT2), (p.witness.count_unit, p.witness.unit_sign)) if n}
+    for comp, y in sorted(needed):
+        y_vec = np.zeros(tp.d_y)
+        y_vec[comp] = y
+        if vocab.y_index_of(y_vec) is None:   # bit-exact membership in V_y
+            raise ConfigError("vocab", f"y token {y_vec} not in V_y")
     collected = []
     if plans:
         weights = [SQRT2 * p.witness.count_sqrt2 + p.witness.count_unit for p in plans]
@@ -795,10 +803,6 @@ def _token_stage(plans, tp, vocab, scheme, cmap, x_tilde, m_hat, activation,
                 float(p.witness.unit_sign))
         for rank, h in enumerate(hits):
             role, y = ("sqrt2", SQRT2) if rank < q else unit
-            y_vec = np.zeros(tp.d_y)
-            y_vec[p.component] = y
-            if vocab.y_index_of(y_vec) is None:   # bit-exact membership in V_y
-                raise ValueError(f"y token {y_vec} not in V_y")
             tokens.append(TokenAssignment(h.position, h.vocab_index, role,
                                           p.index, p.component, y))
     tokens.sort(key=lambda t: t.position)
@@ -843,39 +847,46 @@ def construct_context(target, grid: Grid, vocab: Vocabulary, scheme: PeScheme,
     """
     _require_positive_finite("epsilon", epsilon)
     if coefficient_mode not in ("auto", "homogeneous", "kronecker"):
-        raise ValueError("coefficient_mode must be auto | homogeneous | kronecker, "
-                         f"got {coefficient_mode!r}")
+        raise ConfigError("coefficient_mode", "coefficient_mode must be auto | homogeneous | "
+                                              f"kronecker, got {coefficient_mode!r}")
     if lambda_policy not in (None, *_LAMBDA_POLICIES):
-        raise ValueError(f"lambda_policy must be max_row | pow2 | int, got {lambda_policy!r}")
+        raise ConfigError("lambda_policy",
+                          f"lambda_policy must be max_row | pow2 | int, got {lambda_policy!r}")
     if lambda_policy is not None and (activation.kind != "relu"
                                       or coefficient_mode == "homogeneous"):
-        raise ValueError("lambda_policy selects the rescaled relu route, which needs "
-                         f"relu and integer witnesses; got activation {activation.kind!r}, "
-                         f"coefficient_mode {coefficient_mode!r}")
+        raise ConfigError("activation" if activation.kind != "relu" else "coefficient_mode",
+                          "lambda_policy selects the rescaled relu route, which needs relu "
+                          f"and integer witnesses; got activation {activation.kind!r}, "
+                          f"coefficient_mode {coefficient_mode!r}")
     if not tp.is_sparse_mode or np.any(tp.F != 0.0):
         raise ValueError("construction requires strict sparse mode (general "
                          "blocks absent and F = 0); nulled positions cannot "
                          "cancel F-terms")
     if not activation.is_elementwise:
-        raise ValueError("softmax-activation construction is out of scope")
+        raise ConfigError("activation", "softmax-activation construction is out of scope")
     use_homog = lambda_policy is None and (
         coefficient_mode == "homogeneous"
         or (coefficient_mode == "auto" and activation.kind == "relu"))
     if use_homog and activation.kind != "relu":
-        raise ValueError("homogeneous coefficient mode needs relu")
-    if vocab.d_x != tp.d_x or scheme.d_x != tp.d_x or vocab.d_y != tp.d_y:
+        raise ConfigError("activation", "homogeneous coefficient mode needs relu")
+    if vocab.d_x != tp.d_x or scheme.d_x != tp.d_x:
         raise DimensionError("vocabulary/scheme dimensions disagree with parameters")
+    if vocab.d_y != tp.d_y:
+        raise ConfigError("vocab", f"vocab has d_y {vocab.d_y}, the transformer {tp.d_y}")
     if grid.dim != tp.d_x - 1:
-        raise DimensionError(f"grid dimension {grid.dim} != d_x - 1 = {tp.d_x - 1}")
+        raise ConfigError("grid", f"grid has dimension {grid.dim}, needs d_x - 1 = {tp.d_x - 1}")
     budgets = budgets or StageBudgets.thirds(epsilon)
     if budgets.total > epsilon * (1 + 1e-12):
-        raise ValueError("stage budgets exceed epsilon")
+        raise ConfigError("budgets", "stage budgets exceed epsilon")
     caps = caps or Caps()
+    fit = fit or FitOptions()
     if fnn is not None and len(fnn) != tp.d_y:
         raise DimensionError(f"need one override network per output, got "
                              f"{len(fnn)} for d_y = {tp.d_y}")
 
     pts = grid.points()
+    if fnn is None and fit.k > len(pts):
+        raise ConfigError("fit.k", f"need at least k={fit.k} samples, got {len(pts)}")
     audit_pts = grid.refined(10).points()
     f_vals = _target_values(target, pts, tp.d_y, "fit")
     f_audit = _target_values(target, audit_pts, tp.d_y, "audit")
@@ -883,8 +894,7 @@ def construct_context(target, grid: Grid, vocab: Vocabulary, scheme: PeScheme,
     u_scale = inf_operator_norm(tp.U) * math.sqrt(tp.d_y)
     cmap = tp.C.T @ tp.B                       # row(v, j) = cmap @ (v + P_j)
 
-    fits, fnn_eval, fit_measured = _fit_stage(tp, pts, f_vals, fnn,
-                                              fit or FitOptions(), activation, seed)
+    fits, fnn_eval, fit_measured = _fit_stage(tp, pts, f_vals, fnn, fit, activation, seed)
     if fit_measured >= budgets.fit:
         raise BudgetError("fit", fit_measured, budgets.fit)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import solve_refined
-from .errors import DimensionError, EpsilonRangeError
+from .errors import ConfigError, DimensionError, EpsilonRangeError
 from .fnn import SOFTMAX, Activation, FnnParams, fnn_forward_batch
 from .grids import Grid, as_points, lifted
 from .transformer import TransformerParams, readout_batch
@@ -84,13 +84,11 @@ def embed_fnn(tp: TransformerParams, fnn: FnnParams) -> EmbeddingResult:
     if not tp.is_sparse_mode:
         raise ValueError("embedding requires sparse mode (no general blocks)")
     if not fnn.activation.is_elementwise:
-        raise ValueError("embed_fnn handles element-wise activations; "
-                         "use embed_softmax_fnn for softmax")
-    if fnn.d_in != tp.d_x - 1:
-        raise DimensionError(
-            f"fnn input dimension {fnn.d_in} != d_x - 1 = {tp.d_x - 1}")
-    if fnn.d_y != tp.d_y:
-        raise DimensionError(f"fnn output dimension {fnn.d_y} != d_y = {tp.d_y}")
+        raise ConfigError("fnn", "embed_fnn handles element-wise activations; "
+                                 "use embed_softmax_fnn for softmax")
+    if (fnn.d_in, fnn.d_y) != (tp.d_x - 1, tp.d_y):
+        raise ConfigError("fnn", f"fnn (d_in, d_y) = {(fnn.d_in, fnn.d_y)} != (d_x - 1, d_y) "
+                                 f"= {(tp.d_x - 1, tp.d_y)}")
     X, Y = _solve_context(tp, np.hstack([fnn.W, fnn.b[:, None]]), fnn.A)
     return EmbeddingResult(X, Y, None, 0.0)
 
@@ -185,10 +183,12 @@ def embed_softmax_fnn(tp: TransformerParams, fnn: FnnParams, domain_grid,
     if not tp.is_sparse_mode:
         raise ValueError("embedding requires sparse mode (no general blocks)")
     if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
-    if fnn.d_in != tp.d_x - 1:
-        raise DimensionError(
-            f"fnn input dimension {fnn.d_in} != d_x - 1 = {tp.d_x - 1}")
+        raise ConfigError("epsilon", f"epsilon must be positive and finite, got {epsilon!r}")
+    if fnn.activation.kind not in ("exp", "softmax"):
+        raise ConfigError("fnn", "source must be an exp or softmax network")
+    if (fnn.d_in, fnn.d_y) != (tp.d_x - 1, tp.d_y):
+        raise ConfigError("fnn", f"fnn (d_in, d_y) = {(fnn.d_in, fnn.d_y)} != (d_x - 1, d_y) "
+                                 f"= {(tp.d_x - 1, tp.d_y)}")
     pts = as_points(domain_grid, fnn.d_in)
     audit_pts = (domain_grid.refined(10).points()
                  if isinstance(domain_grid, Grid) else pts)
@@ -196,11 +196,9 @@ def embed_softmax_fnn(tp: TransformerParams, fnn: FnnParams, domain_grid,
     if fnn.activation.kind == "exp":
         net = exp_to_softmax_fnn(fnn, pts, epsilon / 2.0)
         shift_budget = epsilon / 2.0
-    elif fnn.activation.kind == "softmax":
+    else:
         net = fnn
         shift_budget = epsilon
-    else:
-        raise ValueError("source must be an exp or softmax network")
 
     s = shift if shift is not None else _softmax_shift(tp, net, pts, shift_budget)
     result = _embed_softmax_net(tp, net, s)

@@ -18,7 +18,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DimensionError, FloorViolationError
+from .errors import ConfigError, DimensionError, FloorViolationError
 
 _DISTINCT_TOL = 1e-9
 # rounding slack below the certified floor: the target's alternation values
@@ -98,24 +98,24 @@ class Prop1FuzzRecord:
 
 
 def _k_range(k_range) -> tuple[int, int]:
-    """``k_range`` as whole numbers 1 <= k_lo <= k_hi, or ValueError."""
+    """``k_range`` as whole numbers 1 <= k_lo <= k_hi, or ConfigError."""
     try:
         k_lo, k_hi = (operator.index(k) for k in k_range)
     except (TypeError, ValueError):
-        raise ValueError(f"k_range must be two integers, got {k_range!r}") from None
+        raise ConfigError("k_range", f"k_range must be two integers, got {k_range!r}") from None
     if not 1 <= k_lo <= k_hi:
-        raise ValueError(f"k_range must satisfy 1 <= k_lo <= k_hi, got {k_range!r}")
+        raise ConfigError("k_range", f"k_range must satisfy 1 <= k_lo <= k_hi, got {k_range!r}")
     return k_lo, k_hi
 
 
 def _interval(interval) -> tuple[float, float]:
-    """``interval`` as two finite numbers lo < hi, or ValueError."""
+    """``interval`` as two finite numbers lo < hi, or ConfigError."""
     try:
         lo, hi = (float(v) for v in interval)
     except (TypeError, ValueError):
-        raise ValueError(f"interval must be two numbers, got {interval!r}") from None
+        raise ConfigError("interval", f"interval must be two numbers, got {interval!r}") from None
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"interval must be finite with lo < hi, got {(lo, hi)!r}")
+        raise ConfigError("interval", f"interval must be finite with lo < hi, got {(lo, hi)!r}")
     return lo, hi
 
 
@@ -134,20 +134,26 @@ def prop1_fuzz(count: int, seed: int, *, k_range=(1, 6),
     Each trial draws k in ``k_range``, sorted exponents in [-3, 3] at least
     ``exponent_separation`` apart, and coefficients in +-``coeff_range``, not
     all zero.  A sum with more than k - 1 sign changes is a violation.
-    Options that no draw could meet are rejected up front with ValueError.
+    Options that no draw could meet are rejected up front with a ConfigError
+    naming the option.
     """
     if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+        raise ConfigError("count", f"count must be >= 0, got {count}")
     k_lo, k_hi = _k_range(k_range)
     sep = float(exponent_separation)
     if not (math.isfinite(sep) and sep > 0.0):
-        raise ValueError(f"exponent_separation must be finite and > 0, got {sep!r}")
+        raise ConfigError("exponent_separation",
+                          f"exponent_separation must be positive and finite, got {sep!r}")
     if k_hi > 1 and sep * (k_hi - 1) >= 6.0:
-        raise ValueError(f"exponent_separation {sep!r} leaves no room for {k_hi} "
-                         f"exponents in [-3, 3]; it must be below {6.0 / (k_hi - 1)!r}")
+        raise ConfigError("exponent_separation", f"exponent_separation {sep!r} leaves no "
+                          f"room for {k_hi} exponents in [-3, 3]; it must be below "
+                          f"{6.0 / (k_hi - 1)!r}")
     if not (math.isfinite(coeff_range) and coeff_range > 0.0):
-        raise ValueError(f"coeff_range must be finite and > 0, got {coeff_range!r}")
+        raise ConfigError("coeff_range",
+                          f"coeff_range must be positive and finite, got {coeff_range!r}")
     interval = _interval(interval)
+    if grid_points < 2:
+        raise ConfigError("grid_points", f"grid_points must be >= 2, got {grid_points}")
     rng = np.random.default_rng(seed)
     ks = np.empty(count, dtype=np.int64)
     changes = np.empty(count, dtype=np.int64)
@@ -249,10 +255,10 @@ def nonuap_audit(family: FiniteFamilySpec, max_context: int, trials: int,
     the alternation points.  By Proposition 1 no trial can come in under
     ``certified_floor``; one that does raises ``FloorViolationError``.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
     if max_context < 1:
-        raise ValueError("max_context must be >= 1")
+        raise ConfigError("max_context", f"max_context must be >= 1, got {max_context}")
+    if trials < 1:
+        raise ConfigError("trials", f"trials must be >= 1, got {trials}")
     N = family.N
     n_a = family.a_set.size
     g, z = hard_target(N)

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, EmptyGridError
+from .errors import ConfigError, DimensionError, EmptyGridError
 from .grids import Grid
 
 SQRT2 = math.sqrt(2.0)
@@ -567,9 +567,9 @@ def density_audit(vocab: Vocabulary, scheme: PeScheme, region: Box,
     halved until the fall sits at one position.  Every step is an exact min or max of the
     distances a dense probes-by-positions pass computes, so the radii are bit-identical."""
     if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+        raise ConfigError("n_max", f"n_max must be >= 1, got {n_max}")
     if probe_per_dim < 1:
-        raise ValueError(f"probe_per_dim must be >= 1, got {probe_per_dim}")
+        raise ConfigError("probe_per_dim", f"probe_per_dim must be >= 1, got {probe_per_dim}")
     if not region.dim == scheme.d_x == vocab.d_x:
         raise DimensionError(f"region, scheme and vocabulary dimensions disagree: "
                              f"{region.dim}, {scheme.d_x}, {vocab.d_x}")

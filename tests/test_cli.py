@@ -104,6 +104,19 @@ DENSITY_ORACLES = {"vocab": {"v_x": [[0.0, 0.0]], "v_y": [[0.0]]},
                    "n_max": 16000, "probe_per_dim": 64}
 
 
+def transformer_blocks(d_x, general=False, F=None):
+    """``transformer.blocks`` of the identity sparse partition (d_y = 1), with
+    general blocks or a nonzero ``F`` when asked."""
+    from ctxapprox import identity_sparse_params
+    doc = identity_sparse_params(d_x, 1).to_json_dict()
+    if general:
+        doc["general"] = {"O11": np.eye(d_x).tolist(), "O12": [[0.0]] * d_x,
+                          "O21": [[0.0] * d_x], "O22": [[0.0]]}
+    if F is not None:
+        doc["F"] = F
+    return doc
+
+
 def mutated(config, path, value):
     """A deep copy of ``config`` with ``value`` at the dotted ``path``."""
     cfg = json.loads(json.dumps(config))
@@ -250,7 +263,7 @@ class TestConstructCommand:
         assert code == 2
         err = json.loads((out / "error.json").read_text())
         assert err["error"]["exit_code"] == 2
-        assert field in err["error"]["message"]
+        assert err["error"]["field"] == field and field in err["error"]["message"]
 
     @pytest.mark.parametrize("field,key", [
         ("fit", "refine_step"), ("caps", "jcap"), ("budgets", "token")])
@@ -477,6 +490,25 @@ class TestConstructCommand:
             bodies = [(out / name).read_text().splitlines()[1:] for out in outs]
             assert bodies[0] == bodies[1]
 
+    def test_missing_y_token_is_rejected_before_the_scan(self, tmp_path, monkeypatch):
+        # a V_y without -1 used to be found out only after the scan had found
+        # every position, and named "config"
+        import ctxapprox as ca
+        from ctxapprox import construction
+        g = CONSTRUCT_SMALL["vocab"]["x_grid"]
+        v_x = ca.Vocabulary.x_grid(tuple(g["lo"]), tuple(g["hi"]), g["per_dim"], 1).v_x
+        cfg = mutated(CONSTRUCT_SMALL, "vocab",
+                      {"v_x": v_x.tolist(), "v_y": [[0.0], [1.0], [2 ** 0.5]]})
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the position scan ran")
+
+        monkeypatch.setattr(construction, "_scan_engine", no_scan)
+        code, out = run(tmp_path, "no_minus_unit", cfg, "construct")
+        assert code == 2
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["field"] == "vocab" and "not in V_y" in err["message"]
+
     def test_nearest_sample_target_in_bounded_memory(self, tmp_path):
         import tracemalloc
         from ctxapprox.cli import _samples_target
@@ -656,7 +688,7 @@ class TestAuditCommands:
         code, out = run(tmp_path, "kron_bad", cfg, "kronecker")
         assert code == 2
         err = json.loads((out / "error.json").read_text())
-        assert err["error"]["exit_code"] == 2
+        assert err["error"]["exit_code"] == 2 and err["error"]["field"] == field
         assert named in err["error"]["message"]
 
     @pytest.mark.parametrize("command,config,field,value", [
@@ -744,9 +776,8 @@ class TestAuditCommands:
         err = json.loads((out / "error.json").read_text())
         assert err["error"]["exit_code"] == 2
         assert named in err["error"]["message"]
-        if field.split(".")[0] == "vocab":
-            # a non-finite token is rejected when the vocabulary is read
-            assert err["error"]["field"] == "vocab"
+        # a bad nested value names the object it is read into
+        assert err["error"]["field"] == field.split(".")[0]
 
     @pytest.mark.parametrize("command,config,path,value,field", [
         ("construct", CONSTRUCT_SMALL, "transformer", {"file": "no-such-dir/tp.json"},
@@ -801,7 +832,40 @@ class TestAuditCommands:
         ("audit", PROP1_SMALL, "coeff_range", float("inf"), "coeff_range"),
         ("audit", PROP1_SMALL, "k_range", [], "k_range"),
         ("audit", PROP1_SMALL, "interval", [], "interval"),
-        ("audit", mutated(PROP1_SMALL, "count", 0), "grid_points", -1, "grid_points")])
+        ("audit", mutated(PROP1_SMALL, "count", 0), "grid_points", -1, "grid_points"),
+        ("construct", CONSTRUCT_SMALL, "activation", "tanh", "activation"),
+        ("construct", CONSTRUCT_SMALL, "activation", "softmax", "activation"),
+        ("construct", mutated(CONSTRUCT_SMALL, "construction", "relu_rescaled"),
+         "activation", "exp", "activation"),
+        ("construct", mutated(CONSTRUCT_SMALL, "coefficient_mode", "homogeneous"),
+         "activation", "exp", "activation"),
+        ("construct", CONSTRUCT_SMALL, "coefficient_mode", "homogenous", "coefficient_mode"),
+        ("construct", mutated(CONSTRUCT_SMALL, "construction", "relu_rescaled"),
+         "lambda_policy", "pow-2", "lambda_policy"),
+        ("construct", CONSTRUCT_SMALL, "budgets", {"fit": 0.2, "perturb": 0.1, "tokens": 0.1},
+         "budgets"),
+        ("construct", CONSTRUCT_SMALL, "fit.k", 401, "fit.k"),         # 400 grid points
+        ("construct", CONSTRUCT_SMALL, "transformer",
+         {"blocks": transformer_blocks(2, general=True)}, "transformer"),
+        ("construct", CONSTRUCT_SMALL, "transformer",
+         {"blocks": transformer_blocks(2, F=[[0.5, 0.0]])}, "transformer"),
+        ("embed", EMBED_IDENTITY, "transformer",
+         {"blocks": transformer_blocks(3, general=True)}, "transformer"),
+        ("embed", EMBED_IDENTITY, "fnn.random.activation", "softmax", "fnn"),
+        ("embed", EMBED_SOFTMAX, "fnn.random.activation", "relu", "fnn"),
+        ("embed", EMBED_IDENTITY, "fnn.random.d_y", 2, "fnn"),
+        ("embed", EMBED_IDENTITY, "transformer.d_x", 4, "fnn"),
+        ("embed", EMBED_IDENTITY, "grid", {"lo": [-1.0], "hi": [1.0], "counts": [5]}, "fnn"),
+        ("embed", EMBED_SOFTMAX, "fnn.random.d_y", 2, "fnn"),
+        ("embed", EMBED_SOFTMAX, "transformer.d_x", 3, "fnn"),
+        ("embed", EMBED_IDENTITY, "fnn.random.activation", "tanh", "fnn.random.activation"),
+        ("kronecker", KRONECKER_BETAS, "betas", [1.0, float("inf")], "betas"),
+        ("kronecker", KRONECKER_BETAS, "betas", [float("nan")], "betas"),
+        ("audit", PROP1_SMALL, "k_range", [3, 1], "k_range"),
+        ("audit", PROP1_SMALL, "k_range", [0, 3], "k_range"),
+        ("audit", PROP1_SMALL, "k_range", [1, 2, 3], "k_range"),
+        ("audit", PROP1_SMALL, "interval", [1.0, -1.0], "interval"),
+        ("audit", PROP1_SMALL, "interval", [-1.0, float("inf")], "interval")])
     def test_bad_value_names_its_field(self, tmp_path, command, config, path, value, field):
         # these used to escape main as a traceback (exit 1; the 2000-term and
         # 300-deep targets as a RecursionError), run with a bool as 1.0, or
@@ -813,7 +877,12 @@ class TestAuditCommands:
         # "fnn.random" or "config", with numpy's "cond is not defined on
         # empty arrays" or "negative dimensions are not allowed"; a prop1_fuzz
         # option out of range was named "config", and a grid_points below 2
-        # ran when no trial reached its check)
+        # ran when no trial reached its check; an activation, choice or budget
+        # sum that construct_context rejects, a fit.k above the fit grid's
+        # point count, a transformer with general blocks or F != 0, an fnn
+        # that the embed mode cannot take or whose dimensions disagree, a
+        # non-finite beta and a k_range or interval out of order were named
+        # "config")
         cfg = mutated(config, path, value)
         if command == "construct":
             cfg["caps"]["j_cap"] = 200
@@ -1011,6 +1080,43 @@ def test_cli_import_leaves_mpmath_out():
     assert proc.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("preset,seen", [(None, "1"), ("2", "2")])
+def test_import_pins_one_blas_thread_unless_set(monkeypatch, preset, seen):
+    # OpenBLAS's default thread count made the fit's least-squares solve many
+    # times slower on a small host; a value the user set is kept
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    proc = run_python("-c", "import os, ctxapprox; print(os.environ['OPENBLAS_NUM_THREADS'])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == seen
+
+
+def test_a_library_value_error_is_a_bug_not_a_config_error(tmp_path, monkeypatch):
+    # main used to report any ValueError as exit 2 under the field "config";
+    # one that no config check raised now escapes with its traceback
+    from ctxapprox import cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("an internal failure")
+
+    monkeypatch.setattr(cli, "density_audit", broken)
+    with pytest.raises(ValueError, match="an internal failure"):
+        run(tmp_path, "bug", DENSITY_SMALL, "density")
+    cfg, out = tmp_path / "bug.json", tmp_path / "bug_fresh"
+    cfg.write_text(json.dumps(DENSITY_SMALL))
+    proc = run_python("-c", "import sys\nfrom ctxapprox import cli\n"
+                      "def broken(*args, **kwargs):\n"
+                      "    raise ValueError('an internal failure')\n"
+                      "cli.density_audit = broken\n"
+                      f"sys.exit(cli.main(['density', '--config', {str(cfg)!r}, "
+                      f"'--out', {str(out)!r}]))")
+    assert proc.returncode == 1
+    assert "Traceback" in proc.stderr and "ValueError: an internal failure" in proc.stderr
+    assert not (out / "error.json").exists()
+
+
 def key_paths(obj, prefix=""):
     """The dotted path of every key in ``obj``, nested objects included."""
     for key, value in obj.items():
@@ -1024,6 +1130,13 @@ MUTATED_CONFIGS = {
     "embed_identity": ("embed", EMBED_IDENTITY),
     "embed_softmax": ("embed", EMBED_SOFTMAX),
     "construct": ("construct", mutated(CONSTRUCT_SMALL, "caps.j_cap", 20_000)),
+    "construct_dense_options": ("construct", {
+        **mutated(CONSTRUCT_SMALL, "caps.j_cap", 20_000), "activation": "relu",
+        "construction": "dense", "coefficient_mode": "auto",
+        "budgets": {"fit": 0.1, "perturb": 0.05, "tokens": 0.15}}),
+    "construct_relu_rescaled": ("construct", {
+        **mutated(CONSTRUCT_SMALL, "caps.j_cap", 20_000), "construction": "relu_rescaled",
+        "lambda_policy": "max_row"}),
     "prop1": ("audit", PROP1_SMALL),
     "nonuap": ("audit", NONUAP_SMALL),
     "density": ("density", DENSITY_SMALL),

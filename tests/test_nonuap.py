@@ -95,11 +95,14 @@ class TestProp1Fuzz:
         ({"k_range": (0, 3)}, "k_range"),
         ({"k_range": (4, 2)}, "k_range"),
         ({"k_range": (1.5, 3)}, "k_range"),
-        ({"k_range": (1, 2, 3)}, "k_range")])
+        ({"k_range": (1, 2, 3)}, "k_range"),
+        ({"grid_points": 1}, "grid_points")])     # was checked once per trial
     def test_rejects_options_no_draw_can_meet(self, options, field):
-        # a NaN separation used to spin forever in the exponent rejection loop
-        with pytest.raises(ValueError, match=field):
+        # a NaN separation used to spin forever in the exponent rejection loop;
+        # the error names the option, as the CLI reports it
+        with pytest.raises(ca.ConfigError, match=field) as caught:
             ca.prop1_fuzz(5, 1, **options)
+        assert caught.value.field == field
 
     def test_rejects_a_negative_count(self):
         # numpy used to fail with "negative dimensions are not allowed"
