@@ -698,24 +698,30 @@ def _readout_error(U: np.ndarray, vals: np.ndarray, f_vals: np.ndarray) -> float
 
 
 def _fit_stage(tp, pts, f_vals, fnn, fit, activation, seed):
-    """Stage 1: one fitted (or given) network per output; returns the fits,
-    their outputs on the grid (N, d_y) and the fit error."""
+    """Stage 1: one fitted (or given) network per output, output c fitted
+    from seed ``seed + c`` and all fitted ones in one ``fit_fnn`` call;
+    returns the fits, their outputs on the grid (N, d_y) and the fit error."""
     g_vals = solve_refined(tp.U, f_vals.T, "U").T   # token-sum target
-    fits: list[FitResult] = []
-    for comp in range(tp.d_y):
-        params = fnn[comp] if fnn is not None else None
+    given = fnn if fnn is not None else [None] * tp.d_y
+    fits: list[FitResult | None] = []
+    for comp, params in enumerate(given):
         if params is None:
-            try:
-                fits.append(fit_fnn((pts, g_vals[:, comp]), fit.k, activation, seed + comp,
-                                    ridge=fit.ridge, refine_steps=fit.refine_steps,
-                                    feature_scale=fit.feature_scale))
-            except NonFiniteFitError as exc:
-                raise NonFiniteFitError(exc.names, comp) from None
+            fits.append(None)
             continue
         if params.d_in != pts.shape[1] or params.d_y != 1:
             raise DimensionError("override network has wrong dimensions")
         err = float(np.max(np.abs(fnn_forward_batch(params, pts)[:, 0] - g_vals[:, comp])))
         fits.append(FitResult(params, err, 0.0, False))
+    todo = [comp for comp, params in enumerate(given) if params is None]
+    if todo:
+        try:
+            fitted = fit_fnn((pts, g_vals[:, todo]), fit.k, activation,
+                             [seed + comp for comp in todo], ridge=fit.ridge,
+                             refine_steps=fit.refine_steps, feature_scale=fit.feature_scale)
+        except NonFiniteFitError as exc:
+            raise NonFiniteFitError(exc.names, todo[exc.component]) from None
+        for comp, fr in zip(todo, fitted):
+            fits[comp] = fr
     fnn_eval = np.column_stack([fnn_forward_batch(fr.params, pts)[:, 0] for fr in fits])
     return fits, fnn_eval, _readout_error(tp.U, fnn_eval, f_vals)
 

@@ -194,8 +194,10 @@ def embed_softmax_fnn(tp: TransformerParams, fnn: FnnParams, domain_grid,
                  if isinstance(domain_grid, Grid) else pts)
 
     if fnn.activation.kind == "exp":
-        net = exp_to_softmax_fnn(fnn, pts, epsilon / 2.0)
         shift_budget = epsilon / 2.0
+        if shift_budget == 0.0:
+            raise EpsilonRangeError(f"epsilon {epsilon!r} halved for the exp lift underflows to 0")
+        net = exp_to_softmax_fnn(fnn, pts, shift_budget)
     else:
         net = fnn
         shift_budget = epsilon

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
+
+# The most entries an array of 8-byte items (float64, int64) can have, as
+# numpy keeps an array's size in bytes in an intp.
+MAX_ARRAY_LENGTH = int(np.iinfo(np.intp).max) // 8
+
 
 class CtxApproxError(Exception):
     """Base class for package-specific failures."""
@@ -117,3 +123,12 @@ class ConfigError(CtxApproxError, ValueError):
     def __init__(self, field: str, message: str):
         self.field = field
         super().__init__(f"config field {field!r}: {message}")
+
+
+def require_count(field: str, value: int, lo: int, hi: int = MAX_ARRAY_LENGTH) -> None:
+    """Raise ConfigError naming ``field`` unless lo <= value <= hi; ``hi``
+    defaults to the longest array numpy can make of ``value`` entries."""
+    if value < lo:
+        raise ConfigError(field, f"{field} must be >= {lo}, got {value}")
+    if value > hi:
+        raise ConfigError(field, f"{field} must be <= {hi}, got {value}")

@@ -254,28 +254,38 @@ def _adam_refine(W, b, A, x, f, activation, steps):
 
 
 def _run_sum_refine(W, b, A, x, f, steps):
-    """The Adam of ``_adam_refine`` for a relu net with d = d_y = 1, on the
-    gradient of ``_run_sum_gradient``: O(n log n) once, then O(k log n) a
-    step instead of O(n k).  The gradient is the dense one added in another
-    order, so the result matches ``_adam_refine`` to rounding, not to the bit.
+    """The Adam of ``_adam_refine`` for B relu nets with d = d_y = 1, all on
+    the samples x, net i fitting column i of f (n, B), on the gradient of
+    ``_run_sum_gradient``: O(n log n) once, then O(B k log n) a step instead
+    of O(B n k).  W, b and A are (B, k), and so are the three returned.  One
+    Adam loop serves every net: theta is parameter-major, [w (B·k), b (B·k),
+    a (B·k)], which for B = 1 is [w, b, a].  The gradient is the dense one
+    added in another order, so the result matches ``_adam_refine`` to
+    rounding, not to the bit; each net gets the same bits in a batch as
+    alone, since ``_adam`` is elementwise and the gradient keeps every net's
+    sums apart, down to one first-stretch ``np.matmul`` per net.
     """
-    k = W.shape[0]
-    theta, grad = np.concatenate([W.ravel(), b, A.ravel()]), np.empty(3 * k)
+    theta = np.concatenate([W.ravel(), b.ravel(), A.ravel()])
+    grad = np.empty_like(theta)
     with np.errstate(divide="ignore", invalid="ignore"):  # w = 0 and the infinite pads
         _adam(theta, grad, _run_sum_gradient(x, f, theta, grad), steps)
-    return theta[:k].reshape(k, 1), theta[k:2 * k], theta[2 * k:].reshape(1, k)
+    return theta.reshape(3, *W.shape)
 
 
 def _run_sum_gradient(x, f, theta, grad):
-    """A function that writes the mean-squared-loss gradient of the relu net
-    ``theta`` = [w, b, a] (d = d_y = 1) on samples (x, f) into ``grad``, and
-    returns each neuron's run: its end e, and whether the run is the suffix
-    [e, n) of the sorted samples or the prefix [0, e).
+    """A function that writes the mean-squared-loss gradient of B relu nets
+    (d = d_y = 1), net i fitting column i of f (n, B) on the samples x, into
+    ``grad``, and returns each neuron's run: its end e, and whether the run
+    is the suffix [e, n) of the sorted samples or the prefix [0, e).
+
+    ``theta`` is parameter-major, [w (B·k), b (B·k), a (B·k)] with net i's
+    neurons at i·k..(i + 1)·k in each, so for B = 1 it is [w, b, a]; ``grad``
+    and the returned runs are laid out the same way.
 
     Neuron j is active (``x*w + b > 0``, the dense mask) on one run of the
     sorted samples: a suffix when w > 0, a prefix otherwise.  Once, the
-    samples are sorted and the prefix sums of x², x, 1, f·x and f taken.
-    Per call, in O(k log n):
+    samples are sorted and the prefix sums of x², x, 1, f·x and f taken,
+    one row per net.  Per call, in O(B k log n):
 
     * ``searchsorted`` on the kink -b/w puts each run end, and the dense
       formula at the samples either side of it confirms the end; where it
@@ -287,79 +297,114 @@ def _run_sum_gradient(x, f, theta, grad):
     * so the residual sums Σ r·x and Σ r over each stretch come from the
       prefix sums, their running sums give each run's, and every gradient
       entry is a run sum / n.
+
+    The nets share each call, not a loop: net i's run ends are offset by
+    i·(n + 2), its row's place in the padded samples and prefix sums, so
+    one stable argsort orders every net's run ends at once and keeps them
+    apart, and the running sums go along the last axis of (…, B, k + 1)
+    arrays.  Only each net's first-stretch (2, k) @ (k,) product is one
+    ``np.matmul`` per net: a batched product may add in another order, and
+    a net would then get other bits in a batch than alone.
     """
-    k, n = theta.shape[0] // 3, x.shape[0]
-    WB, a = theta[:2 * k].reshape(2, k), theta[2 * k:]
+    n, nets = f.shape
+    k = theta.shape[0] // (3 * nets)
+    WB, a = theta[:2 * nets * k].reshape(2, -1), theta[2 * nets * k:]
     w, b = WB
-    gWb, gA = grad[:2 * k].reshape(2, k), grad[2 * k:]
-    xs, fs = (v[np.argsort(x[:, 0], kind="stable"), 0] for v in (x, f))
-    # padded[e], padded[e + 1]: the samples either side of run end e
-    padded, beside = np.concatenate([[-np.inf], xs, [np.inf]]), np.array([[0], [1]])
-    # prefix sums over the sorted samples, divided by n: of (x², x, f·x) and of (x, 1, f)
-    P = np.zeros((2, 3, n + 1))
-    for row, v in zip(P.reshape(6, n + 1), (xs * xs, xs, fs * xs, xs, np.ones(n), fs)):
-        np.cumsum(v, out=row[1:])
+    WB3, a3 = WB.reshape(2, nets, k), a.reshape(nets, k)
+    gWb3, gA3 = grad[:2 * nets * k].reshape(2, nets, k), grad[2 * nets * k:].reshape(nets, k)
+    by_x = np.argsort(x[:, 0], kind="stable")
+    xs, fs = x[by_x, 0], f[by_x].T
+    # row i of padded: -inf, the sorted samples, inf; padded[e], padded[e + 1]
+    # are then the samples either side of run end e of net i, at e + i·(n + 2)
+    pad = np.full((nets, 1), np.inf)
+    padded = np.hstack([-pad, np.broadcast_to(xs, (nets, n)), pad]).ravel()
+    first = (n + 2) * np.arange(nets)
+    beside = np.repeat(first, k) + np.array([[0], [1]])
+    # prefix sums over the sorted samples, divided by n, at the same offsets:
+    # of (x², x, f·x) and of (x, 1, f)
+    P = np.zeros((2, 3, nets, n + 2))
+    for row, v in zip(P.reshape(6, nets, n + 2), (xs * xs, xs, fs * xs, xs, np.ones(n), fs)):
+        np.cumsum(np.broadcast_to(v, (nets, n)), axis=1, out=row[:, 1:-1])
     P /= n
-    ends, E = np.empty((2, k), dtype=np.intp), np.empty(k + 2, dtype=np.intp)
-    # E: the run ends in ascending order, between 0 and n
-    E[0], E[-1] = 0, n
-    PE, D, DL = np.empty((2, 3, k + 2)), np.empty((2, 3, k + 1)), np.empty((2, 3, k + 1))
-    L, S = np.full((3, k + 1), -1.0), np.empty((2, k + 1))  # (s, c, -1) on each stretch
-    Q = np.zeros((2, k + 2))  # (Σ r·x, Σ r) / n over the samples before each run end
-    signed, R = np.empty((2, k)), np.empty((2, k))
-    t, asg, ad = np.empty(k), np.empty(k), np.empty(k)
-    U, Z = np.empty((2, k), dtype=bool), np.empty((2, k), dtype=bool)
+    P = P.reshape(2, 3, -1)
+    ends, E = np.empty((2, nets * k), dtype=np.intp), np.empty((nets, k + 2), dtype=np.intp)
+    # E: each net's run ends in ascending order, between its 0 and n
+    E[:, 0], E[:, -1] = first, first + n
+    PE, D, DL = (np.empty((2, 3, nets, k + m)) for m in (2, 1, 1))
+    L, S = np.full((3, nets, k + 1), -1.0), np.empty((2, nets, k + 1))  # (s, c, -1) on each stretch
+    Q = np.empty((2, nets, k + 1))  # (Σ r·x, Σ r) / n over the samples up to each stretch's end
+    signed, R = np.empty((2, nets * k)), np.empty((2, nets, k))
+    t, asg, ad = np.empty(nets * k), np.empty(nets * k), np.empty(nets * k)
+    U, Z = np.empty((2, nets * k), dtype=bool), np.empty((2, nets * k), dtype=bool)
     prefix, suffix = U  # the dense mask wanted at the samples below and at each run end
-    E1, SC, SC0, SC1 = E[1:-1], L[:2], L[:2, 0], L[:2, 1:]
-    PE0, PE1, Q1, Qmid, Qall = PE[..., :-1], PE[..., 1:], Q[:, 1:], Q[:, 1:-1], Q[:, -1:]
+    keys, E1, SC, SC0, SC1 = ends[0], E[:, 1:-1], L[:2], L[:2, :, 0], L[:2, :, 1:]
+    PE0, PE1, Qmid, Qall = PE[..., :-1], PE[..., 1:], Q[..., :-1], Q[..., -1:]
+    R2, suffix3 = R.reshape(2, -1), suffix.reshape(nets, k)
+    firsts = [(WB3[:, i], ad[i * k:(i + 1) * k], SC0[:, i]) for i in range(nets)]
 
     def gradient():
         np.greater(w, 0, out=suffix)
         np.logical_not(suffix, out=prefix)
         sgn = np.where(suffix, 1.0, -1.0)
         e = xs.searchsorted(np.negative(np.divide(b, w, out=t), out=t), "right")
-        z = padded.take(np.add(e, beside, out=ends))
+        # every index taken here is in range: mode="clip" only skips take's
+        # buffered bounds check, a large share of a call on arrays this short
+        z = padded.take(np.add(e, beside, out=ends), mode="clip")
         z *= w
         z += b
         if not np.equal(np.greater(z, 0, out=Z), U, out=Z).all():
             bad = np.flatnonzero(~Z.all(axis=0))
             active = np.count_nonzero(xs[:, None] * w[bad] + b[bad] > 0, axis=0)
             e[bad] = np.where(suffix[bad], n - active, active)
-        order = e.argsort(kind="stable")
-        e.take(order, out=E1)
-        # (s, c) of the first stretch: the prefix neurons' a·(w, b), from
-        # a - a·sgn = 2a on them and 0 elsewhere; then each run end adds its
-        # neuron's ±a·(w, b)
+            keys[bad] = e[bad] + beside[0, bad]
+        order = keys.argsort(kind="stable").reshape(nets, k)
+        keys.take(order, out=E1, mode="clip")
+        # (s, c) of each net's first stretch: its prefix neurons' a·(w, b),
+        # from a - a·sgn = 2a on them and 0 elsewhere; then each run end adds
+        # its neuron's ±a·(w, b)
         np.multiply(WB, np.multiply(a, sgn, out=asg), out=signed)
-        np.matmul(WB, np.subtract(a, asg, out=ad), out=SC0)
+        np.subtract(a, asg, out=ad)
+        for lhs, rhs, out in firsts:
+            np.matmul(lhs, rhs, out=out)
         np.multiply(SC0, 0.5, out=SC0)
         signed.take(order, axis=1, out=SC1)
-        np.add.accumulate(SC, axis=1, out=SC)
-        P.take(E, axis=2, out=PE)
+        np.add.accumulate(SC, axis=2, out=SC)
+        P.take(E, axis=2, out=PE, mode="clip")
         np.subtract(PE1, PE0, out=D)  # (x², x, f·x) and (x, 1, f) summed over each stretch
         np.add.reduce(np.multiply(D, L, out=DL), axis=1, out=S)  # Σ r·x, Σ r over each
-        np.add.accumulate(S, axis=1, out=Q1)
-        Qmid.take(order.argsort(kind="stable"), axis=1, out=R)
-        np.subtract(Qall, R, out=R, where=suffix)  # (Σ r·x, Σ r) / n over each run
-        np.multiply(a, R, out=gWb)
-        np.multiply(WB, R, out=R)
-        np.add(R[0], R[1], out=gA)
+        np.add.accumulate(S, axis=2, out=Q)
+        R2[:, order] = Qmid
+        np.subtract(Qall, R, out=R, where=suffix3)  # (Σ r·x, Σ r) / n over each run
+        np.multiply(a3, R, out=gWb3)
+        np.multiply(WB3, R, out=R)
+        np.add(R[0], R[1], out=gA3)
         return e, suffix
     return gradient
 
 
-def fit_fnn(samples, k: int, activation: Activation, seed: int, *,
+def fit_fnn(samples, k: int, activation: Activation, seed: int | list[int], *,
             ridge: float = 0.0, refine_steps: int = 0,
-            feature_scale: float = 3.0) -> FitResult:
+            feature_scale: float = 3.0) -> FitResult | list[FitResult]:
     """Fit a one-hidden-layer network to samples; deterministic given seed.
+
+    An int ``seed`` fits one network with one output per column of the
+    sample values f, all on one hidden layer, and returns its FitResult.  A
+    sequence of ints, one per column of f, fits one single-output network
+    per column, column c from ``seed[c]`` and with the bits it would get
+    alone, and returns their FitResults in column order.
 
     Random-feature hidden layer plus linear least squares for A, optionally
     followed by a fixed-iteration Adam refinement of all parameters and a
-    least-squares A again.  A relu net with d = d_y = 1 (each output's fit in
-    a relu construction on a 1-d grid) refines on run sums of the sorted
-    samples, O(k log n) a step (``_run_sum_refine``); exp, d > 1 and d_y > 1
-    on dense (n, k) passes (``_adam_refine``).  The routes agree to rounding.  The
-    samples' bounding box is affinely normalized to [-1, 1]^d; rows of W are
+    least-squares A again.  Relu nets with d = d_y = 1 (each output's fit in
+    a relu construction on a 1-d grid) refine together, in one Adam loop on
+    run sums of the sorted samples, O(k log n) a step and net
+    (``_run_sum_refine``).  Its parameters are parameter-major, all w, then
+    all b, then all a, so each numpy call of a step serves every net; only
+    the first-stretch (2, k) @ (k,) product stays one ``np.matmul`` per net,
+    as a batched product may add in another order and so change a net's
+    bits.  Exp, d > 1 and d_y > 1 refine on dense (n, k) passes, one loop
+    per network (``_adam_refine``).  The routes agree to rounding.
+    The samples' bounding box is affinely normalized to [-1, 1]^d; rows of W are
     drawn from the fixed symmetric distribution
     uniform(-feature_scale, feature_scale) in normalized coordinates and b is
     set so each activation kink plane passes through a Latin-hypercube anchor
@@ -367,7 +412,8 @@ def fit_fnn(samples, k: int, activation: Activation, seed: int, *,
     map is composed back into the returned parameters.  A rank-deficient
     least-squares system is re-solved with a ridge term of 1e-8 and flagged
     in the result.  A fit whose parameters end non-finite (an exp activation
-    that overflows, say) raises NonFiniteFitError.
+    that overflows, say) raises NonFiniteFitError, which names the column of
+    a per-column fit.
     """
     if activation.kind not in ("relu", "exp"):
         raise ValueError("fit_fnn supports relu and exp activations")
@@ -384,57 +430,78 @@ def fit_fnn(samples, k: int, activation: Activation, seed: int, *,
         raise DimensionError("sample inputs and values disagree in length")
     if x.shape[0] < k:
         raise ValueError(f"need at least k={k} samples, got {x.shape[0]}")
+    per_column = not isinstance(seed, (int, np.integer))
+    seeds = list(seed) if per_column else [seed]
+    if not 0 < len(seeds) == (f.shape[1] if per_column else 1):
+        raise DimensionError(f"need one seed per column of the sample values, got "
+                             f"{len(seeds)} for {f.shape[1]}")
+    targets = [f[:, [c]] for c in range(f.shape[1])] if per_column else [f]
 
     lo, hi = x.min(axis=0), x.max(axis=0)
     center = (lo + hi) / 2.0
     half = (hi - lo) / 2.0
     half = np.where(half < 1e-12, 1.0, half)
     z = (x - center) / half
-
-    rng = np.random.default_rng(seed)
     d = x.shape[1]
-    W = rng.uniform(-feature_scale, feature_scale, size=(k, d))
-    # activation kink planes pass through Latin-hypercube anchors, so the
-    # features stay independent over the normalized box instead of collapsing
-    # to the affine span when kinks miss the data; the anchor box is slightly
-    # wider than the data so some features act affinely on it
-    perms = np.stack([rng.permutation(k) for _ in range(d)], axis=1)
-    anchors = -1.25 + 2.5 * (perms + rng.uniform(0.0, 1.0, size=(k, d))) / k
-    b = -np.einsum("ij,ij->i", W, anchors)
 
-    def solve_A(W, b, lam):
+    def features(seed):
+        rng = np.random.default_rng(seed)
+        W = rng.uniform(-feature_scale, feature_scale, size=(k, d))
+        # activation kink planes pass through Latin-hypercube anchors, so the
+        # features stay independent over the normalized box instead of collapsing
+        # to the affine span when kinks miss the data; the anchor box is slightly
+        # wider than the data so some features act affinely on it
+        perms = np.stack([rng.permutation(k) for _ in range(d)], axis=1)
+        anchors = -1.25 + 2.5 * (perms + rng.uniform(0.0, 1.0, size=(k, d))) / k
+        return W, -np.einsum("ij,ij->i", W, anchors)
+
+    def solve_A(W, b, lam, f):
         phi = activation(z @ W.T + b)
+        if not np.isfinite(phi).all():  # LAPACK may fail on it; reported below
+            return np.full((f.shape[1], k), np.nan), False
         if lam == 0.0:
             A, _, rank, _ = np.linalg.lstsq(phi, f, rcond=None)
             return A.T, rank < k
         gram = phi.T @ phi + lam * np.eye(k)
         return np.linalg.solve(gram, phi.T @ f).T, False
 
+    nets = [features(s) for s in seeds]
     # overflow is reported once, as non-finite parameters, below
     with np.errstate(all="ignore"):
-        ridge_used = ridge
-        A, deficient = solve_A(W, b, ridge)
-        if deficient:
-            ridge_used = max(ridge, 1e-8)
-            A, _ = solve_A(W, b, ridge_used)
+        ridges, deficient, As = [], [], []
+        for (W, b), g in zip(nets, targets):
+            A, short = solve_A(W, b, ridge, g)
+            ridges.append(max(ridge, 1e-8) if short else ridge)
+            As.append(solve_A(W, b, ridges[-1], g)[0] if short else A)
+            deficient.append(short)
 
         if refine_steps > 0:
-            if activation.kind == "relu" and d == f.shape[1] == 1:
-                W, b, A = _run_sum_refine(W, b, A, z, f, refine_steps)
+            if activation.kind == "relu" and d == targets[0].shape[1] == 1:
+                Ws, bs, As = _run_sum_refine(np.vstack([W.T for W, _ in nets]),
+                                             np.vstack([b for _, b in nets]),
+                                             np.vstack(As), z, f, refine_steps)
+                nets = [(W[:, None], b) for W, b in zip(Ws, bs)]
             else:
-                W, b, A = _adam_refine(W, b, A, z, f, activation, refine_steps)
-            A, post_deficient = solve_A(W, b, ridge_used)
-            deficient = deficient or post_deficient
+                refined = [_adam_refine(W, b, A, z, g, activation, refine_steps)
+                           for (W, b), A, g in zip(nets, As, targets)]
+                nets = [(W, b) for W, b, _ in refined]
+            As = []
+            for c, ((W, b), g) in enumerate(zip(nets, targets)):
+                A, short = solve_A(W, b, ridges[c], g)
+                As.append(A)
+                deficient[c] = deficient[c] or short
 
-        W_orig = W / half
-        b_orig = b - W @ (center / half)
-    bad = [name for name, arr in (("A", A), ("W", W_orig), ("b", b_orig))
-           if not np.all(np.isfinite(arr))]
-    if bad:
-        raise NonFiniteFitError(bad)
-    params = FnnParams(A, W_orig, b_orig, activation)
-    resid = fnn_forward_batch(params, x) - f
-    return FitResult(params, float(np.max(np.abs(resid))), ridge_used, deficient)
+        composed = [(A, W / half, b - W @ (center / half)) for A, (W, b) in zip(As, nets)]
+    fits = []
+    for c, (A, W, b) in enumerate(composed):
+        bad = [name for name, arr in (("A", A), ("W", W), ("b", b))
+               if not np.all(np.isfinite(arr))]
+        if bad:
+            raise NonFiniteFitError(bad, c if per_column else None)
+        params = FnnParams(A, W, b, activation)
+        resid = fnn_forward_batch(params, x) - targets[c]
+        fits.append(FitResult(params, float(np.max(np.abs(resid))), ridges[c], deficient[c]))
+    return fits if per_column else fits[0]
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, FloorViolationError
+from .errors import ConfigError, DimensionError, FloorViolationError, require_count
 
 _DISTINCT_TOL = 1e-9
 # rounding slack below the certified floor: the target's alternation values
@@ -137,8 +137,7 @@ def prop1_fuzz(count: int, seed: int, *, k_range=(1, 6),
     Options that no draw could meet are rejected up front with a ConfigError
     naming the option.
     """
-    if count < 0:
-        raise ConfigError("count", f"count must be >= 0, got {count}")
+    require_count("count", count, 0)
     k_lo, k_hi = _k_range(k_range)
     sep = float(exponent_separation)
     if not (math.isfinite(sep) and sep > 0.0):
@@ -152,8 +151,7 @@ def prop1_fuzz(count: int, seed: int, *, k_range=(1, 6),
         raise ConfigError("coeff_range",
                           f"coeff_range must be positive and finite, got {coeff_range!r}")
     interval = _interval(interval)
-    if grid_points < 2:
-        raise ConfigError("grid_points", f"grid_points must be >= 2, got {grid_points}")
+    require_count("grid_points", grid_points, 2)
     rng = np.random.default_rng(seed)
     ks = np.empty(count, dtype=np.int64)
     changes = np.empty(count, dtype=np.int64)
@@ -255,10 +253,8 @@ def nonuap_audit(family: FiniteFamilySpec, max_context: int, trials: int,
     the alternation points.  By Proposition 1 no trial can come in under
     ``certified_floor``; one that does raises ``FloorViolationError``.
     """
-    if max_context < 1:
-        raise ConfigError("max_context", f"max_context must be >= 1, got {max_context}")
-    if trials < 1:
-        raise ConfigError("trials", f"trials must be >= 1, got {trials}")
+    require_count("max_context", max_context, 1, int(np.iinfo(np.int64).max))  # drawn as int64
+    require_count("trials", trials, 1)
     N = family.N
     n_a = family.a_set.size
     g, z = hard_target(N)

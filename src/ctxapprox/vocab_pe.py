@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, EmptyGridError
+from .errors import MAX_ARRAY_LENGTH, ConfigError, DimensionError, EmptyGridError, require_count
 from .grids import Grid
 
 SQRT2 = math.sqrt(2.0)
@@ -566,13 +566,14 @@ def density_audit(vocab: Vocabulary, scheme: PeScheme, region: Box,
     is still at r after it; such a run is applied at once, and a run where r falls is
     halved until the fall sits at one position.  Every step is an exact min or max of the
     distances a dense probes-by-positions pass computes, so the radii are bit-identical."""
-    if n_max < 1:
-        raise ConfigError("n_max", f"n_max must be >= 1, got {n_max}")
-    if probe_per_dim < 1:
-        raise ConfigError("probe_per_dim", f"probe_per_dim must be >= 1, got {probe_per_dim}")
+    require_count("n_max", n_max, 1)
+    require_count("probe_per_dim", probe_per_dim, 1)
     if not region.dim == scheme.d_x == vocab.d_x:
         raise DimensionError(f"region, scheme and vocabulary dimensions disagree: "
                              f"{region.dim}, {scheme.d_x}, {vocab.d_x}")
+    if probe_per_dim ** region.dim > MAX_ARRAY_LENGTH:
+        raise ConfigError("probe_per_dim", f"probe_per_dim^{region.dim} probes are more than "
+                                           f"numpy can index, {MAX_ARRAY_LENGTH}")
     boxes = _ProbeBoxes(region, probe_per_dim)
     tokens = len(vocab.v_x)
     best = np.full(probe_per_dim ** region.dim, np.inf)

@@ -865,7 +865,14 @@ class TestAuditCommands:
         ("audit", PROP1_SMALL, "k_range", [0, 3], "k_range"),
         ("audit", PROP1_SMALL, "k_range", [1, 2, 3], "k_range"),
         ("audit", PROP1_SMALL, "interval", [1.0, -1.0], "interval"),
-        ("audit", PROP1_SMALL, "interval", [-1.0, float("inf")], "interval")])
+        ("audit", PROP1_SMALL, "interval", [-1.0, float("inf")], "interval"),
+        ("audit", NONUAP_SMALL, "max_context", 2**63, "max_context"),
+        ("audit", NONUAP_SMALL, "trials", 2**63, "trials"),
+        ("audit", PROP1_SMALL, "count", 2**63, "count"),
+        ("audit", mutated(PROP1_SMALL, "count", 0), "grid_points", 2**63, "grid_points"),
+        ("density", DENSITY_SMALL, "n_max", 2**63, "n_max"),
+        ("density", DENSITY_SMALL, "probe_per_dim", 2**63, "probe_per_dim"),
+        ("density", DENSITY_ORACLES, "probe_per_dim", 2**31, "probe_per_dim")])
     def test_bad_value_names_its_field(self, tmp_path, command, config, path, value, field):
         # these used to escape main as a traceback (exit 1; the 2000-term and
         # 300-deep targets as a RecursionError), run with a bool as 1.0, or
@@ -882,7 +889,9 @@ class TestAuditCommands:
         # point count, a transformer with general blocks or F != 0, an fnn
         # that the embed mode cannot take or whose dimensions disagree, a
         # non-finite beta and a k_range or interval out of order were named
-        # "config")
+        # "config"; a count past int64 (max_context, drawn as int64) or past
+        # the longest array numpy can make (the other counts, and a 2-D probe
+        # grid of 2^31 a side) failed inside numpy, exit 1 with a traceback)
         cfg = mutated(config, path, value)
         if command == "construct":
             cfg["caps"]["j_cap"] = 200
@@ -984,6 +993,15 @@ class TestAuditCommands:
         assert code == 4
         err = json.loads((out / "error.json").read_text())
         assert err["error"]["exit_code"] == 4
+
+    def test_halved_epsilon_underflow_exit_4(self, tmp_path):
+        # the exp lift takes epsilon / 2, which is 0 for the least subnormal;
+        # that used to escape as a ValueError with a traceback (exit 1)
+        code, out = run(tmp_path, "tiny", mutated(EMBED_SOFTMAX, "epsilon", 5e-324), "embed")
+        assert code == 4
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["exit_code"] == 4 and err["field"] == "numeric"
+        assert "underflows" in err["message"]
 
     def test_params_from_file_and_samples_target(self, tmp_path):
         import ctxapprox as ca

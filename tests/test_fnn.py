@@ -68,25 +68,45 @@ def _recording(routes, name, refine):
     return recorded
 
 
-def _assert_matches_dense_reference_fit(monkeypatch, args, kwargs):
-    """The fit takes the run-sum route, and matches to rounding the fit whose
-    refinement is the dense per-parameter loop.  On the three shipped fits
-    (acceptance, both multi-output components) the parameters differ by at
-    most 1.6e-8 of their largest entry and the sup errors by 2.1e-7
-    relative; the bounds leave a margin of about 5."""
+def _reference_refine(W, b, A, x, f, steps):
+    """``_run_sum_refine``'s contract, each net refined alone by the dense
+    per-parameter loop."""
+    nets = [_adam_refine_reference(w[:, None], c.copy(), a[None], x, f[:, [i]], ca.RELU, steps)
+            for i, (w, c, a) in enumerate(zip(W, b, A))]
+    return np.stack([np.stack([w[:, 0], c, a[0]]) for w, c, a in nets], axis=1)
+
+
+def _assert_matches_dense_reference_fit(monkeypatch, args, kwargs, column):
+    """The fit takes the run-sum route, and its network for ``column``
+    matches to rounding the one whose refinement is the dense per-parameter
+    loop.  On the three shipped fits (acceptance, both multi-output
+    components) the parameters differ by at most 1.6e-8 of their largest
+    entry and the sup errors by 2.1e-7 relative; the bounds leave a margin
+    of about 5."""
     routes = []
     monkeypatch.setattr(fnn, "_run_sum_refine",
                         _recording(routes, "run sums", fnn._run_sum_refine))
-    got = ca.fit_fnn(*args, **kwargs)
-    monkeypatch.setattr(fnn, "_run_sum_refine", _recording(
-        routes, "dense", lambda W, b, A, x, f, steps:
-        _adam_refine_reference(W, b, A, x, f, ca.RELU, steps)))
-    want = ca.fit_fnn(*args, **kwargs)
+    got = ca.fit_fnn(*args, **kwargs)[column]
+    monkeypatch.setattr(fnn, "_run_sum_refine", _recording(routes, "dense", _reference_refine))
+    want = ca.fit_fnn(*args, **kwargs)[column]
     assert routes == ["run sums", "dense"]
     for name in ("A", "W", "b"):
         g, w = getattr(got.params, name), getattr(want.params, name)
         assert np.max(np.abs(g - w)) <= 1e-7 * np.max(np.abs(w))
     assert got.sup_error == pytest.approx(want.sup_error, rel=1e-6, abs=0)
+
+
+def _recorded_fit_calls(mp, argv):
+    """The construction.fit_fnn calls of ``main(argv)``, in order."""
+    calls = []
+
+    def recording_fit(*args, **kwargs):
+        calls.append((args, kwargs))
+        return ca.fit_fnn(*args, **kwargs)
+
+    mp.setattr(construction, "fit_fnn", recording_fit)
+    assert main(argv) == 0
+    return calls
 
 
 class TestForward:
@@ -235,18 +255,11 @@ class TestAdamRefine:
 
     def test_acceptance_fit_matches_reference_driven_fit(self, monkeypatch, tmp_path):
         # the one fit the shipped acceptance construct makes: k 16, seed 4, 300 steps
-        calls = []
-
-        def recording_fit(*args, **kwargs):
-            calls.append((args, kwargs))
-            return ca.fit_fnn(*args, **kwargs)
-
-        monkeypatch.setattr(construction, "fit_fnn", recording_fit)
         config = Path(__file__).resolve().parent.parent / "configs" / "construct_sin_acceptance.json"
-        assert main(["construct", "--config", str(config), "--out", str(tmp_path)]) == 0
-        [(args, kwargs)] = calls
-        assert (args[1], args[3], kwargs["refine_steps"]) == (16, 4, 300)
-        _assert_matches_dense_reference_fit(monkeypatch, args, kwargs)
+        [(args, kwargs)] = _recorded_fit_calls(
+            monkeypatch, ["construct", "--config", str(config), "--out", str(tmp_path)])
+        assert (args[0][1].shape[1], args[1], args[3], kwargs["refine_steps"]) == (1, 16, [4], 300)
+        _assert_matches_dense_reference_fit(monkeypatch, args, kwargs, 0)
 
 
 # workloads.MULTI_OUTPUT of the benchmark: its two fits are k 14, 300 steps on
@@ -268,30 +281,22 @@ MULTI_OUTPUT = {
 
 @pytest.fixture(scope="module")
 def multi_output_fit_calls(tmp_path_factory):
-    """The fit_fnn calls of the multi-output construct, in order."""
-    calls = []
-
-    def recording_fit(*args, **kwargs):
-        calls.append((args, kwargs))
-        return ca.fit_fnn(*args, **kwargs)
-
+    """The fit_fnn calls of the multi-output construct, in order: one for both outputs."""
     tmp = tmp_path_factory.mktemp("multi")
     config = tmp / "multi.json"
     config.write_text(json.dumps(MULTI_OUTPUT))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(construction, "fit_fnn", recording_fit)
-        assert main(["construct", "--config", str(config), "--out", str(tmp / "out")]) == 0
-    return calls
+        return _recorded_fit_calls(
+            mp, ["construct", "--config", str(config), "--out", str(tmp / "out")])
 
 
 @pytest.mark.parametrize("component,seed", [(0, 9), (1, 10)])
 def test_multi_output_fit_matches_reference_driven_fit(multi_output_fit_calls, monkeypatch,
                                                        component, seed):
-    args, kwargs = multi_output_fit_calls[component]
-    assert len(multi_output_fit_calls) == 2
-    assert (args[0][0].shape, args[1], args[3], kwargs["refine_steps"]) == \
-        ((1500, 1), 14, seed, 300)
-    _assert_matches_dense_reference_fit(monkeypatch, args, kwargs)
+    [(args, kwargs)] = multi_output_fit_calls
+    assert (args[0][0].shape, args[0][1].shape, args[1], args[3][component],
+            kwargs["refine_steps"]) == ((1500, 1), (1500, 2), 14, seed, 300)
+    _assert_matches_dense_reference_fit(monkeypatch, args, kwargs, component)
 
 
 def _dense_gradient(theta, x, f):
@@ -317,10 +322,15 @@ def _run_sum_case(seed, n, kinds, duplicates):
     if duplicates:
         x = np.round(x * 4) / 4
     f = np.sin(3 * x) + rng.normal(0.0, 0.1, n)
+    return _run_sum_net(rng, x, kinds), x, f
+
+
+def _run_sum_net(rng, x, kinds):
+    """theta = [w, b, a] of a net on the samples x with one neuron of each kind in ``kinds``."""
     k = len(kinds)
     w, b, a = rng.uniform(-3.0, 3.0, k), rng.uniform(-3.0, 3.0, k), rng.normal(0.0, 1.0, k)
     for j, kind in enumerate(kinds):
-        sample = x[rng.integers(n)]
+        sample = x[rng.integers(len(x))]
         if kind in ("flat_on", "flat_off"):
             w[j] = 0.0
             b[j] = rng.uniform(0.1, 2.0) if kind == "flat_on" else rng.choice([0.0, -0.0, -1.0])
@@ -331,7 +341,7 @@ def _run_sum_case(seed, n, kinds, duplicates):
             b[j] = -w[j] * sample
         elif kind == "outside":
             b[j] = -w[j] * rng.choice([-1.0, 1.0]) * rng.uniform(1.01, 4.0)
-    return np.concatenate([w, b, a]), x, f
+    return np.concatenate([w, b, a])
 
 
 class TestRunSumGradient:
@@ -387,6 +397,133 @@ class TestRunSumGradient:
                        refine_steps=300)
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+
+class TestBatchedRunSums:
+    """B nets refined in one run-sum Adam loop, each as if alone."""
+
+    @staticmethod
+    def _refine(thetas, x, F, steps):
+        """``_run_sum_refine`` on the nets ``thetas`` (each [w, b, a]), net i on column i of F."""
+        W, b, A = np.stack([t.reshape(3, -1) for t in thetas], axis=1)
+        return fnn._run_sum_refine(W, b, A, x[:, None], F, steps)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), nets=st.integers(1, 4), k=st.integers(1, 16),
+           steps=st.integers(0, 40), extra=st.integers(0, 60), duplicates=st.booleans(),
+           data=st.data())
+    def test_each_net_gets_its_bits_alone(self, seed, nets, k, steps, extra, duplicates, data):
+        kinds = [data.draw(st.lists(st.sampled_from(_NEURONS), min_size=k, max_size=k))
+                 for _ in range(nets)]
+        theta, x, f = _run_sum_case(seed, k + extra, kinds[0], duplicates)
+        rng = np.random.default_rng(seed + 1)
+        thetas = [theta] + [_run_sum_net(rng, x, ks) for ks in kinds[1:]]
+        F = np.column_stack([f] + [np.cos((i + 2) * x) + rng.normal(0.0, 0.1, len(x))
+                                   for i in range(1, nets)])
+        together = self._refine(thetas, x, F, steps)
+        for i, t in enumerate(thetas):
+            alone = self._refine([t], x, F[:, [i]], steps)
+            assert _bits_equal(together[:, i], alone[:, 0])
+
+    def test_an_overflowing_net_leaves_the_others_alone(self, recwarn):
+        # a target of 1e200, and output weights of its scale, overflow their
+        # net's Adam moments; the others keep their bits
+        x = np.linspace(-1.0, 1.0, 2000)
+        rng = np.random.default_rng(3)
+        thetas = [_run_sum_net(rng, x, _NEURONS[i:] + _NEURONS[:i]) for i in range(3)]
+        thetas[1][12:] *= 1e200
+        F = np.column_stack([np.sin(3 * x), 1e200 * np.sin(3 * x), np.cos(2 * x)])
+        together = self._refine(thetas, x, F, 300)
+        assert not np.isfinite(together[:, 1]).all()
+        for i in (0, 2):
+            assert _bits_equal(together[:, i], self._refine([thetas[i]], x, F[:, [i]], 300)[:, 0])
+        # fit_fnn names the overflowing column, without a warning, and fits
+        # each other one as alone
+        recwarn.clear()
+        x = x[:, None]
+        with pytest.raises(ca.NonFiniteFitError) as info:
+            ca.fit_fnn((x, F), 16, ca.RELU, seed=[4, 5, 6], refine_steps=300)
+        assert info.value.component == 1
+        good = ca.fit_fnn((x, F[:, [0, 2]]), 16, ca.RELU, seed=[4, 6], refine_steps=300)
+        for fr, c, s in zip(good, (0, 2), (4, 6)):
+            alone = ca.fit_fnn((x, F[:, c]), 16, ca.RELU, seed=s, refine_steps=300)
+            assert all(_bits_equal(getattr(fr.params, n), getattr(alone.params, n))
+                       for n in ("A", "W", "b"))
+            assert (fr.sup_error, fr.ridge_used, fr.rank_deficient) == \
+                (alone.sup_error, alone.ridge_used, alone.rank_deficient)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("seed", [[], [1], [1, 2, 3]])
+    def test_one_seed_per_column(self, seed):
+        x = np.linspace(0, 1, 50)[:, None]
+        with pytest.raises(ca.DimensionError):
+            ca.fit_fnn((x, np.hstack([x, x])), 4, ca.RELU, seed=seed)
+
+    def test_exp_columns_take_one_dense_loop_each(self, monkeypatch):
+        routes = []
+        for name in ("_adam_refine", "_run_sum_refine"):
+            monkeypatch.setattr(fnn, name, _recording(routes, name, getattr(fnn, name)))
+        x = np.linspace(0, 1, 60)[:, None]
+        F = np.exp(np.hstack([0.5 * x, -x]))
+        fits = ca.fit_fnn((x, F), 6, ca.EXP, seed=[3, 8], refine_steps=20)
+        assert routes == ["_adam_refine"] * 2
+        for fr, c, s in zip(fits, (0, 1), (3, 8)):
+            alone = ca.fit_fnn((x, F[:, c]), 6, ca.EXP, seed=s, refine_steps=20)
+            assert all(_bits_equal(getattr(fr.params, n), getattr(alone.params, n))
+                       for n in ("A", "W", "b"))
+
+    @staticmethod
+    def _mixed_setting(target1):
+        """A d_y = 2 construct whose output 0 is a given relu network."""
+        tp = ca.identity_sparse_params(2, 2)
+        given = ca.FnnParams([[0.6, -0.4]], [[1.0], [-1.0]], [-0.2, 0.7], ca.RELU)
+
+        def target(pts):
+            return np.column_stack([ca.fnn_forward_batch(given, pts)[:, 0], target1(pts)])
+
+        vocab = ca.Vocabulary.x_grid((-10.0, -10.0), (10.0, 10.0), 81, 2)
+        return target, ca.Grid((0.0,), (1.0,), (800,)), vocab, ca.calkin_wilf_lattice(2), tp, given
+
+    def test_mixed_outputs_fit_only_the_missing_one(self, monkeypatch):
+        calls = []
+
+        def recording_fit(*args, **kwargs):
+            calls.append((args, kwargs, ca.fit_fnn(*args, **kwargs)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(construction, "fit_fnn", recording_fit)
+        target, grid, vocab, scheme, tp, given = self._mixed_setting(
+            lambda pts: np.sin(2 * np.pi * pts[:, 0]))
+        fit = construction.FitOptions(k=14, refine_steps=300)
+        rep = ca.construct_context(target, grid, vocab, scheme, tp, 0.5, seed=3, fit=fit,
+                                   fnn=[given, None],
+                                   caps=construction.Caps(j_cap=40_000_000))
+        assert rep.achieved_sup_error < 0.5
+        [(args, kwargs, [fitted])] = calls
+        assert (args[0][1].shape, args[3]) == ((800, 1), [4])
+        pts = grid.points()
+        alone = ca.fit_fnn((pts, np.sin(2 * np.pi * pts[:, 0])), 14, ca.RELU, seed=4,
+                           refine_steps=300)
+        assert all(_bits_equal(getattr(fitted.params, n), getattr(alone.params, n))
+                   for n in ("A", "W", "b"))
+
+    def test_mixed_outputs_name_the_overflowing_component(self):
+        target, grid, vocab, scheme, tp, given = self._mixed_setting(
+            lambda pts: 1e200 * np.sin(2 * np.pi * pts[:, 0]))
+        with pytest.raises(ca.NonFiniteFitError) as info:
+            ca.construct_context(target, grid, vocab, scheme, tp, 0.5, seed=3,
+                                 fit=construction.FitOptions(k=16, refine_steps=300),
+                                 fnn=[given, None])
+        assert info.value.component == 1
+
+
+    def test_overflow_into_the_least_squares_is_a_numerical_error(self, recwarn):
+        # this draw's refined features end non-finite, which LAPACK's least
+        # squares rejects with LinAlgError unless the fit reports it first
+        x = np.linspace(-1, 1, 2000)[:, None]
+        with pytest.raises(ca.NonFiniteFitError) as info:
+            ca.fit_fnn((x, 1e200 * np.sin(3 * x[:, 0])), 16, ca.RELU, seed=5, refine_steps=300)
+        assert info.value.names == ["A", "W", "b"]
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 class TestPerturbationGap:
     def test_identical_parameters_gap_zero(self, rng):
