@@ -311,8 +311,6 @@ def _random_betas(seed_override: int | None, r: _Config) -> list:
 def cmd_embed(cfg: _Config, out: Path, seed_override: int | None) -> int:
     mode = cfg.get("mode", str)
     tp = cfg.load("transformer", _transformer)
-    if not tp.is_sparse_mode:
-        raise ConfigError("transformer", "embedding requires sparse mode (no general blocks)")
     fnn = cfg.load("fnn", _fnn)
     grid = cfg.load("grid", _grid)
     if grid.dim != fnn.d_in:
@@ -346,8 +344,6 @@ def cmd_embed(cfg: _Config, out: Path, seed_override: int | None) -> int:
 
 def cmd_construct(cfg: _Config, out: Path, seed_override: int | None) -> int:
     tp = cfg.load("transformer", _transformer)
-    if not tp.is_sparse_mode or np.any(tp.F != 0.0):
-        raise ConfigError("transformer", "construction needs general blocks absent and F = 0")
     grid = cfg.load("grid", _grid)
     vocab = cfg.load("vocab", _vocab)
     scheme = cfg.load("scheme", _scheme)
@@ -360,13 +356,7 @@ def cmd_construct(cfg: _Config, out: Path, seed_override: int | None) -> int:
                (("budgets", StageBudgets), ("fit", FitOptions), ("caps", Caps)) if cfg.has(name)}
     if cfg.has("activation"):
         options["activation"] = cfg.load("activation", Activation, str)
-    construction = cfg.get("construction", str, "dense")
-    if construction == "relu_rescaled":
-        options["lambda_policy"] = cfg.get("lambda_policy", str, "max_row")
-    elif construction == "dense":
-        options["coefficient_mode"] = cfg.get("coefficient_mode", str, "auto")
-    else:
-        raise ConfigError("construction", "must be 'dense' or 'relu_rescaled'")
+    options["coefficient_mode"] = cfg.get("coefficient_mode", str, "auto")
     cfg.done()
     report = construct_context(target, grid, vocab, scheme, tp, epsilon, seed=seed, **options)
     doc = _meta(cfg.obj, "construct")
@@ -498,6 +488,8 @@ def main(argv=None) -> int:
         return fail(EXIT_BUDGET, "budget", str(exc), stage=exc.stage,
                     measured=exc.measured, budget=exc.budget)
     except KroneckerCapExceeded as exc:
+        return fail(EXIT_BUDGET, "budget", str(exc))
+    except MemoryError as exc:      # a count within numpy's bounds that memory cannot hold
         return fail(EXIT_BUDGET, "budget", str(exc))
     except (CtxApproxError, np.linalg.LinAlgError, FloatingPointError) as exc:
         return fail(EXIT_NUMERIC, "numeric", str(exc))

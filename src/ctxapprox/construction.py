@@ -587,7 +587,6 @@ class FitOptions:
     k: int = 16
     refine_steps: int = 600
     feature_scale: float = 3.0
-    ridge: float = 0.0
 
     def __post_init__(self):
         if self.k < 1:
@@ -595,8 +594,6 @@ class FitOptions:
         if self.refine_steps < 0:
             raise ValueError(f"refine_steps must be >= 0, got {self.refine_steps}")
         _require_positive_finite("feature_scale", self.feature_scale)
-        if not (math.isfinite(self.ridge) and self.ridge >= 0):
-            raise ValueError(f"ridge must be finite and >= 0, got {self.ridge!r}")
 
 
 # rescaled relu route: lambda from the largest |entry| m of the rows [W | b]
@@ -716,8 +713,8 @@ def _fit_stage(tp, pts, f_vals, fnn, fit, activation, seed):
     if todo:
         try:
             fitted = fit_fnn((pts, g_vals[:, todo]), fit.k, activation,
-                             [seed + comp for comp in todo], ridge=fit.ridge,
-                             refine_steps=fit.refine_steps, feature_scale=fit.feature_scale)
+                             [seed + comp for comp in todo], refine_steps=fit.refine_steps,
+                             feature_scale=fit.feature_scale)
         except NonFiniteFitError as exc:
             raise NonFiniteFitError(exc.names, todo[exc.component]) from None
         for comp, fr in zip(todo, fitted):
@@ -831,8 +828,8 @@ def construct_context(target, grid: Grid, vocab: Vocabulary, scheme: PeScheme,
                       activation: Activation = RELU,
                       budgets: StageBudgets | None = None, seed: int = 0,
                       fit: FitOptions | None = None, fnn: list | None = None,
-                      caps: Caps | None = None, coefficient_mode: str = "auto",
-                      lambda_policy: str | None = None) -> ConstructionReport:
+                      caps: Caps | None = None,
+                      coefficient_mode: str = "auto") -> ConstructionReport:
     """Build a context whose readout approximates ``target`` within epsilon.
 
     ``target`` is a callable on (N, d_x - 1) query batches returning (N,) or
@@ -844,37 +841,30 @@ def construct_context(target, grid: Grid, vocab: Vocabulary, scheme: PeScheme,
 
     ``fnn`` optionally replaces the stage-1 fit with one network per output
     (its sup error on the grid is still measured against the fit budget).
-    ``coefficient_mode`` is auto (homogeneous for relu) | homogeneous |
-    kronecker.  A ``lambda_policy`` (max_row | pow2 | int) selects the
-    rescaled relu route: rows [W | b] / lambda and coefficients A * lambda,
-    with lambda from the largest row entry, decomposed by integer witnesses.
+    ``coefficient_mode`` is auto (homogeneous for relu, kronecker otherwise) |
+    homogeneous (relu: unit-coefficient copies) | kronecker (integer
+    witnesses) | rescaled_max_row | rescaled_pow2 | rescaled_int (relu: rows
+    [W | b] / lambda, coefficients A * lambda, lambda from the largest row
+    entry by that policy, then integer witnesses).
     Raises on budget violations, Kronecker cap exhaustion, and position-scan
     exhaustion.
     """
     _require_positive_finite("epsilon", epsilon)
-    if coefficient_mode not in ("auto", "homogeneous", "kronecker"):
+    if coefficient_mode == "auto":
+        coefficient_mode = "homogeneous" if activation.kind == "relu" else "kronecker"
+    policy = {f"rescaled_{p}": p for p in _LAMBDA_POLICIES}.get(coefficient_mode)
+    if policy is None and coefficient_mode not in ("homogeneous", "kronecker"):
         raise ConfigError("coefficient_mode", "coefficient_mode must be auto | homogeneous | "
-                                              f"kronecker, got {coefficient_mode!r}")
-    if lambda_policy not in (None, *_LAMBDA_POLICIES):
-        raise ConfigError("lambda_policy",
-                          f"lambda_policy must be max_row | pow2 | int, got {lambda_policy!r}")
-    if lambda_policy is not None and (activation.kind != "relu"
-                                      or coefficient_mode == "homogeneous"):
-        raise ConfigError("activation" if activation.kind != "relu" else "coefficient_mode",
-                          "lambda_policy selects the rescaled relu route, which needs relu "
-                          f"and integer witnesses; got activation {activation.kind!r}, "
-                          f"coefficient_mode {coefficient_mode!r}")
+                          "kronecker | rescaled_max_row | rescaled_pow2 | rescaled_int, "
+                          f"got {coefficient_mode!r}")
+    if coefficient_mode != "kronecker" and activation.kind != "relu":
+        raise ConfigError("activation", f"coefficient_mode {coefficient_mode!r} needs relu, "
+                                        f"got activation {activation.kind!r}")
     if not tp.is_sparse_mode or np.any(tp.F != 0.0):
-        raise ValueError("construction requires strict sparse mode (general "
-                         "blocks absent and F = 0); nulled positions cannot "
-                         "cancel F-terms")
+        raise ConfigError("transformer", "construction needs general blocks absent and F = 0; "
+                                         "nulled positions cannot cancel F-terms")
     if not activation.is_elementwise:
         raise ConfigError("activation", "softmax-activation construction is out of scope")
-    use_homog = lambda_policy is None and (
-        coefficient_mode == "homogeneous"
-        or (coefficient_mode == "auto" and activation.kind == "relu"))
-    if use_homog and activation.kind != "relu":
-        raise ConfigError("activation", "homogeneous coefficient mode needs relu")
     if vocab.d_x != tp.d_x or scheme.d_x != tp.d_x:
         raise DimensionError("vocabulary/scheme dimensions disagree with parameters")
     if vocab.d_y != tp.d_y:
@@ -906,12 +896,12 @@ def construct_context(target, grid: Grid, vocab: Vocabulary, scheme: PeScheme,
 
     nets = [(np.hstack([fr.params.W, fr.params.b[:, None]]), fr.params.A[0])
             for fr in fits]
-    lam = None if lambda_policy is None else _lambda(nets, lambda_policy)
+    lam = None if policy is None else _lambda(nets, policy)
     if lam is not None:
         nets = [(rows / lam, coeffs * lam) for rows, coeffs in nets]
     plans, perturbed, perturb_measured = _witness_stage(
         tp, nets, cmap, vocab.x_extent, x_tilde, activation, budgets.perturb / u_scale,
-        use_homog, caps, fnn_eval)
+        coefficient_mode == "homogeneous", caps, fnn_eval)
     if perturb_measured >= budgets.perturb:
         raise BudgetError("perturb", perturb_measured, budgets.perturb)
 

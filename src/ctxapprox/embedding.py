@@ -82,7 +82,7 @@ def embed_fnn(tp: TransformerParams, fnn: FnnParams) -> EmbeddingResult:
     the appended query coordinate).
     """
     if not tp.is_sparse_mode:
-        raise ValueError("embedding requires sparse mode (no general blocks)")
+        raise ConfigError("transformer", "embedding requires sparse mode (no general blocks)")
     if not fnn.activation.is_elementwise:
         raise ConfigError("fnn", "embed_fnn handles element-wise activations; "
                                  "use embed_softmax_fnn for softmax")
@@ -181,7 +181,7 @@ def embed_softmax_fnn(tp: TransformerParams, fnn: FnnParams, domain_grid,
     audited gap).
     """
     if not tp.is_sparse_mode:
-        raise ValueError("embedding requires sparse mode (no general blocks)")
+        raise ConfigError("transformer", "embedding requires sparse mode (no general blocks)")
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ConfigError("epsilon", f"epsilon must be positive and finite, got {epsilon!r}")
     if fnn.activation.kind not in ("exp", "softmax"):

@@ -383,8 +383,7 @@ def _run_sum_gradient(x, f, theta, grad):
 
 
 def fit_fnn(samples, k: int, activation: Activation, seed: int | list[int], *,
-            ridge: float = 0.0, refine_steps: int = 0,
-            feature_scale: float = 3.0) -> FitResult | list[FitResult]:
+            refine_steps: int = 0, feature_scale: float = 3.0) -> FitResult | list[FitResult]:
     """Fit a one-hidden-layer network to samples; deterministic given seed.
 
     An int ``seed`` fits one network with one output per column of the
@@ -470,8 +469,8 @@ def fit_fnn(samples, k: int, activation: Activation, seed: int | list[int], *,
     with np.errstate(all="ignore"):
         ridges, deficient, As = [], [], []
         for (W, b), g in zip(nets, targets):
-            A, short = solve_A(W, b, ridge, g)
-            ridges.append(max(ridge, 1e-8) if short else ridge)
+            A, short = solve_A(W, b, 0.0, g)
+            ridges.append(1e-8 if short else 0.0)
             As.append(solve_A(W, b, ridges[-1], g)[0] if short else A)
             deficient.append(short)
 

@@ -228,12 +228,15 @@ class TestConstructCommand:
         ("fit.feature_scale", float("nan"), "feature_scale"), ("fit.ridge", -1, "ridge"),
         ("seed", float("inf"), "seed"), ("seed", 2.5, "seed"), ("caps.j_cap", 1e30, "j_cap"),
         ("caps.j_cap", 200.7, "j_cap"), ("fit.k", 14.9, "fit.k")])
-    @pytest.mark.parametrize("construction", ["dense", "relu_rescaled"])
-    def test_bad_numeric_field_exit_2(self, tmp_path, field, value, named, construction):
-        # a small j_cap keeps a regression from scanning for minutes
+    # the ids name the report's mode on each route family
+    @pytest.mark.parametrize("mode", [pytest.param("auto", id="dense"),
+                                      pytest.param("rescaled_max_row", id="relu_rescaled")])
+    def test_bad_numeric_field_exit_2(self, tmp_path, field, value, named, mode):
+        # a small j_cap keeps a regression from scanning for minutes; fit.ridge
+        # is no option, so it is named as an unknown key
         cfg = json.loads(json.dumps(CONSTRUCT_SMALL))
         cfg["caps"]["j_cap"] = 200
-        cfg["construction"] = construction
+        cfg["coefficient_mode"] = mode
         node = cfg
         *parents, leaf = field.split(".")
         for part in parents:
@@ -245,6 +248,20 @@ class TestConstructCommand:
         assert err["error"]["exit_code"] == 2
         assert named in err["error"]["message"]
 
+    @pytest.mark.parametrize("mode", ["homogenous", "dense", "relu_rescaled", "rescaled",
+                                      "rescaled_pow-2", "lambda_max_row"])
+    def test_bad_route_exit_2(self, tmp_path, mode):
+        # a small j_cap keeps a route that silently runs another one short
+        cfg = json.loads(json.dumps(CONSTRUCT_SMALL))
+        cfg["caps"]["j_cap"] = 200
+        cfg["coefficient_mode"] = mode
+        code, out = run(tmp_path, "bad_route", cfg, "construct")
+        assert code == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"]["exit_code"] == 2
+        assert err["error"]["field"] == "coefficient_mode"
+        assert repr(mode) in err["error"]["message"]
+
     @pytest.mark.parametrize("field,value,construction", [
         ("construction", "relu-rescaled", "dense"),
         ("coefficient_mode", "homogenous", "dense"),
@@ -254,16 +271,16 @@ class TestConstructCommand:
         ("lambda_policy", "pow2", "dense"),
         ("coefficient_mode", "kronecker", "relu_rescaled")])
     def test_bad_choice_exit_2(self, tmp_path, field, value, construction):
-        # a small j_cap keeps a choice that silently runs another route short
+        # configs in the old three-field route spelling: `construction` is no
+        # longer read, so each exits 2 naming it before any route runs
         cfg = json.loads(json.dumps(CONSTRUCT_SMALL))
         cfg["caps"]["j_cap"] = 200
         cfg["construction"] = construction
         cfg[field] = value
         code, out = run(tmp_path, "bad_choice", cfg, "construct")
         assert code == 2
-        err = json.loads((out / "error.json").read_text())
-        assert err["error"]["exit_code"] == 2
-        assert err["error"]["field"] == field and field in err["error"]["message"]
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["field"] == "construction" and "unknown key" in err["message"]
 
     @pytest.mark.parametrize("field,key", [
         ("fit", "refine_step"), ("caps", "jcap"), ("budgets", "token")])
@@ -394,8 +411,7 @@ class TestConstructCommand:
 
     def test_relu_rescaled_construct(self, tmp_path):
         cfg = json.loads(json.dumps(CONSTRUCT_SMALL))
-        cfg["construction"] = "relu_rescaled"
-        cfg["lambda_policy"] = "pow2"
+        cfg["coefficient_mode"] = "rescaled_pow2"
         cfg["epsilon"] = 1.0
         cfg["fit"] = {"k": 5, "refine_steps": 400}
         cfg["vocab"] = {"x_grid": {"lo": [-1.5, -1.5], "hi": [1.5, 1.5],
@@ -555,6 +571,15 @@ class TestAuditCommands:
         assert doc["min_minmax_error"] >= 0.5
         assert doc["structural_cap_holds"] is True
         assert doc["N"] == 4
+
+    def test_count_memory_cannot_hold_exit_3(self, tmp_path):
+        # within the trials bound, but 8 EiB: numpy refuses the request before
+        # it allocates anything, and the run reports it as a budget, not a bug
+        code, out = run(tmp_path, "huge", mutated(NONUAP_SMALL, "trials", 2**60 - 1), "audit")
+        assert code == 3
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert (err["field"], err["exit_code"]) == ("budget", 3)
+        assert "Unable to allocate" in err["message"]
 
     def test_nonuap_audit_certified_floor(self, tmp_path):
         cfg = json.loads((ROOT / "configs" / "nonuap_audit.json").read_text())
@@ -835,13 +860,13 @@ class TestAuditCommands:
         ("audit", mutated(PROP1_SMALL, "count", 0), "grid_points", -1, "grid_points"),
         ("construct", CONSTRUCT_SMALL, "activation", "tanh", "activation"),
         ("construct", CONSTRUCT_SMALL, "activation", "softmax", "activation"),
-        ("construct", mutated(CONSTRUCT_SMALL, "construction", "relu_rescaled"),
+        ("construct", mutated(CONSTRUCT_SMALL, "coefficient_mode", "rescaled_max_row"),
          "activation", "exp", "activation"),
         ("construct", mutated(CONSTRUCT_SMALL, "coefficient_mode", "homogeneous"),
          "activation", "exp", "activation"),
         ("construct", CONSTRUCT_SMALL, "coefficient_mode", "homogenous", "coefficient_mode"),
-        ("construct", mutated(CONSTRUCT_SMALL, "construction", "relu_rescaled"),
-         "lambda_policy", "pow-2", "lambda_policy"),
+        ("construct", mutated(CONSTRUCT_SMALL, "coefficient_mode", "rescaled_max_row"),
+         "lambda_policy", "pow-2", "lambda_policy"),       # no longer a key
         ("construct", CONSTRUCT_SMALL, "budgets", {"fit": 0.2, "perturb": 0.1, "tokens": 0.1},
          "budgets"),
         ("construct", CONSTRUCT_SMALL, "fit.k", 401, "fit.k"),         # 400 grid points
@@ -1150,11 +1175,11 @@ MUTATED_CONFIGS = {
     "construct": ("construct", mutated(CONSTRUCT_SMALL, "caps.j_cap", 20_000)),
     "construct_dense_options": ("construct", {
         **mutated(CONSTRUCT_SMALL, "caps.j_cap", 20_000), "activation": "relu",
-        "construction": "dense", "coefficient_mode": "auto",
+        "coefficient_mode": "auto",
         "budgets": {"fit": 0.1, "perturb": 0.05, "tokens": 0.15}}),
     "construct_relu_rescaled": ("construct", {
-        **mutated(CONSTRUCT_SMALL, "caps.j_cap", 20_000), "construction": "relu_rescaled",
-        "lambda_policy": "max_row"}),
+        **mutated(CONSTRUCT_SMALL, "caps.j_cap", 20_000),
+        "coefficient_mode": "rescaled_max_row"}),
     "prop1": ("audit", PROP1_SMALL),
     "nonuap": ("audit", NONUAP_SMALL),
     "density": ("density", DENSITY_SMALL),

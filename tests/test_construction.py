@@ -1,3 +1,5 @@
+import hashlib
+import json
 import tracemalloc
 from types import SimpleNamespace
 
@@ -572,10 +574,10 @@ class TestConstructContext:
     def test_rejects_bad_epsilon(self, epsilon):
         tp, vocab, scheme, grid = make_setting()
         target = lambda pts: np.sin(2 * np.pi * pts[:, 0])
-        for policy in (None, "max_row"):
+        for mode in ("auto", "rescaled_max_row"):
             with pytest.raises(ValueError, match="epsilon"):
                 ca.construct_context(target, grid, vocab, scheme, tp, epsilon,
-                                     lambda_policy=policy)
+                                     coefficient_mode=mode)
         tp2, vocab2, _, _ = make_setting(d_y=2)
         with pytest.raises(ValueError, match="epsilon"):
             ca.construct_context(lambda pts: np.zeros((pts.shape[0], 2)), grid, vocab2,
@@ -599,8 +601,7 @@ class TestConstructContext:
 
     @pytest.mark.parametrize("field,value", [
         ("k", 0), ("k", -3), ("refine_steps", -5), ("feature_scale", float("nan")),
-        ("feature_scale", 0.0), ("feature_scale", float("inf")), ("ridge", -1.0),
-        ("ridge", float("nan"))])
+        ("feature_scale", 0.0), ("feature_scale", float("inf"))])
     def test_fit_options_reject_bad_values(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be"):
             FitOptions(**{field: value})
@@ -612,9 +613,9 @@ class TestConstructContext:
         with pytest.raises(ValueError, match="coefficient_mode"):
             ca.construct_context(target, grid, vocab, scheme, tp, 0.2,
                                  coefficient_mode="homogenous")
-        with pytest.raises(ValueError, match="lambda_policy"):
+        with pytest.raises(ValueError, match="coefficient_mode"):
             ca.construct_context(target, grid, vocab, scheme, tp, 0.2,
-                                 lambda_policy="pow-2")
+                                 coefficient_mode="rescaled_pow-2")
 
     def test_underflowing_scan_tolerance_is_numeric_error(self):
         # a token budget too small for a float tolerance must not reach the scan
@@ -637,9 +638,10 @@ class TestConstructContext:
         vocab = ca.Vocabulary.x_grid((-2.0, -2.0), (2.0, 2.0), 5, 1)
         scheme = ca.calkin_wilf_lattice(2)
         grid = ca.Grid((0.0,), (1.0,), (50,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ca.ConfigError, match="F = 0") as exc:
             ca.construct_context(lambda pts: np.zeros(pts.shape[0]), grid,
                                  vocab, scheme, tp, 0.1)
+        assert exc.value.field == "transformer"
 
 
 class TestMultiOutput:
@@ -682,7 +684,8 @@ class TestReluRescaled:
         fnn = ca.FnnParams([[1.0]], [[0.8]], [-0.3], ca.RELU)
         target = lambda pts: ca.fnn_forward_batch(fnn, pts)[:, 0]
         rep = ca.construct_context(target, grid, vocab, scheme, tp, 0.3, fnn=[fnn],
-                                   lambda_policy="max_row", caps=Caps(j_cap=20_000_000))
+                                   coefficient_mode="rescaled_max_row",
+                                   caps=Caps(j_cap=20_000_000))
         assert rep.lambda_ == 1.0
 
     def test_max_norm_four_rows_lambda_four(self):
@@ -693,7 +696,8 @@ class TestReluRescaled:
         fnn = ca.FnnParams([[0.5, 0.25]], [[4.0], [-2.0]], [-1.0, 1.0], ca.RELU)
         target = lambda pts: ca.fnn_forward_batch(fnn, pts)[:, 0]
         rep = ca.construct_context(target, grid, vocab, scheme, tp, 0.3, fnn=[fnn],
-                                   lambda_policy="max_row", caps=Caps(j_cap=40_000_000))
+                                   coefficient_mode="rescaled_max_row",
+                                   caps=Caps(j_cap=40_000_000))
         assert rep.lambda_ == 4.0
         # homogeneity identity: scaled plans reproduce the unscaled algebra
         assert rep.measured["perturb"] <= rep.budgets.perturb
@@ -707,7 +711,7 @@ class TestReluRescaled:
         grid = ca.Grid((0.0,), (1.0,), (501,))
         target = lambda pts: np.sin(2 * np.pi * pts[:, 0])
         rep = ca.construct_context(target, grid, vocab, scheme, tp, 1.0,
-                                   seed=3, lambda_policy="max_row",
+                                   seed=3, coefficient_mode="rescaled_max_row",
                                    fit=FitOptions(k=6, refine_steps=400),
                                    caps=Caps(j_cap=80_000_000))
         assert rep.achieved_sup_error < 1.0
@@ -729,7 +733,7 @@ class TestReluRescaled:
         target = lambda pts: ca.fnn_forward_batch(fnn, pts)[:, 0]
         caps = Caps(j_cap=1_000_000)
         rep = ca.construct_context(target, grid, vocab, scheme, tp, 0.3, fnn=[fnn],
-                                   lambda_policy=policy, caps=caps)
+                                   coefficient_mode=f"rescaled_{policy}", caps=caps)
         lam = rep.lambda_
         assert lam == {"max_row": 3.3, "pow2": 4.0, "int": 4.0}[policy]
         scaled = ca.FnnParams(fnn.A * lam, fnn.W / lam, fnn.b / lam, ca.RELU)
@@ -740,14 +744,15 @@ class TestReluRescaled:
         assert ([p.to_json_dict() for p in rep.per_neuron]
                 == [p.to_json_dict() for p in ref.per_neuron])
 
-    @pytest.mark.parametrize("activation,mode", [(ca.EXP, "auto"), (ca.EXP, "kronecker"),
-                                                 (ca.RELU, "homogeneous")])
-    def test_policy_needs_relu_and_integer_witnesses(self, activation, mode):
+    @pytest.mark.parametrize("mode", ["homogeneous", "rescaled_max_row", "rescaled_pow2",
+                                      "rescaled_int"])
+    def test_relu_only_route_names_activation(self, mode):
         tp, vocab, scheme, grid = make_setting()
         target = lambda pts: np.sin(2 * np.pi * pts[:, 0])
-        with pytest.raises(ValueError, match="lambda_policy"):
-            ca.construct_context(target, grid, vocab, scheme, tp, 0.2, activation=activation,
-                                 coefficient_mode=mode, lambda_policy="pow2")
+        with pytest.raises(ca.ConfigError, match="needs relu") as exc:
+            ca.construct_context(target, grid, vocab, scheme, tp, 0.2, activation=ca.EXP,
+                                 coefficient_mode=mode)
+        assert exc.value.field == "activation"
 
     def test_two_outputs_with_override_networks(self):
         tp = ca.identity_sparse_params(2, 2)
@@ -759,7 +764,8 @@ class TestReluRescaled:
         target = lambda pts: np.column_stack(
             [ca.fnn_forward_batch(net, pts)[:, 0] for net in nets])
         rep = ca.construct_context(target, grid, vocab, scheme, tp, 0.3, fnn=nets,
-                                   lambda_policy="max_row", caps=Caps(j_cap=1_000_000))
+                                   coefficient_mode="rescaled_max_row",
+                                   caps=Caps(j_cap=1_000_000))
         # one lambda from the largest row entry over both networks
         assert (rep.mode, rep.lambda_) == ("rescaled", 3.3)
         assert {t.component for t in rep.tokens} == {0, 1}
@@ -778,6 +784,47 @@ class TestReluRescaled:
         act = (pts @ p.W.T + p.b) > 0
         act_scaled = (pts @ scaled.W.T + scaled.b) > 0
         assert np.array_equal(act, act_scaled)
+
+
+class TestRoutes:
+    # SHA-256 of the report's JSON and of repr(report.tokens) per route, taken
+    # when the rescaled routes were spelled lambda_policy=p; pow2 and int
+    # both round this network's largest row entry 3.3 up to lambda = 4
+    @pytest.mark.parametrize("activation,mode,report_sha,tokens_sha", [
+        (ca.RELU, "auto", "0e3b40f096ea0844e237de0263fa50cb79c8ec949f38981736aca829189dd6b7",
+         "9964a2b3d4a23680f1140dc354aa4965b431aa402772da5f7a658cf86a489027"),
+        (ca.RELU, "homogeneous",
+         "0e3b40f096ea0844e237de0263fa50cb79c8ec949f38981736aca829189dd6b7",
+         "9964a2b3d4a23680f1140dc354aa4965b431aa402772da5f7a658cf86a489027"),
+        (ca.RELU, "kronecker", "6912ff31a4a86e38f4f2a15aa5cf2cba069e7b83c875c0f0c69f958e253e875e",
+         "894d0788adc823edb0364c5b43a5ba893c1d72bae324bc8da1f7bd4032f8b3c0"),
+        (ca.RELU, "rescaled_max_row",
+         "36c6fc1207a433178b4b4a47b461dc6a323b5f1d112c8d15b0775bb0d8ae1c0e",
+         "0c32fcf9b56835523be8b3177ab40bc49f6b5a4bfffb4ff5f999a18e057d0f81"),
+        (ca.RELU, "rescaled_pow2",
+         "54b95fed7183ea43740f17fdfb12cbfb86a5744e68cbe2792e59d8423463fbe2",
+         "1314858db80f87adc438a5b714a7b833eec675f6519e0da482fb7518d08edbe8"),
+        (ca.RELU, "rescaled_int",
+         "54b95fed7183ea43740f17fdfb12cbfb86a5744e68cbe2792e59d8423463fbe2",
+         "1314858db80f87adc438a5b714a7b833eec675f6519e0da482fb7518d08edbe8"),
+        (ca.EXP, "auto", "058aa35ea7afcf926116b6c2494ca74194aa798e5c4cd5a363a2d187ffd0dc84",
+         "9700c70d137eb199cd5d51846e916c036104bea3bc71eedd2f9005f5b59a8a12")])
+    def test_every_route_keeps_its_report(self, activation, mode, report_sha, tokens_sha):
+        tp = ca.identity_sparse_params(2, 1)
+        vocab = ca.Vocabulary.x_grid((-1.5, -1.5), (1.5, 1.5), 25, 1)
+        scheme = ca.calkin_wilf_lattice(2)
+        grid = ca.Grid((0.0,), (1.0,), (201,))
+        rows = ([[3.3], [-2.0]], [-1.0, 1.0]) if activation is ca.RELU else \
+            ([[0.8], [-0.5]], [-1.0, 0.2])
+        fnn = ca.FnnParams([[0.5, 0.25]], *rows, activation)
+        target = lambda pts: ca.fnn_forward_batch(fnn, pts)[:, 0]
+        rep = ca.construct_context(target, grid, vocab, scheme, tp, 0.3, fnn=[fnn],
+                                   activation=activation, coefficient_mode=mode,
+                                   caps=Caps(j_cap=1_000_000))
+        assert rep.mode == ("rescaled" if mode.startswith("rescaled_") else "dense")
+        digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
+        assert digest(json.dumps(rep.to_json_dict(), sort_keys=True)) == report_sha
+        assert digest(repr(rep.tokens)) == tokens_sha
 
 
 class TestBlockedTokenSums:

@@ -219,8 +219,9 @@ class TestParams:
         base = ca.random_sparse_params(6, 3, 2)
         tpg = ca.TransformerParams(base.B, base.C, base.D, base.E, base.F,
                                    base.U, general)
-        with pytest.raises(ValueError):
+        with pytest.raises(ca.ConfigError, match="sparse mode") as exc:
             ca.embed_fnn(tpg, random_fnn(rng, 4, 2, 2, ca.RELU))
+        assert exc.value.field == "transformer"
 
     def test_singular_blocks_rejected(self):
         sing = np.zeros((2, 2))
