@@ -25,8 +25,7 @@ from .errors import (BudgetError, ConfigError, CtxApproxError, DimensionError,
 from .exp_fd import build_exp_fd_network, fit_polynomial
 from .expressions import parse_target
 from .fnn import (EXP, RELU, SOFTMAX, Activation, FitResult, FnnParams,
-                  custom_activation, fit_fnn, fnn_forward, fnn_forward_batch,
-                  perturbation_delta, perturbation_gap)
+                  fit_fnn, fnn_forward_batch)
 from .grids import Grid
 from .kronecker import (KroneckerWitness, TokenDecomposition,
                         coefficient_decompose, kronecker_search,
@@ -35,9 +34,8 @@ from .nonuap import (ExpSum, FiniteFamilySpec, NonUapAuditRecord,
                      Prop1FuzzRecord, count_zeros, hard_target, nonuap_audit,
                      prop1_fuzz)
 from .transformer import (GeneralBlocks, InputAssembly, TransformerParams,
-                          assemble, attention_forward, identity_sparse_params,
-                          random_sparse_params, readout_batch,
-                          softmax_columns, transformer_readout)
+                          attention_forward, identity_sparse_params,
+                          random_sparse_params, readout_batch, softmax_columns)
 from .vocab_pe import (Box, DensityProfile, PeScheme, Vocabulary,
                        calkin_wilf_lattice, calkin_wilf_rational,
                        custom_scheme, density_audit, dyadic_lattice, fusc,

@@ -22,7 +22,6 @@ from .grids import Grid, as_points, lifted
 from .transformer import TransformerParams, readout_batch
 
 _LOG_SAFETY = math.log(10.0)
-_MAX_EXP_ARG = 700.0  # exp overflows float64 slightly above this
 
 
 @dataclass(frozen=True)
@@ -115,14 +114,15 @@ def exp_to_softmax_fnn(src: FnnParams, domain_grid, epsilon: float) -> FnnParams
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     pts = as_points(domain_grid, src.d_in)
-    src_max = float(np.max(np.abs(fnn_forward_batch(src, pts))))
-    log_cap = math.log(epsilon) - math.log(2.0 * src.k * (1.0 + src_max))
-    z_max = np.max(pts @ src.W.T, axis=0)  # max over the grid of w_i.x
-    b_dash = log_cap - z_max - _LOG_SAFETY
-    if np.any(src.b - b_dash > _MAX_EXP_ARG):
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as non-finite a_dash
+        src_max = float(np.max(np.abs(fnn_forward_batch(src, pts))))
+        log_cap = math.log(epsilon) - math.log(2.0 * src.k * (1.0 + src_max))
+        z_max = np.max(pts @ src.W.T, axis=0)  # max over the grid of w_i.x
+        b_dash = log_cap - z_max - _LOG_SAFETY
+        a_dash = src.A * np.exp(src.b - b_dash)
+    if not np.isfinite(a_dash).all():
         raise EpsilonRangeError(
             "epsilon too small: lifted coefficients a_i e^{b_i - b'_i} overflow")
-    a_dash = src.A * np.exp(src.b - b_dash)
     A = np.hstack([a_dash, np.zeros((src.d_y, 1))])
     W = np.vstack([src.W, np.zeros((1, src.d_in))])
     b = np.concatenate([b_dash, [0.0]])

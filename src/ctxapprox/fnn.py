@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, EmptyGridError, NonFiniteFitError
+from .errors import DimensionError, NonFiniteFitError
 from .grids import as_points
 
 
@@ -68,10 +68,6 @@ class Activation:
 RELU = Activation("relu")
 EXP = Activation("exp")
 SOFTMAX = Activation("softmax")
-
-
-def custom_activation(fn: Callable[[np.ndarray], np.ndarray]) -> Activation:
-    return Activation("custom", fn)
 
 
 # --------------------------------------------------------------------------
@@ -153,14 +149,6 @@ def fnn_forward_batch(params: FnnParams, points) -> np.ndarray:
     shift = np.max(z, axis=1, keepdims=True)
     e = np.exp(z - shift)
     return (e @ params.A.T) / np.sum(e, axis=1, keepdims=True)
-
-
-def fnn_forward(params: FnnParams, x) -> np.ndarray:
-    """Evaluate the network at a single input vector; returns (d_y,)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (params.d_in,):
-        raise DimensionError(f"input has shape {x.shape}, expected ({params.d_in},)")
-    return fnn_forward_batch(params, x[None, :])[0]
 
 
 # --------------------------------------------------------------------------
@@ -384,7 +372,7 @@ def _run_sum_gradient(x, f, theta, grad):
 
 def fit_fnn(samples, k: int, activation: Activation, seed: int | list[int], *,
             refine_steps: int = 0, feature_scale: float = 3.0) -> FitResult | list[FitResult]:
-    """Fit a one-hidden-layer network to samples; deterministic given seed.
+    """Fit a one-hidden-layer network to samples ``(x, f)``; deterministic given seed.
 
     An int ``seed`` fits one network with one output per column of the
     sample values f, all on one hidden layer, and returns its FitResult.  A
@@ -416,11 +404,7 @@ def fit_fnn(samples, k: int, activation: Activation, seed: int | list[int], *,
     """
     if activation.kind not in ("relu", "exp"):
         raise ValueError("fit_fnn supports relu and exp activations")
-    if isinstance(samples, tuple) and len(samples) == 2:
-        x, f = samples
-    else:
-        x = [s[0] for s in samples]
-        f = [s[1] for s in samples]
+    x, f = samples
     x = as_points(x)
     f = np.asarray(f, dtype=float)
     if f.ndim == 1:
@@ -501,39 +485,3 @@ def fit_fnn(samples, k: int, activation: Activation, seed: int | list[int], *,
         resid = fnn_forward_batch(params, x) - targets[c]
         fits.append(FitResult(params, float(np.max(np.abs(resid))), ridges[c], deficient[c]))
     return fits if per_column else fits[0]
-
-
-# --------------------------------------------------------------------------
-# perturbation utilities
-
-
-def perturbation_gap(p1: FnnParams, p2: FnnParams, domain_grid) -> float:
-    """Max over the grid of the uniform-norm output gap between two networks."""
-    if (p1.k, p1.d_in, p1.d_y) != (p2.k, p2.d_in, p2.d_y):
-        raise DimensionError("parameter sets differ in shape")
-    if p1.activation.kind != p2.activation.kind:
-        raise ValueError("parameter sets differ in activation")
-    pts = as_points(domain_grid, p1.d_in)
-    if pts.shape[0] == 0:
-        raise EmptyGridError("empty grid")
-    gap = fnn_forward_batch(p1, pts) - fnn_forward_batch(p2, pts)
-    return float(np.max(np.abs(gap)))
-
-
-def perturbation_delta(params: FnnParams, domain_grid, epsilon: float,
-                       margin: float = 1.1) -> tuple[float, float, float]:
-    """Perturbation radius delta < eps/(2 M1 k) from grid-measured constants.
-
-    Returns (delta, M, M1) where M bounds ||x|| on the grid and M1 bounds both
-    the output-weight columns and the hidden activations (with a multiplicative
-    margin so mildly perturbed networks stay below it).  For unbounded
-    activations on large grids M1 can be huge and delta correspondingly tiny;
-    the value is reported, not guaranteed feasible.
-    """
-    pts = as_points(domain_grid, params.d_in)
-    M = float(np.max(np.abs(pts))) if pts.size else 0.0
-    z = pts @ params.W.T + params.b
-    act = params.activation(z) if params.activation.is_elementwise else np.exp(z)
-    M1 = margin * max(float(np.max(np.abs(params.A))), float(np.max(np.abs(act)))) + 1e-12
-    delta = epsilon / (2.0 * M1 * params.k)
-    return delta, M, M1

@@ -225,10 +225,6 @@ class InputAssembly:
         return z
 
 
-def assemble(X, Y, query) -> InputAssembly:
-    return InputAssembly(X, Y, query)
-
-
 # --------------------------------------------------------------------------
 # forward passes
 
@@ -265,9 +261,13 @@ def readout_batch(tp: TransformerParams, ctx, points,
     """y-block of the query column of Z + Attn(Z) at a batch of raw queries; (N, d_y).
 
     ``ctx`` is anything with context matrices ``.X`` (d_x, n) and ``.Y`` (d_y,
-    n).  Softmax stacks the query self-score under the context scores: its
-    weight is masked out of the sum but kept in the normalizer.
+    n); an ``InputAssembly``'s own query is ``asm.query[None, :]``.  Softmax
+    stacks the query self-score under the context scores: its weight is
+    masked out of the sum but kept in the normalizer.
     """
+    if ctx.X.shape[0] != tp.d_x or ctx.Y.shape[0] != tp.d_y:
+        raise DimensionError(f"context (d_x, d_y) = {(ctx.X.shape[0], ctx.Y.shape[0])} "
+                             f"disagrees with parameters {(tp.d_x, tp.d_y)}")
     pts = as_points(points, tp.d_x - 1)
     x_t = lifted(pts)                                    # (N, d_x)
     qk = tp.B.T @ tp.C if tp.general is None else tp.general.O11
@@ -281,11 +281,3 @@ def readout_batch(tp: TransformerParams, ctx, points,
         weights = softmax_columns(stacked)
         return (values @ weights[:-1]).T
     return (values @ activation(scores)).T
-
-
-def transformer_readout(tp: TransformerParams, asm: InputAssembly,
-                        activation: Activation) -> np.ndarray:
-    """y-block of column n+1 of Z + Attn(Z) for one assembled input."""
-    if asm.d_x != tp.d_x or asm.d_y != tp.d_y:
-        raise DimensionError("assembly dimensions disagree with parameters")
-    return readout_batch(tp, asm, asm.query[None, :], activation)[0]

@@ -469,10 +469,6 @@ class Vocabulary:
     def x_extent(self) -> float:
         return float(np.max(np.abs(self.v_x)))
 
-    def has_standard_y_tokens(self, d_y: int) -> bool:
-        """True when every one-nonzero-component token over {1,-1,sqrt2,0} is present."""
-        return all(self.y_index_of(tok) is not None for tok in standard_y_tokens(d_y))
-
     def y_index_of(self, vec) -> int | None:
         """Bit-exact index of a y token, or None."""
         vec = np.asarray(vec, dtype=float)
@@ -529,14 +525,19 @@ class _ProbeBoxes:
 
     def box(self, r: float) -> tuple[np.ndarray, list[int]]:
         """Per axis, the reach of radius r in indices and the box side that holds it."""
-        half = r / self.step
+        with np.errstate(over="ignore"):  # a radius past float range / step reaches all
+            half = r / self.step
         reach = half + 2.0**-30 * (1 + 2 * half + self.per_dim + self.extent)
         return reach, [int(min(self.per_dim, np.floor(2 * h) + 3)) for h in reach]
 
     def pairs(self, pts: np.ndarray, reach: np.ndarray, sides: list[int]):
         """Flat probe index and sup-norm distance of each (point, box entry) pair of ``pts``
-        (points, d), as two (points, box) arrays; a clipped box repeats its last index."""
-        first = np.clip(np.floor((pts - self.lo) / self.step - reach), 0, self.per_dim - 1)
+        (points, d), as two (points, box) arrays; a clipped box repeats its last index.
+        A point whose index overflows has index inf, and at reach inf its box start
+        inf - inf is NaN; ``fmax`` takes index 0 for it, where the full box starts."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            first = np.floor((pts - self.lo) / self.step - reach)
+        first = np.fmin(np.fmax(first, 0), self.per_dim - 1)
         flat, dist = np.zeros((len(pts), 1), dtype=np.intp), np.zeros((len(pts), 1))
         for t, side in enumerate(sides):
             at = np.minimum(first[:, t, None] + np.arange(side), self.per_dim - 1).astype(np.intp)

@@ -23,3 +23,8 @@ def random_fnn(rng, k, d_in, d_y, activation, scale=1.0):
     return ca.FnnParams(rng.uniform(-scale, scale, (d_y, k)),
                         rng.uniform(-scale, scale, (k, d_in)),
                         rng.uniform(-scale, scale, k), activation)
+
+
+def query_readout(tp, asm, activation):
+    """The readout of an ``InputAssembly`` at its own query; (d_y,)."""
+    return ca.readout_batch(tp, asm, asm.query[None, :], activation)[0]

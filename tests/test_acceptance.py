@@ -15,7 +15,7 @@ from ctxapprox.cli import main as cli_main
 from ctxapprox.construction import Caps, FitOptions
 from ctxapprox.kronecker import SQRT2
 
-from conftest import random_fnn
+from conftest import query_readout, random_fnn
 
 
 def report(number, name, ok, detail=""):
@@ -38,11 +38,9 @@ def test_criterion_01_exact_embedding():
         pts = ca.Grid((-1.0,) * (d_x - 1), (1.0,) * (d_x - 1),
                       counts[d_x - 1]).points()
         assert pts.shape[0] >= 1000
-        for q in pts:
-            asm = ca.assemble(res.X, res.Y, q)
-            gap = np.max(np.abs(ca.transformer_readout(tp, asm, ca.RELU)
-                                - ca.fnn_forward(fnn, q)))
-            worst = max(worst, gap)
+        gap = np.max(np.abs(ca.readout_batch(tp, res, pts, ca.RELU)
+                            - ca.fnn_forward_batch(fnn, pts)))
+        worst = max(worst, gap)
     elapsed = time.time() - t0
     report(1, "exact element-wise embedding", worst <= 1e-10 and elapsed < 10.0,
            f"(max gap {worst:.2e}, {elapsed:.1f}s)")
@@ -97,7 +95,7 @@ def test_criterion_04_construction_end_to_end():
     t0 = time.time()
     tp = ca.random_sparse_params(101, 2, 1)
     vocab = ca.Vocabulary.x_grid((-10.0, -10.0), (10.0, 10.0), 81, 1)
-    assert vocab.has_standard_y_tokens(1)
+    assert all(vocab.y_index_of(tok) is not None for tok in ca.standard_y_tokens(1))
     scheme = ca.calkin_wilf_lattice(2)
     grid = ca.Grid((0.0,), (1.0,), (2000,))
     target = ca.parse_target("sin(2*pi*x) + 0.5*cos(pi*x)")
@@ -124,7 +122,7 @@ def test_criterion_04_construction_end_to_end():
 def test_criterion_05_multi_output():
     tp = ca.random_sparse_params(7, 2, 2)
     vocab = ca.Vocabulary.x_grid((-10.0, -10.0), (10.0, 10.0), 81, 2)
-    assert vocab.has_standard_y_tokens(2)
+    assert all(vocab.y_index_of(tok) is not None for tok in ca.standard_y_tokens(2))
     scheme = ca.calkin_wilf_lattice(2)
     grid = ca.Grid((0.0,), (1.0,), (1500,))
 
@@ -212,16 +210,16 @@ def test_criterion_09_finite_difference_stencils():
 def test_criterion_10_structural_invariants():
     rng = np.random.default_rng(1010)
     tp = ca.random_sparse_params(42, 3, 2)
-    asm = ca.assemble(rng.standard_normal((3, 8)), rng.standard_normal((2, 8)),
-                      rng.standard_normal(2))
-    base = {a.kind: ca.transformer_readout(tp, asm, a) for a in (ca.RELU, ca.SOFTMAX)}
+    asm = ca.InputAssembly(rng.standard_normal((3, 8)), rng.standard_normal((2, 8)),
+                           rng.standard_normal(2))
+    base = {a.kind: query_readout(tp, asm, a) for a in (ca.RELU, ca.SOFTMAX)}
     perm_gap = 0.0
     for trial in range(100):
         perm = np.random.default_rng(trial).permutation(asm.n)
-        pasm = ca.assemble(asm.X[:, perm], asm.Y[:, perm], asm.query)
+        pasm = ca.InputAssembly(asm.X[:, perm], asm.Y[:, perm], asm.query)
         for act in (ca.RELU, ca.SOFTMAX):
             perm_gap = max(perm_gap, float(np.max(np.abs(
-                ca.transformer_readout(tp, pasm, act) - base[act.kind]))))
+                query_readout(tp, pasm, act) - base[act.kind]))))
 
     fnn = random_fnn(rng, 6, 2, 2, ca.RELU)
     lam = 2.9
@@ -240,8 +238,8 @@ def test_criterion_10_structural_invariants():
     gen_gap = 0.0
     for act in (ca.RELU, ca.EXP, ca.SOFTMAX):
         gen_gap = max(gen_gap, float(np.max(np.abs(
-            ca.transformer_readout(tpg, asm, act)
-            - ca.transformer_readout(tp, asm, act)))))
+            query_readout(tpg, asm, act)
+            - query_readout(tp, asm, act)))))
 
     ok = (perm_gap <= 1e-12 and homog_gap <= 1e-12 and col_gap <= 1e-12
           and gen_gap <= 1e-10)

@@ -680,6 +680,20 @@ class TestAuditCommands:
         assert f"{kind} span hi - lo must be finite, got (inf,)" in err["message"]
         assert capsys.readouterr().err == f"error: {err['message']}\n"
 
+    def test_density_token_far_outside_the_region(self, tmp_path):
+        # the shipped dyadic config with its one token at 1e308 used to exit
+        # 1 with an IndexError from a NaN box start cast to index -2^63
+        cfg = json.loads((ROOT / "configs" / "density_dyadic.json").read_text())
+        cfg["vocab"]["v_x"] = [[1e308]]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run(tmp_path, "far", cfg, "density")
+        assert code == 0 and not caught
+        radii = np.loadtxt(out / "density.csv", delimiter=",", skiprows=2)[:, 1]
+        assert np.isfinite(radii).all() and np.all(np.diff(radii) <= 0)
+        doc = json.loads((out / "density.json").read_text())
+        assert doc["final_covering_radius"] == radii[-1] == 1e308
+
     def test_density_dyadic(self, tmp_path):
         cfg = {"vocab": {"v_x": [[0.0]], "v_y": [[0.0]]},
                "scheme": {"kind": "dyadic_lattice",
@@ -1027,6 +1041,19 @@ class TestAuditCommands:
         err = json.loads((out / "error.json").read_text())["error"]
         assert err["exit_code"] == 4 and err["field"] == "numeric"
         assert "underflows" in err["message"]
+
+    def test_overflowing_lift_coefficients_exit_4(self, tmp_path):
+        # coefficients of scale 1e300 overflow the lift's a_i e^{b_i - b'_i}
+        # although the exponent is small; that used to exit 1 with "non-finite
+        # entries in A" from FnnParams, after numpy overflow warnings
+        cfg = mutated(EMBED_SOFTMAX, "fnn.random.scale", 1e300)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run(tmp_path, "huge", cfg, "embed")
+        assert code == 4 and not caught
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["exit_code"] == 4 and err["field"] == "numeric"
+        assert "overflow" in err["message"]
 
     def test_params_from_file_and_samples_target(self, tmp_path):
         import ctxapprox as ca

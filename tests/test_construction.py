@@ -14,6 +14,8 @@ from ctxapprox.construction import (Caps, FitOptions, ScanTarget, StageBudgets, 
                                    _candidate_scan, _Scan, _scan_engine, _token_rows)
 from ctxapprox.kronecker import SQRT2
 
+from conftest import query_readout
+
 
 def make_setting(d_y=1, vocab_extent=10.0, per_dim=81, seed=101):
     tp = ca.random_sparse_params(seed, 2, d_y)
@@ -495,8 +497,7 @@ class TestConstructContext:
         assert worst <= rep.measured["base_grid_total"] + 1e-10
         # and the single-query readout agrees on a few points
         for i in (0, 5, 10):
-            asm = ca.assemble(X_pe, Y, pts[i])
-            a = ca.transformer_readout(tp, asm, ca.RELU)
+            a = query_readout(tp, ca.InputAssembly(X_pe, Y, pts[i]), ca.RELU)
             assert np.max(np.abs(a - out[i])) < 1e-10
 
     def test_exp_activation_exact_hit(self):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import ctxapprox as ca
 from ctxapprox import construction, fnn
 from ctxapprox.cli import main
-from ctxapprox.fnn import _adam_refine, _run_sum_gradient, perturbation_delta
+from ctxapprox.fnn import _adam_refine, _run_sum_gradient
 
 from conftest import random_fnn
 
@@ -113,18 +113,18 @@ class TestForward:
     def test_zero_weight_makes_output_constant(self):
         p = ca.FnnParams([[3.0]], [[0.0]], [0.5], ca.RELU)
         for x in (-4.0, 0.0, 11.0):
-            assert ca.fnn_forward(p, [x]) == pytest.approx([1.5], abs=0)
+            assert ca.fnn_forward_batch(p, [x])[0] == pytest.approx([1.5], abs=0)
 
     def test_exp_identity_case(self):
         p = ca.FnnParams([[1.0]], [[1.0]], [0.0], ca.EXP)
-        assert ca.fnn_forward(p, [0.0])[0] == 1.0
+        assert ca.fnn_forward_batch(p, [0.0])[0, 0] == 1.0
 
     def test_softmax_hand_expanded(self):
         # (2 e - e^{-1}) / (e + e^{-1}) by direct expansion of the ratio form
         p = ca.FnnParams([[2.0, -1.0]], [[1.0], [-1.0]], [0.0, 0.0], ca.SOFTMAX)
         e = math.e
         expected = (2 * e - 1 / e) / (e + 1 / e)
-        assert ca.fnn_forward(p, [1.0])[0] == pytest.approx(expected, rel=1e-14)
+        assert ca.fnn_forward_batch(p, [1.0])[0, 0] == pytest.approx(expected, rel=1e-14)
 
     def test_softmax_equal_coefficients_is_convex_identity(self, rng):
         a = rng.standard_normal(3)
@@ -137,7 +137,7 @@ class TestForward:
 
     def test_softmax_large_scores_no_overflow(self):
         p = ca.FnnParams([[1.0, 2.0]], [[400.0], [-400.0]], [0.0, 0.0], ca.SOFTMAX)
-        out = ca.fnn_forward(p, [3.0])
+        out = ca.fnn_forward_batch(p, [3.0])[0]
         assert np.isfinite(out).all() and out[0] == pytest.approx(1.0)
 
     def test_relu_positive_homogeneity(self, rng):
@@ -149,16 +149,16 @@ class TestForward:
         assert np.max(gap) <= 1e-12
 
     def test_custom_elementwise(self):
-        act = ca.custom_activation(np.tanh)
+        act = ca.Activation("custom", np.tanh)
         p = ca.FnnParams([[2.0]], [[1.0]], [0.0], act)
-        assert ca.fnn_forward(p, [0.3])[0] == pytest.approx(2 * math.tanh(0.3))
+        assert ca.fnn_forward_batch(p, [0.3])[0, 0] == pytest.approx(2 * math.tanh(0.3))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ca.DimensionError):
             ca.FnnParams([[1.0, 2.0]], [[1.0]], [0.0], ca.RELU)
         p = ca.FnnParams([[1.0]], [[1.0, 0.0]], [0.0], ca.RELU)
         with pytest.raises(ca.DimensionError):
-            ca.fnn_forward(p, [1.0])
+            ca.fnn_forward_batch(p, [1.0])
 
 
 class TestFit:
@@ -198,11 +198,6 @@ class TestFit:
         assert a.params.A.tobytes() == b.params.A.tobytes()
         assert a.params.W.tobytes() == b.params.W.tobytes()
         assert a.params.b.tobytes() == b.params.b.tobytes()
-
-    def test_accepts_list_of_pairs(self):
-        samples = [(np.array([t]), np.array([t * 2])) for t in np.linspace(0, 1, 30)]
-        res = ca.fit_fnn(samples, 4, ca.RELU, seed=0, refine_steps=300)
-        assert res.sup_error < 0.05
 
     def test_rank_deficient_flagged(self):
         # duplicate sample locations with k close to sample count force deficiency
@@ -525,53 +520,6 @@ class TestBatchedRunSums:
         assert info.value.names == ["A", "W", "b"]
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
-class TestPerturbationGap:
-    def test_identical_parameters_gap_zero(self, rng):
-        p = random_fnn(rng, 5, 2, 1, ca.RELU)
-        grid = rng.uniform(-1, 1, (30, 2))
-        assert ca.perturbation_gap(p, p, grid) == 0.0
-
-    def test_scaled_A_bound(self, rng):
-        p = random_fnn(rng, 5, 2, 1, ca.RELU)
-        q = ca.FnnParams(p.A * (1 + 1e-6), p.W, p.b, ca.RELU)
-        grid = rng.uniform(-1, 1, (50, 2))
-        gap = ca.perturbation_gap(p, q, grid)
-        act_max = np.max(np.abs(p.activation(grid @ p.W.T + p.b)))
-        assert gap <= 1e-6 * np.max(np.abs(p.A)) * act_max * p.k
-
-    def test_perturbation_delta_ball(self, rng):
-        # perturbations inside the delta ball keep the gap below epsilon
-        grid = rng.uniform(-1, 1, (80, 2))
-        eps = 1e-2
-        for seed in range(10):
-            r = np.random.default_rng(seed)
-            p = random_fnn(r, 4, 2, 2, ca.RELU)
-            delta, m_bound, _ = perturbation_delta(p, grid, eps)
-            da = r.uniform(-1, 1, p.A.shape)
-            dw = r.uniform(-1, 1, p.W.shape)
-            db = r.uniform(-1, 1, p.b.shape)
-            da *= 0.99 * delta / max(np.max(np.abs(da)), 1e-12)
-            row_meas = m_bound * np.max(np.abs(dw)) + np.max(np.abs(db))
-            scale = 0.99 * delta / max(row_meas, 1e-12)
-            q = ca.FnnParams(p.A + da, p.W + scale * dw, p.b + scale * db, ca.RELU)
-            assert ca.perturbation_gap(p, q, grid) < eps
-
-    def test_empty_grid_rejected(self, rng):
-        p = random_fnn(rng, 3, 2, 1, ca.RELU)
-        with pytest.raises(ca.EmptyGridError):
-            ca.perturbation_gap(p, p, np.zeros((0, 2)))
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 10_000))
-    def test_triangle_inequality(self, seed):
-        r = np.random.default_rng(seed)
-        ps = [random_fnn(r, 4, 2, 1, ca.RELU) for _ in range(3)]
-        grid = r.uniform(-1, 1, (25, 2))
-        d01 = ca.perturbation_gap(ps[0], ps[1], grid)
-        d12 = ca.perturbation_gap(ps[1], ps[2], grid)
-        d02 = ca.perturbation_gap(ps[0], ps[2], grid)
-        assert d02 <= d01 + d12 + 1e-12
-
 
 class TestSerde:
     def test_round_trip(self, rng):
@@ -583,6 +531,6 @@ class TestSerde:
         assert np.array_equal(p.b, q.b)
 
     def test_custom_not_serializable(self):
-        p = ca.FnnParams([[1.0]], [[1.0]], [0.0], ca.custom_activation(np.tanh))
+        p = ca.FnnParams([[1.0]], [[1.0]], [0.0], ca.Activation("custom", np.tanh))
         with pytest.raises(TypeError):
             p.to_json_dict()

@@ -1,15 +1,17 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import ctxapprox as ca
 
-from conftest import random_fnn
+from conftest import query_readout, random_fnn
 
 
 def random_assembly(rng, d_x, d_y, n):
-    return ca.assemble(rng.standard_normal((d_x, n)),
-                       rng.standard_normal((d_y, n)),
-                       rng.standard_normal(d_x - 1))
+    return ca.InputAssembly(rng.standard_normal((d_x, n)),
+                            rng.standard_normal((d_y, n)),
+                            rng.standard_normal(d_x - 1))
 
 
 def full_readout(tp, asm, activation):
@@ -67,9 +69,8 @@ class TestAttentionForward:
         expected = np.array([[20.0, 10.0], [20.0, 10.0]])
         np.testing.assert_allclose(out, expected, atol=1e-14)
         # readout = y-row of Z + Attn at the query column
-        asm = ca.assemble([[2.0]], [[3.0]], [])
-        np.testing.assert_allclose(ca.transformer_readout(tp, asm, ca.RELU),
-                                   [10.0], atol=1e-14)
+        asm = ca.InputAssembly([[2.0]], [[3.0]], [])
+        np.testing.assert_allclose(query_readout(tp, asm, ca.RELU), [10.0], atol=1e-14)
 
     def test_softmax_score_columns_sum_to_one(self, rng):
         tp = ca.random_sparse_params(1, 3, 2)
@@ -83,16 +84,15 @@ class TestAttentionForward:
         with pytest.raises(ca.DimensionError):
             ca.attention_forward(tp, rng.standard_normal((4, 1)), ca.RELU)
         with pytest.raises(ca.DimensionError):
-            ca.assemble(np.zeros((3, 0)), np.zeros((1, 0)), np.zeros(2))
+            ca.InputAssembly(np.zeros((3, 0)), np.zeros((1, 0)), np.zeros(2))
 
 
 class TestReadout:
     def test_y_zero_f_zero_gives_zero(self, rng):
         tp = ca.random_sparse_params(2, 4, 2)
-        asm = ca.assemble(rng.standard_normal((4, 6)), np.zeros((2, 6)),
-                          rng.standard_normal(3))
-        np.testing.assert_allclose(ca.transformer_readout(tp, asm, ca.RELU),
-                                   0.0, atol=1e-14)
+        asm = ca.InputAssembly(rng.standard_normal((4, 6)), np.zeros((2, 6)),
+                               rng.standard_normal(3))
+        np.testing.assert_allclose(query_readout(tp, asm, ca.RELU), 0.0, atol=1e-14)
 
     @pytest.mark.parametrize("activation", [ca.RELU, ca.EXP, ca.SOFTMAX])
     def test_readout_equals_simplified_100_instances(self, activation):
@@ -100,7 +100,7 @@ class TestReadout:
             r = np.random.default_rng(seed)
             tp = ca.random_sparse_params(seed, 3, 2)
             asm = random_assembly(r, 3, 2, 5)
-            a = ca.transformer_readout(tp, asm, activation)
+            a = query_readout(tp, asm, activation)
             b = collapsed_readout(tp, asm, activation)
             assert np.max(np.abs(a - b)) <= 1e-12
 
@@ -108,7 +108,7 @@ class TestReadout:
     def test_efficient_path_matches_full_matrix(self, activation, rng):
         tp = ca.random_sparse_params(11, 4, 3)
         asm = random_assembly(rng, 4, 3, 6)
-        fast = ca.transformer_readout(tp, asm, activation)
+        fast = query_readout(tp, asm, activation)
         assert np.max(np.abs(fast - full_readout(tp, asm, activation))) <= 1e-12
         # the same kernel over a batch, also under general blocks with nonzero
         # F and O21; rounding grows with the readout, so the bound is relative
@@ -118,7 +118,7 @@ class TestReadout:
             got = ca.readout_batch(tp, asm, queries, activation)
             assert got.shape == (25, 3)
             for q, row in zip(queries, got):
-                ref = full_readout(tp, ca.assemble(asm.X, asm.Y, q), activation)
+                ref = full_readout(tp, ca.InputAssembly(asm.X, asm.Y, q), activation)
                 assert np.max(np.abs(row - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
     def test_batch_rejects_wrong_query_dimension(self, rng):
@@ -126,6 +126,19 @@ class TestReadout:
         ctx = random_assembly(rng, 3, 1, 4)
         with pytest.raises(ca.DimensionError):
             ca.readout_batch(tp, ctx, np.zeros((5, 3)), ca.RELU)
+
+    def test_batch_rejects_context_of_other_dimensions(self, rng, small_tp):
+        # X or Y rows that disagree with the parameters used to reach numpy's
+        # matmul and fail there with a bare ValueError
+        d_x, d_y = small_tp.d_x, small_tp.d_y
+        q = np.zeros((1, d_x - 1))
+        for shape in ((d_x + 1, d_y), (d_x - 1, d_y), (d_x, d_y + 1)):
+            with pytest.raises(ca.DimensionError, match="disagrees with parameters"):
+                ca.readout_batch(small_tp, random_assembly(rng, *shape, 5), q, ca.RELU)
+        other = ca.random_sparse_params(3, d_x, d_y + 1)
+        res = ca.embed_fnn(other, random_fnn(rng, 4, d_x - 1, d_y + 1, ca.RELU))
+        with pytest.raises(ca.DimensionError, match=rf"\({d_x}, {d_y + 1}\)"):
+            ca.readout_batch(small_tp, res, q, ca.SOFTMAX)
 
     def test_general_blocks_matching_sparse_pattern(self, rng):
         tp = ca.random_sparse_params(5, 3, 2)
@@ -135,8 +148,8 @@ class TestReadout:
         tpg = ca.TransformerParams(tp.B, tp.C, tp.D, tp.E, tp.F, tp.U, general)
         asm = random_assembly(rng, 3, 2, 5)
         for act in (ca.RELU, ca.EXP, ca.SOFTMAX):
-            a = ca.transformer_readout(tpg, asm, act)
-            b = ca.transformer_readout(tp, asm, act)
+            a = query_readout(tpg, asm, act)
+            b = query_readout(tp, asm, act)
             assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_general_path_with_nonzero_F_and_O21(self, rng):
@@ -150,7 +163,7 @@ class TestReadout:
                                   rng.standard_normal((d_x, d_y)), F, np.eye(d_y) * 1.3,
                                   general)
         asm = random_assembly(rng, d_x, d_y, 7)
-        got = ca.transformer_readout(tp, asm, ca.EXP)
+        got = query_readout(tp, asm, ca.EXP)
         x_t = asm.x_tilde
         scores = asm.X.T @ O[0] @ x_t + asm.Y.T @ O[2] @ x_t
         expected = (F @ asm.X + tp.U @ asm.Y) @ np.exp(scores)
@@ -161,13 +174,13 @@ class TestReadout:
     def test_permutation_invariance(self, rng):
         tp = ca.random_sparse_params(8, 3, 2)
         asm = random_assembly(rng, 3, 2, 9)
-        base = {act.kind: ca.transformer_readout(tp, asm, act)
+        base = {act.kind: query_readout(tp, asm, act)
                 for act in (ca.RELU, ca.SOFTMAX)}
         for trial in range(100):
             perm = np.random.default_rng(trial).permutation(asm.n)
-            pasm = ca.assemble(asm.X[:, perm], asm.Y[:, perm], asm.query)
+            pasm = ca.InputAssembly(asm.X[:, perm], asm.Y[:, perm], asm.query)
             for act in (ca.RELU, ca.SOFTMAX):
-                out = ca.transformer_readout(tp, pasm, act)
+                out = query_readout(tp, pasm, act)
                 assert np.max(np.abs(out - base[act.kind])) <= 1e-12
 
     def test_d_and_e_blocks_have_no_readout_effect(self, rng):
@@ -186,7 +199,7 @@ class TestReadout:
         Z = asm.Z()
         assert np.all(Z[3:, 4] == 0.0)
         with pytest.raises(ca.DimensionError):
-            ca.assemble(asm.X, asm.Y, np.zeros(3))  # full-length query rejected
+            ca.InputAssembly(asm.X, asm.Y, np.zeros(3))  # full-length query rejected
 
     def test_identity_blocks_reduce_to_fnn_forward(self, rng):
         # B = C = U = I with Y = A, X = [W b]^T is the element-wise network
@@ -194,21 +207,20 @@ class TestReadout:
         tp = ca.identity_sparse_params(d_x, d_y)
         fnn = random_fnn(rng, k, d_x - 1, d_y, ca.RELU)
         X = np.hstack([fnn.W, fnn.b[:, None]]).T
-        for q in rng.uniform(-1, 1, (20, d_x - 1)):
-            asm = ca.assemble(X, fnn.A, q)
-            out = ca.transformer_readout(tp, asm, ca.RELU)
-            np.testing.assert_allclose(out, ca.fnn_forward(fnn, q), atol=1e-13)
+        qs = rng.uniform(-1, 1, (20, d_x - 1))
+        out = ca.readout_batch(tp, SimpleNamespace(X=X, Y=fnn.A), qs, ca.RELU)
+        np.testing.assert_allclose(out, ca.fnn_forward_batch(fnn, qs), atol=1e-13)
 
     def test_softmax_readout_n1_scalars_hand_expansion(self):
         b, c, u = 1.3, 0.7, 2.0
         x_ctx, y_ctx, x_query = 0.4, 0.9, 0.2
         tp = ca.TransformerParams([[b]], [[c]], [[0.0]], [[0.0]], [[0.0]], [[u]])
-        asm = ca.assemble([[x_ctx]], [[y_ctx]], [])
+        asm = ca.InputAssembly([[x_ctx]], [[y_ctx]], [])
         # x~ = [1]; s1 = x_ctx * b * c * 1, t = 1 * b * c * 1
         s1 = x_ctx * b * c
         t = b * c
         expected = u * y_ctx * np.exp(s1) / (np.exp(s1) + np.exp(t))
-        got = ca.transformer_readout(tp, asm, ca.SOFTMAX)
+        got = query_readout(tp, asm, ca.SOFTMAX)
         assert got[0] == pytest.approx(expected, rel=1e-13)
 
 
@@ -245,9 +257,6 @@ class TestParams:
     def test_embedded_fnn_matches_forward(self, rng, small_tp):
         fnn = random_fnn(rng, 8, 3, 2, ca.RELU)
         res = ca.embed_fnn(small_tp, fnn)
-        pts = rng.uniform(-1, 1, (40, 3))
-        for q in pts[:10]:
-            asm = ca.assemble(res.X, res.Y, q)
-            out = ca.transformer_readout(small_tp, asm, ca.RELU)
-            ref = ca.fnn_forward(fnn, q)
-            assert np.max(np.abs(out - ref)) <= 1e-11
+        pts = rng.uniform(-1, 1, (10, 3))
+        out = ca.readout_batch(small_tp, res, pts, ca.RELU)
+        assert np.max(np.abs(out - ca.fnn_forward_batch(fnn, pts))) <= 1e-11

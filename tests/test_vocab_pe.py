@@ -372,7 +372,7 @@ class TestVocabulary:
 
     def test_grid_vocab_has_standard_y_tokens(self):
         vocab = ca.Vocabulary.x_grid((-2.0, -2.0), (2.0, 2.0), 5, 2)
-        assert vocab.has_standard_y_tokens(2)
+        assert all(vocab.y_index_of(tok) is not None for tok in ca.standard_y_tokens(2))
         assert vocab.v_x.shape == (25, 2)
         assert vocab.y_index_of([0.0, SQRT2]) is not None
         assert vocab.y_index_of([SQRT2, SQRT2]) is None
@@ -517,6 +517,19 @@ class TestDensityAudit:
         scheme = ca.dyadic_lattice(ca.Box((-1.0,), (1.0,)))
         with pytest.raises(ValueError, match="n_max must be >= 1"):
             ca.density_audit(vocab, scheme, ca.Box((-1.0,), (1.0,)), n_max)
+
+    @pytest.mark.parametrize("offsets", [[[1e308]], [[0.0], [1e308], [-1e308]]])
+    def test_tokens_far_outside_the_region(self, recwarn, offsets):
+        # a point's probe index (1e308 - lo) / step overflows to inf, and at
+        # the first radius, inf, its box start inf - inf is NaN, which used to
+        # reach the intp cast as index -2^63 and fail with an IndexError
+        region = ca.Box((-1.0,), (1.0,))
+        scheme = ca.dyadic_lattice(region)
+        vocab = ca.Vocabulary(offsets, [[0.0]])
+        prof = ca.density_audit(vocab, scheme, region, 200, probe_per_dim=65)
+        assert np.isfinite(prof.radii).all() and np.all(np.diff(prof.radii) <= 0)
+        assert np.array_equal(prof.radii, dense_covering_radii(vocab, scheme, region, 200, 65))
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_rejects_vocabulary_of_another_dimension(self):
         # a 1-d token used to be broadcast over a 2-d region
