@@ -239,15 +239,6 @@ def _vocab(v: _Config) -> Vocabulary:
                       np.array(v.get("v_y", list), dtype=float))
 
 
-def _same_dimension(d_x: int, of: str, vocab: Vocabulary, scheme: PeScheme):
-    """Names the vocabulary or scheme field whose dimension is not ``d_x``,
-    the dimension of the field ``of``."""
-    scheme_field = "scheme.d_x" if scheme.kind == "calkin_wilf_lattice" else "scheme.region"
-    for field, dim in (("vocab", vocab.d_x), (scheme_field, scheme.d_x)):
-        if dim != d_x:
-            raise ConfigError(field, f"{field} has dimension {dim}, {of} has {d_x}")
-
-
 def _target(t: _Config, d_in: int, d_y: int):
     if t.has("samples_file"):
         return t.load("samples_file", lambda path: _samples_target(path, d_in, d_y), str)
@@ -347,7 +338,6 @@ def cmd_construct(cfg: _Config, out: Path, seed_override: int | None) -> int:
     grid = cfg.load("grid", _grid)
     vocab = cfg.load("vocab", _vocab)
     scheme = cfg.load("scheme", _scheme)
-    _same_dimension(tp.d_x, "transformer.d_x", vocab, scheme)
     epsilon = _positive(cfg, "epsilon", float)
     seed = _seed(cfg, seed_override, 0)
     target = cfg.load("target", lambda t: _target(t, grid.dim, tp.d_y))
@@ -374,7 +364,6 @@ def cmd_density(cfg: _Config, out: Path, seed_override: int | None) -> int:
     vocab = cfg.load("vocab", _vocab)
     scheme = cfg.load("scheme", _scheme)
     region = cfg.load("region", _box)
-    _same_dimension(region.dim, "region", vocab, scheme)
     n_max = cfg.get("n_max", int)
     probe_per_dim = cfg.get("probe_per_dim", int, 64)
     cfg.done()

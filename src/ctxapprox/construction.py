@@ -32,7 +32,8 @@ from .grids import Grid, lifted
 from .kronecker import SQRT2, TokenDecomposition, coefficient_decompose
 from .transformer import TransformerParams
 from .vocab_pe import (PeScheme, Vocabulary, _cw_stream_coords, _morton_levels,
-                       _morton_offset, _morton_stream_bounds, pe_block, pe_rows)
+                       _morton_offset, _morton_stream_bounds, _same_dimension, pe_block,
+                       pe_rows)
 
 _TOKEN_SAFETY = 1.25
 
@@ -247,19 +248,6 @@ def _mapped(cmap: np.ndarray, z) -> list:
     return out
 
 
-@dataclass
-class ScanTarget:
-    row: np.ndarray
-    tol: float
-    demand: int
-
-
-@dataclass(frozen=True)
-class ScanHit:
-    position: int
-    vocab_index: int
-
-
 class _CellGrid:
     """Nearest-cell data of a grid vocabulary for a set of scan targets."""
 
@@ -311,18 +299,22 @@ class _CellGrid:
 
 
 class _Scan:
-    """One FCFS scan: its targets, remaining demand, hits and best distances."""
+    """One FCFS scan: its targets, remaining demand, hits and best distances.
 
-    def __init__(self, targets: list[ScanTarget], vocab: Vocabulary, tp: TransformerParams):
+    The targets are rows (T, d), a tolerance that is one scalar or one per
+    target, and a demand per target; ``hits`` holds the (position, vocab
+    index, target) triples given out, in increasing position order."""
+
+    def __init__(self, rows, tol, demand, vocab: Vocabulary, tp: TransformerParams):
         self.vocab = vocab
         self.cmap = tp.C.T @ tp.B                      # row(v, j) = cmap @ (v + P_j)
-        self.rows = np.array([t.row for t in targets])  # (T, d)
-        self.tols = np.array([t.tol for t in targets])
+        self.rows = np.asarray(rows, dtype=float)
+        self.tols = np.full(len(self.rows), tol, dtype=float)
         if not np.all(np.isfinite(self.tols) & (self.tols > 0)):
             raise ValueError("scan tolerances must be positive and finite")
-        self.demand = np.array([t.demand for t in targets], dtype=np.int64)
-        self.collected: list[list[ScanHit]] = [[] for _ in targets]
-        self.best = np.full(len(targets), np.inf)
+        self.demand = np.array(demand, dtype=np.int64)
+        self.hits: list[tuple[int, int, int]] = []
+        self.best = np.full(len(self.rows), np.inf)
         self.grid = _CellGrid.build(vocab, self.cmap, self.rows, self.tols)
 
     @property
@@ -354,32 +346,36 @@ class _Scan:
     def assign(self, hits: list):
         """Gives out the hits, (positions, vocab indices, targets) triples with
         one target or one per hit, in (position, vocab index, target) order; a
-        position holds one token and a target takes no more than its demand."""
+        position holds one token and a target takes no more than its demand.
+        Each call covers later positions than the calls before it, so a
+        position is taken exactly when it is the last one given out."""
         if not hits:
             return
         hj = np.concatenate([h[0] for h in hits])
         hv = np.concatenate([h[1] for h in hits])
         ht = np.concatenate([np.broadcast_to(h[2], h[0].shape) for h in hits])
-        used_pos = set()
+        last = self.hits[-1][0] if self.hits else 0
         for idx in np.lexsort((ht, hv, hj)):
             ti = int(ht[idx])
             pos = int(hj[idx])
-            if self.demand[ti] <= 0 or pos in used_pos:
+            if self.demand[ti] <= 0 or pos == last:
                 continue
-            used_pos.add(pos)
+            last = pos
             self.demand[ti] -= 1
-            self.collected[ti].append(ScanHit(pos, int(hv[idx])))
+            self.hits.append((pos, int(hv[idx]), ti))
 
-    def result(self, j_cap: int) -> list[list[ScanHit]]:
+    def result(self, j_cap: int) -> np.ndarray:
+        """The hits as (H, 3) int64 rows (position, vocab index, target), in
+        strictly increasing position order."""
         if np.any(self.demand > 0):
             unmet = [{"target_index": i, "remaining": int(self.demand[i]),
                       "best_distance": float(self.best[i]), "tol": float(self.tols[i])}
                      for i in range(len(self.demand)) if self.demand[i] > 0]
             raise PositionScanExhausted(j_cap, unmet)
-        return self.collected
+        return np.array(self.hits, dtype=np.int64).reshape(-1, 3)
 
 
-def _block_scan(scan: _Scan, scheme: PeScheme, j_cap: int) -> list[list[ScanHit]]:
+def _block_scan(scan: _Scan, scheme: PeScheme, j_cap: int) -> np.ndarray:
     """Walk over every position from 1, one block of encodings at a time.
 
     The path for every case the candidate path does not take, and the
@@ -495,7 +491,7 @@ def _walk_levels(scheme: PeScheme, d: int, j_cap: int, extend, visit):
         t_lo = t_hi
 
 
-def _candidate_scan(scan: _Scan, scheme: PeScheme, j_cap: int) -> list[list[ScanHit]]:
+def _candidate_scan(scan: _Scan, scheme: PeScheme, j_cap: int) -> np.ndarray:
     """Grid fast path for the Calkin-Wilf lattice, from candidates per dimension.
 
     Coordinate k of P(j) depends only on stream k of j - 1 and the nearest
@@ -558,21 +554,21 @@ def _candidate_scan(scan: _Scan, scheme: PeScheme, j_cap: int) -> list[list[Scan
     return scan.result(j_cap)
 
 
-def _scan_engine(targets: list[ScanTarget], vocab: Vocabulary, scheme: PeScheme,
-                 tp: TransformerParams, j_cap: int) -> list[list[ScanHit]]:
-    """FCFS multi-target scan over positions 1, 2, ... j_cap.
+def _scan_engine(rows, tol, demand, vocab: Vocabulary, scheme: PeScheme,
+                 tp: TransformerParams, j_cap: int) -> np.ndarray:
+    """FCFS multi-target scan over positions 1, 2, ... j_cap for the targets
+    ``rows`` (T, d), ``tol`` (scalar or (T,)) and ``demand`` (T,).
 
     At each position every vocabulary entry is tried in index order and the
     hit with the lowest (vocab index, target index) wins; a position holds at
-    most one token.  Deterministic.  A Calkin-Wilf scheme on a grid
-    vocabulary under the fast-path condition takes the candidate path, and
-    everything else walks every position; both give the same hits and, on
-    exhaustion, the same best distances.
+    most one token.  Returns the hits as (H, 3) int64 rows (position, vocab
+    index, target) in strictly increasing position order.  Deterministic.  A
+    Calkin-Wilf scheme on a grid vocabulary under the fast-path condition
+    takes the candidate path, and everything else walks every position; both
+    give the same hits and, on exhaustion, the same best distances.
     """
     _require_j_cap(j_cap)
-    if not targets:
-        return []
-    scan = _Scan(targets, vocab, tp)
+    scan = _Scan(rows, tol, demand, vocab, tp)
     if scan.grid is not None and scheme.kind == "calkin_wilf_lattice":
         return _candidate_scan(scan, scheme, j_cap)
     return _block_scan(scan, scheme, j_cap)
@@ -782,7 +778,7 @@ def _token_stage(plans, tp, vocab, scheme, cmap, x_tilde, m_hat, activation,
         y_vec[comp] = y
         if vocab.y_index_of(y_vec) is None:   # bit-exact membership in V_y
             raise ConfigError("vocab", f"y token {y_vec} not in V_y")
-    collected = []
+    hits = np.empty((0, 3), dtype=np.int64)
     if plans:
         weights = [SQRT2 * p.witness.count_sqrt2 + p.witness.count_unit for p in plans]
         z_vals = np.array([x_tilde @ p.target_row for p in plans])
@@ -795,20 +791,18 @@ def _token_stage(plans, tp, vocab, scheme, cmap, x_tilde, m_hat, activation,
         for p, w in zip(plans, weights):
             p.tol = tol
             p.token_error_bound = w * lip * tol * m_hat
-        collected = _scan_engine([ScanTarget(p.target_row, tol, p.demand) for p in plans],
-                                 vocab, scheme, tp, j_cap)
+        hits = _scan_engine(np.array([p.target_row for p in plans]), tol,
+                            [p.demand for p in plans], vocab, scheme, tp, j_cap)
 
+    units = [("plus_unit" if p.witness.unit_sign > 0 else "minus_unit",
+              float(p.witness.unit_sign)) for p in plans]
+    taken = [0] * len(plans)                     # each plan's hits so far
     tokens: list[TokenAssignment] = []
-    for p, hits in zip(plans, collected):
-        hits = sorted(hits, key=lambda h: h.position)
-        q = p.witness.count_sqrt2
-        unit = ("plus_unit" if p.witness.unit_sign > 0 else "minus_unit",
-                float(p.witness.unit_sign))
-        for rank, h in enumerate(hits):
-            role, y = ("sqrt2", SQRT2) if rank < q else unit
-            tokens.append(TokenAssignment(h.position, h.vocab_index, role,
-                                          p.index, p.component, y))
-    tokens.sort(key=lambda t: t.position)
+    for pos, vi, ti in hits.tolist():            # in position order
+        p = plans[ti]
+        role, y = ("sqrt2", SQRT2) if taken[ti] < p.witness.count_sqrt2 else units[ti]
+        taken[ti] += 1
+        tokens.append(TokenAssignment(pos, vi, role, p.index, p.component, y))
     trows = _token_rows(tokens, vocab, scheme, cmap)
     token_vals, curve = _token_pass(trows, tokens, x_tilde, activation, tp, f_vals)
     tokens_measured = float(np.max(np.abs(tp.U @ (token_vals - perturbed).T)))
@@ -865,8 +859,7 @@ def construct_context(target, grid: Grid, vocab: Vocabulary, scheme: PeScheme,
                                          "nulled positions cannot cancel F-terms")
     if not activation.is_elementwise:
         raise ConfigError("activation", "softmax-activation construction is out of scope")
-    if vocab.d_x != tp.d_x or scheme.d_x != tp.d_x:
-        raise DimensionError("vocabulary/scheme dimensions disagree with parameters")
+    _same_dimension(tp.d_x, "transformer.d_x", vocab, scheme)
     if vocab.d_y != tp.d_y:
         raise ConfigError("vocab", f"vocab has d_y {vocab.d_y}, the transformer {tp.d_y}")
     if grid.dim != tp.d_x - 1:

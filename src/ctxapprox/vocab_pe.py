@@ -359,7 +359,7 @@ def _dyadic_rows(box: Box, t: np.ndarray) -> np.ndarray:
     scale = np.ldexp(1.0, level)
     out = np.empty((d, t.size))
     for k in range(d):
-        out[k] = lo[k] + tup[k] * width[k] / scale
+        out[k] = lo[k] + tup[k] / scale * width[k]    # exact division: no overflow
     return out.T
 
 
@@ -556,6 +556,15 @@ def _lowered(best: np.ndarray, seen: np.ndarray, flat, dist, r: float) -> int:
     return np.count_nonzero(seen[hit] == order)
 
 
+def _same_dimension(d_x: int, of: str, vocab: Vocabulary, scheme: PeScheme):
+    """Raises a ConfigError naming the vocabulary or scheme field whose
+    dimension is not ``d_x``, the dimension of the field ``of``."""
+    scheme_field = "scheme.d_x" if scheme.kind == "calkin_wilf_lattice" else "scheme.region"
+    for field, dim in (("vocab", vocab.d_x), (scheme_field, scheme.d_x)):
+        if dim != d_x:
+            raise ConfigError(field, f"{field} has dimension {dim}, {of} has {d_x}")
+
+
 def density_audit(vocab: Vocabulary, scheme: PeScheme, region: Box,
                   n_max: int, probe_per_dim: int = 64) -> DensityProfile:
     """Covering radius r(n) (sup-norm) for n = 1..n_max; non-increasing in n.
@@ -569,9 +578,7 @@ def density_audit(vocab: Vocabulary, scheme: PeScheme, region: Box,
     distances a dense probes-by-positions pass computes, so the radii are bit-identical."""
     require_count("n_max", n_max, 1)
     require_count("probe_per_dim", probe_per_dim, 1)
-    if not region.dim == scheme.d_x == vocab.d_x:
-        raise DimensionError(f"region, scheme and vocabulary dimensions disagree: "
-                             f"{region.dim}, {scheme.d_x}, {vocab.d_x}")
+    _same_dimension(region.dim, "region", vocab, scheme)
     if probe_per_dim ** region.dim > MAX_ARRAY_LENGTH:
         raise ConfigError("probe_per_dim", f"probe_per_dim^{region.dim} probes are more than "
                                            f"numpy can index, {MAX_ARRAY_LENGTH}")

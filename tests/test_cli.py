@@ -218,6 +218,39 @@ class TestConstructCommand:
         assert err["measured"] > 20000
         assert "20000" in err["message"] and str(int(err["measured"])) in err["message"]
 
+    @pytest.mark.parametrize("path,value,stage,measured", [
+        ("budgets", {"fit": 0.1, "perturb": 1e-16, "tokens": 0.09}, "perturb", 2.52e-15),
+        # the 19-cycle term vanishes on the 20-point fit grid, so only the
+        # refined audit grid sees it
+        ("target.exprs", ["sin(2*pi*x) + 0.5*sin(2*pi*19*x)"], "total", 0.499)])
+    def test_stage_over_budget_exit_3(self, tmp_path, path, value, stage, measured):
+        cfg = json.loads((ROOT / "configs" / "construct_sin_acceptance.json").read_text())
+        cfg = mutated(cfg, path, value)
+        if stage == "total":
+            cfg["grid"]["counts"] = [20]
+        code, out = run(tmp_path, stage, cfg, "construct")
+        assert code == 3
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["stage"] == stage and err["measured"] == pytest.approx(measured, rel=0.01)
+        assert err["measured"] >= err["budget"]
+        assert not (out / "report.json").exists()
+
+    def test_token_stage_over_budget_exit_3(self, tmp_path, monkeypatch):
+        # the token stage's own check: its sums are pushed off by one
+        from ctxapprox import construction
+        token_pass = construction._token_pass
+
+        def inflated(*args):
+            vals, curve = token_pass(*args)
+            return vals + 1.0, curve
+
+        monkeypatch.setattr(construction, "_token_pass", inflated)
+        cfg = json.loads((ROOT / "configs" / "construct_sin_acceptance.json").read_text())
+        code, out = run(tmp_path, "tokens", cfg, "construct")
+        assert code == 3
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["stage"] == "tokens" and err["measured"] >= err["budget"] == 0.2 / 3
+
     @pytest.mark.parametrize("field,value,named", [
         ("epsilon", float("nan"), "epsilon"), ("epsilon", float("inf"), "epsilon"),
         ("epsilon", -0.3, "epsilon"), ("caps.j_cap", 0, "j_cap"),
@@ -693,6 +726,17 @@ class TestAuditCommands:
         assert np.isfinite(radii).all() and np.all(np.diff(radii) <= 0)
         doc = json.loads((out / "density.json").read_text())
         assert doc["final_covering_radius"] == radii[-1] == 1e308
+
+    def test_density_region_near_the_float_limit(self, tmp_path):
+        # the shipped dyadic config on a region of span 2e307 used to fail
+        # with "overflow encountered in multiply" in the dyadic encoding
+        cfg = json.loads((ROOT / "configs" / "density_dyadic.json").read_text())
+        cfg["region"] = cfg["scheme"]["region"] = {"lo": [-1e307], "hi": [1e307]}
+        code, out = run(tmp_path, "wide", cfg, "density")
+        assert code == 0
+        radii = np.loadtxt(out / "density.csv", delimiter=",", skiprows=2)[:, 1]
+        assert np.isfinite(radii).all() and np.all(np.diff(radii) <= 0)
+        assert radii[-1] == pytest.approx(1e307 / 2**9)
 
     def test_density_dyadic(self, tmp_path):
         cfg = {"vocab": {"v_x": [[0.0]], "v_y": [[0.0]]},

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import ctxapprox as ca
 from ctxapprox import construction
-from ctxapprox.construction import (Caps, FitOptions, ScanTarget, StageBudgets, _block_scan,
+from ctxapprox.construction import (Caps, FitOptions, StageBudgets, _block_scan,
                                    _candidate_scan, _Scan, _scan_engine, _token_rows)
 from ctxapprox.kronecker import SQRT2
 
@@ -27,15 +27,17 @@ def make_setting(d_y=1, vocab_extent=10.0, per_dim=81, seed=101):
 
 
 def first_hit(row, vocab, scheme, tp, tol, j_cap=1_000_000, engine=None):
-    """The first (position, vocabulary entry) whose mapped row lies within tol of ``row``."""
-    target = ScanTarget(np.atleast_1d(np.asarray(row, dtype=float)), tol, 1)
-    return (engine or _scan_engine)([target], vocab, scheme, tp, j_cap)[0][0]
+    """The first (position, vocabulary index) whose mapped row lies within tol of ``row``."""
+    rows = np.atleast_1d(np.asarray(row, dtype=float))[None, :]
+    hits = (engine or _scan_engine)(rows, tol, [1], vocab, scheme, tp, j_cap)
+    assert hits.shape == (1, 3) and hits.dtype == np.int64 and hits[0, 2] == 0
+    return int(hits[0, 0]), int(hits[0, 1])
 
 
-def exhaustive_scan(targets, vocab, scheme, tp, j_cap):
+def exhaustive_scan(rows, tol, demand, vocab, scheme, tp, j_cap):
     """The block scan trying every vocabulary entry at every position: the
     reference for the nearest-cell path, whatever grid the vocabulary forms."""
-    scan = _Scan(targets, vocab, tp)
+    scan = _Scan(rows, tol, demand, vocab, tp)
     scan.grid = None
     return _block_scan(scan, scheme, j_cap)
 
@@ -67,8 +69,7 @@ class TestSingleTargetScan:
         vocab = ca.Vocabulary.x_grid((-2.0, -2.0), (2.0, 2.0), 5, 1)
         scheme = ca.calkin_wilf_lattice(2)
         target = vocab.v_x[7] + ca.pe_rows(scheme, [1])[0]
-        hit = first_hit(target, vocab, scheme, tp, tol=1e-9)
-        assert hit.position == 1 and hit.vocab_index == 7
+        assert first_hit(target, vocab, scheme, tp, tol=1e-9) == (1, 7)
 
     def test_dyadic_brute_force_oracle(self):
         # first dyadic value within 2^-6 of 0.3, confirmed by direct scan
@@ -76,8 +77,8 @@ class TestSingleTargetScan:
         vocab = ca.Vocabulary([[0.0]], [[0.0]])
         scheme = ca.dyadic_lattice(ca.Box((-1.0,), (1.0,)))
         tol = 2.0**-6
-        hit = first_hit([0.3], vocab, scheme, tp, tol=tol)
-        vals = ca.pe_block(scheme, 1, hit.position)[:, 0]
+        position, _ = first_hit([0.3], vocab, scheme, tp, tol=tol)
+        vals = ca.pe_block(scheme, 1, position)[:, 0]
         assert abs(vals[-1] - 0.3) < tol
         assert np.all(np.abs(vals[:-1] - 0.3) >= tol)
 
@@ -85,8 +86,7 @@ class TestSingleTargetScan:
         tp = ca.identity_sparse_params(2, 1)
         vocab = ca.Vocabulary.x_grid((-2.0, -2.0), (2.0, 2.0), 5, 1)
         scheme = ca.calkin_wilf_lattice(2)
-        hit = first_hit([0.1, -0.4], vocab, scheme, tp, tol=100.0)
-        assert hit.position == 1
+        assert first_hit([0.1, -0.4], vocab, scheme, tp, tol=100.0) == (1, 0)
 
     def test_exhaustion_carries_evidence(self):
         tp = ca.identity_sparse_params(2, 1)
@@ -105,7 +105,7 @@ class TestSingleTargetScan:
         target = [0.37, -0.62]
         fast = first_hit(target, grid_vocab, scheme, tp, tol=0.01)
         slow = first_hit(target, grid_vocab, scheme, tp, tol=0.01, engine=exhaustive_scan)
-        assert (fast.position, fast.vocab_index) == (slow.position, slow.vocab_index)
+        assert fast == slow
 
     @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan"), float("inf")])
     def test_rejects_non_positive_or_non_finite_tol(self, tol):
@@ -137,12 +137,11 @@ class TestScanFastPath:
         tol = _fast_path_tol(tp, grid_vocab, frac)
         rng = np.random.default_rng(seed)
         # several open targets with demand > 1 exercise the FCFS tie-break
-        targets = [ScanTarget(cmap @ rng.uniform(-1.2, 1.2, d), tol, demand)
-                   for demand in (4, 2, 3)]
-        fast = _scan_engine(targets, grid_vocab, scheme, tp, 1 << 16)
-        slow = exhaustive_scan(targets, grid_vocab, scheme, tp, 1 << 16)
-        assert fast == slow
-        assert [len(hits) for hits in fast] == [4, 2, 3]
+        rows = np.array([cmap @ u for u in rng.uniform(-1.2, 1.2, (3, d))])
+        fast = _scan_engine(rows, tol, [4, 2, 3], grid_vocab, scheme, tp, 1 << 16)
+        slow = exhaustive_scan(rows, tol, [4, 2, 3], grid_vocab, scheme, tp, 1 << 16)
+        assert np.array_equal(fast, slow)
+        assert np.bincount(fast[:, 2]).tolist() == [4, 2, 3]
 
     def test_off_grid_target_reports_nearest_cell_distance(self):
         # the wanted token lies outside the grid at every position up to
@@ -166,39 +165,51 @@ class TestScanFastPath:
             assert fast["best_distance"] == slow["best_distance"]
 
 
-def _both_paths(targets, vocab, scheme, tp, j_cap):
-    """(hits, unmet evidence or None) of the candidate path and of the block scan."""
+def _both_paths(rows, tol, demand, vocab, scheme, tp, j_cap):
+    """The hits and the unmet evidence (or None) of the candidate path, checked
+    equal to the block scan's.  The hits are (H, 3) int64 rows (position, vocab
+    index, target) in strictly increasing position order: the array a path
+    returns, or on exhaustion the hits it gave out before."""
     out = []
     for path in (_candidate_scan, _block_scan):
-        scan = _Scan(targets, vocab, tp)
+        scan = _Scan(rows, tol, demand, vocab, tp)
         try:
-            path(scan, scheme, j_cap)
-            out.append((scan.collected, None))
+            out.append((path(scan, scheme, j_cap), None))
         except ca.PositionScanExhausted as exc:
-            out.append((scan.collected, exc.unmet))
-    return out
+            out.append((np.array(scan.hits, dtype=np.int64).reshape(-1, 3), exc.unmet))
+    (hits, unmet), (block_hits, block_unmet) = out
+    assert hits.dtype == np.int64 and np.array_equal(hits, block_hits)
+    assert np.all(np.diff(hits[:, 0]) > 0) and unmet == block_unmet
+    return hits, unmet
 
 
 class TestCandidatePath:
     """The Calkin-Wilf candidate path against the block scan as reference."""
 
     @settings(max_examples=24, deadline=None)
-    @given(seed=st.integers(0, 10_000), frac=st.floats(0.002, 0.99), d=st.sampled_from([2, 3]))
-    def test_same_hits_as_block_scan(self, seed, frac, d):
+    @given(seed=st.integers(0, 10_000), frac=st.floats(0.002, 0.99), d=st.sampled_from([2, 3]),
+           off_grid=st.booleans())
+    def test_same_hits_as_block_scan(self, seed, frac, d, off_grid):
         tp = ca.random_sparse_params(seed, d, 1)
         vocab = ca.Vocabulary.x_grid((-1.0,) * d, (1.0,) * d, 9, 1)
         scheme = ca.calkin_wilf_lattice(d)
         cmap = tp.C.T @ tp.B
         tol = _fast_path_tol(tp, vocab, frac)
         rng = np.random.default_rng(seed)
-        # several targets with demand > 1 exercise the FCFS tie-break; the
-        # last one wants a token off the grid
-        targets = [ScanTarget(cmap @ rng.uniform(-1.2, 1.2, d), tol, demand)
-                   for demand in (3, 2, 4)]
-        targets.append(ScanTarget(cmap @ np.r_[40.0, rng.uniform(-1, 1, d - 1)], tol, 1))
-        candidate, block = _both_paths(targets, vocab, scheme, tp, 1 << 15)
-        assert candidate == block
-        assert [u["target_index"] for u in candidate[1]][-1] == 3
+        # several targets with demand > 1 exercise the FCFS tie-break; an
+        # off-grid one wants a token that no position holds
+        rows = np.array([cmap @ u for u in rng.uniform(-1.2, 1.2, (3, d))])
+        demand = [3, 2, 4]
+        if off_grid:
+            rows = np.vstack([rows, cmap @ np.r_[40.0, rng.uniform(-1, 1, d - 1)]])
+            demand.append(1)
+        hits, unmet = _both_paths(rows, tol, demand, vocab, scheme, tp, 1 << 15)
+        if off_grid:
+            assert [u["target_index"] for u in unmet][-1] == 3
+        met = np.array(demand)
+        for u in unmet or []:
+            met[u["target_index"]] -= u["remaining"]
+        assert np.bincount(hits[:, 2], minlength=len(demand)).tolist() == met.tolist()
 
     @pytest.mark.parametrize("seed,d,j_cap", [
         (11, 2, 3000), (12, 2, 20_000), (13, 3, 5000), (14, 3, 40_000)])
@@ -210,11 +221,10 @@ class TestCandidatePath:
         assert not np.allclose(cmap, np.eye(d))
         vocab = ca.Vocabulary.x_grid((-1.0,) * d, (1.0,) * d, 9, 1)
         rng = np.random.default_rng(seed)
-        targets = [ScanTarget(cmap @ rng.uniform(-1.2, 1.2, d), 1e-12, 2) for _ in range(3)]
-        candidate, block = _both_paths(targets, vocab, ca.calkin_wilf_lattice(d), tp, j_cap)
-        assert candidate == block
-        hits, unmet = candidate
-        assert hits == [[], [], []] and [u["target_index"] for u in unmet] == [0, 1, 2]
+        rows = np.array([cmap @ u for u in rng.uniform(-1.2, 1.2, (3, d))])
+        hits, unmet = _both_paths(rows, 1e-12, [2, 2, 2], vocab, ca.calkin_wilf_lattice(d),
+                                  tp, j_cap)
+        assert hits.shape == (0, 3) and [u["target_index"] for u in unmet] == [0, 1, 2]
         assert all(1e-12 < u["best_distance"] < np.inf for u in unmet)
 
     @pytest.mark.parametrize("seed,d", [(21, 2), (22, 2), (23, 3), (24, 3)])
@@ -231,17 +241,17 @@ class TestCandidatePath:
         cmap = tp.C.T @ tp.B
         rng = np.random.default_rng(seed)
         tol = _fast_path_tol(tp, vocab, 0.4)
-        targets = [ScanTarget(cmap @ rng.uniform(-1.0, 1.0, d), tol, int(rng.integers(1, 6)))
+        targets = [(cmap @ rng.uniform(-1.0, 1.0, d), tol, int(rng.integers(1, 6)))
                    for _ in range(14)]
-        targets += [ScanTarget(cmap @ rng.uniform(-1.0, 1.0, d), 1e-12, 1) for _ in range(4)]
-        candidate, block = _both_paths(targets, vocab, ca.calkin_wilf_lattice(d), tp,
-                                       1 << (14 if d == 2 else 18))
-        assert candidate == block
-        hits, unmet = candidate
+        targets += [(cmap @ rng.uniform(-1.0, 1.0, d), 1e-12, 1) for _ in range(4)]
+        rows, tols, demand = (list(column) for column in zip(*targets))
+        hits, unmet = _both_paths(np.array(rows), np.array(tols), demand, vocab,
+                                  ca.calkin_wilf_lattice(d), tp, 1 << (14 if d == 2 else 18))
         assert [u["target_index"] for u in unmet] == [14, 15, 16, 17]
         assert all(1e-12 < u["best_distance"] < np.inf for u in unmet)
-        closing = {-(-(max(h.position for h in got) - 1).bit_length() // d)
-                   for got in hits[:14]}
+        assert np.bincount(hits[:, 2], minlength=18).tolist() == demand[:14] + [0] * 4
+        closing = {-(-(int(np.max(hits[hits[:, 2] == ti, 0])) - 1).bit_length() // d)
+                   for ti in range(14)}
         assert len(closing) >= 2
 
     def test_a_dimension_that_keeps_no_value(self, monkeypatch):
@@ -260,10 +270,9 @@ class TestCandidatePath:
             return candidates(self, live, t_lo, t_hi)
 
         monkeypatch.setattr(construction._KeptStreams, "candidates", recording)
-        targets = [ScanTarget(np.array([0.13, 0.0]), 0.01, 2),
-                   ScanTarget(np.array([0.13, -0.5]), 0.01, 1)]
-        candidate, block = _both_paths(targets, vocab, ca.calkin_wilf_lattice(2), tp, 1 << 16)
-        assert candidate == block and candidate[1] is None
+        hits, unmet = _both_paths(np.array([[0.13, 0.0], [0.13, -0.5]]), 0.01, [2, 1], vocab,
+                                  ca.calkin_wilf_lattice(2), tp, 1 << 16)
+        assert unmet is None and hits[:, 2].tolist().count(0) == 2
         assert sizes[0][0] == 0 and sizes[0][1] > 0
 
     def test_stream_work_does_not_grow_with_targets(self, monkeypatch):
@@ -283,10 +292,10 @@ class TestCandidatePath:
         counts = []
         for n_targets in (1, 20):
             calls.update({"_morton_offset": 0, "_cw_stream_coords": 0})
-            targets = [ScanTarget(cmap @ rng.uniform(-1.0, 1.0, 2), 1e-12, 1)
-                       for _ in range(n_targets)]
+            rows = np.array([cmap @ u for u in rng.uniform(-1.0, 1.0, (n_targets, 2))])
             with pytest.raises(ca.PositionScanExhausted):
-                _candidate_scan(_Scan(targets, vocab, tp), ca.calkin_wilf_lattice(2), 1 << 16)
+                _candidate_scan(_Scan(rows, 1e-12, [1] * n_targets, vocab, tp),
+                                ca.calkin_wilf_lattice(2), 1 << 16)
             counts.append(dict(calls))
         assert counts[0] == counts[1]
         assert counts[0]["_morton_offset"] == 2 * counts[0]["_cw_stream_coords"] > 0
@@ -307,10 +316,10 @@ class TestCandidatePath:
         tp = ca.random_sparse_params(32, 2, 1)
         vocab = ca.Vocabulary.x_grid((-1.0, -1.0), (1.0, 1.0), 9, 1)
         rng = np.random.default_rng(32)
-        targets = [ScanTarget(tp.C.T @ tp.B @ rng.uniform(-1.0, 1.0, 2), 1e-12, 1)
-                   for _ in range(20)]
+        rows = np.array([tp.C.T @ tp.B @ u for u in rng.uniform(-1.0, 1.0, (20, 2))])
         with pytest.raises(ca.PositionScanExhausted):
-            _candidate_scan(_Scan(targets, vocab, tp), ca.calkin_wilf_lattice(2), 1 << 16)
+            _candidate_scan(_Scan(rows, 1e-12, [1] * 20, vocab, tp),
+                            ca.calkin_wilf_lattice(2), 1 << 16)
         assert cells and max(cells) <= 64
 
     def test_scan_memory_on_the_multi_output_construct(self, monkeypatch):
@@ -349,15 +358,26 @@ class TestCandidatePath:
     def test_scan_engine_takes_candidate_path_for_calkin_wilf_grid(self, monkeypatch):
         tp = ca.random_sparse_params(3, 2, 1)
         vocab = ca.Vocabulary.x_grid((-1.0, -1.0), (1.0, 1.0), 9, 1)
-        target = ScanTarget(tp.C.T @ tp.B @ np.array([0.3, -0.2]),
-                            _fast_path_tol(tp, vocab, 0.5), 2)
-        want = _block_scan(_Scan([target], vocab, tp), ca.calkin_wilf_lattice(2), 1 << 16)
+        target = ([tp.C.T @ tp.B @ np.array([0.3, -0.2])], _fast_path_tol(tp, vocab, 0.5), [2])
+        want = _block_scan(_Scan(*target, vocab, tp), ca.calkin_wilf_lattice(2), 1 << 16)
 
         def no_block(*args, **kwargs):
             raise AssertionError("block scan used")
 
         monkeypatch.setattr(construction, "_block_scan", no_block)
-        assert _scan_engine([target], vocab, ca.calkin_wilf_lattice(2), tp, 1 << 16) == want
+        got = _scan_engine(*target, vocab, ca.calkin_wilf_lattice(2), tp, 1 << 16)
+        assert got.shape == (2, 3) and np.array_equal(got, want)
+
+
+class TestActivationSlope:
+    @pytest.mark.parametrize("fn", [np.tanh, np.sin], ids=["tanh", "sin"])
+    @pytest.mark.parametrize("lo,hi", [(-3.0, 3.0), (0.4, 2.5), (1.0, 1.5), (-40.0, 7.0)])
+    def test_custom_bound_covers_finite_difference_slopes(self, fn, lo, hi):
+        # the sampled bound of a custom activation, against slopes on a grid
+        # 244 times finer than the one it samples
+        bound = construction._activation_lipschitz(ca.Activation("custom", fn), lo, hi)
+        z = np.linspace(lo, hi, 1_000_001)
+        assert np.isfinite(bound) and bound >= np.max(np.abs(np.diff(fn(z)) / np.diff(z)))
 
 
 class TestConstructContext:
@@ -617,6 +637,17 @@ class TestConstructContext:
         with pytest.raises(ValueError, match="coefficient_mode"):
             ca.construct_context(target, grid, vocab, scheme, tp, 0.2,
                                  coefficient_mode="rescaled_pow-2")
+
+    @pytest.mark.parametrize("vocab,scheme,field", [
+        (ca.Vocabulary([[0.0]], [[0.0]]), ca.calkin_wilf_lattice(2), "vocab"),
+        (None, ca.calkin_wilf_lattice(3), "scheme.d_x"),
+        (None, ca.dyadic_lattice(ca.Box((-1.0,), (1.0,))), "scheme.region")])
+    def test_dimension_mismatch_names_its_field(self, vocab, scheme, field):
+        tp, grid_vocab, _, grid = make_setting()
+        with pytest.raises(ca.ConfigError, match="transformer.d_x has 2") as exc:
+            ca.construct_context(lambda pts: pts[:, 0], grid, vocab or grid_vocab, scheme,
+                                 tp, 0.2)
+        assert exc.value.field == field
 
     def test_underflowing_scan_tolerance_is_numeric_error(self):
         # a token budget too small for a float tolerance must not reach the scan

@@ -351,6 +351,15 @@ class TestDyadicClosedForm:
             m, tup = dyadic_unrank(2, 2**40 + i)
             assert m == 21 and np.array_equal(ticks[i], tup)
 
+    def test_wide_region_does_not_overflow(self):
+        # tup * (hi - lo) overflowed before its division by 2^m; tup / 2^m is
+        # exact, so the encoding stays finite up to the float range
+        rows = pe_block(ca.dyadic_lattice(ca.Box((-1e307,), (1e307,))), 1, 12)
+        unit = pe_block(ca.dyadic_lattice(ca.Box((-1.0,), (1.0,))), 1, 12)
+        assert np.all(np.isfinite(rows)) and rows[11, 0] == pytest.approx(1.25e306)
+        np.testing.assert_allclose(rows, 1e307 * unit, rtol=0,
+                                   atol=4e307 * np.finfo(float).eps)
+
     @pytest.mark.parametrize("j", [2**62, 2**62 - 1, 2**61 + 12345, 2**63 - 2])
     def test_ten_dims_at_deep_positions_match_python_int_unrank(self, j):
         # level 7: 127^9 completions per first value, so 2N - E is beyond int64
@@ -534,9 +543,10 @@ class TestDensityAudit:
     def test_rejects_vocabulary_of_another_dimension(self):
         # a 1-d token used to be broadcast over a 2-d region
         region = ca.Box((-1.0, -1.0), (1.0, 1.0))
-        with pytest.raises(ca.DimensionError, match="dimensions disagree: 2, 2, 1"):
+        with pytest.raises(ca.ConfigError, match="vocab has dimension 1, region has 2") as exc:
             ca.density_audit(ca.Vocabulary([[0.5]], [[0.0]]), ca.dyadic_lattice(region),
                              region, 7)
+        assert exc.value.field == "vocab"
 
 
 class TestSchemeSerde:
