@@ -452,7 +452,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:          # no error.json either: a usage error, as argparse's own
+        parser.error(f"argument --out: {exc}")
 
     def fail(code: int, field: str, message: str, **evidence) -> int:
         _write_json(out / "error.json",

@@ -299,11 +299,11 @@ class _CellGrid:
 
 
 class _Scan:
-    """One FCFS scan: its targets, remaining demand, hits and best distances.
-
-    The targets are rows (T, d), a tolerance that is one scalar or one per
-    target, and a demand per target; ``hits`` holds the (position, vocab
-    index, target) triples given out, in increasing position order."""
+    """One FCFS scan of targets given as rows (T, d), a tolerance (one scalar or
+    one per target) and a demand per target.  ``hits`` holds the (position,
+    vocab index, target) triples given out, in increasing position order;
+    ``held``, the (positions, vocab indices, targets) offered since; ``quota``,
+    the open demand when ``held`` was last emptied; ``best``, the least distances."""
 
     def __init__(self, rows, tol, demand, vocab: Vocabulary, tp: TransformerParams):
         self.vocab = vocab
@@ -314,6 +314,7 @@ class _Scan:
             raise ValueError("scan tolerances must be positive and finite")
         self.demand = np.array(demand, dtype=np.int64)
         self.hits: list[tuple[int, int, int]] = []
+        self.held, self.quota = (np.empty(0, dtype=np.int64),) * 3, int(np.sum(self.demand))
         self.best = np.full(len(self.rows), np.inf)
         self.grid = _CellGrid.build(vocab, self.cmap, self.rows, self.tols)
 
@@ -343,26 +344,39 @@ class _Scan:
         return np.ravel_multi_index([c.astype(np.int64) for c in cells],
                                     (self.grid.per_dim,) * len(cells))
 
-    def assign(self, hits: list):
-        """Gives out the hits, (positions, vocab indices, targets) triples with
-        one target or one per hit, in (position, vocab index, target) order; a
-        position holds one token and a target takes no more than its demand.
-        Each call covers later positions than the calls before it, so a
-        position is taken exactly when it is the last one given out."""
-        if not hits:
+    def offer(self, pos: np.ndarray, vix, tgt):
+        """Keeps for ``assign`` each target's first ``quota`` positions among the
+        hits at ``pos`` (``vix``, ``tgt`` one each or one per hit; one target's
+        positions increasing), each at its least vocab index, trimming past
+        2 quota T held hits.  Exact: only that index can win at a position, and
+        the other targets take at most quota - demand of its positions."""
+        if not pos.size:
             return
-        hj = np.concatenate([h[0] for h in hits])
-        hv = np.concatenate([h[1] for h in hits])
-        ht = np.concatenate([np.broadcast_to(h[2], h[0].shape) for h in hits])
+        cut = self.quota if np.ndim(tgt) == 0 else None      # one target: its first quota
+        new = pos[:cut], *(np.broadcast_to(a, pos.shape)[:cut] for a in (vix, tgt))
+        held = [np.concatenate(p) for p in zip(self.held, new)]
+        if held[0].size > 2 * self.quota * len(self.demand):
+            order = np.lexsort((held[1], held[0], held[2]))    # target, position, vocab index
+            p, t = held[0][order], held[2][order]
+            first = np.concatenate(([True], (p[1:] != p[:-1]) | (t[1:] != t[:-1])))
+            rank = np.cumsum(first)                 # distinct positions, counted per target
+            keep = order[first & (rank - rank[np.searchsorted(t, t)] < self.quota)]
+            held = [a[keep] for a in held]
+        self.held = tuple(held)
+
+    def assign(self):
+        """Gives out and drops the held hits in (position, vocab index, target)
+        order; a position holds one token and a target takes no more than its
+        demand.  Each call covers later positions than the calls before it, so
+        a position is taken exactly when it is the last one given out."""
+        order = np.lexsort(self.held[::-1])
         last = self.hits[-1][0] if self.hits else 0
-        for idx in np.lexsort((ht, hv, hj)):
-            ti = int(ht[idx])
-            pos = int(hj[idx])
-            if self.demand[ti] <= 0 or pos == last:
-                continue
-            last = pos
-            self.demand[ti] -= 1
-            self.hits.append((pos, int(hv[idx]), ti))
+        for pos, vi, ti in zip(*(a[order].tolist() for a in self.held)):
+            if self.demand[ti] > 0 and pos != last:
+                last = pos
+                self.demand[ti] -= 1
+                self.hits.append((pos, vi, ti))
+        self.held, self.quota = (np.empty(0, dtype=np.int64),) * 3, int(np.sum(self.demand))
 
     def result(self, j_cap: int) -> np.ndarray:
         """The hits as (H, 3) int64 rows (position, vocab index, target), in
@@ -380,26 +394,23 @@ def _block_scan(scan: _Scan, scheme: PeScheme, j_cap: int) -> np.ndarray:
 
     The path for every case the candidate path does not take, and the
     reference it is tested against.  Under the fast-path condition only the
-    nearest cell is checked; a vocabulary that is not a grid tries every entry.
-    """
+    nearest cell is checked; a vocabulary that is not a grid tries every entry."""
     j = 1
     while j <= j_cap and np.any(scan.demand > 0):
         count = min(_SCAN_BLOCK, j_cap - j + 1)
         pe = pe_block(scheme, j, count)                       # (count, d)
-        hits = []
         open_idx = np.nonzero(scan.demand > 0)[0]
         if scan.grid is not None:
             for ti in open_idx:
                 cells, z = zip(*(scan.grid.nearest(ti, k, pe[:, k]) for k in range(scan.d)))
                 sel = scan.check(ti, scan.dist(ti, z))
-                hits.append((sel + j, scan.vocab_index([c[sel] for c in cells]), ti))
+                scan.offer(sel + j, scan.vocab_index([c[sel] for c in cells]), ti)
         else:
             for vi, v in enumerate(scan.vocab.v_x):
                 rv = _mapped(scan.cmap, (v + pe).T)
                 for ti in open_idx:
-                    sel = scan.check(ti, _sup_dist(rv, scan.rows[ti]))
-                    hits.append((sel + j, np.full(sel.size, vi, dtype=np.int64), ti))
-        scan.assign(hits)
+                    scan.offer(scan.check(ti, _sup_dist(rv, scan.rows[ti])) + j, vi, ti)
+        scan.assign()
         j += count
     return scan.result(j_cap)
 
@@ -516,22 +527,10 @@ def _candidate_scan(scan: _Scan, scheme: PeScheme, j_cap: int) -> np.ndarray:
         streams.extend(s, coords, scan.demand > 0, tol_widths)
 
     def visit_hits(t_lo, t_hi):
-        live = scan.demand > 0
-        # the other targets take at most quota - demand of one target's hits,
-        # so its first quota hits in position order are all it can use
-        quota = int(np.sum(scan.demand[live]))
-        pos, vix, tgt = (np.empty(0, dtype=np.int64),) * 3
-        for ti, t, cells, z in streams.candidates(live, t_lo, t_hi):
+        for ti, t, cells, z in streams.candidates(scan.demand > 0, t_lo, t_hi):
             sel = scan.check_grouped(ti, scan.dist(ti, z))
-            pos = np.concatenate((pos, t[sel] + 1))
-            vix = np.concatenate((vix, scan.vocab_index([c[sel] for c in cells])))
-            tgt = np.concatenate((tgt, ti[sel]))
-            if pos.size > quota:
-                order = np.lexsort((pos, tgt))
-                pos, vix, tgt = pos[order], vix[order], tgt[order]
-                keep = np.arange(tgt.size) - np.searchsorted(tgt, tgt) < quota
-                pos, vix, tgt = pos[keep], vix[keep], tgt[keep]
-        scan.assign([(pos, vix, tgt)])
+            scan.offer(t[sel] + 1, scan.vocab_index([c[sel] for c in cells]), ti[sel])
+        scan.assign()
         return bool(np.any(scan.demand > 0))
 
     _walk_levels(scheme, scan.d, j_cap, extend_hits, visit_hits)

@@ -29,6 +29,16 @@ def sha256s(out, *names):
     return tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names)
 
 
+# "<digest>  <config stem>/<artifact>" lines, which CI also checks with sha256sum -c
+SHIPPED_SHA256 = {path: digest for digest, path in (
+    line.split() for line in (ROOT / "tests" / "shipped_artifacts.sha256").read_text().splitlines())}
+
+
+def shipped_pins(config, *names):
+    """{artifact: pinned SHA-256} for the named artifacts of the shipped config ``config``."""
+    return {name: SHIPPED_SHA256[f"{config}/{name}"] for name in names}
+
+
 def run(tmp_path, name, config, command, seed=None):
     cfg_path = tmp_path / f"{name}.json"
     cfg_path.write_text(json.dumps(config))
@@ -169,6 +179,25 @@ class TestEmbedCommand:
         assert code == 2
         err = json.loads((out / "error.json").read_text())["error"]
         assert err["field"] == "config" and "expected an object" in err["message"]
+
+    @pytest.mark.parametrize("under,reason", [(False, "File exists"),
+                                              (True, "Not a directory")],
+                             ids=["a_file", "under_a_file"])
+    def test_out_that_cannot_be_a_directory_is_a_usage_error(self, tmp_path, capsys,
+                                                              under, reason):
+        # exit 2 as argparse's own usage errors, and no error.json, which
+        # could not be written there
+        cfg = tmp_path / "embed.json"
+        cfg.write_text(json.dumps(EMBED_IDENTITY))
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        with pytest.raises(SystemExit) as exc:
+            main(["embed", "--config", str(cfg), "--out", str(taken / "run" if under else taken)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --out: " in err and reason in err
+        assert taken.read_text() == "not a directory"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["embed.json", "taken"]
 
 
 class TestConstructCommand:
@@ -464,9 +493,8 @@ class TestConstructCommand:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     @pytest.mark.parametrize("name,digests", [
-        ("acceptance", ("5758a7dd604995fb2c5b65933220ab74bf12f66a9c1e838cbb8d16a62286e57f",
-                        "f9eb6eb0ac311fd090897c96973aa5bac915521b41b64a76abc614997d7735c0",
-                        "43c1a90278921a95de23b68c6949d94885727943931d9e962423c12d003ea842")),
+        ("acceptance", tuple(shipped_pins("construct_sin_acceptance", "report.json",
+                                          "tokens.csv", "error_vs_n.csv").values())),
         ("multi", ("ccd25b8fdb66b67fbb4866f78cfd501fb8e63890c729ae017f06a8e2892c7dbe",
                    "d335e0958b1af03c3907eee964cc703ae83390b31249ed6eb4014372de528ec1",
                    "ce401c1f7ace5f432611ed555688d4e74dd47d97c72173bab461d8457765d724"))])
@@ -639,9 +667,8 @@ class TestAuditCommands:
         cfg = json.loads((ROOT / "configs" / "nonuap_audit.json").read_text())
         code, out = run(tmp_path, "nonuap_shipped", cfg, "audit")
         assert code == 0
-        assert sha256s(out, "audit.json", "audit.csv") == (
-            "acf09ded2f501f0d792bd1ebb9af444f3c5cc00cff41189842800e5de04806fe",
-            "0715eb00d61fae0749fe006eaca1dbfa29c8e576fb604648d791b119bcdf51c1")
+        pinned = shipped_pins("nonuap_audit", "audit.json", "audit.csv")
+        assert dict(zip(pinned, sha256s(out, *pinned))) == pinned
 
     def test_density_shipped_config_bytes(self, tmp_path):
         # pinned: the per-point boxes and the bisection of the non-increasing
@@ -649,9 +676,8 @@ class TestAuditCommands:
         cfg = json.loads((ROOT / "configs" / "density_dyadic.json").read_text())
         code, out = run(tmp_path, "density_dyadic", cfg, "density")
         assert code == 0
-        assert sha256s(out, "density.json", "density.csv") == (
-            "1ea965c5fcc033ed6184d0d52beb9871c1c70dc38206cf634462a0a631a57e8b",
-            "39a1899c2b4f123b35075fea85d00647d2b0e3da749523476d5752d45c89a119")
+        pinned = shipped_pins("density_dyadic", "density.json", "density.csv")
+        assert dict(zip(pinned, sha256s(out, *pinned))) == pinned
 
     def test_density_oracles_input_bytes(self, tmp_path):
         # pinned: the benchmark's density inputs (2-D dyadic, n_max 16000,
@@ -664,14 +690,12 @@ class TestAuditCommands:
 
     @pytest.mark.parametrize("command,config,pinned", [
         ("kronecker", json.loads((ROOT / "configs" / "kronecker_seeded.json").read_text()),
-         {"witnesses.json": "df74313c784cae4e9c9b1eb96efc3fa75486e91aef0c04937667b2ae995c12c0",
-          "witnesses.csv": "159f1cb37efced6bc0d360da90ce237bb9cca1017b3e33bb43b3403d9a41e3c6"}),
+         shipped_pins("kronecker_seeded", "witnesses.json", "witnesses.csv")),
         ("kronecker", KRONECKER_ORACLES,
          {"witnesses.json": "9b3c50089e991debeee3b0c6ba4b8d5e538dd7acb5c4fe7a85184f5e0c85f5eb",
           "witnesses.csv": "b16cee2059c94bc73e392c9c5740ac3db787c008d351f39a663f73ac404c16bd"}),
         ("embed", EMBED_SOFTMAX,
-         {"embedding.json": "889e304395010577887a70f182181c4272761b4516ffa025d68b7a7a45413205",
-          "errors.csv": "e58e7a1ab7c2dac1deb9698cd256f3673de2bdf13d04e356aecb27a000907a5e"}),
+         shipped_pins("embed_softmax", "embedding.json", "errors.csv")),
         ("audit", PROP1_SMALL,
          {"audit.json": "957b033b7a0599c1fc74061db1d6df63c99d624ff8ffce102ab4edb12eca917b",
           "audit.csv": "9e9c111aa8ed837f127ecaf60e6c23b90c0b6cddc06686fbef97ed4060e03394"})],

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import ctxapprox as ca
 from ctxapprox import construction
 from ctxapprox.construction import (Caps, FitOptions, StageBudgets, _block_scan,
-                                   _candidate_scan, _Scan, _scan_engine, _token_rows)
+                                   _candidate_scan, _mapped, _Scan, _scan_engine, _sup_dist,
+                                   _token_rows)
 from ctxapprox.kronecker import SQRT2
 
 from conftest import query_readout
@@ -367,6 +368,85 @@ class TestCandidatePath:
         monkeypatch.setattr(construction, "_block_scan", no_block)
         got = _scan_engine(*target, vocab, ca.calkin_wilf_lattice(2), tp, 1 << 16)
         assert got.shape == (2, 3) and np.array_equal(got, want)
+
+
+def _per_position_scan(rows, tol, demand, vocab, scheme, tp, j_cap):
+    """The FCFS rule one position at a time, every entry tried: the position
+    goes to the least (vocab index, target) hit whose target still has demand.
+    Returns the (H, 3) hits and the unmet evidence (or None)."""
+    cmap, demand = tp.C.T @ tp.B, list(demand)
+    best, hits = np.full(len(rows), np.inf), []
+    pe = ca.pe_block(scheme, 1, j_cap)
+    for j in range(1, j_cap + 1):
+        if not any(demand):
+            break
+        mapped = _mapped(cmap, (vocab.v_x + pe[j - 1]).T)
+        dist = np.array([_sup_dist(mapped, row) for row in rows])      # (targets, entries)
+        best = np.minimum(best, dist.min(axis=1))
+        won = [(vi, ti) for vi in range(len(vocab.v_x)) for ti in range(len(rows))
+               if demand[ti] > 0 and dist[ti, vi] < tol]
+        if won:
+            vi, ti = won[0]
+            demand[ti] -= 1
+            hits.append((j, vi, ti))
+    unmet = [{"target_index": ti, "remaining": left, "best_distance": float(best[ti]),
+              "tol": float(tol)} for ti, left in enumerate(demand) if left]
+    return np.array(hits, dtype=np.int64).reshape(-1, 3), unmet or None
+
+
+class TestHitBuffer:
+    """The block path's hit buffer, where every vocabulary entry is tried."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000), spread=st.floats(0.3, 2.0),
+           demand=st.lists(st.integers(1, 5), min_size=2, max_size=4),
+           kind=st.sampled_from(["dyadic", "rotation", "calkin_wilf"]),
+           j_cap=st.integers(4, 80), far=st.booleans())
+    def test_matches_a_per_position_oracle(self, seed, spread, demand, kind, j_cap, far):
+        # a tolerance of `spread` grid steps in token space: several entries
+        # hit one (target, position), so a target's hits at a position are
+        # cut to its least index and its positions to the open demand; a
+        # short j_cap or a far target leaves demands unmet
+        tp = ca.random_sparse_params(seed, 2, 1)
+        vocab = ca.Vocabulary.x_grid((-1.0, -1.0), (1.0, 1.0), 5, 1)
+        box = ca.Box((-0.25, -0.25), (0.25, 0.25))
+        scheme = {"dyadic": ca.dyadic_lattice(box), "rotation": ca.irrational_rotation(box),
+                  "calkin_wilf": ca.calkin_wilf_lattice(2, 0.25)}[kind]
+        cmap = tp.C.T @ tp.B
+        tol = spread * 0.5 * float(np.max(np.sum(np.abs(cmap), axis=1)))
+        rng = np.random.default_rng(seed)
+        rows = np.array([cmap @ u for u in rng.uniform(-1.5, 1.5, (len(demand), 2))])
+        if far:
+            rows, demand = np.vstack([rows, cmap @ [40.0, 0.0]]), demand + [1]
+        want, want_unmet = _per_position_scan(rows, tol, demand, vocab, scheme, tp, j_cap)
+        scan = _Scan(rows, tol, demand, vocab, tp)
+        scan.grid = None
+        try:
+            got, unmet = _block_scan(scan, scheme, j_cap), None
+        except ca.PositionScanExhausted as exc:
+            got, unmet = np.array(scan.hits, dtype=np.int64).reshape(-1, 3), exc.unmet
+        assert np.array_equal(got, want) and unmet == want_unmet
+
+    def test_every_entry_hitting_holds_no_block_of_hits(self):
+        # 441 entries x 4 targets hit each of the block's 1024 positions; the
+        # buffer keeps each target's first 8 positions, where holding every
+        # hit as an int64 triple would take 441 * 4 * 1024 * 24 bytes, 43 MB
+        tp = ca.random_sparse_params(5, 2, 1)
+        vocab = ca.Vocabulary.x_grid((-1.0, -1.0), (1.0, 1.0), 21, 1)
+        scheme = ca.dyadic_lattice(ca.Box((-1.0, -1.0), (1.0, 1.0)))
+        rows = np.array([tp.C.T @ tp.B @ u for u in ([0.1, 0.2], [-0.3, 0.4],
+                                                      [0.5, -0.6], [0.0, 0.0])])
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            hits = exhaustive_scan(rows, 1e6, [3, 1, 2, 2], vocab, scheme, tp, 1024)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # every position is won by entry 0, the targets in index order
+        assert hits.tolist() == [[j, 0, ti] for j, ti in
+                                 enumerate([0, 0, 0, 1, 2, 2, 3, 3], start=1)]
+        assert peak <= 1 << 20
 
 
 class TestActivationSlope:
