@@ -236,8 +236,9 @@ def _mapped(cmap: np.ndarray, z) -> list:
 
     Each entry is d multiply-adds in a fixed order, so a point's row has the
     same bits however many points are mapped together.  A BLAS product may
-    sum in a shape-dependent order, and both grid paths must decide a
-    position alike.
+    sum in a shape-dependent order; every scan path and the token stage map
+    with this one formula, so the rows the context holds are the rows the
+    scan tested.
     """
     out = []
     for c in cmap:
@@ -251,8 +252,9 @@ def _mapped(cmap: np.ndarray, z) -> list:
 class _CellGrid:
     """Nearest-cell data of a grid vocabulary for a set of scan targets."""
 
-    def __init__(self, lo, h, per_dim, cmap, inv, rows):
-        self.lo, self.h, self.per_dim = lo, h, per_dim
+    def __init__(self, grid: Grid, h, cmap, inv, rows):
+        self.axes = grid.axes()                 # the tokens' own coordinates, per dimension
+        self.lo, self.h, self.per_dim = np.array(grid.lo), h, grid.counts[0]
         self.u = solve_refined(cmap, rows.T, "C^T B").T           # token-space targets
         self.inv_rows = np.sum(np.abs(inv), axis=1)
         # A hit has |cmap (z - u)| <= tol + the rounding of its row (at most
@@ -274,20 +276,20 @@ class _CellGrid:
         if vocab.x_grid_spec is None:
             return None
         lo, hi, per_dim = vocab.x_grid_spec
-        lo = np.array(lo, dtype=float)
-        h = (np.array(hi, dtype=float) - lo) / max(per_dim - 1, 1)
+        h = (np.array(hi) - np.array(lo)) / max(per_dim - 1, 1)
         inv = np.linalg.inv(cmap)
         if per_dim < 2 or not np.all(tols * inf_operator_norm(inv) <= 0.45 * np.min(h)):
             return None
-        return cls(lo, h, int(per_dim), cmap, inv, rows)
+        return cls(Grid(lo, hi, (per_dim,) * len(lo)), h, cmap, inv, rows)
 
     def nearest(self, ti, k: int, coords: np.ndarray):
         """Clipped nearest cell along dimension k at PE coordinates ``coords``,
-        and z = its value + the coordinate; the one formula both grid paths use.
-        An array of targets ``ti`` broadcasts against ``coords``."""
+        and z = the token's own coordinate there + the PE coordinate; the one
+        formula both grid paths use.  An array of targets ``ti`` broadcasts
+        against ``coords``."""
         cell = np.clip(np.rint((self.u[ti, k] - coords - self.lo[k]) / self.h[k]),
-                       0, self.per_dim - 1)
-        return cell, (self.lo[k] + cell * self.h[k]) + coords
+                       0, self.per_dim - 1).astype(np.intp)
+        return cell, self.axes[k][cell] + coords
 
     def half_widths(self, ti, tol) -> np.ndarray:
         """Per-dimension bound on |z_k - u_k| for every z whose computed row
@@ -341,8 +343,7 @@ class _Scan:
         return np.nonzero(dist < self.tols[ti])[0]
 
     def vocab_index(self, cells) -> np.ndarray:
-        return np.ravel_multi_index([c.astype(np.int64) for c in cells],
-                                    (self.grid.per_dim,) * len(cells))
+        return np.ravel_multi_index(cells, (self.grid.per_dim,) * len(cells))
 
     def offer(self, pos: np.ndarray, vix, tgt):
         """Keeps for ``assign`` each target's first ``quota`` positions among the
@@ -425,7 +426,7 @@ class _KeptStreams:
         self.scan = scan
         self.bounds = _morton_stream_bounds(t_last, scan.d)
         self.kept = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64),
-                      np.empty(0), np.empty(0)) for _ in range(scan.d)]
+                      np.empty(0, dtype=np.intp), np.empty(0)) for _ in range(scan.d)]
 
     def extend(self, s: np.ndarray, coords: np.ndarray, live: np.ndarray,
                widths: np.ndarray):
@@ -626,12 +627,10 @@ def _activation_lipschitz(activation: Activation, z_lo: float, z_hi: float) -> f
 
 
 def _token_rows(tokens, vocab, scheme, cmap) -> np.ndarray:
-    """Mapped rows of assigned tokens, recomputed exactly from (i, j)."""
-    pe = pe_rows(scheme, [t.position for t in tokens])
-    rows = np.empty((len(tokens), cmap.shape[0]))
-    for idx, t in enumerate(tokens):
-        rows[idx] = cmap @ (vocab.v_x[t.vocab_index] + pe[idx])
-    return rows
+    """Mapped rows of assigned tokens (T, d), rebuilt from (vocab index,
+    position) with the scan's formula: the rows the scan certified, bit for bit."""
+    z = vocab.v_x[[t.vocab_index for t in tokens]] + pe_rows(scheme, [t.position for t in tokens])
+    return np.column_stack(_mapped(cmap, z.T))
 
 
 def _row_blocks(n: int, tokens: int) -> list[slice]:

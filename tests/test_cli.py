@@ -84,21 +84,12 @@ PROP1_SMALL = {"kind": "prop1_fuzz", "count": 20, "seed": 3, "k_range": [1, 6],
 NONUAP_SMALL = {"kind": "nonuap", "max_context": 20, "trials": 50, "seed": 1,
                 "family": {"a_set": [1.0], "w_set": [0.5], "b_set": [0.0]}}
 
-# criterion 5 of the acceptance suite (multi-output construction), as the
-# benchmark runs it; ints stay ints, since config_sha256 hashes the JSON
-CONSTRUCT_MULTI = {
-    "target": {"exprs": ["sin(2*pi*x)", "cos(2*pi*x)"]},
-    "transformer": {"kind": "random", "seed": 7, "d_x": 2, "d_y": 2},
-    "vocab": {"x_grid": {"lo": [-10.0, -10.0], "hi": [10.0, 10.0], "per_dim": 81},
-              "d_y": 2},
-    "scheme": {"kind": "calkin_wilf_lattice", "d_x": 2},
-    "grid": {"lo": [0.0], "hi": [1.0], "counts": [1500]},
-    "epsilon": 0.3,
-    "seed": 9,
-    "budgets": {"fit": 0.08, "perturb": 0.02, "tokens": 0.20},
-    "fit": {"k": 14, "refine_steps": 300},
-    "caps": {"j_cap": 80000000},
-}
+# criterion 5 of the acceptance suite (multi-output construction), shipped as
+# a config and run by the benchmark as workloads.MULTI_OUTPUT
+CONSTRUCT_MULTI = json.loads((ROOT / "configs" / "construct_multi_output.json").read_text())
+
+# the shipped construct configs, by short name
+SHIPPED_CONSTRUCTS = {"acceptance": "construct_sin_acceptance", "multi": "construct_multi_output"}
 
 KRONECKER_BETAS = {"betas": [0.0, 1.5], "epsilon": 0.01, "q_cap": 100000}
 
@@ -413,14 +404,16 @@ class TestConstructCommand:
         monkeypatch.setitem(sys.modules, "workloads", workloads)
         spec.loader.exec_module(workloads)
         commands = [c for name in workloads.WORKLOADS for c in workloads.workload(name, ROOT, None)]
-        shipped = {"construct_sin_acceptance": "construct", "density_dyadic": "density",
-                   "embed_softmax": "embed", "kronecker_seeded": "kronecker",
-                   "nonuap_audit": "audit"}
+        shipped = {"construct_sin_acceptance": "construct", "construct_multi_output": "construct",
+                   "density_dyadic": "density", "embed_softmax": "embed",
+                   "kronecker_seeded": "kronecker", "nonuap_audit": "audit"}
         assert sorted(p.stem for p in (ROOT / "configs").glob("*.json")) == sorted(shipped)
+        # the shipped multi-output construct is the benchmark's, ints and all
+        assert json.dumps(CONSTRUCT_MULTI) == json.dumps(workloads.MULTI_OUTPUT)
         configs = [(c.name, c.config) for c in commands] + [
             (command, json.loads((ROOT / "configs" / f"{stem}.json").read_text()))
             for stem, command in shipped.items()]
-        assert len(configs) == 11
+        assert len(configs) == 12
         for i, (command, cfg) in enumerate(configs):
             with pytest.raises(Reached):
                 run(tmp_path, f"load{i}", cfg, command)
@@ -493,21 +486,43 @@ class TestConstructCommand:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     @pytest.mark.parametrize("name,digests", [
-        ("acceptance", tuple(shipped_pins("construct_sin_acceptance", "report.json",
-                                          "tokens.csv", "error_vs_n.csv").values())),
-        ("multi", ("ccd25b8fdb66b67fbb4866f78cfd501fb8e63890c729ae017f06a8e2892c7dbe",
-                   "d335e0958b1af03c3907eee964cc703ae83390b31249ed6eb4014372de528ec1",
-                   "ce401c1f7ace5f432611ed555688d4e74dd47d97c72173bab461d8457765d724"))])
+        (name, tuple(shipped_pins(stem, "report.json", "tokens.csv", "error_vs_n.csv").values()))
+        for name, stem in SHIPPED_CONSTRUCTS.items()])
     def test_construct_artifact_bytes(self, tmp_path, name, digests):
         # pinned: a change that moves one bit of a fit, a scan or a token sum
-        # shows here; report.json was re-pinned when the 1-d relu fit moved
-        # to run-sum gradients, whose last bits differ (fit-derived floats
-        # moved by <= 3e-7 relative; tokens.csv and error_vs_n.csv did not)
-        cfg = (json.loads((ROOT / "configs" / "construct_sin_acceptance.json").read_text())
-               if name == "acceptance" else CONSTRUCT_MULTI)
+        # shows here; report.json and error_vs_n.csv were re-pinned when the
+        # token stage took the scan's row formula (token rows moved by at most
+        # 8.9e-16; tokens.csv did not)
+        cfg = json.loads((ROOT / "configs" / f"{SHIPPED_CONSTRUCTS[name]}.json").read_text())
         code, out = run(tmp_path, name, cfg, "construct")
         assert code == 0
         assert sha256s(out, "report.json", "tokens.csv", "error_vs_n.csv") == digests
+
+    @pytest.mark.parametrize("name", list(SHIPPED_CONSTRUCTS))
+    def test_token_rows_replay_within_their_plans_tol(self, tmp_path, name):
+        # no scan: each token's row, rebuilt from its (vocab_index, position)
+        # in tokens.csv and the config with pe_rows and _mapped, lies strictly
+        # within its plan's tol of its target_row, both from report.json
+        import ctxapprox as ca
+        from ctxapprox.construction import _mapped
+        cfg = json.loads((ROOT / "configs" / f"{SHIPPED_CONSTRUCTS[name]}.json").read_text())
+        code, out = run(tmp_path, name, cfg, "construct")
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())["report"]
+        tokens = np.loadtxt(out / "tokens.csv", delimiter=",", skiprows=2, usecols=(0, 1, 3),
+                            dtype=np.int64, ndmin=2)
+        assert len(tokens) == len(report["tokens"]) > 0
+        t, v, s = cfg["transformer"], cfg["vocab"], cfg["scheme"]
+        tp = ca.random_sparse_params(t["seed"], t["d_x"], t["d_y"])
+        vocab = ca.Vocabulary.x_grid(tuple(v["x_grid"]["lo"]), tuple(v["x_grid"]["hi"]),
+                                     v["x_grid"]["per_dim"], v["d_y"])
+        scheme = ca.calkin_wilf_lattice(s["d_x"], s.get("scale", 1.0))
+        for position, vocab_index, neuron in tokens.tolist():
+            z = vocab.v_x[vocab_index] + ca.pe_rows(scheme, [position])
+            row = np.concatenate(_mapped(tp.C.T @ tp.B, z.T))
+            plan = report["per_neuron"][neuron]
+            assert plan["index"] == neuron
+            assert np.max(np.abs(row - plan["target_row"])) < plan["tol"]
 
     @pytest.mark.parametrize("vocab", ["x_grid", "v_x"])
     def test_report_records_the_vocabulary_by_hash(self, tmp_path, vocab):

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ctxapprox as ca
@@ -166,16 +166,32 @@ class TestScanFastPath:
             assert fast["best_distance"] == slow["best_distance"]
 
 
+# a grid whose last np.linspace point is not lo + (n - 1) h: that sum is
+# 8.151375368082695, the last token coordinate 8.151375368082697
+UNEVEN_GRID = (-9.834723644714709, 8.151375368082697, 10)
+
+
 def _both_paths(rows, tol, demand, vocab, scheme, tp, j_cap):
     """The hits and the unmet evidence (or None) of the candidate path, checked
     equal to the block scan's.  The hits are (H, 3) int64 rows (position, vocab
     index, target) in strictly increasing position order: the array a path
-    returns, or on exhaustion the hits it gave out before."""
+    returns, or on exhaustion the hits it gave out before.  Every point either
+    path maps is, bit for bit, a vocabulary token plus the PE coordinates."""
+    nearest, (_, _, per_dim) = construction._CellGrid.nearest, vocab.x_grid_spec
+
+    def token_plus_pe(self, ti, k, coords):
+        cell, z = nearest(self, ti, k, coords)
+        stride = per_dim ** (vocab.d_x - 1 - k)        # C order: cell c of axis k
+        assert np.array_equal(z, vocab.v_x[cell.astype(np.intp) * stride, k] + coords)
+        return cell, z
+
     out = []
     for path in (_candidate_scan, _block_scan):
         scan = _Scan(rows, tol, demand, vocab, tp)
         try:
-            out.append((path(scan, scheme, j_cap), None))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(construction._CellGrid, "nearest", token_plus_pe)
+                out.append((path(scan, scheme, j_cap), None))
         except ca.PositionScanExhausted as exc:
             out.append((np.array(scan.hits, dtype=np.int64).reshape(-1, 3), exc.unmet))
     (hits, unmet), (block_hits, block_unmet) = out
@@ -189,17 +205,20 @@ class TestCandidatePath:
 
     @settings(max_examples=24, deadline=None)
     @given(seed=st.integers(0, 10_000), frac=st.floats(0.002, 0.99), d=st.sampled_from([2, 3]),
-           off_grid=st.booleans())
-    def test_same_hits_as_block_scan(self, seed, frac, d, off_grid):
+           off_grid=st.booleans(), bounds=st.sampled_from([(-1.0, 1.0, 9), UNEVEN_GRID]))
+    @example(seed=5, frac=0.9, d=2, off_grid=False, bounds=UNEVEN_GRID)
+    def test_same_hits_as_block_scan(self, seed, frac, d, off_grid, bounds):
+        lo, hi, per_dim = bounds
         tp = ca.random_sparse_params(seed, d, 1)
-        vocab = ca.Vocabulary.x_grid((-1.0,) * d, (1.0,) * d, 9, 1)
+        vocab = ca.Vocabulary.x_grid((lo,) * d, (hi,) * d, per_dim, 1)
         scheme = ca.calkin_wilf_lattice(d)
         cmap = tp.C.T @ tp.B
         tol = _fast_path_tol(tp, vocab, frac)
         rng = np.random.default_rng(seed)
-        # several targets with demand > 1 exercise the FCFS tie-break; an
-        # off-grid one wants a token that no position holds
-        rows = np.array([cmap @ u for u in rng.uniform(-1.2, 1.2, (3, d))])
+        # several targets with demand > 1 exercise the FCFS tie-break, some
+        # past the grid's ends; an off-grid one wants a token that no
+        # position holds
+        rows = np.array([cmap @ u for u in rng.uniform(1.2 * lo, 1.2 * hi, (3, d))])
         demand = [3, 2, 4]
         if off_grid:
             rows = np.vstack([rows, cmap @ np.r_[40.0, rng.uniform(-1, 1, d - 1)]])
@@ -368,6 +387,29 @@ class TestCandidatePath:
         monkeypatch.setattr(construction, "_block_scan", no_block)
         got = _scan_engine(*target, vocab, ca.calkin_wilf_lattice(2), tp, 1 << 16)
         assert got.shape == (2, 3) and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_token_rows_are_the_rows_the_scan_maps(d):
+    # the token stage maps (vocab index, position) with the scan's formula:
+    # the bits of _mapped, one token at a time or all at once (a BLAS
+    # cmap @ (v + P_j) rounds differently)
+    lo, hi, per_dim = UNEVEN_GRID
+    tp = ca.random_sparse_params(40 + d, d, 1)
+    vocab = ca.Vocabulary.x_grid((lo,) * d, (hi,) * d, per_dim, 1)
+    scheme = ca.calkin_wilf_lattice(d)
+    cmap = tp.C.T @ tp.B
+    rng = np.random.default_rng(d)
+    tokens = [construction.TokenAssignment(int(j), int(rng.integers(len(vocab.v_x))), "sqrt2",
+                                           0, 0, SQRT2)
+              for j in np.sort(rng.choice(np.arange(1, 1 << 20), 300, replace=False))]
+    one = [np.concatenate(_mapped(cmap, (vocab.v_x[t.vocab_index]
+                                         + ca.pe_rows(scheme, [t.position])).T)) for t in tokens]
+    z = (vocab.v_x[[t.vocab_index for t in tokens]]
+         + ca.pe_rows(scheme, [t.position for t in tokens]))
+    batch = np.column_stack(_mapped(cmap, z.T))
+    assert np.array_equal(np.array(one), batch)
+    assert np.array_equal(_token_rows(tokens, vocab, scheme, cmap), batch)
 
 
 def _per_position_scan(rows, tol, demand, vocab, scheme, tp, j_cap):

@@ -1,4 +1,3 @@
-import json
 import math
 from pathlib import Path
 
@@ -257,32 +256,19 @@ class TestAdamRefine:
         _assert_matches_dense_reference_fit(monkeypatch, args, kwargs, 0)
 
 
-# workloads.MULTI_OUTPUT of the benchmark: its two fits are k 14, 300 steps on
-# a 1500-point grid, seeds 9 and 10
-MULTI_OUTPUT = {
-    "target": {"exprs": ["sin(2*pi*x)", "cos(2*pi*x)"]},
-    "transformer": {"kind": "random", "seed": 7, "d_x": 2, "d_y": 2},
-    "vocab": {"x_grid": {"lo": [-10.0, -10.0], "hi": [10.0, 10.0], "per_dim": 81},
-              "d_y": 2},
-    "scheme": {"kind": "calkin_wilf_lattice", "d_x": 2},
-    "grid": {"lo": [0.0], "hi": [1.0], "counts": [1500]},
-    "epsilon": 0.3,
-    "seed": 9,
-    "budgets": {"fit": 0.08, "perturb": 0.02, "tokens": 0.20},
-    "fit": {"k": 14, "refine_steps": 300},
-    "caps": {"j_cap": 80000000},
-}
+# the shipped multi-output construct, workloads.MULTI_OUTPUT of the benchmark:
+# its two fits are k 14, 300 steps on a 1500-point grid, seeds 9 and 10
+MULTI_OUTPUT_CONFIG = (Path(__file__).resolve().parent.parent / "configs"
+                       / "construct_multi_output.json")
 
 
 @pytest.fixture(scope="module")
 def multi_output_fit_calls(tmp_path_factory):
     """The fit_fnn calls of the multi-output construct, in order: one for both outputs."""
     tmp = tmp_path_factory.mktemp("multi")
-    config = tmp / "multi.json"
-    config.write_text(json.dumps(MULTI_OUTPUT))
     with pytest.MonkeyPatch.context() as mp:
         return _recorded_fit_calls(
-            mp, ["construct", "--config", str(config), "--out", str(tmp / "out")])
+            mp, ["construct", "--config", str(MULTI_OUTPUT_CONFIG), "--out", str(tmp / "out")])
 
 
 @pytest.mark.parametrize("component,seed", [(0, 9), (1, 10)])
