@@ -39,7 +39,8 @@ _TOKEN_SAFETY = 1.25
 
 _J_CAP_MAX = 1 << 62   # position indices, Morton streams and pe_block work in int64
 _CHUNK = 1 << 16       # stream values or candidate tuples handled at a time
-_SCAN_BLOCK = 1 << 15  # positions decoded at a time by the block scan
+_FIRST_BLOCK = 1 << 10  # first block of a scan that tries every entry, doubled up to
+_SCAN_BLOCK = 1 << 15   # the most positions the block scan decodes at a time
 _SUM_CELLS = 1 << 14   # (point, token) cells of one row block of a token sum
 _HEAD_BITS = 16        # the candidate scan visits the indices below 2^16 together
 
@@ -158,9 +159,10 @@ class ConstructionReport:
     vocabulary by hash.
     ``error_vs_n`` is (n, t, error) for t = 0..T: the fit-grid readout error
     of the first t tokens, the t-th at position n; the JSON form leaves it out.
+    The JSON form keeps the keys ``"mode": "dense"`` and ``"lambda": null``
+    of the report format, which no route varies.
     """
 
-    mode: str
     epsilon: float
     budgets: StageBudgets
     measured: dict
@@ -171,7 +173,6 @@ class ConstructionReport:
     per_neuron: tuple
     d_x: int
     d_y: int
-    lambda_: float | None
     vocab: Vocabulary
     scheme: PeScheme
     fit_sup_error: float
@@ -197,7 +198,7 @@ class ConstructionReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "mode": self.mode,
+            "mode": "dense",
             "epsilon": self.epsilon,
             "budgets": self.budgets.to_json_dict(),
             "measured": dict(self.measured),
@@ -206,7 +207,7 @@ class ConstructionReport:
             "seed": self.seed,
             "d_x": self.d_x,
             "d_y": self.d_y,
-            "lambda": self.lambda_,
+            "lambda": None,
             "fit_sup_error": self.fit_sup_error,
             "per_neuron": [p.to_json_dict() for p in self.per_neuron],
             "tokens": [t.to_json_dict() for t in self.tokens],
@@ -395,10 +396,15 @@ def _block_scan(scan: _Scan, scheme: PeScheme, j_cap: int) -> np.ndarray:
 
     The path for every case the candidate path does not take, and the
     reference it is tested against.  Under the fast-path condition only the
-    nearest cell is checked; a vocabulary that is not a grid tries every entry."""
-    j = 1
+    nearest cell is checked; a vocabulary that is not a grid tries every entry.
+    When every entry is tried, blocks start at _FIRST_BLOCK positions and
+    double up to _SCAN_BLOCK, so a demand met in the first positions does not
+    pay for a whole block of every entry; the nearest-cell check costs little
+    per position and keeps whole blocks.  The hits and best distances do not
+    depend on where blocks end."""
+    j, size = 1, _SCAN_BLOCK if scan.grid is not None else _FIRST_BLOCK
     while j <= j_cap and np.any(scan.demand > 0):
-        count = min(_SCAN_BLOCK, j_cap - j + 1)
+        count = min(size, j_cap - j + 1)
         pe = pe_block(scheme, j, count)                       # (count, d)
         open_idx = np.nonzero(scan.demand > 0)[0]
         if scan.grid is not None:
@@ -412,7 +418,7 @@ def _block_scan(scan: _Scan, scheme: PeScheme, j_cap: int) -> np.ndarray:
                 for ti in open_idx:
                     scan.offer(scan.check(ti, _sup_dist(rv, scan.rows[ti])) + j, vi, ti)
         scan.assign()
-        j += count
+        j, size = j + count, min(2 * size, _SCAN_BLOCK)
     return scan.result(j_cap)
 
 
@@ -592,14 +598,6 @@ class FitOptions:
         _require_positive_finite("feature_scale", self.feature_scale)
 
 
-# rescaled relu route: lambda from the largest |entry| m of the rows [W | b]
-_LAMBDA_POLICIES = {
-    "max_row": lambda m: max(1.0, m),
-    "pow2": lambda m: float(2 ** max(0, math.ceil(math.log2(max(m, 1.0))))),
-    "int": lambda m: float(max(1, math.ceil(m))),
-}
-
-
 def _target_values(target, points: np.ndarray, d_y: int, grid_name: str) -> np.ndarray:
     """The target at the points, (N, d_y); a non-finite value is a numerical failure."""
     vals = np.asarray(target(points), dtype=float)
@@ -717,11 +715,6 @@ def _fit_stage(tp, pts, f_vals, fnn, fit, activation, seed):
     return fits, fnn_eval, _readout_error(tp.U, fnn_eval, f_vals)
 
 
-def _lambda(nets, policy: str) -> float:
-    """Rescaling factor of the relu route for the rows ``[W | b]`` of ``nets``."""
-    return _LAMBDA_POLICIES[policy](max(float(np.max(np.abs(rows))) for rows, _ in nets))
-
-
 def _witness_stage(tp, nets, cmap, x_extent, x_tilde, activation, perturb_inner,
                    use_homog, caps, fnn_eval):
     """Stage 2: plans with integer witnesses for the neurons of ``nets``, (rows
@@ -835,21 +828,17 @@ def construct_context(target, grid: Grid, vocab: Vocabulary, scheme: PeScheme,
     (its sup error on the grid is still measured against the fit budget).
     ``coefficient_mode`` is auto (homogeneous for relu, kronecker otherwise) |
     homogeneous (relu: unit-coefficient copies) | kronecker (integer
-    witnesses) | rescaled_max_row | rescaled_pow2 | rescaled_int (relu: rows
-    [W | b] / lambda, coefficients A * lambda, lambda from the largest row
-    entry by that policy, then integer witnesses).
+    witnesses).
     Raises on budget violations, Kronecker cap exhaustion, and position-scan
     exhaustion.
     """
     _require_positive_finite("epsilon", epsilon)
     if coefficient_mode == "auto":
         coefficient_mode = "homogeneous" if activation.kind == "relu" else "kronecker"
-    policy = {f"rescaled_{p}": p for p in _LAMBDA_POLICIES}.get(coefficient_mode)
-    if policy is None and coefficient_mode not in ("homogeneous", "kronecker"):
+    if coefficient_mode not in ("homogeneous", "kronecker"):
         raise ConfigError("coefficient_mode", "coefficient_mode must be auto | homogeneous | "
-                          "kronecker | rescaled_max_row | rescaled_pow2 | rescaled_int, "
-                          f"got {coefficient_mode!r}")
-    if coefficient_mode != "kronecker" and activation.kind != "relu":
+                          f"kronecker, got {coefficient_mode!r}")
+    if coefficient_mode == "homogeneous" and activation.kind != "relu":
         raise ConfigError("activation", f"coefficient_mode {coefficient_mode!r} needs relu, "
                                         f"got activation {activation.kind!r}")
     if not tp.is_sparse_mode or np.any(tp.F != 0.0):
@@ -887,9 +876,6 @@ def construct_context(target, grid: Grid, vocab: Vocabulary, scheme: PeScheme,
 
     nets = [(np.hstack([fr.params.W, fr.params.b[:, None]]), fr.params.A[0])
             for fr in fits]
-    lam = None if policy is None else _lambda(nets, policy)
-    if lam is not None:
-        nets = [(rows / lam, coeffs * lam) for rows, coeffs in nets]
     plans, perturbed, perturb_measured = _witness_stage(
         tp, nets, cmap, vocab.x_extent, x_tilde, activation, budgets.perturb / u_scale,
         coefficient_mode == "homogeneous", caps, fnn_eval)
@@ -909,10 +895,9 @@ def construct_context(target, grid: Grid, vocab: Vocabulary, scheme: PeScheme,
     measured = {"fit": fit_measured, "perturb": perturb_measured,
                 "tokens": tokens_measured, "base_grid_total": curve[-1][2]}
     return ConstructionReport(
-        mode="dense" if lam is None else "rescaled", epsilon=epsilon,
-        budgets=budgets, measured=measured, achieved_sup_error=achieved,
+        epsilon=epsilon, budgets=budgets, measured=measured, achieved_sup_error=achieved,
         n=max((t.position for t in tokens), default=0), seed=seed,
         tokens=tuple(tokens), per_neuron=tuple(plans), d_x=tp.d_x, d_y=tp.d_y,
-        lambda_=lam, vocab=vocab, scheme=scheme,
+        vocab=vocab, scheme=scheme,
         fit_sup_error=max(fr.sup_error for fr in fits) if fits else 0.0,
         error_vs_n=tuple(curve))

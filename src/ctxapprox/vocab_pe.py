@@ -131,11 +131,6 @@ class PeScheme:
         return {"kind": self.kind, "region": self.region.to_json_dict(),
                 "params": dict(self.params)}
 
-    @staticmethod
-    def from_json_dict(doc: dict) -> "PeScheme":
-        region = Box(tuple(doc["region"]["lo"]), tuple(doc["region"]["hi"]))
-        return PeScheme(doc["kind"], region, dict(doc.get("params", {})))
-
 
 def calkin_wilf_lattice(d_x: int, scale: float = 1.0) -> PeScheme:
     """Signed, scale-shelled Calkin-Wilf tuples, bit-interleaved across dims.

@@ -281,9 +281,9 @@ class TestConstructCommand:
         ("fit.feature_scale", float("nan"), "feature_scale"), ("fit.ridge", -1, "ridge"),
         ("seed", float("inf"), "seed"), ("seed", 2.5, "seed"), ("caps.j_cap", 1e30, "j_cap"),
         ("caps.j_cap", 200.7, "j_cap"), ("fit.k", 14.9, "fit.k")])
-    # the ids name the report's mode on each route family
+    # one run per route family: the default relu route and the integer witnesses
     @pytest.mark.parametrize("mode", [pytest.param("auto", id="dense"),
-                                      pytest.param("rescaled_max_row", id="relu_rescaled")])
+                                      pytest.param("kronecker", id="kronecker")])
     def test_bad_numeric_field_exit_2(self, tmp_path, field, value, named, mode):
         # a small j_cap keeps a regression from scanning for minutes; fit.ridge
         # is no option, so it is named as an unknown key
@@ -302,9 +302,11 @@ class TestConstructCommand:
         assert named in err["error"]["message"]
 
     @pytest.mark.parametrize("mode", ["homogenous", "dense", "relu_rescaled", "rescaled",
-                                      "rescaled_pow-2", "lambda_max_row"])
+                                      "rescaled_pow-2", "lambda_max_row", "rescaled_max_row",
+                                      "rescaled_pow2", "rescaled_int"])
     def test_bad_route_exit_2(self, tmp_path, mode):
-        # a small j_cap keeps a route that silently runs another one short
+        # a small j_cap keeps a route that silently runs another one short; the
+        # rescaled_* routes are removed
         cfg = json.loads(json.dumps(CONSTRUCT_SMALL))
         cfg["caps"]["j_cap"] = 200
         cfg["coefficient_mode"] = mode
@@ -463,20 +465,6 @@ class TestConstructCommand:
         assert doc["report"]["achieved_sup_error"] < 0.6
         comps = {t["component"] for t in doc["report"]["tokens"]}
         assert comps == {0, 1}
-
-    def test_relu_rescaled_construct(self, tmp_path):
-        cfg = json.loads(json.dumps(CONSTRUCT_SMALL))
-        cfg["coefficient_mode"] = "rescaled_pow2"
-        cfg["epsilon"] = 1.0
-        cfg["fit"] = {"k": 5, "refine_steps": 400}
-        cfg["vocab"] = {"x_grid": {"lo": [-1.5, -1.5], "hi": [1.5, 1.5],
-                                   "per_dim": 25}, "d_y": 1}
-        code, out = run(tmp_path, "rescaled", cfg, "construct")
-        assert code == 0
-        doc = json.loads((out / "report.json").read_text())
-        assert doc["report"]["lambda"] >= 1.0
-        assert doc["report"]["mode"] == "rescaled"
-        assert doc["report"]["achieved_sup_error"] < 1.0
 
     def test_byte_identical_reruns(self, tmp_path):
         code1, out1 = run(tmp_path, "rep1", CONSTRUCT_SMALL, "construct")
@@ -957,12 +945,11 @@ class TestAuditCommands:
         ("audit", mutated(PROP1_SMALL, "count", 0), "grid_points", -1, "grid_points"),
         ("construct", CONSTRUCT_SMALL, "activation", "tanh", "activation"),
         ("construct", CONSTRUCT_SMALL, "activation", "softmax", "activation"),
-        ("construct", mutated(CONSTRUCT_SMALL, "coefficient_mode", "rescaled_max_row"),
-         "activation", "exp", "activation"),
+        ("construct", CONSTRUCT_SMALL, "coefficient_mode", ["kronecker"], "coefficient_mode"),
         ("construct", mutated(CONSTRUCT_SMALL, "coefficient_mode", "homogeneous"),
          "activation", "exp", "activation"),
         ("construct", CONSTRUCT_SMALL, "coefficient_mode", "homogenous", "coefficient_mode"),
-        ("construct", mutated(CONSTRUCT_SMALL, "coefficient_mode", "rescaled_max_row"),
+        ("construct", mutated(CONSTRUCT_SMALL, "coefficient_mode", "kronecker"),
          "lambda_policy", "pow-2", "lambda_policy"),       # no longer a key
         ("construct", CONSTRUCT_SMALL, "budgets", {"fit": 0.2, "perturb": 0.1, "tokens": 0.1},
          "budgets"),
@@ -1287,9 +1274,9 @@ MUTATED_CONFIGS = {
         **mutated(CONSTRUCT_SMALL, "caps.j_cap", 20_000), "activation": "relu",
         "coefficient_mode": "auto",
         "budgets": {"fit": 0.1, "perturb": 0.05, "tokens": 0.15}}),
-    "construct_relu_rescaled": ("construct", {
+    "construct_kronecker": ("construct", {
         **mutated(CONSTRUCT_SMALL, "caps.j_cap", 20_000),
-        "coefficient_mode": "rescaled_max_row"}),
+        "coefficient_mode": "kronecker"}),
     "prop1": ("audit", PROP1_SMALL),
     "nonuap": ("audit", NONUAP_SMALL),
     "density": ("density", DENSITY_SMALL),

@@ -444,6 +444,11 @@ class TestHitBuffer:
            demand=st.lists(st.integers(1, 5), min_size=2, max_size=4),
            kind=st.sampled_from(["dyadic", "rotation", "calkin_wilf"]),
            j_cap=st.integers(4, 80), far=st.booleans())
+    # blocks end at positions 1,024 and 3,072: these hit past them (1,025 the
+    # first) and leave targets unmet, so the scan runs through to j_cap
+    @example(seed=6, spread=0.01, demand=[3, 3], kind="rotation", j_cap=1_100, far=True)
+    @example(seed=2, spread=0.01, demand=[3, 2], kind="dyadic", j_cap=3_100, far=True)
+    @example(seed=3, spread=0.02, demand=[5, 5], kind="calkin_wilf", j_cap=3_100, far=True)
     def test_matches_a_per_position_oracle(self, seed, spread, demand, kind, j_cap, far):
         # a tolerance of `spread` grid steps in token space: several entries
         # hit one (target, position), so a target's hits at a position are
@@ -556,9 +561,9 @@ class TestConstructContext:
                   construction.TokenAssignment(3, 7, "sqrt2", 1, 0, SQRT2))
         with pytest.raises(ValueError, match="position 3 assigned twice"):
             ca.ConstructionReport(
-                mode="dense", epsilon=0.3, budgets=StageBudgets.thirds(0.3), measured={},
+                epsilon=0.3, budgets=StageBudgets.thirds(0.3), measured={},
                 achieved_sup_error=0.0, n=3, seed=0, tokens=tokens, per_neuron=(),
-                d_x=2, d_y=1, lambda_=None, vocab=vocab, scheme=scheme, fit_sup_error=0.0)
+                d_x=2, d_y=1, vocab=vocab, scheme=scheme, fit_sup_error=0.0)
 
     def test_determinism(self):
         tp, vocab, scheme, grid = make_setting()
@@ -658,7 +663,7 @@ class TestConstructContext:
 
         rep = ca.construct_context(target, grid, vocab, scheme, tp, 0.1,
                                    fnn=[fnn], activation=ca.EXP)
-        assert rep.mode == "dense" and rep.n == 1
+        assert rep.n == 1
         assert rep.tokens[0].y_value == SQRT2
         assert rep.achieved_sup_error <= 1e-12
 
@@ -717,7 +722,7 @@ class TestConstructContext:
     def test_rejects_bad_epsilon(self, epsilon):
         tp, vocab, scheme, grid = make_setting()
         target = lambda pts: np.sin(2 * np.pi * pts[:, 0])
-        for mode in ("auto", "rescaled_max_row"):
+        for mode in ("auto", "kronecker"):
             with pytest.raises(ValueError, match="epsilon"):
                 ca.construct_context(target, grid, vocab, scheme, tp, epsilon,
                                      coefficient_mode=mode)
@@ -750,15 +755,15 @@ class TestConstructContext:
             FitOptions(**{field: value})
 
     def test_rejects_unknown_choice_strings(self):
-        # a misspelled coefficient mode used to take the Kronecker route
+        # a misspelled coefficient mode used to take the Kronecker route; the
+        # lambda-rescaled routes are removed
         tp, vocab, scheme, grid = make_setting()
         target = lambda pts: np.sin(2 * np.pi * pts[:, 0])
-        with pytest.raises(ValueError, match="coefficient_mode"):
-            ca.construct_context(target, grid, vocab, scheme, tp, 0.2,
-                                 coefficient_mode="homogenous")
-        with pytest.raises(ValueError, match="coefficient_mode"):
-            ca.construct_context(target, grid, vocab, scheme, tp, 0.2,
-                                 coefficient_mode="rescaled_pow-2")
+        for mode in ("homogenous", "rescaled_max_row", "rescaled_pow2", "rescaled_int"):
+            with pytest.raises(ca.ConfigError, match="coefficient_mode") as exc:
+                ca.construct_context(target, grid, vocab, scheme, tp, 0.2,
+                                     coefficient_mode=mode)
+            assert exc.value.field == "coefficient_mode"
 
     @pytest.mark.parametrize("vocab,scheme,field", [
         (ca.Vocabulary([[0.0]], [[0.0]]), ca.calkin_wilf_lattice(2), "vocab"),
@@ -830,76 +835,11 @@ class TestMultiOutput:
 
 
 class TestReluRescaled:
-    def test_rows_in_cube_reduces_to_lambda_one(self):
-        tp = ca.identity_sparse_params(2, 1)
-        vocab = ca.Vocabulary.x_grid((-1.5, -1.5), (1.5, 1.5), 25, 1)
-        scheme = ca.calkin_wilf_lattice(2)
-        grid = ca.Grid((0.0,), (1.0,), (201,))
-        fnn = ca.FnnParams([[1.0]], [[0.8]], [-0.3], ca.RELU)
-        target = lambda pts: ca.fnn_forward_batch(fnn, pts)[:, 0]
-        rep = ca.construct_context(target, grid, vocab, scheme, tp, 0.3, fnn=[fnn],
-                                   coefficient_mode="rescaled_max_row",
-                                   caps=Caps(j_cap=20_000_000))
-        assert rep.lambda_ == 1.0
+    """Relu's positive homogeneity, which the homogeneous route rests on; a
+    lambda-rescaled network (A lambda, W / lambda, b / lambda) is a given
+    ``fnn`` on the kronecker route."""
 
-    def test_max_norm_four_rows_lambda_four(self):
-        tp = ca.identity_sparse_params(2, 1)
-        vocab = ca.Vocabulary.x_grid((-1.5, -1.5), (1.5, 1.5), 25, 1)
-        scheme = ca.calkin_wilf_lattice(2)
-        grid = ca.Grid((0.0,), (1.0,), (201,))
-        fnn = ca.FnnParams([[0.5, 0.25]], [[4.0], [-2.0]], [-1.0, 1.0], ca.RELU)
-        target = lambda pts: ca.fnn_forward_batch(fnn, pts)[:, 0]
-        rep = ca.construct_context(target, grid, vocab, scheme, tp, 0.3, fnn=[fnn],
-                                   coefficient_mode="rescaled_max_row",
-                                   caps=Caps(j_cap=40_000_000))
-        assert rep.lambda_ == 4.0
-        # homogeneity identity: scaled plans reproduce the unscaled algebra
-        assert rep.measured["perturb"] <= rep.budgets.perturb
-        for p in rep.per_neuron:
-            assert np.max(np.abs(p.target_row)) <= 1.0 + 1e-12
-
-    def test_sin_pipeline_with_policy(self):
-        tp = ca.identity_sparse_params(2, 1)
-        vocab = ca.Vocabulary.x_grid((-1.5, -1.5), (1.5, 1.5), 25, 1)
-        scheme = ca.calkin_wilf_lattice(2)
-        grid = ca.Grid((0.0,), (1.0,), (501,))
-        target = lambda pts: np.sin(2 * np.pi * pts[:, 0])
-        rep = ca.construct_context(target, grid, vocab, scheme, tp, 1.0,
-                                   seed=3, coefficient_mode="rescaled_max_row",
-                                   fit=FitOptions(k=6, refine_steps=400),
-                                   caps=Caps(j_cap=80_000_000))
-        assert rep.achieved_sup_error < 1.0
-        assert rep.lambda_ >= 1.0
-        assert max(p.demand for p in rep.per_neuron) >= 2  # honest integer witnesses
-        for p in rep.per_neuron:
-            roles = [t.role for t in rep.tokens if t.neuron == p.index]
-            assert roles.count("sqrt2") == p.witness.count_sqrt2
-            assert sum(r in ("plus_unit", "minus_unit") for r in roles) == p.witness.count_unit
-
-    @pytest.mark.parametrize("policy", ["max_row", "pow2", "int"])
-    def test_equals_kronecker_route_on_prescaled_network(self, policy):
-        # the rescaled route is the Kronecker route on (A lambda, W / lambda, b / lambda)
-        tp = ca.identity_sparse_params(2, 1)
-        vocab = ca.Vocabulary.x_grid((-1.5, -1.5), (1.5, 1.5), 25, 1)
-        scheme = ca.calkin_wilf_lattice(2)
-        grid = ca.Grid((0.0,), (1.0,), (201,))
-        fnn = ca.FnnParams([[0.5, 0.25]], [[3.3], [-2.0]], [-1.0, 1.0], ca.RELU)
-        target = lambda pts: ca.fnn_forward_batch(fnn, pts)[:, 0]
-        caps = Caps(j_cap=1_000_000)
-        rep = ca.construct_context(target, grid, vocab, scheme, tp, 0.3, fnn=[fnn],
-                                   coefficient_mode=f"rescaled_{policy}", caps=caps)
-        lam = rep.lambda_
-        assert lam == {"max_row": 3.3, "pow2": 4.0, "int": 4.0}[policy]
-        scaled = ca.FnnParams(fnn.A * lam, fnn.W / lam, fnn.b / lam, ca.RELU)
-        ref = ca.construct_context(target, grid, vocab, scheme, tp, 0.3, fnn=[scaled],
-                                   coefficient_mode="kronecker", caps=caps)
-        assert (rep.mode, ref.mode, ref.lambda_) == ("rescaled", "dense", None)
-        assert rep.tokens and rep.tokens == ref.tokens
-        assert ([p.to_json_dict() for p in rep.per_neuron]
-                == [p.to_json_dict() for p in ref.per_neuron])
-
-    @pytest.mark.parametrize("mode", ["homogeneous", "rescaled_max_row", "rescaled_pow2",
-                                      "rescaled_int"])
+    @pytest.mark.parametrize("mode", ["homogeneous"])
     def test_relu_only_route_names_activation(self, mode):
         tp, vocab, scheme, grid = make_setting()
         target = lambda pts: np.sin(2 * np.pi * pts[:, 0])
@@ -918,10 +858,8 @@ class TestReluRescaled:
         target = lambda pts: np.column_stack(
             [ca.fnn_forward_batch(net, pts)[:, 0] for net in nets])
         rep = ca.construct_context(target, grid, vocab, scheme, tp, 0.3, fnn=nets,
-                                   coefficient_mode="rescaled_max_row",
+                                   coefficient_mode="kronecker",
                                    caps=Caps(j_cap=1_000_000))
-        # one lambda from the largest row entry over both networks
-        assert (rep.mode, rep.lambda_) == ("rescaled", 3.3)
         assert {t.component for t in rep.tokens} == {0, 1}
         assert {p.component for p in rep.per_neuron} == {0, 1}
         assert rep.achieved_sup_error < 0.3
@@ -941,9 +879,7 @@ class TestReluRescaled:
 
 
 class TestRoutes:
-    # SHA-256 of the report's JSON and of repr(report.tokens) per route, taken
-    # when the rescaled routes were spelled lambda_policy=p; pow2 and int
-    # both round this network's largest row entry 3.3 up to lambda = 4
+    # SHA-256 of the report's JSON and of repr(report.tokens) per route
     @pytest.mark.parametrize("activation,mode,report_sha,tokens_sha", [
         (ca.RELU, "auto", "0e3b40f096ea0844e237de0263fa50cb79c8ec949f38981736aca829189dd6b7",
          "9964a2b3d4a23680f1140dc354aa4965b431aa402772da5f7a658cf86a489027"),
@@ -952,15 +888,6 @@ class TestRoutes:
          "9964a2b3d4a23680f1140dc354aa4965b431aa402772da5f7a658cf86a489027"),
         (ca.RELU, "kronecker", "6912ff31a4a86e38f4f2a15aa5cf2cba069e7b83c875c0f0c69f958e253e875e",
          "894d0788adc823edb0364c5b43a5ba893c1d72bae324bc8da1f7bd4032f8b3c0"),
-        (ca.RELU, "rescaled_max_row",
-         "36c6fc1207a433178b4b4a47b461dc6a323b5f1d112c8d15b0775bb0d8ae1c0e",
-         "0c32fcf9b56835523be8b3177ab40bc49f6b5a4bfffb4ff5f999a18e057d0f81"),
-        (ca.RELU, "rescaled_pow2",
-         "54b95fed7183ea43740f17fdfb12cbfb86a5744e68cbe2792e59d8423463fbe2",
-         "1314858db80f87adc438a5b714a7b833eec675f6519e0da482fb7518d08edbe8"),
-        (ca.RELU, "rescaled_int",
-         "54b95fed7183ea43740f17fdfb12cbfb86a5744e68cbe2792e59d8423463fbe2",
-         "1314858db80f87adc438a5b714a7b833eec675f6519e0da482fb7518d08edbe8"),
         (ca.EXP, "auto", "058aa35ea7afcf926116b6c2494ca74194aa798e5c4cd5a363a2d187ffd0dc84",
          "9700c70d137eb199cd5d51846e916c036104bea3bc71eedd2f9005f5b59a8a12")])
     def test_every_route_keeps_its_report(self, activation, mode, report_sha, tokens_sha):
@@ -975,7 +902,6 @@ class TestRoutes:
         rep = ca.construct_context(target, grid, vocab, scheme, tp, 0.3, fnn=[fnn],
                                    activation=activation, coefficient_mode=mode,
                                    caps=Caps(j_cap=1_000_000))
-        assert rep.mode == ("rescaled" if mode.startswith("rescaled_") else "dense")
         digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
         assert digest(json.dumps(rep.to_json_dict(), sort_keys=True)) == report_sha
         assert digest(repr(rep.tokens)) == tokens_sha

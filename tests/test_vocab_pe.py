@@ -550,12 +550,6 @@ class TestDensityAudit:
 
 
 class TestSchemeSerde:
-    def test_round_trip(self):
-        scheme = ca.irrational_rotation(ca.Box((0.0, 0.0), (1.0, 2.0)))
-        doc = scheme.to_json_dict()
-        back = ca.PeScheme.from_json_dict(doc)
-        assert back == scheme
-
     def test_custom_not_serializable(self):
         scheme = ca.custom_scheme(lambda j0, c: np.zeros((c, 1)),
                                   ca.Box((0.0,), (1.0,)))
