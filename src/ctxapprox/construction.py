@@ -39,8 +39,7 @@ _TOKEN_SAFETY = 1.25
 
 _J_CAP_MAX = 1 << 62   # position indices, Morton streams and pe_block work in int64
 _CHUNK = 1 << 16       # stream values or candidate tuples handled at a time
-_FIRST_BLOCK = 1 << 10  # first block of a scan that tries every entry, doubled up to
-_SCAN_BLOCK = 1 << 15   # the most positions the block scan decodes at a time
+_SCAN_BLOCK = 1 << 14   # (position, vocab entry) cells the block scan checks at a time
 _SUM_CELLS = 1 << 14   # (point, token) cells of one row block of a token sum
 _HEAD_BITS = 16        # the candidate scan visits the indices below 2^16 together
 
@@ -346,16 +345,18 @@ class _Scan:
     def vocab_index(self, cells) -> np.ndarray:
         return np.ravel_multi_index(cells, (self.grid.per_dim,) * len(cells))
 
-    def offer(self, pos: np.ndarray, vix, tgt):
+    def offer(self, pos: np.ndarray, vix: np.ndarray, tgt):
         """Keeps for ``assign`` each target's first ``quota`` positions among the
-        hits at ``pos`` (``vix``, ``tgt`` one each or one per hit; one target's
-        positions increasing), each at its least vocab index, trimming past
-        2 quota T held hits.  Exact: only that index can win at a position, and
-        the other targets take at most quota - demand of its positions."""
+        hits ``pos``, ``vix`` (``tgt`` one or one per hit; one target's hits in
+        (position, vocab index) order), each at its least vocab index, trimming
+        past 2 quota T held hits.  Exact: only that index wins at a position,
+        and the other targets take at most quota - demand of its positions."""
         if not pos.size:
             return
-        cut = self.quota if np.ndim(tgt) == 0 else None      # one target: its first quota
-        new = pos[:cut], *(np.broadcast_to(a, pos.shape)[:cut] for a in (vix, tgt))
+        new = pos, vix, np.broadcast_to(tgt, pos.shape)
+        if np.ndim(tgt) == 0:          # one target: the first hit of its first quota positions
+            first = np.flatnonzero(np.diff(pos, prepend=-1))[:self.quota]
+            new = tuple(a[first] for a in new)
         held = [np.concatenate(p) for p in zip(self.held, new)]
         if held[0].size > 2 * self.quota * len(self.demand):
             order = np.lexsort((held[1], held[0], held[2]))    # target, position, vocab index
@@ -396,13 +397,11 @@ def _block_scan(scan: _Scan, scheme: PeScheme, j_cap: int) -> np.ndarray:
 
     The path for every case the candidate path does not take, and the
     reference it is tested against.  Under the fast-path condition only the
-    nearest cell is checked; a vocabulary that is not a grid tries every entry.
-    When every entry is tried, blocks start at _FIRST_BLOCK positions and
-    double up to _SCAN_BLOCK, so a demand met in the first positions does not
-    pay for a whole block of every entry; the nearest-cell check costs little
-    per position and keeps whole blocks.  The hits and best distances do not
-    depend on where blocks end."""
-    j, size = 1, _SCAN_BLOCK if scan.grid is not None else _FIRST_BLOCK
+    nearest cell is checked; a vocabulary that is not a grid tries every
+    entry.  Each open target checks a block of _SCAN_BLOCK (position, entry)
+    cells in one call; hits and best distances do not depend on block ends."""
+    entries = 1 if scan.grid is not None else len(scan.vocab.v_x)
+    j, size = 1, max(1, _SCAN_BLOCK // entries)
     while j <= j_cap and np.any(scan.demand > 0):
         count = min(size, j_cap - j + 1)
         pe = pe_block(scheme, j, count)                       # (count, d)
@@ -413,12 +412,13 @@ def _block_scan(scan: _Scan, scheme: PeScheme, j_cap: int) -> np.ndarray:
                 sel = scan.check(ti, scan.dist(ti, z))
                 scan.offer(sel + j, scan.vocab_index([c[sel] for c in cells]), ti)
         else:
-            for vi, v in enumerate(scan.vocab.v_x):
-                rv = _mapped(scan.cmap, (v + pe).T)
-                for ti in open_idx:
-                    scan.offer(scan.check(ti, _sup_dist(rv, scan.rows[ti])) + j, vi, ti)
+            v_x = scan.vocab.v_x                              # (count, entries) cells, raveled
+            rv = _mapped(scan.cmap, [(pe[:, k, None] + v_x[:, k]).ravel() for k in range(scan.d)])
+            for ti in open_idx:                               # hits position-major
+                pos, vix = np.divmod(scan.check(ti, _sup_dist(rv, scan.rows[ti])), entries)
+                scan.offer(pos + j, vix, ti)
         scan.assign()
-        j, size = j + count, min(2 * size, _SCAN_BLOCK)
+        j += count
     return scan.result(j_cap)
 
 

@@ -89,7 +89,8 @@ NONUAP_SMALL = {"kind": "nonuap", "max_context": 20, "trials": 50, "seed": 1,
 CONSTRUCT_MULTI = json.loads((ROOT / "configs" / "construct_multi_output.json").read_text())
 
 # the shipped construct configs, by short name
-SHIPPED_CONSTRUCTS = {"acceptance": "construct_sin_acceptance", "multi": "construct_multi_output"}
+SHIPPED_CONSTRUCTS = {"acceptance": "construct_sin_acceptance", "multi": "construct_multi_output",
+                      "wide_tolerance": "construct_sin_wide_tolerance"}
 
 KRONECKER_BETAS = {"betas": [0.0, 1.5], "epsilon": 0.01, "q_cap": 100000}
 
@@ -407,6 +408,7 @@ class TestConstructCommand:
         spec.loader.exec_module(workloads)
         commands = [c for name in workloads.WORKLOADS for c in workloads.workload(name, ROOT, None)]
         shipped = {"construct_sin_acceptance": "construct", "construct_multi_output": "construct",
+                   "construct_sin_wide_tolerance": "construct",
                    "density_dyadic": "density", "embed_softmax": "embed",
                    "kronecker_seeded": "kronecker", "nonuap_audit": "audit"}
         assert sorted(p.stem for p in (ROOT / "configs").glob("*.json")) == sorted(shipped)
@@ -415,7 +417,7 @@ class TestConstructCommand:
         configs = [(c.name, c.config) for c in commands] + [
             (command, json.loads((ROOT / "configs" / f"{stem}.json").read_text()))
             for stem, command in shipped.items()]
-        assert len(configs) == 12
+        assert len(configs) == 13
         for i, (command, cfg) in enumerate(configs):
             with pytest.raises(Reached):
                 run(tmp_path, f"load{i}", cfg, command)

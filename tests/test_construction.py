@@ -444,8 +444,9 @@ class TestHitBuffer:
            demand=st.lists(st.integers(1, 5), min_size=2, max_size=4),
            kind=st.sampled_from(["dyadic", "rotation", "calkin_wilf"]),
            j_cap=st.integers(4, 80), far=st.booleans())
-    # blocks end at positions 1,024 and 3,072: these hit past them (1,025 the
-    # first) and leave targets unmet, so the scan runs through to j_cap
+    # blocks hold _SCAN_BLOCK // len(v_x) = 655 positions of the 5x5 vocabulary
+    # and end at 655, 1,310, 1,965 and 2,620: these hit on both sides of one
+    # or more of them and leave targets unmet, so the scan runs through to j_cap
     @example(seed=6, spread=0.01, demand=[3, 3], kind="rotation", j_cap=1_100, far=True)
     @example(seed=2, spread=0.01, demand=[3, 2], kind="dyadic", j_cap=3_100, far=True)
     @example(seed=3, spread=0.02, demand=[5, 5], kind="calkin_wilf", j_cap=3_100, far=True)
@@ -474,15 +475,23 @@ class TestHitBuffer:
             got, unmet = np.array(scan.hits, dtype=np.int64).reshape(-1, 3), exc.unmet
         assert np.array_equal(got, want) and unmet == want_unmet
 
-    def test_every_entry_hitting_holds_no_block_of_hits(self):
-        # 441 entries x 4 targets hit each of the block's 1024 positions; the
-        # buffer keeps each target's first 8 positions, where holding every
-        # hit as an int64 triple would take 441 * 4 * 1024 * 24 bytes, 43 MB
+    @staticmethod
+    def every_entry_hitting():
+        """(tp, vocab, scheme, rows): a 21x21 vocabulary on a dyadic scheme and
+        4 target rows that every (position, entry) cell hits at tol 1e6."""
         tp = ca.random_sparse_params(5, 2, 1)
         vocab = ca.Vocabulary.x_grid((-1.0, -1.0), (1.0, 1.0), 21, 1)
         scheme = ca.dyadic_lattice(ca.Box((-1.0, -1.0), (1.0, 1.0)))
         rows = np.array([tp.C.T @ tp.B @ u for u in ([0.1, 0.2], [-0.3, 0.4],
                                                       [0.5, -0.6], [0.0, 0.0])])
+        return tp, vocab, scheme, rows
+
+    def test_every_entry_hitting_holds_no_block_of_hits(self):
+        # 441 entries x 4 targets hit each of the block's _SCAN_BLOCK // 441 =
+        # 37 positions; the buffer keeps each target's first 8 positions, where
+        # holding every hit as an int64 triple would take 441 * 4 * 37 * 24
+        # bytes, 1.6 MB
+        tp, vocab, scheme, rows = self.every_entry_hitting()
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -494,6 +503,30 @@ class TestHitBuffer:
         assert hits.tolist() == [[j, 0, ti] for j, ti in
                                  enumerate([0, 0, 0, 1, 2, 2, 3, 3], start=1)]
         assert peak <= 1 << 20
+
+    def test_every_entry_scan_offers_once_per_block_and_target(self, monkeypatch):
+        # each open target checks a whole block of (position, entry) cells in
+        # one call, so it offers its hits once per block, not once per entry:
+        # the 441-entry scan below runs 7 blocks of 37 positions
+        tp, vocab, scheme, rows = self.every_entry_hitting()
+        scan = _Scan(rows, 1e6, [100, 50, 50, 50], vocab, tp)
+        scan.grid = None
+        blocks = []                                 # (open targets, offers) per block
+        pe_block, offer = construction.pe_block, _Scan.offer
+
+        def block(*args):
+            blocks.append([int(np.sum(scan.demand > 0)), 0])
+            return pe_block(*args)
+
+        def counted(self, *args):
+            blocks[-1][1] += 1
+            return offer(self, *args)
+
+        monkeypatch.setattr(construction, "pe_block", block)
+        monkeypatch.setattr(_Scan, "offer", counted)
+        hits = _block_scan(scan, scheme, 1024)
+        assert all(offers <= open_targets for open_targets, offers in blocks)
+        assert len(blocks) == 7 and hits[:, 0].tolist() == list(range(1, 251))
 
 
 class TestActivationSlope:
