@@ -163,6 +163,11 @@ def _seed(cfg: _Config, seed_override: int | None, default=_REQUIRED) -> int:
     return seed
 
 
+def _no_seed(seed_override: int | None):
+    if seed_override is not None:               # it would change no byte of the run
+        raise ConfigError("--seed", "only construct, audit and kronecker with random take --seed")
+
+
 def _positive(cfg: _Config, key: str, kind, default=_REQUIRED):
     """The value at ``key`` read as ``kind``: an integer must be >= 1, a
     number positive and finite."""
@@ -300,6 +305,7 @@ def _random_betas(seed_override: int | None, r: _Config) -> list:
 
 
 def cmd_embed(cfg: _Config, out: Path, seed_override: int | None) -> int:
+    _no_seed(seed_override)
     mode = cfg.get("mode", str)
     tp = cfg.load("transformer", _transformer)
     fnn = cfg.load("fnn", _fnn)
@@ -361,6 +367,7 @@ def cmd_construct(cfg: _Config, out: Path, seed_override: int | None) -> int:
 
 
 def cmd_density(cfg: _Config, out: Path, seed_override: int | None) -> int:
+    _no_seed(seed_override)
     vocab = cfg.load("vocab", _vocab)
     scheme = cfg.load("scheme", _scheme)
     region = cfg.load("region", _box)
@@ -384,6 +391,7 @@ def cmd_kronecker(cfg: _Config, out: Path, seed_override: int | None) -> int:
     epsilon = _positive(cfg, "epsilon", float)
     q_cap = _positive(cfg, "q_cap", int, 10**7)
     if cfg.has("betas"):
+        _no_seed(seed_override)
         betas = cfg.numbers("betas")
         if not betas or not all(map(math.isfinite, betas)):
             raise ConfigError("betas", f"needs at least one beta, each finite, got {betas!r}")
@@ -448,7 +456,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=None,
-                        help="overrides the config seed")
+                        help="overrides the seed of construct, audit or kronecker random")
     args = parser.parse_args(argv)
 
     out = Path(args.out)

@@ -291,13 +291,13 @@ class _CellGrid:
                        0, self.per_dim - 1).astype(np.intp)
         return cell, self.axes[k][cell] + coords
 
-    def half_widths(self, ti, tol) -> np.ndarray:
+    def half_widths(self, tol: np.ndarray) -> np.ndarray:
         """Per-dimension bound on |z_k - u_k| for every z whose computed row
         lies within ``tol`` of the target row: the box (C^T B)^-1 [-tol, tol]^d,
-        widened by the rounding of the row, of u and of the inverse.  Targets
-        and tolerances as (targets, 1) columns give a (targets, d) array."""
+        widened by the rounding of the row, of u and of the inverse.  One
+        tolerance per target gives a (targets, d) array."""
         c = self._cond_ulps
-        return (tol * (1 + 2 * c) + self._slack[ti]) * self.inv_rows * (1 + c)
+        return (tol[:, None] * (1 + 2 * c) + self._slack[:, None]) * self.inv_rows * (1 + c)
 
 
 class _Scan:
@@ -488,24 +488,24 @@ class _KeptStreams:
                        [kept[3][i] for kept, i in zip(self.kept, pick)])
 
 
-def _walk_levels(scheme: PeScheme, d: int, j_cap: int, extend, visit):
-    """Calls ``visit(t_lo, t_hi)`` for the Morton levels of positions [1, j_cap]
-    in order, with t = j - 1; before a level is visited,
-    ``extend(s, coords)`` sees the stream values that the level adds, in
-    chunks.  The levels that hold only indices below 2^_HEAD_BITS are
-    visited as one range: a visit gives out its hits in position order, so
-    it ends as they would one by one, and it saves a pass per tiny level.
-    The walk stops when ``visit`` returns False."""
+def _walk(scan: _Scan, scheme: PeScheme, j_cap: int, live, widths):
+    """Yields the candidates (``_KeptStreams.candidates``) of the Morton
+    levels of positions [1, j_cap] in order, with t = j - 1, for the targets
+    that ``live()`` marks.  Before a level is yielded, the stream values it
+    adds are kept, in chunks, in boxes of half-widths ``widths()``.  The
+    levels that hold only indices below 2^_HEAD_BITS are yielded as one
+    range: their hits are given out in position order, so the range ends as
+    they would one by one, and it saves a pass per tiny level."""
+    streams = _KeptStreams(scan, j_cap - 1)
     seen = t_lo = 0
-    for level, _, t_hi in _morton_levels(j_cap - 1, d):
-        if d * (level + 1) <= _HEAD_BITS and t_hi < j_cap:
-            continue                                  # visited with the next level
+    for level, _, t_hi in _morton_levels(j_cap - 1, scan.d):
+        if scan.d * (level + 1) <= _HEAD_BITS and t_hi < j_cap:
+            continue                                  # yielded with the next level
         for s_lo in range(seen, 1 << level, _CHUNK):
             s = np.arange(s_lo, min(1 << level, s_lo + _CHUNK), dtype=np.int64)
-            extend(s, _cw_stream_coords(scheme, s))
+            streams.extend(s, _cw_stream_coords(scheme, s), live(), widths())
         seen = 1 << level
-        if not visit(t_lo, t_hi):
-            return
+        yield streams.candidates(live(), t_lo, t_hi)
         t_lo = t_hi
 
 
@@ -514,49 +514,31 @@ def _candidate_scan(scan: _Scan, scheme: PeScheme, j_cap: int) -> np.ndarray:
 
     Coordinate k of P(j) depends only on stream k of j - 1 and the nearest
     cell is taken per coordinate, so a hit needs each stream's z_k inside the
-    target's box.  Per level, the streams that pass are combined into
-    candidate positions, each re-checked exactly with the block path's
-    formula, and the hits are given out in position order; the walk stops at
-    the first level that meets every demand.  Each chunk of stream values is
-    tested against the boxes of all open targets at once, and each level's
-    candidates of all of them are checked together.  For targets left unmet,
-    a second walk finds the least nearest-cell distance over [1, j_cap]; a
-    target with no distance yet keeps every value of the first visit, whose
-    positions are those below 2^_HEAD_BITS, and has a finite box from then
-    on.
+    target's box.  One level walk (``_walk``) runs twice.  The hit walk
+    re-checks each level's candidates exactly with the block path's formula,
+    gives out the hits in position order and stops at the first level that
+    meets every demand; each chunk of stream values is tested against the
+    boxes of all open targets at once, and each level's candidates of all of
+    them are checked together.  For targets left unmet, the best-distance
+    walk finds the least nearest-cell distance over [1, j_cap]; a target with
+    no distance yet keeps every value of the first level, whose positions are
+    those below 2^_HEAD_BITS, and has a finite box from then on.
     """
-    grid = scan.grid
-    every = np.arange(len(scan.demand))[:, None]
-    tol_widths = grid.half_widths(every, scan.tols[:, None])          # (targets, d)
-    streams = _KeptStreams(scan, j_cap - 1)
-
-    def extend_hits(s, coords):
-        streams.extend(s, coords, scan.demand > 0, tol_widths)
-
-    def visit_hits(t_lo, t_hi):
-        for ti, t, cells, z in streams.candidates(scan.demand > 0, t_lo, t_hi):
+    tol_widths = scan.grid.half_widths(scan.tols)                  # (targets, d)
+    for level in _walk(scan, scheme, j_cap, lambda: scan.demand > 0, lambda: tol_widths):
+        for ti, t, cells, z in level:
             sel = scan.check_grouped(ti, scan.dist(ti, z))
             scan.offer(t[sel] + 1, scan.vocab_index([c[sel] for c in cells]), ti[sel])
         scan.assign()
-        return bool(np.any(scan.demand > 0))
-
-    _walk_levels(scheme, scan.d, j_cap, extend_hits, visit_hits)
-
+        if not np.any(scan.demand > 0):
+            return scan.result(j_cap)
+    # each box is widened to a distance reached at some j in range, so the
+    # minimiser stays inside it while each level shrinks it
     unmet = scan.demand > 0
-    if np.any(unmet):
-        # each box is widened to a distance reached at some j in range, so the
-        # minimiser stays inside it while each level shrinks it
-        streams = _KeptStreams(scan, j_cap - 1)
-
-        def extend_best(s, coords):
-            streams.extend(s, coords, unmet, grid.half_widths(every, scan.best[:, None]))
-
-        def visit_best(t_lo, t_hi):
-            for ti, _, _, z in streams.candidates(unmet, t_lo, t_hi):
-                scan.check_grouped(ti, scan.dist(ti, z))
-            return True
-
-        _walk_levels(scheme, scan.d, j_cap, extend_best, visit_best)
+    for level in _walk(scan, scheme, j_cap, lambda: unmet,
+                       lambda: scan.grid.half_widths(scan.best)):
+        for ti, _, _, z in level:
+            scan.check_grouped(ti, scan.dist(ti, z))
     return scan.result(j_cap)
 
 

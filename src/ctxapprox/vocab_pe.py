@@ -162,7 +162,10 @@ def irrational_rotation(box: Box, primes: tuple = None) -> PeScheme:
     """j -> frac(j * gamma) mapped affinely into the box.
 
     gamma is a vector of square roots of distinct primes, so the orbit is
-    equidistributed in the box (a Kronecker low-discrepancy sequence).
+    equidistributed in the box (a Kronecker low-discrepancy sequence).  In 64-bit
+    fixed point: G_k = floor(frac(sqrt p_k) 2^64), the wrapping uint64 product
+    j G_k is frac(j G_k / 2^64) exactly, and its top 53 bits are the coordinate,
+    within j 2^-64 + 2^-53 of frac(j sqrt p_k) (a float j * sqrt p_k is not).
     """
     d = box.dim
     primes = tuple(primes) if primes is not None else _PRIMES[:d]
@@ -385,8 +388,9 @@ def pe_rows(scheme: PeScheme, positions) -> np.ndarray:
     if scheme.kind == "dyadic_lattice":
         return _dyadic_rows(scheme.region, positions - 1)
     if scheme.kind == "irrational_rotation":
-        gamma = np.sqrt(np.array(scheme.params["primes"], dtype=float))
-        frac = np.mod(positions.astype(float)[:, None] * gamma, 1.0)
+        gamma = np.array([math.isqrt(p << 128) - (math.isqrt(p) << 64)
+                          for p in scheme.params["primes"]], dtype=np.uint64)
+        frac = ((positions.astype(np.uint64)[:, None] * gamma) >> 11) * 2.0**-53
         lo = np.array(scheme.region.lo)
         hi = np.array(scheme.region.hi)
         return lo + frac * (hi - lo)

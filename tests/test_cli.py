@@ -409,6 +409,7 @@ class TestConstructCommand:
         commands = [c for name in workloads.WORKLOADS for c in workloads.workload(name, ROOT, None)]
         shipped = {"construct_sin_acceptance": "construct", "construct_multi_output": "construct",
                    "construct_sin_wide_tolerance": "construct",
+                   "construct_sin_exhausted": "construct",
                    "density_dyadic": "density", "embed_softmax": "embed",
                    "kronecker_seeded": "kronecker", "nonuap_audit": "audit"}
         assert sorted(p.stem for p in (ROOT / "configs").glob("*.json")) == sorted(shipped)
@@ -417,7 +418,7 @@ class TestConstructCommand:
         configs = [(c.name, c.config) for c in commands] + [
             (command, json.loads((ROOT / "configs" / f"{stem}.json").read_text()))
             for stem, command in shipped.items()]
-        assert len(configs) == 13
+        assert len(configs) == 14
         for i, (command, cfg) in enumerate(configs):
             with pytest.raises(Reached):
                 run(tmp_path, f"load{i}", cfg, command)
@@ -487,6 +488,18 @@ class TestConstructCommand:
         code, out = run(tmp_path, name, cfg, "construct")
         assert code == 0
         assert sha256s(out, "report.json", "tokens.csv", "error_vs_n.csv") == digests
+
+    def test_exhausted_construct_error_bytes(self, tmp_path):
+        # the acceptance config at j_cap 10^5 leaves targets 3, 5, 6, 7 and
+        # 13 unmet; error.json holds the best-distance walk's distances and
+        # no config hash, pinned in tests/shipped_artifacts.sha256
+        stem = "construct_sin_exhausted"
+        cfg = json.loads((ROOT / "configs" / f"{stem}.json").read_text())
+        code, out = run(tmp_path, "exhausted", cfg, "construct")
+        assert code == 3 and sorted(p.name for p in out.iterdir()) == ["error.json"]
+        unmet = json.loads((out / "error.json").read_text())["error"]["unmet"]
+        assert [u["target_index"] for u in unmet] == [3, 5, 6, 7, 13]
+        assert sha256s(out, "error.json") == tuple(shipped_pins(stem, "error.json").values())
 
     @pytest.mark.parametrize("name", list(SHIPPED_CONSTRUCTS))
     def test_token_rows_replay_within_their_plans_tol(self, tmp_path, name):
@@ -1032,6 +1045,16 @@ class TestAuditCommands:
         err = json.loads((out / "error.json").read_text())["error"]
         assert err["field"] == field and err["exit_code"] == 2
         assert f"{field} must be >= 0, got -1" in err["message"]
+
+    @pytest.mark.parametrize("command,config", [
+        ("embed", EMBED_SOFTMAX), ("density", DENSITY_SMALL), ("kronecker", KRONECKER_BETAS)])
+    def test_seed_override_that_no_seed_takes_exits_2(self, tmp_path, command, config):
+        # these runs read no seed that --seed overrides, so a --seed would
+        # change no byte of their artifacts: it fails before the run starts
+        code, out = run(tmp_path, "unused_seed", config, command, seed=5)
+        assert code == 2 and sorted(p.name for p in out.iterdir()) == ["error.json"]
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["field"] == "--seed" and err["exit_code"] == 2
 
     def test_exp_activation_exhausts_without_walking_every_position(self, tmp_path,
                                                                    monkeypatch):

@@ -745,6 +745,54 @@ class TestConstructContext:
         assert rep.achieved_sup_error <= 1e-12
         assert rep.tokens[0].position <= 2
 
+    def test_vocabulary_that_is_not_a_grid(self):
+        # 400 random points form no grid, so the scan tries every entry at
+        # every position end to end; each token's row, rebuilt from its
+        # (vocab index, position), lies within its plan's tol
+        rng = np.random.default_rng(0)
+        vocab = ca.Vocabulary(rng.uniform(-10.0, 10.0, (400, 2)), [[0.0], [1.0], [-1.0], [SQRT2]])
+        tp, scheme = ca.random_sparse_params(101, 2, 1), ca.calkin_wilf_lattice(2)
+
+        def target(pts):
+            return np.sin(2 * np.pi * pts[:, 0]) + 0.5 * np.cos(np.pi * pts[:, 0])
+
+        rep = ca.construct_context(target, ca.Grid((0.0,), (1.0,), (200,)), vocab, scheme, tp,
+                                   0.4, seed=4, fit=FitOptions(k=16, refine_steps=300),
+                                   caps=Caps(j_cap=10**6))
+        assert vocab.x_grid_spec is None and rep.achieved_sup_error < 0.4
+        assert (rep.n, len(rep.tokens)) == (63_003, 14)
+        plans = [rep.per_neuron[t.neuron] for t in rep.tokens]
+        rows = _token_rows(rep.tokens, vocab, scheme, tp.C.T @ tp.B)
+        assert all(np.max(np.abs(r - p.target_row)) < p.tol for r, p in zip(rows, plans))
+
+    def test_custom_activation_on_the_kronecker_route(self, monkeypatch):
+        # a given two-neuron tanh network with coefficients 1 + sqrt2 and -2:
+        # four tokens whose rows the first four positions hold; the token
+        # sums and the audit run the custom branch of Activation.in_place
+        tanh = ca.Activation("custom", np.tanh)
+        kinds = []
+        in_place = ca.Activation.in_place
+
+        def recording(self, z):
+            kinds.append(self.kind)
+            return in_place(self, z)
+
+        monkeypatch.setattr(ca.Activation, "in_place", recording)
+        W, b, A = np.array([[0.5], [-0.7]]), np.array([0.2, 0.4]), np.array([[1.0 + SQRT2, -2.0]])
+        fnn = ca.FnnParams(A, W, b, tanh)
+
+        def target(pts):
+            return (np.tanh(pts @ W.T + b) @ A.T)[:, 0]
+
+        vocab = ca.Vocabulary.x_grid((-2.0, -2.0), (2.0, 2.0), 41, 1)
+        rep = ca.construct_context(target, ca.Grid((0.0,), (1.0,), (101,)), vocab,
+                                   ca.calkin_wilf_lattice(2), ca.identity_sparse_params(2, 1),
+                                   0.2, activation=tanh, fnn=[fnn], coefficient_mode="kronecker")
+        assert rep.achieved_sup_error < 0.2 and kinds and set(kinds) == {"custom"}
+        assert (rep.n, len(rep.tokens)) == (4, 4)
+        z = np.linspace(-3.0, 3.0, 101)
+        assert in_place(tanh, z.copy()).tobytes() == tanh(z).tobytes()
+
     def test_target_components_must_match_d_y(self):
         tp, vocab, scheme, grid = make_setting(d_y=2)
         with pytest.raises(ca.DimensionError, match="1 components, expected 2"):

@@ -226,6 +226,22 @@ class TestPeValue:
         j = 137
         assert vals[j - 1] == pytest.approx((j * math.sqrt(2)) % 1.0, abs=1e-9)
 
+    def test_irrational_rotation_is_64_bit_fixed_point(self):
+        # frac(j sqrt p) from G = floor(frac(sqrt p) 2^64) in Python integers:
+        # the top 53 bits of j G mod 2^64, bit for bit, up to j = 2^62 - 1,
+        # where a float product j * sqrt p kept only ulp(j sqrt p)
+        primes = (2, 3, 5)
+        scheme = ca.irrational_rotation(ca.Box((0.0,) * 3, (1.0,) * 3), primes)
+        js = [1, 10**3, 2**26, 2**40, 2**62 - 1]
+        gs = [math.isqrt(p << 128) - (math.isqrt(p) << 64) for p in primes]
+        expected = [[0.0 + ((j * g % 2**64) >> 11) * 2.0**-53 * 1.0 for g in gs] for j in js]
+        rows = pe_rows(scheme, js)
+        assert rows.dtype == np.float64 and np.array_equal(rows, expected)
+        for j in js:                                # blocks that end at j
+            first = max(1, j - 2)
+            assert np.array_equal(pe_block(scheme, first, j - first + 1),
+                                  pe_rows(scheme, range(first, j + 1)))
+
     def test_cw_lattice_injective_first_1e4(self):
         for d in (1, 2, 3):
             scheme = ca.calkin_wilf_lattice(d)
