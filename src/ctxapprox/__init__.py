@@ -29,7 +29,7 @@ from .fnn import (EXP, RELU, SOFTMAX, Activation, FitResult, FnnParams,
 from .grids import Grid
 from .kronecker import (KroneckerWitness, TokenDecomposition,
                         coefficient_decompose, kronecker_search,
-                        pell_denominators)
+                        kronecker_witnesses, pell_denominators)
 from .nonuap import (ExpSum, FiniteFamilySpec, NonUapAuditRecord,
                      Prop1FuzzRecord, count_zeros, hard_target, nonuap_audit,
                      prop1_fuzz)

@@ -29,7 +29,9 @@ from .errors import (BudgetError, ConfigError, CtxApproxError,
 from .expressions import parse_target
 from .fnn import SOFTMAX, Activation, FnnParams, fnn_forward_batch
 from .grids import Grid
-from .kronecker import kronecker_search
+# the benchmark's span hooks (perfbench/spans.py) still look kronecker_search
+# up here; nothing here calls it, and it goes when that hook list drops it
+from .kronecker import kronecker_search, kronecker_witnesses
 from .nonuap import FiniteFamilySpec, nonuap_audit, prop1_fuzz
 from .transformer import (TransformerParams, identity_sparse_params,
                           random_sparse_params, readout_batch)
@@ -398,7 +400,7 @@ def cmd_kronecker(cfg: _Config, out: Path, seed_override: int | None) -> int:
     else:
         betas = cfg.load("random", partial(_random_betas, seed_override))
     cfg.done()
-    wits = [kronecker_search(b, epsilon, q_cap) for b in betas]
+    wits = kronecker_witnesses(betas, epsilon, q_cap)
     doc = _meta(cfg.obj, "kronecker")
     doc["witnesses"] = [w.to_json_dict() for w in wits]
     doc["max_q"] = max(w.q for w in wits)

@@ -40,6 +40,7 @@ _TOKEN_SAFETY = 1.25
 _J_CAP_MAX = 1 << 62   # position indices, Morton streams and pe_block work in int64
 _CHUNK = 1 << 16       # stream values or candidate tuples handled at a time
 _SCAN_BLOCK = 1 << 14   # (position, vocab entry) cells the block scan checks at a time
+_SCAN_SPAN = 32        # positions the block scan decodes per pe_block call, at least
 _SUM_CELLS = 1 << 14   # (point, token) cells of one row block of a token sum
 _HEAD_BITS = 16        # the candidate scan visits the indices below 2^16 together
 
@@ -392,6 +393,24 @@ class _Scan:
         return np.array(self.hits, dtype=np.int64).reshape(-1, 3)
 
 
+def _blocks(scan: _Scan, scheme: PeScheme, j_cap: int, size: int):
+    """(j, encodings of positions j .. j + size - 1) for consecutive blocks
+    from position 1 to j_cap, while a target of ``scan`` is open.  A
+    pe_block call costs about as much as decoding 2,700 Calkin-Wilf
+    positions, and a block of a large vocabulary holds few (2 for 6,561
+    entries), so one call decodes a span of whole blocks of at least
+    _SCAN_SPAN positions."""
+    span = size * -(-_SCAN_SPAN // size)
+    for start in range(1, j_cap + 1, span):
+        if not np.any(scan.demand > 0):
+            return
+        pe = pe_block(scheme, start, min(span, j_cap - start + 1))     # (count, d)
+        for k in range(0, len(pe), size):
+            if not np.any(scan.demand > 0):
+                return
+            yield start + k, pe[k:k + size]
+
+
 def _block_scan(scan: _Scan, scheme: PeScheme, j_cap: int) -> np.ndarray:
     """Walk over every position from 1, one block of encodings at a time.
 
@@ -401,10 +420,7 @@ def _block_scan(scan: _Scan, scheme: PeScheme, j_cap: int) -> np.ndarray:
     entry.  Each open target checks a block of _SCAN_BLOCK (position, entry)
     cells in one call; hits and best distances do not depend on block ends."""
     entries = 1 if scan.grid is not None else len(scan.vocab.v_x)
-    j, size = 1, max(1, _SCAN_BLOCK // entries)
-    while j <= j_cap and np.any(scan.demand > 0):
-        count = min(size, j_cap - j + 1)
-        pe = pe_block(scheme, j, count)                       # (count, d)
+    for j, pe in _blocks(scan, scheme, j_cap, max(1, _SCAN_BLOCK // entries)):
         open_idx = np.nonzero(scan.demand > 0)[0]
         if scan.grid is not None:
             for ti in open_idx:
@@ -418,7 +434,6 @@ def _block_scan(scan: _Scan, scheme: PeScheme, j_cap: int) -> np.ndarray:
                 pos, vix = np.divmod(scan.check(ti, _sup_dist(rv, scan.rows[ti])), entries)
                 scan.offer(pos + j, vix, ti)
         scan.assign()
-        j += count
     return scan.result(j_cap)
 
 

@@ -398,8 +398,9 @@ class TestConstructCommand:
         def reached(*args, **kwargs):
             raise Reached
 
-        for name in ("construct_context", "density_audit", "kronecker_search", "nonuap_audit",
-                     "prop1_fuzz", "embed_fnn", "embed_softmax_fnn"):
+        for name in ("construct_context", "density_audit", "kronecker_search",
+                     "kronecker_witnesses", "nonuap_audit", "prop1_fuzz", "embed_fnn",
+                     "embed_softmax_fnn"):
             monkeypatch.setattr(cli, name, reached)
         spec = importlib.util.spec_from_file_location("workloads",
                                                       ROOT / "perfbench" / "workloads.py")
@@ -411,14 +412,15 @@ class TestConstructCommand:
                    "construct_sin_wide_tolerance": "construct",
                    "construct_sin_exhausted": "construct",
                    "density_dyadic": "density", "embed_softmax": "embed",
-                   "kronecker_seeded": "kronecker", "nonuap_audit": "audit"}
+                   "kronecker_seeded": "kronecker", "kronecker_exhausted": "kronecker",
+                   "nonuap_audit": "audit"}
         assert sorted(p.stem for p in (ROOT / "configs").glob("*.json")) == sorted(shipped)
         # the shipped multi-output construct is the benchmark's, ints and all
         assert json.dumps(CONSTRUCT_MULTI) == json.dumps(workloads.MULTI_OUTPUT)
         configs = [(c.name, c.config) for c in commands] + [
             (command, json.loads((ROOT / "configs" / f"{stem}.json").read_text()))
             for stem, command in shipped.items()]
-        assert len(configs) == 14
+        assert len(configs) == 15
         for i, (command, cfg) in enumerate(configs):
             with pytest.raises(Reached):
                 run(tmp_path, f"load{i}", cfg, command)
@@ -724,6 +726,18 @@ class TestAuditCommands:
         code, out = run(tmp_path, "oracle", config, command)
         assert code == 0
         assert dict(zip(pinned, sha256s(out, *pinned))) == pinned
+
+    def test_exhausted_kronecker_error_bytes(self, tmp_path):
+        # betas 0.0 and -3.7 have no witness up to q_cap 300; the error names
+        # 0.0, the first in input order, with its closest q 169, and its
+        # bytes are pinned in tests/shipped_artifacts.sha256
+        stem = "kronecker_exhausted"
+        cfg = json.loads((ROOT / "configs" / f"{stem}.json").read_text())
+        code, out = run(tmp_path, "exhausted", cfg, "kronecker")
+        assert code == 3 and sorted(p.name for p in out.iterdir()) == ["error.json"]
+        message = json.loads((out / "error.json").read_text())["error"]["message"]
+        assert "|0.0 - q*sqrt2 + l|" in message and "best: q=169, error=2.092e-03" in message
+        assert sha256s(out, "error.json") == tuple(shipped_pins(stem, "error.json").values())
 
     @pytest.mark.parametrize("field", ["n_max", "probe_per_dim"])
     @pytest.mark.parametrize("value", [0, -3])

@@ -529,6 +529,36 @@ class TestHitBuffer:
         assert len(blocks) == 7 and hits[:, 0].tolist() == list(range(1, 251))
 
 
+    def test_small_blocks_share_one_pe_block_call(self, monkeypatch):
+        # 1,000 entries make blocks of _SCAN_BLOCK // 1,000 = 16 positions;
+        # one pe_block call decodes a span of two (32 positions), and hits
+        # on both sides of span ends keep the per-position rule
+        tp = ca.random_sparse_params(3, 2, 1)
+        rng = np.random.default_rng(3)
+        vocab = ca.Vocabulary(rng.uniform(-1, 1, (1000, 2)),
+                              ca.Vocabulary.x_grid((-1.0, -1.0), (1.0, 1.0), 2, 1).v_y)
+        scheme = ca.calkin_wilf_lattice(2, 0.25)
+        cmap = tp.C.T @ tp.B
+        tol = 0.02 * float(np.max(np.sum(np.abs(cmap), axis=1)))
+        # the far target stays unmet, so the scan runs to j_cap = 150
+        rows = np.array([cmap @ u for u in rng.uniform(-1.5, 1.5, (3, 2))] + [cmap @ [40.0, 0.0]])
+        want, want_unmet = _per_position_scan(rows, tol, [4, 4, 4, 1], vocab, scheme, tp, 150)
+        assert {33, 34} <= set(want[:, 0].tolist())           # just past the first span
+        decoded, pe_block = [], construction.pe_block
+
+        def counting_pe_block(scheme, j_start, count):
+            decoded.append((j_start, count))
+            return pe_block(scheme, j_start, count)
+
+        monkeypatch.setattr(construction, "pe_block", counting_pe_block)
+        scan = _Scan(rows, tol, [4, 4, 4, 1], vocab, tp)
+        with pytest.raises(ca.PositionScanExhausted) as exc:
+            _block_scan(scan, scheme, 150)
+        assert np.array_equal(np.array(scan.hits).reshape(-1, 3), want)
+        assert exc.value.unmet == want_unmet
+        assert decoded == [(1, 32), (33, 32), (65, 32), (97, 32), (129, 22)]
+
+
 class TestActivationSlope:
     @pytest.mark.parametrize("fn", [np.tanh, np.sin], ids=["tanh", "sin"])
     @pytest.mark.parametrize("lo,hi", [(-3.0, 3.0), (0.4, 2.5), (1.0, 1.5), (-40.0, 7.0)])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import ctxapprox as ca
 from ctxapprox import kronecker
-from ctxapprox.kronecker import SQRT2, _first_hit, _verified_error
+from ctxapprox.kronecker import SQRT2, _chain, _first_hits, _verified_error
 
 
 def brute_force_smallest_q(beta, epsilon, q_max):
@@ -114,21 +114,56 @@ class TestVerifiedError:
         assert _verified_error(beta, q) == mpmath_verified_error(beta, q)
 
 
+def first_hits(a, m, lo, hi, dtype):
+    return _first_hits(_chain(a, m), np.array(lo, dtype), np.array(hi, dtype)).tolist()
+
+
 class TestFirstHit:
+    """``_first_hits`` against a brute force, on int64 and on object arrays."""
+
     @settings(max_examples=200, deadline=None)
     @given(m=st.integers(1, 300), data=st.data())
     def test_matches_brute_force(self, m, data):
-        a = data.draw(st.integers(0, 3 * m))
-        lo = data.draw(st.integers(0, m - 1))
-        hi = data.draw(st.integers(lo, m - 1))
-        hits = [x for x in range(m) if lo <= a * x % m <= hi]
-        assert _first_hit(a, m, lo, hi) == (hits[0] if hits else None)
+        a = data.draw(st.sampled_from([0, m, 2 * m, 3 * m]) | st.integers(0, 3 * m))
+        windows = data.draw(st.lists(st.integers(0, m - 1).flatmap(
+            lambda lo: st.tuples(st.just(lo), st.integers(lo, m - 1))), min_size=1,
+            max_size=8))
+        want = []
+        for lo, hi in windows:
+            hits = [x for x in range(m) if lo <= a * x % m <= hi]
+            want.append(hits[0] if hits else -1)
+        lo, hi = zip(*windows)
+        assert first_hits(a, m, lo, hi, np.int64) == first_hits(a, m, lo, hi, object) == want
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_window_at_zero_and_empty_chain(self, dtype):
+        # lo = 0 is hit by x = 0; a = 0 mod m leaves an empty chain, which
+        # hits only windows holding 0
+        assert first_hits(7, 30, [0, 0, 5], [0, 3, 6], dtype) == [0, 0, 5]
+        assert _chain(60, 30) == []
+        assert first_hits(60, 30, [0, 0, 1], [0, 29, 29], dtype) == [0, 0, -1]
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_entries_stop_at_different_depths(self, dtype):
+        # one batch whose windows hold a multiple of a_j first at levels 0, 1,
+        # 8, 9, 10 and 11 of the 13-level chain, and one between two
+        # multiples of gcd(a, m) = 4 that no level hits
+        a, m = 4 * 377, 4 * 610
+        windows = [(a, a), (2 * a - m, 2 * a - m), (400, 403), (1000, 1010), (4, 4), (8, 8),
+                   (1, 2)]
+        want = []
+        for lo, hi in windows:
+            hits = [x for x in range(m) if lo <= a * x % m <= hi]
+            want.append(hits[0] if hits else -1)
+        assert want == [1, 2, 120, 156, 233, 466, -1]
+        lo, hi = zip(*windows)
+        assert first_hits(a, m, lo, hi, dtype) == want
 
     def test_descent_depth_of_a_wide_modulus(self):
         # sqrt2's partial quotients are all 2, the slowest Euclid descent
         m = 1 << 400
         a = math.isqrt(2 * m * m)
-        x = _first_hit(a, m, m // 3, m // 3 + 5)
+        [x] = first_hits(a, m, [m // 3], [m // 3 + 5], object)
         assert m // 3 <= a * x % m <= m // 3 + 5
 
 
@@ -263,6 +298,70 @@ class TestKroneckerSearch:
         w = ca.kronecker_search(beta, eps, q_cap=10**6)
         assert w.q >= 1
         assert abs(beta - w.q * SQRT2 + w.l) < eps
+
+
+class TestKroneckerWitnesses:
+    """The batch entry: one circle and one chain for every beta."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), eps=st.sampled_from([1e-2, 1e-3]))
+    def test_equals_per_beta_and_brute_force(self, data, eps):
+        # betas within eps of an integer put their window across 0 mod 1
+        near_integer = st.builds(lambda k, d: k + d, st.integers(-20, 20), st.floats(-eps, eps))
+        betas = data.draw(st.lists(st.floats(-20, 20) | near_integer, min_size=1, max_size=8))
+        wits = ca.kronecker_witnesses(betas, eps)
+        assert wits == [ca.kronecker_search(b, eps) for b in betas]
+        for beta, w in zip(betas, wits):
+            assert (w.q, w.l, w.achieved_error) == brute_force_smallest_q(beta, eps, w.q)
+
+    @settings(max_examples=20, deadline=None)
+    @given(betas=st.lists(st.floats(-20, 20), min_size=1, max_size=8))
+    @pytest.mark.parametrize("eps,q_cap", [(1e-3, 2**41), (1e-2, 2**44)])
+    def test_int64_and_object_circles_agree(self, eps, q_cap, betas):
+        # bits = bit length of q_cap + bit length of floor(1/eps) + 8: 60 for
+        # q_cap (an int64 circle), 61 for 2*q_cap (object arrays)
+        dtypes = []
+        first_hits = kronecker._first_hits
+
+        def spy(chain, lo, hi):
+            dtypes.append(lo.dtype)
+            return first_hits(chain, lo, hi)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kronecker, "_first_hits", spy)
+            narrow = ca.kronecker_witnesses(betas, eps, q_cap)
+            assert set(dtypes) <= {np.dtype(np.int64)}
+            dtypes.clear()
+            wide = ca.kronecker_witnesses(betas, eps, 2 * q_cap)
+            assert set(dtypes) <= {np.dtype(object)}
+        assert narrow == wide
+
+    def test_cap_failure_names_the_first_beta_in_input_order(self):
+        # 0.0 and -3.7 both have no witness up to q = 300; 0.0 comes first
+        with pytest.raises(ca.KroneckerCapExceeded) as exc:
+            ca.kronecker_witnesses([1.5, 0.0, 0.5, -3.7], 1e-3, q_cap=300)
+        assert (exc.value.beta, exc.value.best_q) == (0.0, 169)
+        assert exc.value.best_error == pytest.approx(brute_force_closest(0.0, 300)[1], rel=1e-12)
+        with pytest.raises(ca.KroneckerCapExceeded) as exc:
+            ca.kronecker_witnesses([-3.7], 1e-3, q_cap=300)
+        assert exc.value.best_q == brute_force_closest(-3.7, 300)[0]
+
+    def test_tiny_epsilon_keeps_64_fraction_bits(self, monkeypatch):
+        # fraction bits = bit length of floor(1/eps) + 8, at most 64: 63 at
+        # eps = 2^-54, 64 from 2^-55 down, and 64 at 1e-300, where floor(1/eps)
+        # has 997 bits; the cap path (the second call of each) uses 64 too
+        bits, circle = [], kronecker._circle
+
+        def spy(q_cap, fraction_bits):
+            bits.append(fraction_bits)
+            return circle(q_cap, fraction_bits)
+
+        monkeypatch.setattr(kronecker, "_circle", spy)
+        for eps in (2.0**-54, 2.0**-56, 1e-300):
+            with pytest.raises(ca.KroneckerCapExceeded):
+                ca.kronecker_witnesses([0.25], eps, q_cap=1000)
+        assert bits == [63, 64, 64, 64, 64, 64]
+        assert ca.kronecker_witnesses([], 1e-3) == []
 
 
 class TestCoefficientDecompose:
