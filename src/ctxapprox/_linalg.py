@@ -10,18 +10,13 @@ from .errors import IllConditionedError
 COND_LIMIT = 1e12
 
 
-def condition(m: np.ndarray) -> float:
-    return float(np.linalg.cond(np.asarray(m, dtype=float)))
+def check_condition(m: np.ndarray, name: str):
+    c = float(np.linalg.cond(np.asarray(m, dtype=float)))
+    if not np.isfinite(c) or c >= COND_LIMIT:
+        raise IllConditionedError(name, c, COND_LIMIT)
 
 
-def check_condition(m: np.ndarray, name: str, limit: float = COND_LIMIT) -> float:
-    c = condition(m)
-    if not np.isfinite(c) or c >= limit:
-        raise IllConditionedError(name, c, limit)
-    return c
-
-
-def solve_refined(m: np.ndarray, rhs: np.ndarray, name: str = "matrix") -> np.ndarray:
+def solve_refined(m: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
     """LU solve of m @ x = rhs with one step of iterative refinement.
 
     The refinement step keeps the residual near machine precision even when

@@ -159,8 +159,6 @@ class ConstructionReport:
     vocabulary by hash.
     ``error_vs_n`` is (n, t, error) for t = 0..T: the fit-grid readout error
     of the first t tokens, the t-th at position n; the JSON form leaves it out.
-    The JSON form keeps the keys ``"mode": "dense"`` and ``"lambda": null``
-    of the report format, which no route varies.
     """
 
     epsilon: float
@@ -198,7 +196,6 @@ class ConstructionReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "mode": "dense",
             "epsilon": self.epsilon,
             "budgets": self.budgets.to_json_dict(),
             "measured": dict(self.measured),
@@ -207,7 +204,6 @@ class ConstructionReport:
             "seed": self.seed,
             "d_x": self.d_x,
             "d_y": self.d_y,
-            "lambda": None,
             "fit_sup_error": self.fit_sup_error,
             "per_neuron": [p.to_json_dict() for p in self.per_neuron],
             "tokens": [t.to_json_dict() for t in self.tokens],
@@ -585,14 +581,12 @@ def _scan_engine(rows, tol, demand, vocab: Vocabulary, scheme: PeScheme,
 class FitOptions:
     k: int = 16
     refine_steps: int = 600
-    feature_scale: float = 3.0
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.refine_steps < 0:
             raise ValueError(f"refine_steps must be >= 0, got {self.refine_steps}")
-        _require_positive_finite("feature_scale", self.feature_scale)
 
 
 def _target_values(target, points: np.ndarray, d_y: int, grid_name: str) -> np.ndarray:
@@ -702,8 +696,7 @@ def _fit_stage(tp, pts, f_vals, fnn, fit, activation, seed):
     if todo:
         try:
             fitted = fit_fnn((pts, g_vals[:, todo]), fit.k, activation,
-                             [seed + comp for comp in todo], refine_steps=fit.refine_steps,
-                             feature_scale=fit.feature_scale)
+                             [seed + comp for comp in todo], refine_steps=fit.refine_steps)
         except NonFiniteFitError as exc:
             raise NonFiniteFitError(exc.names, todo[exc.component]) from None
         for comp, fr in zip(todo, fitted):
@@ -860,7 +853,7 @@ def construct_context(target, grid: Grid, vocab: Vocabulary, scheme: PeScheme,
     pts = grid.points()
     if fnn is None and fit.k > len(pts):
         raise ConfigError("fit.k", f"need at least k={fit.k} samples, got {len(pts)}")
-    audit_pts = grid.refined(10).points()
+    audit_pts = grid.refined().points()
     f_vals = _target_values(target, pts, tp.d_y, "fit")
     f_audit = _target_values(target, audit_pts, tp.d_y, "audit")
     x_tilde = lifted(pts)

@@ -170,15 +170,13 @@ def _embed_softmax_net(tp: TransformerParams, net: FnnParams,
 
 
 def embed_softmax_fnn(tp: TransformerParams, fnn: FnnParams, domain_grid,
-                      epsilon: float, *, shift: float | None = None) -> EmbeddingResult:
+                      epsilon: float) -> EmbeddingResult:
     """Context whose softmax readout tracks the network within epsilon.
 
     An exp source with k neurons is lifted first (epsilon/2) and embedded with
     the remaining budget, giving n = k + 1 (the lift's zero neuron becomes the
     [0, s] context row); a softmax source embeds directly with n = k.  The
     certified error is audited on a 10x refined grid when a Grid is supplied.
-    ``shift`` overrides the constructed s (larger shifts never increase the
-    audited gap).
     """
     if not tp.is_sparse_mode:
         raise ConfigError("transformer", "embedding requires sparse mode (no general blocks)")
@@ -190,7 +188,7 @@ def embed_softmax_fnn(tp: TransformerParams, fnn: FnnParams, domain_grid,
         raise ConfigError("fnn", f"fnn (d_in, d_y) = {(fnn.d_in, fnn.d_y)} != (d_x - 1, d_y) "
                                  f"= {(tp.d_x - 1, tp.d_y)}")
     pts = as_points(domain_grid, fnn.d_in)
-    audit_pts = (domain_grid.refined(10).points()
+    audit_pts = (domain_grid.refined().points()
                  if isinstance(domain_grid, Grid) else pts)
 
     if fnn.activation.kind == "exp":
@@ -202,7 +200,7 @@ def embed_softmax_fnn(tp: TransformerParams, fnn: FnnParams, domain_grid,
         net = fnn
         shift_budget = epsilon
 
-    s = shift if shift is not None else _softmax_shift(tp, net, pts, shift_budget)
+    s = _softmax_shift(tp, net, pts, shift_budget)
     result = _embed_softmax_net(tp, net, s)
 
     gap = np.abs(readout_batch(tp, result, audit_pts, SOFTMAX)

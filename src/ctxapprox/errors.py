@@ -50,12 +50,11 @@ class NonFiniteFitError(CtxApproxError):
     """A fit ended with non-finite network parameters, for instance when an
     exp activation overflowed."""
 
-    def __init__(self, names: list, component: int | None = None):
+    def __init__(self, names: list, component: int):
         self.names = list(names)
         self.component = component
-        of = "" if component is None else f" of output component {component}"
-        super().__init__(f"the fit{of} has non-finite entries in "
-                         f"{', '.join(self.names)}")
+        super().__init__(f"the fit of output component {component} has non-finite "
+                         f"entries in {', '.join(self.names)}")
 
 
 class KroneckerCapExceeded(CtxApproxError):

@@ -154,6 +154,9 @@ def fnn_forward_batch(params: FnnParams, points) -> np.ndarray:
 # --------------------------------------------------------------------------
 # fitting
 
+# Half-width of the uniform law of the hidden weights in normalized coordinates.
+_FEATURE_SCALE = 3.0
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -189,7 +192,7 @@ def _adam(theta, grad, gradient, steps):
 
 def _adam_refine(W, b, A, x, f, activation, steps):
     """Fixed-iteration full-batch Adam on the mean-squared residual, with the
-    gradient from dense (n, k) passes: the route for exp, d > 1 and d_y > 1.
+    gradient from dense (n, k) passes: the route for exp and d > 1.
 
     W, b, A and their gradients are views of two flat vectors, so Adam runs
     once per step on one short vector.  The sums keep the operand layouts and
@@ -370,37 +373,33 @@ def _run_sum_gradient(x, f, theta, grad):
     return gradient
 
 
-def fit_fnn(samples, k: int, activation: Activation, seed: int | list[int], *,
-            refine_steps: int = 0, feature_scale: float = 3.0) -> FitResult | list[FitResult]:
-    """Fit a one-hidden-layer network to samples ``(x, f)``; deterministic given seed.
-
-    An int ``seed`` fits one network with one output per column of the
-    sample values f, all on one hidden layer, and returns its FitResult.  A
-    sequence of ints, one per column of f, fits one single-output network
-    per column, column c from ``seed[c]`` and with the bits it would get
-    alone, and returns their FitResults in column order.
+def fit_fnn(samples, k: int, activation: Activation, seeds: list[int], *,
+            refine_steps: int = 0) -> list[FitResult]:
+    """Fit one single-output one-hidden-layer network per column of the
+    sample values f of ``samples`` ``(x, f)``, column c from ``seeds[c]`` and
+    with the bits it would get alone; returns their FitResults in column
+    order.  Deterministic given the seeds.
 
     Random-feature hidden layer plus linear least squares for A, optionally
     followed by a fixed-iteration Adam refinement of all parameters and a
-    least-squares A again.  Relu nets with d = d_y = 1 (each output's fit in
-    a relu construction on a 1-d grid) refine together, in one Adam loop on
+    least-squares A again.  Relu nets with d = 1 (each output's fit in a
+    relu construction on a 1-d grid) refine together, in one Adam loop on
     run sums of the sorted samples, O(k log n) a step and net
     (``_run_sum_refine``).  Its parameters are parameter-major, all w, then
     all b, then all a, so each numpy call of a step serves every net; only
     the first-stretch (2, k) @ (k,) product stays one ``np.matmul`` per net,
     as a batched product may add in another order and so change a net's
-    bits.  Exp, d > 1 and d_y > 1 refine on dense (n, k) passes, one loop
-    per network (``_adam_refine``).  The routes agree to rounding.
+    bits.  Exp and d > 1 refine on dense (n, k) passes, one loop per network
+    (``_adam_refine``).  The routes agree to rounding.
     The samples' bounding box is affinely normalized to [-1, 1]^d; rows of W are
     drawn from the fixed symmetric distribution
-    uniform(-feature_scale, feature_scale) in normalized coordinates and b is
+    uniform(-_FEATURE_SCALE, _FEATURE_SCALE) in normalized coordinates and b is
     set so each activation kink plane passes through a Latin-hypercube anchor
     of the box (the joint (W, b) law is fixed and sign-symmetric).  The affine
     map is composed back into the returned parameters.  A rank-deficient
     least-squares system is re-solved with a ridge term of 1e-8 and flagged
     in the result.  A fit whose parameters end non-finite (an exp activation
-    that overflows, say) raises NonFiniteFitError, which names the column of
-    a per-column fit.
+    that overflows, say) raises NonFiniteFitError, which names the column.
     """
     if activation.kind not in ("relu", "exp"):
         raise ValueError("fit_fnn supports relu and exp activations")
@@ -413,12 +412,10 @@ def fit_fnn(samples, k: int, activation: Activation, seed: int | list[int], *,
         raise DimensionError("sample inputs and values disagree in length")
     if x.shape[0] < k:
         raise ValueError(f"need at least k={k} samples, got {x.shape[0]}")
-    per_column = not isinstance(seed, (int, np.integer))
-    seeds = list(seed) if per_column else [seed]
-    if not 0 < len(seeds) == (f.shape[1] if per_column else 1):
+    if not 0 < len(seeds) == f.shape[1]:
         raise DimensionError(f"need one seed per column of the sample values, got "
                              f"{len(seeds)} for {f.shape[1]}")
-    targets = [f[:, [c]] for c in range(f.shape[1])] if per_column else [f]
+    targets = [f[:, [c]] for c in range(f.shape[1])]
 
     lo, hi = x.min(axis=0), x.max(axis=0)
     center = (lo + hi) / 2.0
@@ -429,7 +426,7 @@ def fit_fnn(samples, k: int, activation: Activation, seed: int | list[int], *,
 
     def features(seed):
         rng = np.random.default_rng(seed)
-        W = rng.uniform(-feature_scale, feature_scale, size=(k, d))
+        W = rng.uniform(-_FEATURE_SCALE, _FEATURE_SCALE, size=(k, d))
         # activation kink planes pass through Latin-hypercube anchors, so the
         # features stay independent over the normalized box instead of collapsing
         # to the affine span when kinks miss the data; the anchor box is slightly
@@ -459,7 +456,7 @@ def fit_fnn(samples, k: int, activation: Activation, seed: int | list[int], *,
             deficient.append(short)
 
         if refine_steps > 0:
-            if activation.kind == "relu" and d == targets[0].shape[1] == 1:
+            if activation.kind == "relu" and d == 1:
                 Ws, bs, As = _run_sum_refine(np.vstack([W.T for W, _ in nets]),
                                              np.vstack([b for _, b in nets]),
                                              np.vstack(As), z, f, refine_steps)
@@ -480,8 +477,8 @@ def fit_fnn(samples, k: int, activation: Activation, seed: int | list[int], *,
         bad = [name for name, arr in (("A", A), ("W", W), ("b", b))
                if not np.all(np.isfinite(arr))]
         if bad:
-            raise NonFiniteFitError(bad, c if per_column else None)
+            raise NonFiniteFitError(bad, c)
         params = FnnParams(A, W, b, activation)
         resid = fnn_forward_batch(params, x) - targets[c]
         fits.append(FitResult(params, float(np.max(np.abs(resid))), ridges[c], deficient[c]))
-    return fits if per_column else fits[0]
+    return fits

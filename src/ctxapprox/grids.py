@@ -59,9 +59,9 @@ class Grid:
         mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
-    def refined(self, factor: int = 10) -> "Grid":
-        """Grid on the same box with (c-1)*factor + 1 points per dimension."""
-        counts = tuple((c - 1) * factor + 1 if c > 1 else 1 for c in self.counts)
+    def refined(self) -> "Grid":
+        """The 10x audit grid: the same box with (c-1)*10 + 1 points per dimension."""
+        counts = tuple((c - 1) * 10 + 1 if c > 1 else 1 for c in self.counts)
         return Grid(self.lo, self.hi, counts)
 
     def max_x_tilde_l1(self) -> float:

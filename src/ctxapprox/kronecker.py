@@ -229,7 +229,7 @@ def kronecker_witnesses(betas: list[float], epsilon: float,
         todo = np.array(rejected, np.intp)
     if exhausted:
         beta = betas[min(exhausted)]
-        best_q, best_err = _closest_up_to(beta, q_cap)
+        best_q, best_err = _closest_up_to(circle, beta, q_cap)
         raise KroneckerCapExceeded(beta, float(epsilon), q_cap, best_q, best_err)
     return witnesses
 
@@ -240,19 +240,21 @@ def kronecker_search(beta: float, epsilon: float, q_cap: int = 10**7) -> Kroneck
     return kronecker_witnesses([beta], epsilon, q_cap)[0]
 
 
-def _closest_up_to(beta: float, q_cap: int) -> tuple[int, float]:
+def _closest_up_to(circle: _Circle, beta: float, q_cap: int) -> tuple[int, float]:
     """(q, exact error) of the first q <= q_cap that reaches the least error.
 
-    On the circle of 64 fraction bits, bisection on the window's half-width
-    finds the least fixed-point distance d over q <= q_cap, each step one
-    ``_first_hits`` call on one entry; every q of least true error lies
-    within d + slack, and the exact check decides among those few candidates.
+    On the circle of the search, bisection on the window's half-width finds
+    the least fixed-point distance d over q <= q_cap, each step one
+    ``_first_hits`` call on one entry.  Fixed point moves a distance by less
+    than q_cap + 1 steps, so every q of least true error lies within
+    d + 2*(q_cap + 1), on any circle, and the exact check decides among
+    the candidates there.
     """
-    circle = _circle(q_cap, _MAX_FRACTION_BITS)
     center = np.array([_center(beta, circle.m)], circle.dtype)
 
     def first_after(half: int, after: int) -> int:
-        return _next_candidates(circle, center, half, np.array([after], circle.dtype))[0]
+        # a Python int: the exact check's products overflow int64
+        return int(_next_candidates(circle, center, half, np.array([after], circle.dtype))[0])
 
     lo, hi = 0, circle.m // 2
     while lo < hi:

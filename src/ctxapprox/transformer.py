@@ -21,6 +21,16 @@ from .fnn import Activation
 from .grids import as_points, lifted
 
 
+def _block(params, name: str) -> np.ndarray:
+    """The block ``name`` of ``params`` as a read-only 2-d float array; a
+    non-finite entry is rejected here, before any shape or conditioning check."""
+    arr = np.atleast_2d(np.asarray(getattr(params, name), dtype=float))
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"non-finite entries in {name}")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class GeneralBlocks:
     """Direct Q^T K block decomposition (score path ignores B and C)."""
@@ -32,9 +42,7 @@ class GeneralBlocks:
 
     def __post_init__(self):
         for name in ("O11", "O12", "O21", "O22"):
-            arr = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _block(self, name))
         d_x = self.O11.shape[0]
         d_y = self.O22.shape[0]
         ok = (self.O11.shape == (d_x, d_x) and self.O12.shape == (d_x, d_y)
@@ -47,8 +55,8 @@ class GeneralBlocks:
 class TransformerParams:
     """Q, K, V assembled from the sparse block partition (B, C, D, E, F, U).
 
-    B, C and U must pass the conditioning check (threshold 1e12, the numerical
-    proxy for non-singularity).  F may be nonzero; strict sparse mode sets it
+    Every block must be finite, and B, C and U must pass the conditioning
+    check (threshold 1e12, the numerical proxy for non-singularity).  F may be nonzero; strict sparse mode sets it
     to 0.  When ``general`` is present it defines Q^T K directly and B, C are
     ignored on the attention-score path.
     """
@@ -62,20 +70,17 @@ class TransformerParams:
     general: GeneralBlocks | None = None
 
     def __post_init__(self):
-        mats = {}
         for name in ("B", "C", "D", "E", "F", "U"):
-            arr = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
-            arr.setflags(write=False)
-            mats[name] = arr
-            object.__setattr__(self, name, arr)
-        d_x, d_y = mats["B"].shape[0], mats["U"].shape[0]
+            object.__setattr__(self, name, _block(self, name))
+        d_x, d_y = self.B.shape[0], self.U.shape[0]
         expected = {"B": (d_x, d_x), "C": (d_x, d_x), "D": (d_x, d_x),
                     "E": (d_x, d_y), "F": (d_y, d_x), "U": (d_y, d_y)}
         for name, shape in expected.items():
-            if mats[name].shape != shape:
-                raise DimensionError(f"block {name} has shape {mats[name].shape}, expected {shape}")
+            if getattr(self, name).shape != shape:
+                raise DimensionError(f"block {name} has shape {getattr(self, name).shape}, "
+                                     f"expected {shape}")
         for name in ("B", "C", "U"):
-            check_condition(mats[name], name)
+            check_condition(getattr(self, name), name)
         if self.general is not None:
             if self.general.O11.shape != (d_x, d_x) or self.general.O22.shape != (d_y, d_y):
                 raise DimensionError("general blocks disagree with (d_x, d_y)")

@@ -158,20 +158,19 @@ def dyadic_lattice(box: Box) -> PeScheme:
     return PeScheme("dyadic_lattice", box)
 
 
-def irrational_rotation(box: Box, primes: tuple = None) -> PeScheme:
+def irrational_rotation(box: Box) -> PeScheme:
     """j -> frac(j * gamma) mapped affinely into the box.
 
-    gamma is a vector of square roots of distinct primes, so the orbit is
+    gamma is the vector of square roots of the first d primes, so the orbit is
     equidistributed in the box (a Kronecker low-discrepancy sequence).  In 64-bit
     fixed point: G_k = floor(frac(sqrt p_k) 2^64), the wrapping uint64 product
     j G_k is frac(j G_k / 2^64) exactly, and its top 53 bits are the coordinate,
     within j 2^-64 + 2^-53 of frac(j sqrt p_k) (a float j * sqrt p_k is not).
     """
-    d = box.dim
-    primes = tuple(primes) if primes is not None else _PRIMES[:d]
-    if len(primes) != d or len(set(primes)) != d:
-        raise ValueError("need one distinct prime per dimension")
-    return PeScheme("irrational_rotation", box, {"primes": list(primes)})
+    if box.dim > len(_PRIMES):
+        raise ValueError(f"irrational_rotation takes at most {len(_PRIMES)} dimensions, "
+                         f"got {box.dim}")
+    return PeScheme("irrational_rotation", box, {"primes": list(_PRIMES[:box.dim])})
 
 
 def custom_scheme(generator: Callable[[int, int], np.ndarray], box: Box) -> PeScheme:

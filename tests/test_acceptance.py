@@ -62,7 +62,7 @@ def test_criterion_02_softmax_embedding_shift():
         # shift-stage inequality chain: the readout's gap to the lifted
         # softmax network obeys max||net|| * max e^{t(x) - s}
         lifted = ca.exp_to_softmax_fnn(src, grid.points(), 1e-3 / 2.0)
-        fine = grid.refined(10).points()
+        fine = grid.refined().points()
         shift_gap = np.max(np.abs(ca.readout_batch(tp, res, fine, ca.SOFTMAX)
                                   - ca.fnn_forward_batch(lifted, fine)))
         x_t = np.hstack([fine, np.ones((fine.shape[0], 1))])
@@ -83,7 +83,7 @@ def test_criterion_03_exp_to_softmax_lift():
         grid = ca.Grid((-1.0, -1.0), (1.0, 1.0), (21, 21))
         lifted = ca.exp_to_softmax_fnn(src, grid.points(), 1e-3)
         assert lifted.k == 7
-        fine = grid.refined(10).points()
+        fine = grid.refined().points()
         gap = np.max(np.abs(ca.fnn_forward_batch(lifted, fine)
                             - ca.fnn_forward_batch(src, fine)))
         worst = max(worst, gap)

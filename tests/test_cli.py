@@ -287,7 +287,7 @@ class TestConstructCommand:
                                       pytest.param("kronecker", id="kronecker")])
     def test_bad_numeric_field_exit_2(self, tmp_path, field, value, named, mode):
         # a small j_cap keeps a regression from scanning for minutes; fit.ridge
-        # is no option, so it is named as an unknown key
+        # and fit.feature_scale are no options, so each is named as an unknown key
         cfg = json.loads(json.dumps(CONSTRUCT_SMALL))
         cfg["caps"]["j_cap"] = 200
         cfg["coefficient_mode"] = mode
@@ -1109,21 +1109,22 @@ class TestAuditCommands:
         assert "[0.0]" in err["error"]["message"]
 
     def test_non_finite_fit_exit_4(self, tmp_path):
-        # an exp fit with wide features overflows; it used to exit 2 naming
-        # field "config", with numpy overflow warnings on stderr
+        # a fit of a 1e200-scale target overflows, relu and exp alike; it used
+        # to exit 2 naming field "config", with numpy overflow warnings on stderr
         cfg = json.loads((ROOT / "configs" / "construct_sin_acceptance.json").read_text())
-        cfg["activation"] = "exp"
-        cfg["fit"] = {"k": 16, "refine_steps": 300, "feature_scale": 200}
-        cfg_path, out = tmp_path / "exp_fit.json", tmp_path / "exp_fit_out"
-        cfg_path.write_text(json.dumps(cfg))
-        proc = run_python("-m", "ctxapprox.cli", "construct", "--config", str(cfg_path),
-                      "--out", str(out))
-        assert proc.returncode == 4
-        err = json.loads((out / "error.json").read_text())["error"]
-        assert err["exit_code"] == 4 and err["field"] == "numeric"
-        assert "output component 0" in err["message"]
-        assert "non-finite" in err["message"]
-        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        cfg["target"] = {"exprs": ["1e200*sin(2*pi*x)"]}
+        for activation in ("relu", "exp"):
+            cfg["activation"] = activation
+            cfg_path, out = tmp_path / f"{activation}_fit.json", tmp_path / f"{activation}_out"
+            cfg_path.write_text(json.dumps(cfg))
+            proc = run_python("-m", "ctxapprox.cli", "construct", "--config", str(cfg_path),
+                              "--out", str(out))
+            assert proc.returncode == 4
+            err = json.loads((out / "error.json").read_text())["error"]
+            assert err["exit_code"] == 4 and err["field"] == "numeric"
+            assert "output component 0" in err["message"]
+            assert "non-finite" in err["message"]
+            assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
     def test_numerical_failure_exit_4(self, tmp_path):
         # a singular B block fails the conditioning check
@@ -1141,6 +1142,35 @@ class TestAuditCommands:
         assert code == 4
         err = json.loads((out / "error.json").read_text())
         assert err["error"]["exit_code"] == 4
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("block", ["B", "C", "D", "E", "F", "U", "general.O11",
+                                       "general.O12", "general.O21", "general.O22"])
+    @pytest.mark.parametrize("source", ["blocks", "file"])
+    def test_non_finite_transformer_block_exit_2(self, tmp_path, source, block, value):
+        # rejected at load: an inf in B or U used to exit 4 as ill-conditioned,
+        # and a NaN in D was accepted and the run went on
+        blocks = {"B": [[1.0, 0.0], [0.0, 1.0]], "C": [[1.0, 0.0], [0.0, 1.0]],
+                  "D": [[0.0, 0.0], [0.0, 0.0]], "E": [[0.0], [0.0]], "F": [[0.0, 0.0]],
+                  "U": [[1.0]], "general": None}
+        name = block.split(".")[-1]
+        if name != block:
+            blocks["general"] = {"O11": [[1.0, 0.0], [0.0, 1.0]], "O12": [[0.0], [0.0]],
+                                 "O21": [[0.0, 0.0]], "O22": [[0.0]]}
+        (blocks["general"] if name != block else blocks)[name][0][0] = value
+        cfg = {"mode": "elementwise",
+               "fnn": {"random": {"seed": 1, "k": 2, "d_in": 1, "d_y": 1, "activation": "relu"}},
+               "grid": {"lo": [-1.0], "hi": [1.0], "counts": [11]}}
+        if source == "file":
+            (tmp_path / "tp.json").write_text(json.dumps(blocks))
+            cfg["transformer"] = {"file": str(tmp_path / "tp.json")}
+        else:
+            cfg["transformer"] = {"blocks": blocks}
+        code, out = run(tmp_path, "non_finite_block", cfg, "embed")
+        assert code == 2
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["field"] == f"transformer.{source}"
+        assert err["message"].endswith(f"ValueError: non-finite entries in {name}")
 
     def test_halved_epsilon_underflow_exit_4(self, tmp_path):
         # the exp lift takes epsilon / 2, which is 0 for the least subnormal;

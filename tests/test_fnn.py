@@ -176,14 +176,14 @@ class TestFit:
         assert np.max(np.abs(ca.fnn_forward_batch(manual, x)[:, 0] - f)) == 0.0
         # a k=1 draw whose feature orientation matches the target refines to
         # the realizable optimum (up to descent stopping accuracy)
-        res = ca.fit_fnn((x, f), 1, ca.RELU, seed=0, refine_steps=800)
+        [res] = ca.fit_fnn((x, f), 1, ca.RELU, [0], refine_steps=800)
         assert res.sup_error <= 1e-5
 
     def test_sin_fit_below_threshold(self):
         # threshold confirmed on an independent dense grid before asserting
         x = np.linspace(0, 1, 200)[:, None]
         f = np.sin(2 * np.pi * x[:, 0])
-        res = ca.fit_fnn((x, f), 32, ca.RELU, seed=7)
+        [res] = ca.fit_fnn((x, f), 32, ca.RELU, [7])
         assert res.sup_error < 0.05
         dense = np.linspace(0, 1, 4001)[:, None]
         gap = ca.fnn_forward_batch(res.params, dense)[:, 0] - np.sin(2 * np.pi * dense[:, 0])
@@ -192,8 +192,8 @@ class TestFit:
     def test_deterministic_bit_identical(self):
         x = np.linspace(-1, 2, 80)[:, None]
         f = np.cos(x[:, 0])
-        a = ca.fit_fnn((x, f), 9, ca.RELU, seed=5, refine_steps=120)
-        b = ca.fit_fnn((x, f), 9, ca.RELU, seed=5, refine_steps=120)
+        [a] = ca.fit_fnn((x, f), 9, ca.RELU, [5], refine_steps=120)
+        [b] = ca.fit_fnn((x, f), 9, ca.RELU, [5], refine_steps=120)
         assert a.params.A.tobytes() == b.params.A.tobytes()
         assert a.params.W.tobytes() == b.params.W.tobytes()
         assert a.params.b.tobytes() == b.params.b.tobytes()
@@ -202,22 +202,22 @@ class TestFit:
         # duplicate sample locations with k close to sample count force deficiency
         x = np.zeros((8, 1))
         f = np.ones(8)
-        res = ca.fit_fnn((x, f), 8, ca.RELU, seed=1)
+        [res] = ca.fit_fnn((x, f), 8, ca.RELU, [1])
         assert res.rank_deficient and res.ridge_used > 0
 
     def test_exp_activation_fit(self):
         x = np.linspace(0, 1, 60)[:, None]
         f = np.exp(0.8 * x[:, 0])
-        res = ca.fit_fnn((x, f), 8, ca.EXP, seed=3)
+        [res] = ca.fit_fnn((x, f), 8, ca.EXP, [3])
         assert res.sup_error < 1e-4
 
     def test_overflowing_fit_is_a_numerical_error(self, recwarn):
-        # exp features of scale 200 overflow; this is not an argument error
+        # a target of 1e200 overflows the exp fit; this is not an argument error
         x = np.linspace(0, 1, 200)[:, None]
         with pytest.raises(ca.NonFiniteFitError) as info:
-            ca.fit_fnn((x, np.sin(x[:, 0])), 16, ca.EXP, seed=4, refine_steps=300,
-                       feature_scale=200)
-        assert not isinstance(info.value, ValueError) and info.value.component is None
+            ca.fit_fnn((x, 1e200 * np.sin(2 * np.pi * x[:, 0])), 16, ca.EXP, [4],
+                       refine_steps=300)
+        assert not isinstance(info.value, ValueError) and info.value.component == 0
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
@@ -360,21 +360,22 @@ class TestRunSumGradient:
         self._check(*_run_sum_case(seed, len(kinds) + extra, kinds, duplicates))
 
     @pytest.mark.parametrize("activation,d,d_y,route", [
-        (ca.RELU, 1, 1, "_run_sum_refine"), (ca.RELU, 1, 2, "_adam_refine"),
+        (ca.RELU, 1, 1, "_run_sum_refine"), (ca.RELU, 1, 2, "_run_sum_refine"),
         (ca.RELU, 2, 1, "_adam_refine"), (ca.EXP, 1, 1, "_adam_refine")])
     def test_route(self, monkeypatch, activation, d, d_y, route):
         routes = []
         for name in ("_adam_refine", "_run_sum_refine"):
             monkeypatch.setattr(fnn, name, _recording(routes, name, getattr(fnn, name)))
         x = np.random.default_rng(0).uniform(0, 1, (200, d))
-        ca.fit_fnn((x, np.sin(x[:, :1] + np.arange(d_y))), 8, activation, seed=1, refine_steps=5)
+        ca.fit_fnn((x, np.sin(x[:, :1] + np.arange(d_y))), 8, activation, [1] * d_y,
+                   refine_steps=5)
         assert routes == [route]
 
     def test_overflowing_relu_fit_is_a_numerical_error(self, recwarn):
         # a target of 1e200 overflows the squared gradient in Adam's second moment
         x = np.linspace(0, 1, 2000)[:, None]
         with pytest.raises(ca.NonFiniteFitError):
-            ca.fit_fnn((x, 1e200 * np.sin(2 * np.pi * x[:, 0])), 16, ca.RELU, seed=4,
+            ca.fit_fnn((x, 1e200 * np.sin(2 * np.pi * x[:, 0])), 16, ca.RELU, [4],
                        refine_steps=300)
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
@@ -422,11 +423,11 @@ class TestBatchedRunSums:
         recwarn.clear()
         x = x[:, None]
         with pytest.raises(ca.NonFiniteFitError) as info:
-            ca.fit_fnn((x, F), 16, ca.RELU, seed=[4, 5, 6], refine_steps=300)
+            ca.fit_fnn((x, F), 16, ca.RELU, [4, 5, 6], refine_steps=300)
         assert info.value.component == 1
-        good = ca.fit_fnn((x, F[:, [0, 2]]), 16, ca.RELU, seed=[4, 6], refine_steps=300)
+        good = ca.fit_fnn((x, F[:, [0, 2]]), 16, ca.RELU, [4, 6], refine_steps=300)
         for fr, c, s in zip(good, (0, 2), (4, 6)):
-            alone = ca.fit_fnn((x, F[:, c]), 16, ca.RELU, seed=s, refine_steps=300)
+            [alone] = ca.fit_fnn((x, F[:, c]), 16, ca.RELU, [s], refine_steps=300)
             assert all(_bits_equal(getattr(fr.params, n), getattr(alone.params, n))
                        for n in ("A", "W", "b"))
             assert (fr.sup_error, fr.ridge_used, fr.rank_deficient) == \
@@ -437,7 +438,7 @@ class TestBatchedRunSums:
     def test_one_seed_per_column(self, seed):
         x = np.linspace(0, 1, 50)[:, None]
         with pytest.raises(ca.DimensionError):
-            ca.fit_fnn((x, np.hstack([x, x])), 4, ca.RELU, seed=seed)
+            ca.fit_fnn((x, np.hstack([x, x])), 4, ca.RELU, seed)
 
     def test_exp_columns_take_one_dense_loop_each(self, monkeypatch):
         routes = []
@@ -445,10 +446,10 @@ class TestBatchedRunSums:
             monkeypatch.setattr(fnn, name, _recording(routes, name, getattr(fnn, name)))
         x = np.linspace(0, 1, 60)[:, None]
         F = np.exp(np.hstack([0.5 * x, -x]))
-        fits = ca.fit_fnn((x, F), 6, ca.EXP, seed=[3, 8], refine_steps=20)
+        fits = ca.fit_fnn((x, F), 6, ca.EXP, [3, 8], refine_steps=20)
         assert routes == ["_adam_refine"] * 2
         for fr, c, s in zip(fits, (0, 1), (3, 8)):
-            alone = ca.fit_fnn((x, F[:, c]), 6, ca.EXP, seed=s, refine_steps=20)
+            [alone] = ca.fit_fnn((x, F[:, c]), 6, ca.EXP, [s], refine_steps=20)
             assert all(_bits_equal(getattr(fr.params, n), getattr(alone.params, n))
                        for n in ("A", "W", "b"))
 
@@ -482,8 +483,8 @@ class TestBatchedRunSums:
         [(args, kwargs, [fitted])] = calls
         assert (args[0][1].shape, args[3]) == ((800, 1), [4])
         pts = grid.points()
-        alone = ca.fit_fnn((pts, np.sin(2 * np.pi * pts[:, 0])), 14, ca.RELU, seed=4,
-                           refine_steps=300)
+        [alone] = ca.fit_fnn((pts, np.sin(2 * np.pi * pts[:, 0])), 14, ca.RELU, [4],
+                             refine_steps=300)
         assert all(_bits_equal(getattr(fitted.params, n), getattr(alone.params, n))
                    for n in ("A", "W", "b"))
 
@@ -502,7 +503,7 @@ class TestBatchedRunSums:
         # squares rejects with LinAlgError unless the fit reports it first
         x = np.linspace(-1, 1, 2000)[:, None]
         with pytest.raises(ca.NonFiniteFitError) as info:
-            ca.fit_fnn((x, 1e200 * np.sin(3 * x[:, 0])), 16, ca.RELU, seed=5, refine_steps=300)
+            ca.fit_fnn((x, 1e200 * np.sin(3 * x[:, 0])), 16, ca.RELU, [5], refine_steps=300)
         assert info.value.names == ["A", "W", "b"]
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 

@@ -336,6 +336,22 @@ class TestKroneckerWitnesses:
             assert set(dtypes) <= {np.dtype(object)}
         assert narrow == wide
 
+    @settings(max_examples=30, deadline=None)
+    @given(beta=st.floats(-20, 20), q_cap=st.integers(1, 500), data=st.data())
+    @pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+    def test_closest_up_to_equals_brute_force(self, dtype, beta, q_cap, data):
+        # the cap path on the search's own circle, whatever its size: int64
+        # circles (M <= 2^60) and object ones; a window of 2 * (q_cap + 1) or
+        # more covers a small circle whole
+        cut = 60 - q_cap.bit_length()
+        bits = data.draw(st.integers(1, cut) if dtype is np.int64 else st.integers(cut + 1, 64))
+        circle = kronecker._circle(q_cap, bits)
+        assert circle.dtype is dtype
+        best_q, best_error = kronecker._closest_up_to(circle, beta, q_cap)
+        want_q, want_error = brute_force_closest(beta, q_cap)
+        assert type(best_q) is int and best_q == want_q
+        assert best_error == pytest.approx(want_error, rel=1e-12)
+
     def test_cap_failure_names_the_first_beta_in_input_order(self):
         # 0.0 and -3.7 both have no witness up to q = 300; 0.0 comes first
         with pytest.raises(ca.KroneckerCapExceeded) as exc:
@@ -349,7 +365,7 @@ class TestKroneckerWitnesses:
     def test_tiny_epsilon_keeps_64_fraction_bits(self, monkeypatch):
         # fraction bits = bit length of floor(1/eps) + 8, at most 64: 63 at
         # eps = 2^-54, 64 from 2^-55 down, and 64 at 1e-300, where floor(1/eps)
-        # has 997 bits; the cap path (the second call of each) uses 64 too
+        # has 997 bits; the cap path searches on the same circle
         bits, circle = [], kronecker._circle
 
         def spy(q_cap, fraction_bits):
@@ -360,7 +376,7 @@ class TestKroneckerWitnesses:
         for eps in (2.0**-54, 2.0**-56, 1e-300):
             with pytest.raises(ca.KroneckerCapExceeded):
                 ca.kronecker_witnesses([0.25], eps, q_cap=1000)
-        assert bits == [63, 64, 64, 64, 64, 64]
+        assert bits == [63, 64, 64]
         assert ca.kronecker_witnesses([], 1e-3) == []
 
 

@@ -220,7 +220,7 @@ class TestPeValue:
         np.testing.assert_allclose(vals, expected, atol=0)
 
     def test_irrational_rotation_distinct(self):
-        scheme = ca.irrational_rotation(ca.Box((0.0,), (1.0,)), primes=(2,))
+        scheme = ca.irrational_rotation(ca.Box((0.0,), (1.0,)))
         vals = pe_block(scheme, 1, 10_000)[:, 0]
         assert len(np.unique(vals)) == 10_000
         j = 137
@@ -231,16 +231,24 @@ class TestPeValue:
         # the top 53 bits of j G mod 2^64, bit for bit, up to j = 2^62 - 1,
         # where a float product j * sqrt p kept only ulp(j sqrt p)
         primes = (2, 3, 5)
-        scheme = ca.irrational_rotation(ca.Box((0.0,) * 3, (1.0,) * 3), primes)
+        scheme = ca.irrational_rotation(ca.Box((0.0,) * 3, (1.0,) * 3))
         js = [1, 10**3, 2**26, 2**40, 2**62 - 1]
         gs = [math.isqrt(p << 128) - (math.isqrt(p) << 64) for p in primes]
         expected = [[0.0 + ((j * g % 2**64) >> 11) * 2.0**-53 * 1.0 for g in gs] for j in js]
+        assert scheme.params["primes"] == list(primes)
         rows = pe_rows(scheme, js)
         assert rows.dtype == np.float64 and np.array_equal(rows, expected)
         for j in js:                                # blocks that end at j
             first = max(1, j - 2)
             assert np.array_equal(pe_block(scheme, first, j - first + 1),
                                   pe_rows(scheme, range(first, j + 1)))
+
+    def test_irrational_rotation_takes_at_most_ten_dimensions(self):
+        # one square root of a distinct prime per dimension, from the first ten
+        assert ca.irrational_rotation(ca.Box((0.0,) * 10, (1.0,) * 10)).params["primes"] == \
+            [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+        with pytest.raises(ValueError, match="at most 10 dimensions, got 11"):
+            ca.irrational_rotation(ca.Box((0.0,) * 11, (1.0,) * 11))
 
     def test_cw_lattice_injective_first_1e4(self):
         for d in (1, 2, 3):
