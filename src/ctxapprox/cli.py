@@ -33,7 +33,7 @@ from .grids import Grid
 # up here; nothing here calls it, and it goes when that hook list drops it
 from .kronecker import kronecker_search, kronecker_witnesses
 from .nonuap import FiniteFamilySpec, nonuap_audit, prop1_fuzz
-from .transformer import (TransformerParams, identity_sparse_params,
+from .transformer import (GeneralBlocks, TransformerParams, identity_sparse_params,
                           random_sparse_params, readout_batch)
 from .vocab_pe import (Box, PeScheme, Vocabulary, calkin_wilf_lattice,
                        density_audit, dyadic_lattice, irrational_rotation)
@@ -96,15 +96,34 @@ class _Config:
     def numbers(self, key: str, kind=float, default=_REQUIRED) -> list:
         return [_typed(v, kind, self.field(key)) for v in self.get(key, list, default)]
 
+    def array(self, key: str) -> np.ndarray:
+        """The number or nested list of numbers at ``key`` as a float array,
+        each number read as ``float`` (see ``_typed``); the library checks
+        its shape.  Nesting past numpy's 64 dimensions is an entry that is
+        not a number."""
+        field = self.field(key)
+
+        def walk(value, depth):
+            if not isinstance(value, list) or depth == 64:
+                return _typed(value, float, field)
+            return [walk(v, depth + 1) for v in value]
+        if not self.has(key):
+            raise ConfigError(field, "missing")
+        return np.array(walk(self.obj[key], 0), dtype=float)
+
     def load(self, key: str, build, kind=None):
-        """``build`` applied to the value at ``key``: a child reader when
-        ``kind`` is None, else the value read as ``kind``.  An error raised
-        while it becomes a library object is a ConfigError naming ``key``."""
-        if kind is None:
-            value = self.asked[key] = _Config(self.get(key, dict), self.field(key))
-        else:
-            value = self.get(key, kind)
+        """``build`` applied to the value at ``key`` read as ``kind``, or to
+        a child reader: of the object at ``key`` when ``kind`` is None, of
+        the JSON object in the file it names when ``kind`` is ``Path``.  An
+        error raised while it becomes a library object is a ConfigError
+        naming ``key``."""
         try:
+            if kind is None or kind is Path:
+                obj = (self.get(key, dict) if kind is None
+                       else json.loads(Path(self.get(key, str)).read_text()))
+                value = self.asked[key] = _Config(obj, self.field(key))
+            else:
+                value = self.get(key, kind)
             return build(value)
         except ConfigError:
             raise
@@ -142,10 +161,6 @@ def _write_csv(path: Path, cfg: dict, columns: str, lines):
     with path.open("w", newline="") as fh:
         fh.write(f"# ctxapprox {__version__} config_sha256={_config_hash(cfg)}\n{columns}\n")
         fh.writelines(lines)
-
-
-def _read_json(path: str):
-    return json.loads(Path(path).read_text())
 
 
 def _options(cls, o: _Config):
@@ -192,9 +207,9 @@ def _box(b: _Config) -> Box:
 
 def _transformer(t: _Config) -> TransformerParams:
     if t.has("file"):
-        return t.load("file", lambda path: TransformerParams.from_json_dict(_read_json(path)), str)
+        return t.load("file", _blocks, Path)
     if t.has("blocks"):
-        return t.load("blocks", TransformerParams.from_json_dict, dict)
+        return t.load("blocks", _blocks)
     kind = t.get("kind", str, "random")
     d_x = _positive(t, "d_x", int)
     d_y = _positive(t, "d_y", int)
@@ -205,12 +220,27 @@ def _transformer(t: _Config) -> TransformerParams:
     raise ConfigError(t.field("kind"), f"unknown kind {kind!r}")
 
 
+def _blocks(b: _Config) -> TransformerParams:
+    """B, C, D, E, F, U and ``general``: null or absent, or O11, O12, O21, O22."""
+    blocks = [b.array(name) for name in ("B", "C", "D", "E", "F", "U")]
+    general = None
+    if b.has("general") and b.obj["general"] is not None:
+        general = b.load("general", lambda g: GeneralBlocks(
+            *(g.array(name) for name in ("O11", "O12", "O21", "O22"))))
+    return TransformerParams(*blocks, general=general)
+
+
 def _fnn(f: _Config) -> FnnParams:
     if f.has("file"):
-        return f.load("file", lambda path: FnnParams.from_json_dict(_read_json(path)), str)
+        return f.load("file", _network, Path)
     if f.has("blocks"):
-        return f.load("blocks", FnnParams.from_json_dict, dict)
+        return f.load("blocks", _network)
     return f.load("random", _random_fnn)
+
+
+def _network(n: _Config) -> FnnParams:
+    return FnnParams(n.array("A"), n.array("W"), n.array("b"),
+                     n.load("activation", Activation, str))
 
 
 def _random_fnn(r: _Config) -> FnnParams:
@@ -242,8 +272,7 @@ def _vocab(v: _Config) -> Vocabulary:
         return v.load("x_grid", lambda g: Vocabulary.x_grid(
             tuple(g.numbers("lo")), tuple(g.numbers("hi")), g.get("per_dim", int),
             v.get("d_y", int)))
-    return Vocabulary(np.array(v.get("v_x", list), dtype=float),
-                      np.array(v.get("v_y", list), dtype=float))
+    return Vocabulary(v.array("v_x"), v.array("v_y"))
 
 
 def _target(t: _Config, d_in: int, d_y: int):

@@ -116,25 +116,6 @@ class FnnParams:
     def d_y(self) -> int:
         return self.A.shape[0]
 
-    def to_json_dict(self) -> dict:
-        if self.activation.kind == "custom":
-            raise TypeError("custom activations are not serializable")
-        return {
-            "A": self.A.tolist(),
-            "W": self.W.tolist(),
-            "b": self.b.tolist(),
-            "activation": self.activation.kind,
-        }
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "FnnParams":
-        return FnnParams(
-            np.array(doc["A"], dtype=float),
-            np.array(doc["W"], dtype=float),
-            np.array(doc["b"], dtype=float),
-            Activation(doc["activation"]),
-        )
-
 
 # --------------------------------------------------------------------------
 # forward passes

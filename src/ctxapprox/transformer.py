@@ -125,26 +125,6 @@ class TransformerParams:
         m[:self.d_x, :self.d_x] = self.B.T @ self.C
         return m
 
-    def to_json_dict(self) -> dict:
-        doc = {name: getattr(self, name).tolist() for name in ("B", "C", "D", "E", "F", "U")}
-        if self.general is None:
-            doc["general"] = None
-        else:
-            doc["general"] = {n: getattr(self.general, n).tolist()
-                              for n in ("O11", "O12", "O21", "O22")}
-        return doc
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "TransformerParams":
-        general = None
-        if doc.get("general") is not None:
-            g = doc["general"]
-            general = GeneralBlocks(*(np.array(g[n], dtype=float)
-                                      for n in ("O11", "O12", "O21", "O22")))
-        return TransformerParams(*(np.array(doc[n], dtype=float)
-                                   for n in ("B", "C", "D", "E", "F", "U")),
-                                 general=general)
-
 
 def random_sparse_params(seed: int, d_x: int, d_y: int) -> TransformerParams:
     """Seeded well-conditioned sparse-partition parameters (F = 0).

@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import MAX_ARRAY_LENGTH, ConfigError, DimensionError, EmptyGridError, require_count
 from .grids import Grid
-
-SQRT2 = math.sqrt(2.0)
+from .kronecker import SQRT2
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 

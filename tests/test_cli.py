@@ -106,11 +106,25 @@ DENSITY_ORACLES = {"vocab": {"v_x": [[0.0, 0.0]], "v_y": [[0.0]]},
                    "n_max": 16000, "probe_per_dim": 64}
 
 
+def identity_blocks(d_x):
+    """The blocks of ``identity_sparse_params(d_x, 1)`` as a config object."""
+    eye = np.eye(d_x).tolist()
+    return {"B": eye, "C": eye, "D": [[0.0] * d_x] * d_x, "E": [[0.0]] * d_x,
+            "F": [[0.0] * d_x], "U": [[1.0]], "general": None}
+
+
+def random_network(random):
+    """The ``fnn.blocks`` document of the network an ``fnn.random`` object draws."""
+    from ctxapprox import cli
+    net = cli._random_fnn(cli._Config(random))
+    return {"A": net.A.tolist(), "W": net.W.tolist(), "b": net.b.tolist(),
+            "activation": net.activation.kind}
+
+
 def transformer_blocks(d_x, general=False, F=None):
     """``transformer.blocks`` of the identity sparse partition (d_y = 1), with
     general blocks or a nonzero ``F`` when asked."""
-    from ctxapprox import identity_sparse_params
-    doc = identity_sparse_params(d_x, 1).to_json_dict()
+    doc = identity_blocks(d_x)
     if general:
         doc["general"] = {"O11": np.eye(d_x).tolist(), "O12": [[0.0]] * d_x,
                           "O21": [[0.0] * d_x], "O22": [[0.0]]}
@@ -1169,7 +1183,8 @@ class TestAuditCommands:
         code, out = run(tmp_path, "non_finite_block", cfg, "embed")
         assert code == 2
         err = json.loads((out / "error.json").read_text())["error"]
-        assert err["field"] == f"transformer.{source}"
+        # a general block is built inside the general object, which it names
+        assert err["field"] == f"transformer.{source}" + (".general" if name != block else "")
         assert err["message"].endswith(f"ValueError: non-finite entries in {name}")
 
     def test_halved_epsilon_underflow_exit_4(self, tmp_path):
@@ -1195,10 +1210,8 @@ class TestAuditCommands:
         assert "overflow" in err["message"]
 
     def test_params_from_file_and_samples_target(self, tmp_path):
-        import ctxapprox as ca
-        tp = ca.identity_sparse_params(2, 1)
         tp_path = tmp_path / "tp.json"
-        tp_path.write_text(json.dumps(tp.to_json_dict()))
+        tp_path.write_text(json.dumps(identity_blocks(2)))
         xs = np.linspace(0, 1, 300)
         samples = tmp_path / "samples.csv"
         with samples.open("w") as fh:
@@ -1346,6 +1359,8 @@ MUTATED_CONFIGS = {
     "construct_kronecker": ("construct", {
         **mutated(CONSTRUCT_SMALL, "caps.j_cap", 20_000),
         "coefficient_mode": "kronecker"}),
+    "embed_blocks": ("embed", {**EMBED_IDENTITY, "transformer": {"blocks": identity_blocks(3)},
+                               "fnn": {"blocks": random_network(EMBED_IDENTITY["fnn"]["random"])}}),
     "prop1": ("audit", PROP1_SMALL),
     "nonuap": ("audit", NONUAP_SMALL),
     "density": ("density", DENSITY_SMALL),
@@ -1391,3 +1406,85 @@ class TestConfigMutations:
                 assert doc["tool"] == "ctxapprox" and doc["version"], case
                 assert err["exit_code"] == code and err["field"] and err["message"], case
                 assert err["field"] != "config", case
+
+
+def with_documents(tmp_path, source, transformer, fnn):
+    """EMBED_IDENTITY with its transformer and network given as documents:
+    inline as ``blocks``, or as a ``file`` each under ``tmp_path``."""
+    cfg = dict(EMBED_IDENTITY)
+    for key, doc in (("transformer", transformer), ("fnn", fnn)):
+        if source == "file":
+            (tmp_path / f"{key}.json").write_text(json.dumps(doc))
+            doc = str(tmp_path / f"{key}.json")
+        cfg[key] = {source: doc}
+    return cfg
+
+
+class TestBlockDocuments:
+    """``transformer.blocks``, ``transformer.file``, ``fnn.blocks`` and
+    ``fnn.file`` are read key by key, as every other config object is."""
+
+    GENERAL = {"O11": np.eye(3).tolist(), "O12": [[0.0]] * 3, "O21": [[0.0] * 3],
+               "O22": [[0.0]]}
+
+    @pytest.mark.parametrize("source", ["blocks", "file"])
+    @pytest.mark.parametrize("document,key,value", [
+        ("transformer", "General", GENERAL),        # "general" misspelt
+        ("fnn", "scale", 1.0)])                     # a key of fnn.random
+    def test_document_loads_and_rejects_an_unknown_key(self, tmp_path, source, document,
+                                                       key, value):
+        # the documents hold the numbers of EMBED_IDENTITY's identity
+        # transformer and random network, so they give its result, with
+        # "general" null or absent; the same document with one more key used
+        # to load too, and a misspelt "general" ran in sparse mode
+        _, out = run(tmp_path, "random", EMBED_IDENTITY, "embed")
+        expected = json.loads((out / "embedding.json").read_text())["result"]
+        docs = {"transformer": identity_blocks(3),
+                "fnn": random_network(EMBED_IDENTITY["fnn"]["random"])}
+        no_general = {k: v for k, v in docs["transformer"].items() if k != "general"}
+        for i, transformer in enumerate((docs["transformer"], no_general)):
+            cfg = with_documents(tmp_path, source, transformer, docs["fnn"])
+            code, out = run(tmp_path, f"doc{i}", cfg, "embed")
+            assert code == 0
+            assert json.loads((out / "embedding.json").read_text())["result"] == expected
+        docs[document][key] = value
+        code, out = run(tmp_path, "unknown", with_documents(tmp_path, source, **docs), "embed")
+        assert code == 2
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["field"] == f"{document}.{source}.{key}"
+        assert "unknown key" in err["message"]
+
+    @pytest.mark.parametrize("value", ["0.5", True, None, 10**400, [[1.0]]],
+                             ids=["string", "bool", "null", "beyond_float", "too_deep"])
+    @pytest.mark.parametrize("field", ["vocab.v_x", "vocab.v_y", "transformer.blocks.B",
+                                       "transformer.file.general.O21", "fnn.blocks.W",
+                                       "fnn.file.b"])
+    def test_entry_that_is_not_a_number_exit_2(self, tmp_path, field, value):
+        # a string or bool entry used to load as a number (numpy reads "0.5"
+        # as 0.5 and True as 1.0), and the others were named by the whole
+        # object; a list nested past numpy's 64 dimensions holds a list where
+        # a number goes
+        if value == [[1.0]]:
+            for _ in range(100):
+                value = [value]
+        document, source, *path = field.split(".")
+        if document == "vocab":
+            command, cfg = "density", json.loads(json.dumps(DENSITY_SMALL))
+            node = cfg["vocab"][source]
+        else:
+            command = "embed"
+            docs = json.loads(json.dumps({
+                "transformer": {**identity_blocks(3), "general": self.GENERAL},
+                "fnn": random_network(EMBED_IDENTITY["fnn"]["random"])}))
+            node = docs[document]
+            for part in path:
+                node = node[part]
+        (node[0] if isinstance(node[0], list) else node)[0] = value
+        if command == "embed":
+            cfg = with_documents(tmp_path, source, **docs)
+        code, out = run(tmp_path, "typed", cfg, command)
+        assert code == 2
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["field"] == field
+        shown = "[[[" if isinstance(value, list) else repr(value)
+        assert f"expected a number, got {shown}" in err["message"]

@@ -506,18 +506,3 @@ class TestBatchedRunSums:
             ca.fit_fnn((x, 1e200 * np.sin(3 * x[:, 0])), 16, ca.RELU, [5], refine_steps=300)
         assert info.value.names == ["A", "W", "b"]
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
-
-
-class TestSerde:
-    def test_round_trip(self, rng):
-        p = random_fnn(rng, 4, 3, 2, ca.EXP)
-        doc = p.to_json_dict()
-        assert doc["activation"] == "exp"
-        q = ca.FnnParams.from_json_dict(doc)
-        assert np.array_equal(p.A, q.A) and np.array_equal(p.W, q.W)
-        assert np.array_equal(p.b, q.b)
-
-    def test_custom_not_serializable(self):
-        p = ca.FnnParams([[1.0]], [[1.0]], [0.0], ca.Activation("custom", np.tanh))
-        with pytest.raises(TypeError):
-            p.to_json_dict()

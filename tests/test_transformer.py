@@ -241,19 +241,6 @@ class TestParams:
             ca.TransformerParams(sing, np.eye(2), np.zeros((2, 2)),
                                  np.zeros((2, 1)), np.zeros((1, 2)), np.eye(1))
 
-    def test_serde_round_trip(self, rng):
-        tp = ca.random_sparse_params(2, 3, 2)
-        doc = tp.to_json_dict()
-        assert doc["general"] is None
-        back = ca.TransformerParams.from_json_dict(doc)
-        for name in ("B", "C", "D", "E", "F", "U"):
-            assert np.array_equal(getattr(tp, name), getattr(back, name))
-        general = ca.GeneralBlocks(np.eye(3), np.zeros((3, 2)),
-                                   np.zeros((2, 3)), np.zeros((2, 2)))
-        tpg = ca.TransformerParams(tp.B, tp.C, tp.D, tp.E, tp.F, tp.U, general)
-        back2 = ca.TransformerParams.from_json_dict(tpg.to_json_dict())
-        assert np.array_equal(back2.general.O11, np.eye(3))
-
     def test_embedded_fnn_matches_forward(self, rng, small_tp):
         fnn = random_fnn(rng, 8, 3, 2, ca.RELU)
         res = ca.embed_fnn(small_tp, fnn)
