@@ -106,13 +106,6 @@ DENSITY_ORACLES = {"vocab": {"v_x": [[0.0, 0.0]], "v_y": [[0.0]]},
                    "n_max": 16000, "probe_per_dim": 64}
 
 
-def identity_blocks(d_x):
-    """The blocks of ``identity_sparse_params(d_x, 1)`` as a config object."""
-    eye = np.eye(d_x).tolist()
-    return {"B": eye, "C": eye, "D": [[0.0] * d_x] * d_x, "E": [[0.0]] * d_x,
-            "F": [[0.0] * d_x], "U": [[1.0]], "general": None}
-
-
 def random_network(random):
     """The ``fnn.blocks`` document of the network an ``fnn.random`` object draws."""
     from ctxapprox import cli
@@ -124,7 +117,9 @@ def random_network(random):
 def transformer_blocks(d_x, general=False, F=None):
     """``transformer.blocks`` of the identity sparse partition (d_y = 1), with
     general blocks or a nonzero ``F`` when asked."""
-    doc = identity_blocks(d_x)
+    eye = np.eye(d_x).tolist()
+    doc = {"B": eye, "C": eye, "D": [[0.0] * d_x] * d_x, "E": [[0.0]] * d_x,
+           "F": [[0.0] * d_x], "U": [[1.0]], "general": None}
     if general:
         doc["general"] = {"O11": np.eye(d_x).tolist(), "O12": [[0.0]] * d_x,
                           "O21": [[0.0] * d_x], "O22": [[0.0]]}
@@ -1211,7 +1206,7 @@ class TestAuditCommands:
 
     def test_params_from_file_and_samples_target(self, tmp_path):
         tp_path = tmp_path / "tp.json"
-        tp_path.write_text(json.dumps(identity_blocks(2)))
+        tp_path.write_text(json.dumps(transformer_blocks(2)))
         xs = np.linspace(0, 1, 300)
         samples = tmp_path / "samples.csv"
         with samples.open("w") as fh:
@@ -1359,8 +1354,9 @@ MUTATED_CONFIGS = {
     "construct_kronecker": ("construct", {
         **mutated(CONSTRUCT_SMALL, "caps.j_cap", 20_000),
         "coefficient_mode": "kronecker"}),
-    "embed_blocks": ("embed", {**EMBED_IDENTITY, "transformer": {"blocks": identity_blocks(3)},
-                               "fnn": {"blocks": random_network(EMBED_IDENTITY["fnn"]["random"])}}),
+    "embed_blocks": ("embed", {
+        **EMBED_IDENTITY, "transformer": {"blocks": transformer_blocks(3)},
+        "fnn": {"blocks": random_network(EMBED_IDENTITY["fnn"]["random"])}}),
     "prop1": ("audit", PROP1_SMALL),
     "nonuap": ("audit", NONUAP_SMALL),
     "density": ("density", DENSITY_SMALL),
@@ -1424,8 +1420,7 @@ class TestBlockDocuments:
     """``transformer.blocks``, ``transformer.file``, ``fnn.blocks`` and
     ``fnn.file`` are read key by key, as every other config object is."""
 
-    GENERAL = {"O11": np.eye(3).tolist(), "O12": [[0.0]] * 3, "O21": [[0.0] * 3],
-               "O22": [[0.0]]}
+    GENERAL = transformer_blocks(3, general=True)["general"]
 
     @pytest.mark.parametrize("source", ["blocks", "file"])
     @pytest.mark.parametrize("document,key,value", [
@@ -1439,7 +1434,7 @@ class TestBlockDocuments:
         # to load too, and a misspelt "general" ran in sparse mode
         _, out = run(tmp_path, "random", EMBED_IDENTITY, "embed")
         expected = json.loads((out / "embedding.json").read_text())["result"]
-        docs = {"transformer": identity_blocks(3),
+        docs = {"transformer": transformer_blocks(3),
                 "fnn": random_network(EMBED_IDENTITY["fnn"]["random"])}
         no_general = {k: v for k, v in docs["transformer"].items() if k != "general"}
         for i, transformer in enumerate((docs["transformer"], no_general)):
@@ -1474,7 +1469,7 @@ class TestBlockDocuments:
         else:
             command = "embed"
             docs = json.loads(json.dumps({
-                "transformer": {**identity_blocks(3), "general": self.GENERAL},
+                "transformer": transformer_blocks(3, general=True),
                 "fnn": random_network(EMBED_IDENTITY["fnn"]["random"])}))
             node = docs[document]
             for part in path:
