@@ -1,9 +1,11 @@
 """Batch experiment driver.
 
 Subcommands: embed | construct | audit | density | kronecker.  Each run takes
-a single JSON config (no environment-variable configuration), writes JSON and
-CSV artifacts under --out, and embeds the config hash and tool version in
-every output.  Identical configs produce byte-identical outputs.  Exit codes:
+a single JSON config, the one source of every setting: no flag or
+environment variable overrides it, and the only input read from elsewhere is
+the CSV a ``target.samples_file`` names.  A run writes JSON and CSV artifacts
+under --out and embeds the config hash and tool version in every output.
+Identical configs produce byte-identical outputs.  Exit codes:
 0 success, 1 a bug (an uncaught exception, with its traceback), 2 config
 error, 3 budget exhaustion, 4 numerical failure.
 """
@@ -52,6 +54,7 @@ _KINDS = {int: ((int, float), "an integer"), float: ((int, float), "a number"),
           str: (str, "a string"), list: (list, "a list"), dict: (dict, "an object")}
 _REQUIRED = object()
 _NEAREST_BLOCK = 1 << 20    # point-sample distances per chunk of a nearest-sample lookup
+_SHOWN = 80                 # characters of a bad value that its message echoes
 
 
 def _typed(value, kind, field: str):
@@ -64,7 +67,10 @@ def _typed(value, kind, field: str):
                 return kind(value)
         except OverflowError:       # an integer literal beyond the float range
             pass
-    raise ConfigError(field, f"expected {name}, got {value!r}")
+    shown = repr(value)
+    if len(shown) > _SHOWN:
+        shown = shown[:_SHOWN - 3] + "..."
+    raise ConfigError(field, f"expected {name}, got {shown}")
 
 
 class _Config:
@@ -98,9 +104,9 @@ class _Config:
 
     def array(self, key: str) -> np.ndarray:
         """The number or nested list of numbers at ``key`` as a float array,
-        each number read as ``float`` (see ``_typed``); the library checks
-        its shape.  Nesting past numpy's 64 dimensions is an entry that is
-        not a number."""
+        each number read as ``float`` (see ``_typed``).  A ragged list is
+        named here; the library checks the shape.  Nesting past numpy's 64
+        dimensions is an entry that is not a number."""
         field = self.field(key)
 
         def walk(value, depth):
@@ -109,19 +115,21 @@ class _Config:
             return [walk(v, depth + 1) for v in value]
         if not self.has(key):
             raise ConfigError(field, "missing")
-        return np.array(walk(self.obj[key], 0), dtype=float)
+        numbers = walk(self.obj[key], 0)
+        try:
+            return np.array(numbers, dtype=float)
+        except ValueError:          # numpy's "inhomogeneous shape"
+            raise ConfigError(field, "ragged: its lists at one depth differ in length "
+                                     "or mix numbers and lists") from None
 
     def load(self, key: str, build, kind=None):
         """``build`` applied to the value at ``key`` read as ``kind``, or to
-        a child reader: of the object at ``key`` when ``kind`` is None, of
-        the JSON object in the file it names when ``kind`` is ``Path``.  An
+        a child reader of the object at ``key`` when ``kind`` is None.  An
         error raised while it becomes a library object is a ConfigError
         naming ``key``."""
         try:
-            if kind is None or kind is Path:
-                obj = (self.get(key, dict) if kind is None
-                       else json.loads(Path(self.get(key, str)).read_text()))
-                value = self.asked[key] = _Config(obj, self.field(key))
+            if kind is None:
+                value = self.asked[key] = _Config(self.get(key, dict), self.field(key))
             else:
                 value = self.get(key, kind)
             return build(value)
@@ -169,20 +177,12 @@ def _options(cls, o: _Config):
                   if o.has(key)})
 
 
-def _seed(cfg: _Config, seed_override: int | None, default=_REQUIRED) -> int:
-    """``seed`` of ``cfg``, or the ``--seed`` override when given; numpy's
-    generators take no negative seed, so the one used must be >= 0."""
+def _seed(cfg: _Config, default=_REQUIRED) -> int:
+    """``seed`` of ``cfg``; numpy's generators take no negative seed."""
     field, seed = cfg.field("seed"), cfg.get("seed", int, default)
-    if seed_override is not None:
-        field, seed = "--seed", seed_override
     if seed < 0:
         raise ConfigError(field, f"{field} must be >= 0, got {seed}")
     return seed
-
-
-def _no_seed(seed_override: int | None):
-    if seed_override is not None:               # it would change no byte of the run
-        raise ConfigError("--seed", "only construct, audit and kronecker with random take --seed")
 
 
 def _positive(cfg: _Config, key: str, kind, default=_REQUIRED):
@@ -206,8 +206,6 @@ def _box(b: _Config) -> Box:
 
 
 def _transformer(t: _Config) -> TransformerParams:
-    if t.has("file"):
-        return t.load("file", _blocks, Path)
     if t.has("blocks"):
         return t.load("blocks", _blocks)
     kind = t.get("kind", str, "random")
@@ -216,7 +214,7 @@ def _transformer(t: _Config) -> TransformerParams:
     if kind == "identity":
         return identity_sparse_params(d_x, d_y)
     if kind == "random":
-        return random_sparse_params(_seed(t, None), d_x, d_y)
+        return random_sparse_params(_seed(t), d_x, d_y)
     raise ConfigError(t.field("kind"), f"unknown kind {kind!r}")
 
 
@@ -231,8 +229,6 @@ def _blocks(b: _Config) -> TransformerParams:
 
 
 def _fnn(f: _Config) -> FnnParams:
-    if f.has("file"):
-        return f.load("file", _network, Path)
     if f.has("blocks"):
         return f.load("blocks", _network)
     return f.load("random", _random_fnn)
@@ -244,7 +240,7 @@ def _network(n: _Config) -> FnnParams:
 
 
 def _random_fnn(r: _Config) -> FnnParams:
-    rng = np.random.default_rng(_seed(r, None))
+    rng = np.random.default_rng(_seed(r))
     k = _positive(r, "k", int)
     d_in = _positive(r, "d_in", int)
     d_y = _positive(r, "d_y", int)
@@ -322,8 +318,8 @@ def _family(f: _Config) -> FiniteFamilySpec:
     return FiniteFamilySpec(*(np.array(f.numbers(key)) for key in ("a_set", "w_set", "b_set")))
 
 
-def _random_betas(seed_override: int | None, r: _Config) -> list:
-    seed = _seed(r, seed_override)
+def _random_betas(r: _Config) -> list:
+    seed = _seed(r)
     lo = r.get("lo", float, -10.0)
     hi = r.get("hi", float, 10.0)
     count = _positive(r, "count", int)
@@ -335,8 +331,7 @@ def _random_betas(seed_override: int | None, r: _Config) -> list:
 # subcommands: each reads its whole config, calls ``done``, then runs
 
 
-def cmd_embed(cfg: _Config, out: Path, seed_override: int | None) -> int:
-    _no_seed(seed_override)
+def cmd_embed(cfg: _Config, out: Path) -> int:
     mode = cfg.get("mode", str)
     tp = cfg.load("transformer", _transformer)
     fnn = cfg.load("fnn", _fnn)
@@ -370,13 +365,13 @@ def cmd_embed(cfg: _Config, out: Path, seed_override: int | None) -> int:
     return EXIT_OK
 
 
-def cmd_construct(cfg: _Config, out: Path, seed_override: int | None) -> int:
+def cmd_construct(cfg: _Config, out: Path) -> int:
     tp = cfg.load("transformer", _transformer)
     grid = cfg.load("grid", _grid)
     vocab = cfg.load("vocab", _vocab)
     scheme = cfg.load("scheme", _scheme)
     epsilon = _positive(cfg, "epsilon", float)
-    seed = _seed(cfg, seed_override, 0)
+    seed = _seed(cfg, 0)
     target = cfg.load("target", lambda t: _target(t, grid.dim, tp.d_y))
     # absent objects take the library's defaults
     options = {name: cfg.load(name, partial(_options, cls)) for name, cls in
@@ -397,8 +392,7 @@ def cmd_construct(cfg: _Config, out: Path, seed_override: int | None) -> int:
     return EXIT_OK
 
 
-def cmd_density(cfg: _Config, out: Path, seed_override: int | None) -> int:
-    _no_seed(seed_override)
+def cmd_density(cfg: _Config, out: Path) -> int:
     vocab = cfg.load("vocab", _vocab)
     scheme = cfg.load("scheme", _scheme)
     region = cfg.load("region", _box)
@@ -418,16 +412,15 @@ def cmd_density(cfg: _Config, out: Path, seed_override: int | None) -> int:
     return EXIT_OK
 
 
-def cmd_kronecker(cfg: _Config, out: Path, seed_override: int | None) -> int:
+def cmd_kronecker(cfg: _Config, out: Path) -> int:
     epsilon = _positive(cfg, "epsilon", float)
     q_cap = _positive(cfg, "q_cap", int, 10**7)
     if cfg.has("betas"):
-        _no_seed(seed_override)
         betas = cfg.numbers("betas")
         if not betas or not all(map(math.isfinite, betas)):
             raise ConfigError("betas", f"needs at least one beta, each finite, got {betas!r}")
     else:
-        betas = cfg.load("random", partial(_random_betas, seed_override))
+        betas = cfg.load("random", _random_betas)
     cfg.done()
     wits = kronecker_witnesses(betas, epsilon, q_cap)
     doc = _meta(cfg.obj, "kronecker")
@@ -439,16 +432,11 @@ def cmd_kronecker(cfg: _Config, out: Path, seed_override: int | None) -> int:
     return EXIT_OK
 
 
-def cmd_audit(cfg: _Config, out: Path, seed_override: int | None) -> int:
+def cmd_audit(cfg: _Config, out: Path) -> int:
     kind = cfg.get("kind", str)
-    seed = _seed(cfg, seed_override, 0)
+    seed = _seed(cfg, 0)
     if kind == "prop1_fuzz":
-        audit = partial(prop1_fuzz, cfg.get("count", int), seed,
-                        k_range=cfg.numbers("k_range", int, [1, 6]),
-                        exponent_separation=cfg.get("exponent_separation", float, 0.1),
-                        coeff_range=cfg.get("coeff_range", float, 5.0),
-                        interval=cfg.numbers("interval", float, [-8.0, 8.0]),
-                        grid_points=cfg.get("grid_points", int, 2001))
+        audit = partial(prop1_fuzz, cfg.get("count", int), seed)
     elif kind == "nonuap":
         audit = partial(nonuap_audit, cfg.load("family", _family), cfg.get("max_context", int),
                         cfg.get("trials", int), seed)
@@ -486,8 +474,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="overrides the seed of construct, audit or kronecker random")
     args = parser.parse_args(argv)
 
     out = Path(args.out)
@@ -510,7 +496,7 @@ def main(argv=None) -> int:
         return fail(EXIT_CONFIG, "config", f"unreadable config: {exc}")
 
     try:
-        return _COMMANDS[args.command](_Config(cfg), out, args.seed)
+        return _COMMANDS[args.command](_Config(cfg), out)
     except ConfigError as exc:
         return fail(EXIT_CONFIG, exc.field, str(exc))
     except PositionScanExhausted as exc:

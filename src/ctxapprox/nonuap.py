@@ -11,14 +11,12 @@ a proof of the universally quantified statement.
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, FloorViolationError, require_count
+from .errors import DimensionError, FloorViolationError, require_count
 
 _DISTINCT_TOL = 1e-9
 # rounding slack below the certified floor: the target's alternation values
@@ -27,6 +25,14 @@ _FLOOR_TOL = 1e-12
 # joint (cell, coefficient) counts held per multinomial draw; the trials are
 # drawn in chunks of about this many entries, whatever the family size
 _JOINT_CELLS = 1 << 16
+# prop1_fuzz's draws: k in [1, 6], exponents in [-3, 3] at least 0.1 apart
+# (6 of them fit), coefficients in +-5; sign changes are counted on 2001
+# points of [-8, 8]
+_K_RANGE = (1, 6)
+_EXPONENT_SEPARATION = 0.1
+_COEFF_RANGE = 5.0
+_INTERVAL = (-8.0, 8.0)
+_GRID_POINTS = 2001
 
 
 @dataclass(frozen=True)
@@ -97,28 +103,6 @@ class Prop1FuzzRecord:
         return {"violations": self.violations, "count": len(self.ks)}
 
 
-def _k_range(k_range) -> tuple[int, int]:
-    """``k_range`` as whole numbers 1 <= k_lo <= k_hi, or ConfigError."""
-    try:
-        k_lo, k_hi = (operator.index(k) for k in k_range)
-    except (TypeError, ValueError):
-        raise ConfigError("k_range", f"k_range must be two integers, got {k_range!r}") from None
-    if not 1 <= k_lo <= k_hi:
-        raise ConfigError("k_range", f"k_range must satisfy 1 <= k_lo <= k_hi, got {k_range!r}")
-    return k_lo, k_hi
-
-
-def _interval(interval) -> tuple[float, float]:
-    """``interval`` as two finite numbers lo < hi, or ConfigError."""
-    try:
-        lo, hi = (float(v) for v in interval)
-    except (TypeError, ValueError):
-        raise ConfigError("interval", f"interval must be two numbers, got {interval!r}") from None
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ConfigError("interval", f"interval must be finite with lo < hi, got {(lo, hi)!r}")
-    return lo, hi
-
-
 def _separated_exponents(rng: np.random.Generator, k: int, sep: float) -> np.ndarray:
     """k sorted exponents, uniform on [-3, 3] given that neighbours are at
     least ``sep`` apart: sorted uniforms on [-3, 3 - (k-1) sep], the i-th
@@ -126,44 +110,26 @@ def _separated_exponents(rng: np.random.Generator, k: int, sep: float) -> np.nda
     return np.sort(rng.uniform(-3.0, 3.0 - (k - 1) * sep, k)) + sep * np.arange(k)
 
 
-def prop1_fuzz(count: int, seed: int, *, k_range=(1, 6),
-               exponent_separation: float = 0.1, coeff_range: float = 5.0,
-               interval=(-8.0, 8.0), grid_points: int = 2001) -> Prop1FuzzRecord:
+def prop1_fuzz(count: int, seed: int) -> Prop1FuzzRecord:
     """Count sign changes of ``count`` random exponential sums (Proposition 1).
 
-    Each trial draws k in ``k_range``, sorted exponents in [-3, 3] at least
-    ``exponent_separation`` apart, and coefficients in +-``coeff_range``, not
-    all zero.  A sum with more than k - 1 sign changes is a violation.
-    Options that no draw could meet are rejected up front with a ConfigError
-    naming the option.
+    Each trial draws k in ``_K_RANGE``, sorted exponents in [-3, 3] at least
+    ``_EXPONENT_SEPARATION`` apart, and coefficients in +-``_COEFF_RANGE``,
+    not all zero.  A sum with more than k - 1 sign changes is a violation.
     """
     require_count("count", count, 0)
-    k_lo, k_hi = _k_range(k_range)
-    sep = float(exponent_separation)
-    if not (math.isfinite(sep) and sep > 0.0):
-        raise ConfigError("exponent_separation",
-                          f"exponent_separation must be positive and finite, got {sep!r}")
-    if k_hi > 1 and sep * (k_hi - 1) >= 6.0:
-        raise ConfigError("exponent_separation", f"exponent_separation {sep!r} leaves no "
-                          f"room for {k_hi} exponents in [-3, 3]; it must be below "
-                          f"{6.0 / (k_hi - 1)!r}")
-    if not (math.isfinite(coeff_range) and coeff_range > 0.0):
-        raise ConfigError("coeff_range",
-                          f"coeff_range must be positive and finite, got {coeff_range!r}")
-    interval = _interval(interval)
-    require_count("grid_points", grid_points, 2)
     rng = np.random.default_rng(seed)
     ks = np.empty(count, dtype=np.int64)
     changes = np.empty(count, dtype=np.int64)
     for trial in range(count):
-        k = int(rng.integers(k_lo, k_hi + 1))
-        b = _separated_exponents(rng, k, sep)
+        k = int(rng.integers(_K_RANGE[0], _K_RANGE[1] + 1))
+        b = _separated_exponents(rng, k, _EXPONENT_SEPARATION)
         while True:
-            a = rng.uniform(-coeff_range, coeff_range, k)
+            a = rng.uniform(-_COEFF_RANGE, _COEFF_RANGE, k)
             if np.any(a != 0.0):
                 break
         ks[trial] = k
-        changes[trial] = count_zeros(ExpSum(a, b), interval, grid_points)
+        changes[trial] = count_zeros(ExpSum(a, b), _INTERVAL, _GRID_POINTS)
     return Prop1FuzzRecord(ks, changes)
 
 

@@ -149,7 +149,7 @@ def test_criterion_05_multi_output():
 
 def test_criterion_06_proposition1_fuzz():
     t0 = time.time()
-    violations = ca.prop1_fuzz(1000, 606, grid_points=1501).violations
+    violations = ca.prop1_fuzz(1000, 606).violations
     elapsed = time.time() - t0
     report(6, "exponential-sum zero-count fuzz",
            violations == 0 and elapsed < 10.0,
