@@ -976,6 +976,12 @@ class TestAuditCommands:
         ("embed", EMBED_IDENTITY, "fnn.random.k", -1, "fnn.random.k"),
         ("embed", EMBED_IDENTITY, "fnn.random.d_in", 0, "fnn.random.d_in"),
         ("embed", EMBED_SOFTMAX, "fnn.random.d_y", 0, "fnn.random.d_y"),
+        ("audit", PROP1_SMALL, "exponent_separation", -1, "exponent_separation"),
+        ("audit", PROP1_SMALL, "exponent_separation", 1.5, "exponent_separation"),
+        ("audit", PROP1_SMALL, "coeff_range", float("inf"), "coeff_range"),
+        ("audit", PROP1_SMALL, "k_range", [], "k_range"),
+        ("audit", PROP1_SMALL, "interval", [], "interval"),
+        ("audit", mutated(PROP1_SMALL, "count", 0), "grid_points", -1, "grid_points"),
         ("construct", CONSTRUCT_SMALL, "activation", "tanh", "activation"),
         ("construct", CONSTRUCT_SMALL, "activation", "softmax", "activation"),
         ("construct", CONSTRUCT_SMALL, "coefficient_mode", ["kronecker"], "coefficient_mode"),
@@ -1003,9 +1009,15 @@ class TestAuditCommands:
         ("embed", EMBED_IDENTITY, "fnn.random.activation", "tanh", "fnn.random.activation"),
         ("kronecker", KRONECKER_BETAS, "betas", [1.0, float("inf")], "betas"),
         ("kronecker", KRONECKER_BETAS, "betas", [float("nan")], "betas"),
+        ("audit", PROP1_SMALL, "k_range", [3, 1], "k_range"),
+        ("audit", PROP1_SMALL, "k_range", [0, 3], "k_range"),
+        ("audit", PROP1_SMALL, "k_range", [1, 2, 3], "k_range"),
+        ("audit", PROP1_SMALL, "interval", [1.0, -1.0], "interval"),
+        ("audit", PROP1_SMALL, "interval", [-1.0, float("inf")], "interval"),
         ("audit", NONUAP_SMALL, "max_context", 2**63, "max_context"),
         ("audit", NONUAP_SMALL, "trials", 2**63, "trials"),
         ("audit", PROP1_SMALL, "count", 2**63, "count"),
+        ("audit", mutated(PROP1_SMALL, "count", 0), "grid_points", 2**63, "grid_points"),
         ("density", DENSITY_SMALL, "n_max", 2**63, "n_max"),
         ("density", DENSITY_SMALL, "probe_per_dim", 2**63, "probe_per_dim"),
         ("density", DENSITY_ORACLES, "probe_per_dim", 2**31, "probe_per_dim")])
@@ -1027,7 +1039,9 @@ class TestAuditCommands:
         # array numpy can make (the other counts, and a 2-D probe grid of
         # 2^31 a side) failed inside numpy, exit 1 with a traceback).  A
         # transformer or fnn "file" is no longer read: the first key the
-        # reader asks for in its place is named missing
+        # reader asks for in its place is named missing.  prop1_fuzz's tuning
+        # keys, once options whose bad values were named "config", are no
+        # longer read either: a value for one is named as an unknown key
         cfg = mutated(config, path, value)
         if command == "construct":
             cfg["caps"]["j_cap"] = 200
